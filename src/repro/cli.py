@@ -188,7 +188,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 f"cluster: {len(c.get('workers', []))} worker(s), "
                 f"{sum(c.get('jobs', {}).values())} job(s), "
                 f"{c.get('retries', 0)} retried, "
-                f"{c.get('speculative', 0)} speculative, "
                 f"{c.get('workers_readmitted', 0)} readmitted, "
                 f"{c.get('bytes_shipped', 0):,} bytes shipped"
             )

@@ -161,9 +161,9 @@ def count_motifs(
         Comma-separated ``host:port`` addresses of ``repro worker``
         daemons: exact algorithms run the shard plan *distributed*
         across them (:mod:`repro.distributed`), with locality-aware
-        placement, retried/speculative dispatch under exactly-once
-        accounting, and results bit-identical to the serial shard-halo
-        union.  Combine with any one cut mode above (default: four
+        placement, retried dispatch under exactly-once accounting,
+        and results bit-identical to the serial shard-halo union.
+        Combine with any one cut mode above (default: four
         shards per worker).  Sampling estimators run whole-graph
         locally, as with sharding.
     params:

@@ -1,13 +1,11 @@
 """The cluster coordinator: shard-plan dispatch across worker daemons.
 
 :class:`ClusterExecutor` takes one exact :class:`CountRequest` past a
-single machine.  It computes the PR 7 shard plan
-(:class:`~repro.storage.sharded.ShardedGraph`), turns it into
-independent **units** — one slice job ``[own_lo, halo_hi)`` with sign
-``+1`` and one halo job ``[own_hi, halo_hi)`` with sign ``−1`` per
-shard — and farms the units to ``repro worker`` daemons over TCP, one
-coordinator thread per worker pulling from a shared queue (dynamic
-self-scheduling: slow shards never gate fast ones).
+single machine.  It takes the signed slice/halo **units** of the shard
+plan (:meth:`~repro.storage.sharded.ShardedGraph.units`) and farms
+them to ``repro worker`` daemons over TCP, one coordinator thread per
+worker pulling from a shared queue (dynamic self-scheduling: slow
+shards never gate fast ones).
 
 **Placement** is locality-aware: each worker is probed with the
 ``open`` op; workers holding the coordinator's ``.rgz`` path count by
@@ -16,15 +14,12 @@ slices inline (``count_edges``), with shipped bytes recorded in the
 result's ``meta["cluster"]``.
 
 **Fault tolerance with exactly-once accounting.**  A transport failure
-(:class:`~repro.errors.WorkerUnavailableError`) marks that worker lost
-and returns its in-flight unit to the queue for re-dispatch; when the
-queue drains while units are still in flight, idle workers
-*speculatively* duplicate the slowest in-flight unit (work-stealing
-re-dispatch of the tail).  Both paths are safe because results are
-keyed by unit id and the **first completion wins**: a re-run or a
-duplicate *replaces nothing and adds nothing* — its grid is either the
-recorded answer or it is dropped — so each unit contributes its
-``ΣS − ΣH`` term exactly once, whatever the retry history.
+(:class:`~repro.errors.WorkerUnavailableError`, including a per-op
+``op_timeout`` on a hung worker) marks that worker lost and returns its
+in-flight unit to the queue for re-dispatch.  At most one copy of a
+unit is ever in flight, and results are keyed by unit id, so each unit
+contributes its ``ΣS − ΣH`` term exactly once, whatever the retry
+history.
 
 **Reconnection.**  A lost worker is not dead forever: its dispatch
 thread backs off on the run's :class:`~repro.distributed.health
@@ -36,13 +31,14 @@ for the remainder of the run; the run itself fails only when every
 worker has retired (or a single unit exhausts its own
 :data:`MAX_ATTEMPTS` budget).
 
-**Determinism.**  Units are reduced in canonical shard order on the
-coordinator, and every unit's grid is the exact int64 answer of a
+**Determinism.**  Every unit's grid is the exact int64 answer of a
 canonical slice (the repo-wide invariant: identical counts across
-backends, worker counts, and machines).  The reduced total is therefore
-bit-identical to the serial :func:`~repro.storage.sharded.sharded_count`
-of the same plan — which the equivalence tests and the distributed
-bench assert, byte for byte.
+backends, worker counts, and machines), and the coordinator reduces
+them with the same :meth:`~repro.storage.sharded.ShardedGraph.reduce`
+as the serial :func:`~repro.storage.sharded.sharded_count`.  The total
+is therefore bit-identical to the serial count of the same plan —
+which the equivalence tests and the distributed bench assert, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ import json
 import socket
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -61,13 +57,10 @@ from repro.distributed import health as _health
 from repro.distributed import protocol
 from repro.distributed.health import HealthMonitor, RetryPolicy
 from repro.errors import ReproError, WorkerUnavailableError
-from repro.storage.sharded import ShardedGraph
+from repro.storage.sharded import ShardedGraph, Unit
 
 #: Dispatch attempts allowed per unit before the run is declared failed.
 MAX_ATTEMPTS = 5
-
-#: Copies of one unit allowed in flight at once (1 original + 1 steal).
-MAX_INFLIGHT_COPIES = 2
 
 #: Shards planned per worker when the request carries no cut mode:
 #: enough units that dynamic self-scheduling can balance uneven shards.
@@ -150,18 +143,6 @@ class WorkerLink:
         self.close()
 
 
-@dataclass
-class _Unit:
-    """One ΣS − ΣH term: a canonical edge range with a sign."""
-
-    uid: int
-    shard: int
-    kind: str  # "slice" | "halo"
-    lo: int
-    hi: int
-    sign: int
-
-
 class ClusterExecutor:
     """See the module docstring.  One executor per distributed count."""
 
@@ -221,28 +202,13 @@ class ClusterExecutor:
     # -- counting -------------------------------------------------------
     def count(self, request, spec):
         """Run one *resolved* exact request across the cluster."""
-        from repro.core.counters import MotifCounts
-
-        start = time.perf_counter()
         graph = request.graph
         shard_kwargs = request.shard_spec or {
             "num_shards": max(1, UNITS_PER_WORKER * len(self.addresses))
         }
         tick = time.perf_counter()
         sharded = ShardedGraph(graph, **shard_kwargs)
-        plan = sharded.plan(request.delta)
-        units: List[_Unit] = []
-        for shard in plan:
-            if shard.halo_hi - shard.own_lo >= 3:
-                units.append(_Unit(
-                    uid=len(units), shard=shard.index, kind="slice",
-                    lo=shard.own_lo, hi=shard.halo_hi, sign=1,
-                ))
-            if shard.halo_hi - shard.own_hi >= 3:
-                units.append(_Unit(
-                    uid=len(units), shard=shard.index, kind="halo",
-                    lo=shard.own_hi, hi=shard.halo_hi, sign=-1,
-                ))
+        units = sharded.units(request.delta)
         plan_seconds = time.perf_counter() - tick
 
         state = _RunState(units, num_workers=len(self.addresses))
@@ -261,40 +227,18 @@ class ClusterExecutor:
         try:
             self._wait(request, state)
         finally:
-            state.abort()  # idle stealers must not linger past failure
+            state.abort()  # workers idle in acquire() must not linger
             for thread in threads:
                 thread.join(timeout=30)
-
-        # Canonical-order reduction: exactly one recorded grid per unit.
-        total = np.zeros((6, 6), dtype=np.int64)
-        for unit in units:
-            total += unit.sign * state.results[unit.uid]
-        assert not np.any(total < 0), "halo union produced a negative cell (bug)"
 
         phases = {"plan": plan_seconds}
         for phase, seconds in state.remote_phases.items():
             phases[phase] = phases.get(phase, 0.0) + seconds
-        result = MotifCounts(
-            total,
-            algorithm=request.algorithm,
-            is_exact=True,
-            phase_seconds=phases,
-            meta={
-                "sharding": "halo-union",
-                "shards": sharded.num_shards,
-                "slice_runs": len(units),
-                "halo_edges": sum(s.halo_edges for s in plan),
-                "max_slice_edges": max((s.slice_edges for s in plan), default=0),
-                "shard_budget": sharded.max_shard_edges,
-                "cluster": {
-                    **state.describe(self.addresses),
-                    "health": self.health.describe(),
-                },
-            },
+        cluster = {**state.describe(self.addresses), "health": self.health.describe()}
+        return sharded.reduce(
+            request, units, [state.results[unit.uid] for unit in units], phases,
+            extra={"cluster": cluster},
         )
-        result.delta = request.delta
-        result.elapsed_seconds = time.perf_counter() - start
-        return result
 
     # -- per-worker dispatch loop ---------------------------------------
     def _worker_loop(self, address, source, graph, spec_payload, state) -> None:
@@ -347,7 +291,7 @@ class ClusterExecutor:
                             held = False
                     state.worker_ready(address, held)
                     while True:
-                        unit, speculative = state.acquire(address)
+                        unit = state.acquire(address)
                         if unit is None:
                             return
                         tick = time.perf_counter()
@@ -367,7 +311,6 @@ class ClusterExecutor:
                         state.complete(
                             address, unit, counts,
                             seconds=time.perf_counter() - tick,
-                            speculative=speculative,
                         )
                         self.health.mark_ok(address)
                         unit = None
@@ -413,13 +356,12 @@ class ClusterExecutor:
 class _RunState:
     """Shared dispatch state of one distributed count (lock-guarded)."""
 
-    def __init__(self, units: List[_Unit], *, num_workers: int) -> None:
+    def __init__(self, units: List[Unit], *, num_workers: int) -> None:
         self.units = {unit.uid: unit for unit in units}
         self.num_workers = num_workers
         self.cond = threading.Condition()
         self.pending = collections.deque(unit.uid for unit in units)
         self.results: Dict[int, np.ndarray] = {}
-        self.inflight: Dict[int, int] = collections.defaultdict(int)
         self.attempts: Dict[int, int] = collections.defaultdict(int)
         self.remote_phases: Dict[str, float] = {}
         self.shard_seconds: Dict[str, float] = {}
@@ -434,8 +376,7 @@ class _RunState:
         self.aborted = False
         self.stats = {
             "retries": 0,
-            "speculative": 0,
-            "duplicates_ignored": 0,
+            "speculative": 0,  # kept for meta readers; tail copies are never sent
             "worker_failures": 0,
             "workers_readmitted": 0,
             "bytes_shipped": 0,
@@ -465,7 +406,6 @@ class _RunState:
             self.stats["worker_failures"] += 1
             self.last_failure = f"{address}: {exc}"
             if unit is not None:
-                self.inflight[unit.uid] -= 1
                 if unit.uid not in self.results:
                     if self.attempts[unit.uid] >= MAX_ATTEMPTS:
                         self.error = WorkerUnavailableError(
@@ -501,57 +441,26 @@ class _RunState:
                 self.cond.wait(timeout=min(remaining, 0.1))
 
     # -- job acquisition -------------------------------------------------
-    def acquire(self, address: str):
-        """Next unit for ``address``: queued work, else a stolen tail unit."""
+    def acquire(self, address: str) -> Optional[Unit]:
+        """Next queued unit for ``address``; ``None`` once the run ended."""
         with self.cond:
             while True:
-                if self.error is not None or self.aborted:
-                    return None, False
-                while self.pending:
+                if self.error is not None or self.aborted or self.finished():
+                    return None
+                if self.pending:
                     uid = self.pending.popleft()
-                    if uid in self.results:
-                        continue  # answered while queued (speculative win)
-                    self.inflight[uid] += 1
                     self.attempts[uid] += 1
                     self.jobs_by_worker[address] = self.jobs_by_worker.get(address, 0) + 1
-                    return self.units[uid], False
-                open_units = [
-                    uid for uid in self.units if uid not in self.results
-                ]
-                if not open_units:
-                    return None, False
-                # Tail re-dispatch: duplicate the in-flight unit with the
-                # fewest copies/attempts on this idle worker.
-                stealable = [
-                    uid for uid in open_units
-                    if self.inflight[uid] < MAX_INFLIGHT_COPIES
-                    and self.attempts[uid] < MAX_ATTEMPTS
-                ]
-                if stealable:
-                    uid = min(
-                        stealable,
-                        key=lambda u: (self.inflight[u], self.attempts[u], u),
-                    )
-                    self.inflight[uid] += 1
-                    self.attempts[uid] += 1
-                    self.stats["speculative"] += 1
-                    self.jobs_by_worker[address] = self.jobs_by_worker.get(address, 0) + 1
-                    return self.units[uid], True
-                # Everything open is already maximally duplicated: wait
-                # for a completion or a failure to requeue something.
+                    return self.units[uid]
+                # Everything open is in flight: wait for a completion, or
+                # a failure that puts a unit back in the queue.
                 self.cond.wait(timeout=0.1)
 
     # -- completion ------------------------------------------------------
-    def complete(self, address, unit, counts, *, seconds, speculative) -> None:
-        grid = np.rint(np.asarray(counts.grid)).astype(np.int64)
+    def complete(self, address, unit, counts, *, seconds) -> None:
         with self.cond:
-            self.inflight[unit.uid] -= 1
-            if unit.uid in self.results:
-                # Exactly-once: a speculative duplicate (or a retry that
-                # raced its replacement) landed second — drop it whole.
-                self.stats["duplicates_ignored"] += 1
-            else:
-                self.results[unit.uid] = grid
+            if unit.uid not in self.results:  # exactly-once: first result wins
+                self.results[unit.uid] = counts.grid
                 self.shard_seconds[f"shard{unit.shard}.{unit.kind}"] = seconds
                 for phase, secs in counts.phase_seconds.items():
                     self.remote_phases[phase] = self.remote_phases.get(phase, 0.0) + secs

@@ -187,6 +187,12 @@ def decode_counts(payload: Dict) -> MotifCounts:
         )
     grid = np.asarray(payload["grid"])
     if payload["exact"]:
+        # Outside input: a fractional or out-of-int64 cell is refused,
+        # never truncated or wrapped.
+        if grid.dtype.kind != "i":
+            raise ValidationError(
+                f"exact counts payload needs int64 cells, got {grid.dtype}"
+            )
         grid = grid.astype(np.int64)
     else:
         grid = grid.astype(np.float64)

@@ -15,7 +15,7 @@ from repro.storage.format import (
     pack_graph,
     read_header,
 )
-from repro.storage.sharded import DEFAULT_SHARD_EDGES, Shard, ShardedGraph
+from repro.storage.sharded import DEFAULT_SHARD_EDGES, Shard, ShardedGraph, Unit
 
 __all__ = [
     "DEFAULT_SHARD_EDGES",
@@ -24,6 +24,7 @@ __all__ = [
     "PackedGraph",
     "Shard",
     "ShardedGraph",
+    "Unit",
     "is_packed_file",
     "open_packed",
     "pack_graph",

@@ -31,10 +31,15 @@ its whole-graph answer restricted to the slice).
 Sampling estimators (``bts``/``ews``) do not decompose: they draw one
 global RNG stream anchored at ``times[0]`` over the whole block range,
 so per-shard runs cannot reproduce a fixed-seed whole-graph estimate.
-:meth:`ShardedGraph.count` therefore routes them through the
-whole-graph view unchanged (trivially bit-identical — the mmap-backed
-arrays equal the in-memory ones) and records the passthrough in
-``meta["sharding"]``.
+The registry therefore runs them on the whole-graph view unchanged
+(trivially bit-identical — the mmap-backed arrays equal the in-memory
+ones) and records the passthrough in ``meta["sharding"]``.
+
+:meth:`ShardedGraph.units` is the one unit plan and
+:meth:`ShardedGraph.reduce` the one reduction; :func:`sharded_count`
+runs the units in process and
+:class:`~repro.distributed.cluster.ClusterExecutor` farms them to
+worker daemons.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ def slice_canonical(graph: TemporalGraph, lo: int, hi: int) -> TemporalGraph:
     Slicing contiguous canonical ranges preserves sortedness and
     tie-breaking, so the result is itself canonical; node ids keep the
     parent's space (``num_nodes`` unchanged) so no relabeling is needed
-    anywhere.  Shared by :class:`ShardedGraph` and the distributed
+    anywhere.  Shared by :func:`sharded_count` and the distributed
     worker daemon (which slices its own ``.rgz`` mmap by the
     coordinator's ``[lo, hi)`` ranges).
     """
@@ -73,6 +78,18 @@ def slice_canonical(graph: TemporalGraph, lo: int, hi: int) -> TemporalGraph:
         graph.timestamps[lo:hi],
         num_nodes=graph.num_nodes,
     )
+
+
+@dataclass(frozen=True)
+class Unit:
+    """One ``ΣS − ΣH`` term: a canonical edge range with a sign."""
+
+    uid: int
+    shard: int
+    kind: str  # "slice" | "halo"
+    lo: int
+    hi: int
+    sign: int
 
 
 @dataclass(frozen=True)
@@ -98,7 +115,7 @@ class Shard:
 
 
 class ShardedGraph:
-    """Shard-halo counting facade over one graph (see module docstring).
+    """Shard-halo plan over one graph (see module docstring).
 
     ``source`` is a :class:`TemporalGraph` or an open
     :class:`~repro.storage.format.PackedGraph` (the out-of-core case:
@@ -184,93 +201,82 @@ class ShardedGraph:
             shards.append(Shard(index=i, own_lo=lo, own_hi=hi, halo_hi=halo_hi))
         return shards
 
-    def _slice_graph(self, lo: int, hi: int) -> TemporalGraph:
-        """Zero-copy slice view (see :func:`slice_canonical`)."""
-        return slice_canonical(self.graph, lo, hi)
+    def units(self, delta: float) -> List[Unit]:
+        """The plan's signed ``ΣS − ΣH`` terms, in canonical order.
 
-    # ------------------------------------------------------------------
-    # counting
-    # ------------------------------------------------------------------
-    def count(
-        self,
-        delta: float,
-        *,
-        algorithm: str = "fast",
-        categories: str = "all",
-        workers: int = 1,
-        thrd: Optional[float] = None,
-        schedule: str = "dynamic",
-        seed: Optional[int] = None,
-        n_samples: Optional[int] = None,
-        backend: str = "auto",
-        start_method: Optional[str] = None,
-        deadline: Optional[float] = None,
-        **params: object,
-    ):
-        """Count motifs via the shard-halo union (exact algorithms).
-
-        Sampling algorithms run on the whole-graph view instead (see
-        the module docstring) so fixed-seed estimates stay bit-identical
-        to the in-memory path.
+        One ``+1`` slice unit ``[own_lo, halo_hi)`` and one ``−1`` halo
+        unit ``[own_hi, halo_hi)`` per shard; a range of fewer than
+        three edges holds no motif and gets no unit.
         """
-        from repro.core.registry import CountRequest, execute, get_algorithm
+        units: List[Unit] = []
+        for shard in self.plan(delta):
+            for kind, lo, sign in (("slice", shard.own_lo, 1), ("halo", shard.own_hi, -1)):
+                if shard.halo_hi - lo >= 3:
+                    units.append(Unit(len(units), shard.index, kind, lo, shard.halo_hi, sign))
+        return units
 
-        spec = get_algorithm(algorithm)
-        base = CountRequest(
-            graph=self.graph,
-            delta=delta,
-            algorithm=algorithm,
-            categories=categories,
-            workers=workers,
-            thrd=thrd,
-            schedule=schedule,
-            seed=seed,
-            n_samples=n_samples,
-            backend=backend,
-            start_method=start_method,
-            deadline=deadline,
-            params=dict(params),
+    def reduce(self, request, units: Sequence[Unit], grids, phases, extra=None):
+        """Sum one exact grid per unit as ``ΣS − ΣH`` into a result.
+
+        The one reduction behind every executor: the sum runs in
+        canonical unit order in int64 (no float step, so any magnitude
+        stays exact), and a grid that is not integer-typed is refused
+        rather than rounded.  ``extra`` adds executor-specific meta
+        keys after the six shared ones.
+        """
+        from repro.core.counters import MotifCounts
+
+        total = np.zeros((6, 6), dtype=np.int64)
+        for unit, grid in zip(units, grids):
+            grid = np.asarray(grid)
+            if grid.dtype.kind != "i":
+                raise ValidationError(
+                    f"{unit.kind}[{unit.shard}] grid must be integer-typed, "
+                    f"got {grid.dtype}"
+                )
+            total += unit.sign * grid
+        assert not np.any(total < 0), "halo union produced a negative cell (bug)"
+        plan = self.plan(request.delta)
+        return MotifCounts(
+            total,
+            algorithm=request.algorithm,
+            delta=request.delta,
+            is_exact=True,
+            phase_seconds=phases,
+            meta={
+                "sharding": "halo-union",
+                "shards": self.num_shards,
+                "slice_runs": len(units),
+                "halo_edges": sum(s.halo_edges for s in plan),
+                "max_slice_edges": max((s.slice_edges for s in plan), default=0),
+                "shard_budget": self.max_shard_edges,
+                **(extra or {}),
+            },
         )
-        if not spec.is_exact:
-            result = execute(base)
-            result.meta["sharding"] = (
-                "whole-graph (sampling estimators draw one global RNG stream)"
-            )
-            return result
-        return sharded_count(base.resolve(spec), spec, sharded=self)
 
 
-def sharded_count(request, spec, *, sharded: Optional[ShardedGraph] = None):
+def sharded_count(request, spec):
     """Run a *resolved* exact :class:`CountRequest` via the halo union.
 
-    The registry's sharding routing target: builds (or reuses) the
+    The registry's sharding routing target: builds the
     :class:`ShardedGraph` from whichever cut mode the request carries
-    (``shard_budget`` / ``num_shards`` / ``shard_boundaries``),
-    dispatches one registry execution per slice and per non-empty halo,
-    and accumulates ``ΣS − ΣH`` into one grid.  Slice requests inherit
-    every execution knob except ``pool`` (a persistent pool would
-    accumulate one shared-memory publication per transient slice) and
-    the sampling fields (meaningless for exact algorithms once
-    resolved).
+    (``shard_budget`` / ``num_shards`` / ``shard_boundaries``), runs
+    one registry execution per unit and reduces them with
+    :meth:`ShardedGraph.reduce`.  Unit requests inherit every execution
+    knob except ``pool`` (a persistent pool would accumulate one
+    shared-memory publication per transient slice) and the sampling
+    fields (meaningless for exact algorithms once resolved).
     """
-    from repro.core.counters import MotifCounts
     from repro.core.registry import execute
 
-    if sharded is None:
-        sharded = ShardedGraph(request.graph, **request.shard_spec)
-    start = time.perf_counter()
-    plan = sharded.plan(request.delta)
-    total = np.zeros((6, 6), dtype=np.int64)
+    sharded = ShardedGraph(request.graph, **request.shard_spec)
+    units = sharded.units(request.delta)
     phases = {"pack_slices": 0.0}
-    halo_edges = 0
-    slice_runs = 0
-
-    def _run(lo: int, hi: int) -> Optional[np.ndarray]:
-        nonlocal slice_runs
-        if hi - lo < 3:
-            return None
+    grids = []
+    for unit in units:
+        request.check_deadline()
         tick = time.perf_counter()
-        piece = sharded._slice_graph(lo, hi)
+        piece = slice_canonical(sharded.graph, unit.lo, unit.hi)
         phases["pack_slices"] += time.perf_counter() - tick
         sub = execute(
             dataclasses.replace(
@@ -287,36 +293,7 @@ def sharded_count(request, spec, *, sharded: Optional[ShardedGraph] = None):
                 request_id=None,
             )
         )
-        slice_runs += 1
         for phase, seconds in sub.phase_seconds.items():
             phases[phase] = phases.get(phase, 0.0) + seconds
-        return np.rint(np.asarray(sub.grid)).astype(np.int64)
-
-    for shard in plan:
-        request.check_deadline()
-        halo_edges += shard.halo_edges
-        own = _run(shard.own_lo, shard.halo_hi)
-        if own is not None:
-            total += own
-        halo = _run(shard.own_hi, shard.halo_hi)
-        if halo is not None:
-            total -= halo
-
-    assert not np.any(total < 0), "halo union produced a negative cell (bug)"
-    result = MotifCounts(
-        total,
-        algorithm=request.algorithm,
-        is_exact=True,
-        phase_seconds=phases,
-        meta={
-            "sharding": "halo-union",
-            "shards": sharded.num_shards,
-            "slice_runs": slice_runs,
-            "halo_edges": halo_edges,
-            "max_slice_edges": max((s.slice_edges for s in plan), default=0),
-            "shard_budget": sharded.max_shard_edges,
-        },
-    )
-    result.delta = request.delta
-    result.elapsed_seconds = time.perf_counter() - start
-    return result
+        grids.append(sub.grid)
+    return sharded.reduce(request, units, grids, phases)

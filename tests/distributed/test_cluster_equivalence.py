@@ -105,20 +105,35 @@ def test_default_plan_is_four_shards_per_worker(cluster, packed):
 
 
 def test_exactly_once_accounting_sums_each_unit_once(cluster, packed):
-    """One recorded result per unit, duplicates visible, counts exact."""
+    """One recorded result per unit, retries visible, counts exact."""
     graph, path = packed
     dist = count_motifs(path, 40.0, algorithm="fast", cluster=cluster, num_shards=6)
     meta = dist.meta["cluster"]
     jobs = sum(meta["jobs"].values())
     units = dist.meta["slice_runs"]
-    # shard_seconds records exactly the units whose (first) result won.
+    # shard_seconds records exactly the units whose result was recorded.
     assert len(meta["shard_seconds"]) == units
-    # Every dispatched job either became the recorded result of its
-    # unit or was dropped as a duplicate — nothing double-counts.
-    assert jobs == units + meta["duplicates_ignored"]
+    # One copy of a unit runs at a time: every job beyond the first per
+    # unit is a retry of a lost one — nothing double-counts.
+    assert jobs == units + meta["retries"]
+    assert meta["speculative"] == 0
     assert np.array_equal(
         dist.grid, count_motifs(graph, 40.0, algorithm="fast").grid
     )
+
+
+def test_serial_and_cluster_report_the_same_shard_meta(cluster, packed):
+    """Both executors share one plan and one reducer: same six meta keys."""
+    graph, path = packed
+    boundaries = (60, 170, 333, 410)
+    serial = count_motifs(graph, 40.0, algorithm="fast", shard_boundaries=boundaries)
+    dist = count_motifs(
+        path, 40.0, algorithm="fast", cluster=cluster, shard_boundaries=boundaries
+    )
+    keys = ("sharding", "shards", "slice_runs", "halo_edges",
+            "max_slice_edges", "shard_budget")
+    assert {k: serial.meta[k] for k in keys} == {k: dist.meta[k] for k in keys}
+    assert serial.meta["shards"] == 5
 
 
 def test_sampling_estimators_pass_through_locally(cluster, packed):

@@ -113,6 +113,17 @@ def test_decode_counts_rejects_unknown_format():
         decode_counts({"format": "something/else"})
 
 
+@pytest.mark.parametrize("cell", [2.5, 2**63, 2**64])
+def test_decode_exact_counts_rejects_inexact_cells(cell):
+    """A fractional or out-of-int64 cell fails typed, never truncates."""
+    payload = json.loads(json.dumps(encode_counts(
+        count_motifs(random_graph(5, 8, 60), 10.0, algorithm="fast")
+    )))
+    payload["grid"][0][0] = cell
+    with pytest.raises(ValidationError):
+        decode_counts(payload)
+
+
 def test_canonical_bytes_ignore_provenance_but_not_answers():
     graph = random_graph(7, 8, 60)
     a = count_motifs(graph, 10.0, algorithm="fast")
