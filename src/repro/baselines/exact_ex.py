@@ -37,6 +37,7 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.window_counter import count_sequences
+from repro.core.columnar_kernels import enumerate_static_triangles
 from repro.core.counters import MotifCounts
 from repro.core.motifs import classify_triple, pair_cell_motif, star_cell_motif
 from repro.errors import ValidationError
@@ -331,21 +332,10 @@ _TRI_DECODE = _triangle_decode_table()
 
 
 def static_triangles(graph: TemporalGraph) -> List[Tuple[int, int, int]]:
-    """Enumerate static triangles ``(a, b, c)`` with ``a < b < c``."""
-    pairs = graph.static_pairs()
-    adjacency: Dict[int, set] = {}
-    for a, b in pairs:
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-    triangles = []
-    for a, b in pairs:
-        adj_a = adjacency[a]
-        adj_b = adjacency[b]
-        small, large = (adj_a, adj_b) if len(adj_a) <= len(adj_b) else (adj_b, adj_a)
-        for c in small:
-            if c > b and c in large:
-                triangles.append((a, b, c))
-    return triangles
+    """Enumerate static triangles ``(a, b, c)`` with ``a < b < c``, sorted."""
+    col = graph.columnar()
+    nodes, _ = enumerate_static_triangles(col.num_nodes, col.pair_keys)
+    return [tuple(row) for row in nodes.tolist()]
 
 
 def ex_triangle_counts(

@@ -44,12 +44,35 @@ makes "``e_k`` before ``e_i``" ⟺ ``eid_k < eid_i`` and "after ``e_j``"
 ⟺ ``eid_k > eid_j``, so the Triangle I/II/III split of the pair
 timeline ``E(v, w)`` is three contiguous id ranges, located by rank
 probes into the pair CSR and split by direction with prefix sums.
-Open wedges (far pairs that never interact) are rejected early by a
-Bloom-filter gather before any binary search runs.
+Every cell total is a sum of rank differences within one
+``(dir_i, dir_j, flip)`` wedge group, so the wedges are grouped once
+and each probe set is sorted within its group before probing:
+cache-local, where random-order probes into the m-sized rank key miss
+on nearly every step.
 
-**Exact accumulation.**  Counter cells are scatter-added with pure
-int64 masked sums (never float64 ``bincount`` weights), so counts stay
-exact arbitrarily far beyond 2**53.
+**FAST-Tri expands only where wedges can close.**  Algorithm 2 takes
+every in-window edge pair at a center as a candidate, yet on session
+graphs well under 1% of them have a far pair that exists.  Each anchor
+incidence ``p`` (center ``u``, neighbour ``v``) therefore expands
+whichever candidate set is smaller — both sizes are O(1) lookups:
+
+* the *window path*: its ``we[p] - p - 1`` δ-window successors, each
+  closed (or dropped) by a binary search over ``pair_keys``;
+* the *triangle path*: one row per static triangle ``{u, v, w}``
+  through its pair (the per-triangle view of Paranjape et al.), whose
+  wedge partners are the ``E(u, w)`` entries with edge id in
+  ``(eid_p, hi_eid[p])`` — two rank probes — and whose closing pair
+  ``{v, w}`` comes from the table, with no pair search.
+
+Both paths feed one classifier and own a wedge by its first edge at
+its center, so either choice gives the same per-task counts.  The
+static-triangle table (:func:`triangle_table`, a degree-ordered
+vectorized enumeration) is δ-independent and memoized in the
+columnar store's ``delta_cache``.
+
+**Exact accumulation.**  Counter cells are accumulated with pure int64
+sums (never float64 ``bincount`` weights), so counts stay exact
+arbitrarily far beyond 2**53.
 
 Work decomposition
 ------------------
@@ -63,14 +86,16 @@ merged task results equal the serial count exactly.  (The per-task
 the triple's first edge; only the union is contracted — see
 :func:`repro.core.fast_star.count_star_pair_tasks`.)
 
-Peak memory is O(m) for the star kernel and bounded by
-``chunk_pairs`` expanded wedges (default 2**22 ≈ 4M) for the triangle
-kernel, independent of δ.
+Peak memory is O(m) for the star kernel.  The triangle kernel adds
+the O(m + T) static-triangle table (T triangles) and, independent of
+δ, at most ``chunk_pairs`` (default 2**21 ≈ 2M) expanded candidates
+at once: window wedges plus triangle rows per anchor slice, and again
+at most ``chunk_pairs`` wedge partners per slice of rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -78,7 +103,7 @@ from repro.graph.columnar import ColumnarGraph
 from repro.graph.temporal_graph import TemporalGraph
 
 #: Default cap on expanded wedge pairs processed at once (FAST-Tri).
-DEFAULT_CHUNK_PAIRS = 1 << 22
+DEFAULT_CHUNK_PAIRS = 1 << 21
 
 #: A work task, as produced by the HARE scheduler.
 Task = Tuple[int, int, Optional[int]]
@@ -96,17 +121,8 @@ def _task_positions(
     """
     indptr = col.inc_indptr
     if tasks is None:
-        sizes = np.maximum(np.diff(indptr) - tail, 0)
-        total = int(sizes.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64)
-        reps = np.repeat(np.arange(col.num_nodes, dtype=np.int64), sizes)
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        return (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets, sizes)
-            + indptr[reps]
-        )
+        rows, offsets = _ragged(np.maximum(np.diff(indptr) - tail, 0))
+        return indptr[rows] + offsets
     pieces: List[np.ndarray] = []
     for node, i_lo, i_hi in tasks:
         row_lo = int(indptr[node])
@@ -119,17 +135,24 @@ def _task_positions(
     return np.concatenate(pieces)
 
 
+def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten a ragged range: ``(owner, offset)`` for every element.
+
+    Element ``k`` of owner ``i``'s ``counts[i]`` elements becomes the
+    pair ``(i, k)``; owners ascend, offsets ascend within an owner.
+    """
+    owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner), dtype=np.int64) - starts[owner]
+
+
 def _expand_pairs(
     anchor: np.ndarray, counts: np.ndarray, gap: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Expand per-anchor successor counts into flat (anchor, other) pairs."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    A = np.repeat(anchor, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    B = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + A + gap
-    return A, B
+    owner, offsets = _ragged(counts)
+    A = anchor[owner]
+    return A, A + offsets + gap
 
 
 def _chunks(counts: np.ndarray, chunk_pairs: int) -> Iterable[Tuple[int, int]]:
@@ -178,9 +201,126 @@ def _window_bounds(
     row_base = col.inc_row * np.int64(col.num_edges + 1)
     ws = np.searchsorted(col.inc_row_key, row_base + lo_eid)
     we = np.searchsorted(col.inc_row_key, row_base + hi_eid)
-    col.delta_cache.clear()
+    # A new δ evicts every δ-keyed memo; the δ-free triangle table stays.
+    for stale in [k for k in col.delta_cache if k != _TRI_KEY]:
+        del col.delta_cache[stale]
     col.delta_cache[key] = (lo_eid, hi_eid, ws, we)
     return col.delta_cache[key]
+
+
+#: ``delta_cache`` key of the (δ-independent) static-triangle table.
+_TRI_KEY = ("tri",)
+
+
+class TriangleTable(NamedTuple):
+    """Per-pair CSR over the static triangles of the pair graph.
+
+    The triangles through pair-CSR slot ``s = {a, b}`` (``a < b``) are
+    entries ``indptr[s]:indptr[s+1]``, ascending by third vertex; entry
+    ``r`` names the third vertex ``third[r]`` and the slots of its
+    pairs with ``a`` (``lo_slot[r]``) and with ``b`` (``hi_slot[r]``).
+    ``edge_slot`` maps every edge id to its own pair slot.
+    """
+
+    indptr: np.ndarray
+    third: np.ndarray
+    lo_slot: np.ndarray
+    hi_slot: np.ndarray
+    edge_slot: np.ndarray
+
+
+def enumerate_static_triangles(
+    n: int, pair_keys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized degree-ordered static-triangle enumeration.
+
+    Orients every static pair from its lower-(degree, id) endpoint to
+    the higher one; each triangle is then exactly one out-wedge
+    ``x -> y1, x -> y2`` closed by pair ``{y1, y2}``, and no node has
+    more than O(√P) out-neighbours, so the wedge total is
+    O(P^1.5).  Wedges are expanded ``DEFAULT_CHUNK_PAIRS`` at a time
+    and closed by a binary search over ``pair_keys`` (sorted
+    ``min * n + max`` keys, as in :attr:`ColumnarGraph.pair_keys`).
+
+    Returns ``(nodes, slots)``: ``(T, 3)`` vertex triples ``a < b < c``
+    in lexicographic order, and the ``pair_keys`` indices of their
+    ``(a,b), (a,c), (b,c)`` pairs.
+    """
+    nn = np.int64(max(n, 1))
+    lo_end = pair_keys // nn
+    hi_end = pair_keys % nn
+    deg = np.bincount(lo_end, minlength=n) + np.bincount(hi_end, minlength=n)
+    lo_first = deg[lo_end] <= deg[hi_end]  # ties: smaller id first
+    x = np.where(lo_first, lo_end, hi_end)
+    y = np.where(lo_first, hi_end, lo_end)
+    order = np.lexsort((y, x))  # out-rows by x, ids ascending inside
+    x = x[order]
+    y = y[order]
+    row_end = np.searchsorted(x, x, side="right")
+    counts = row_end - np.arange(1, len(x) + 1, dtype=np.int64)
+    found: List[Tuple[np.ndarray, ...]] = []
+    for a, b in _chunks(counts, DEFAULT_CHUNK_PAIRS):
+        e1, e2 = _expand_pairs(
+            np.arange(a, b, dtype=np.int64), counts[a:b], gap=1
+        )
+        key = y[e1] * nn + y[e2]
+        slot = np.searchsorted(pair_keys, key)
+        closed = pair_keys[np.minimum(slot, len(pair_keys) - 1)] == key
+        found.append((e1[closed], e2[closed], slot[closed]))
+    if not found:
+        return np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
+    e1, e2, s12 = (np.concatenate(parts) for parts in zip(*found))
+    xs, y1, y2 = x[e1], y[e1], y[e2]  # y1 < y2
+    s1, s2 = order[e1], order[e2]     # slots of {x, y1}, {x, y2}
+    # Place x among y1 < y2 and permute the three slots to match.
+    first = xs < y1
+    last = xs > y2
+    nodes = np.stack((
+        np.where(first, xs, y1),
+        np.where(first, y1, np.where(last, y2, xs)),
+        np.where(last, xs, y2),
+    ), axis=1)
+    slots = np.stack((
+        np.where(last, s12, s1),
+        np.where(first, s2, np.where(last, s1, s12)),
+        np.where(first, s12, s2),
+    ), axis=1)
+    tri_order = np.lexsort((nodes[:, 2], nodes[:, 1], nodes[:, 0]))
+    return nodes[tri_order], slots[tri_order]
+
+
+def triangle_table(col: ColumnarGraph) -> TriangleTable:
+    """The memoized :class:`TriangleTable` of ``col``'s static pair graph.
+
+    δ-independent, so it survives δ changes in ``col.delta_cache``; it
+    is warmed before forking and shipped to pool workers with the per-δ
+    tables.  Build cost is the O(P^1.5) enumeration plus O(m).
+    """
+    cached = col.delta_cache.get(_TRI_KEY)
+    if cached is not None:
+        return cached
+    P = len(col.pair_keys)
+    nodes, slots = enumerate_static_triangles(col.num_nodes, col.pair_keys)
+    # Each triangle is listed under its three sides: side (a,b) sees
+    # third c with lo/hi pairs (a,c)/(b,c); side (a,c) sees b with
+    # (a,b)/(b,c); side (b,c) sees a with (a,b)/(a,c).
+    owner = slots.ravel()
+    third = nodes[:, ::-1].ravel()
+    lo_slot = slots[:, [1, 0, 0]].ravel()
+    hi_slot = slots[:, [2, 2, 1]].ravel()
+    order = np.lexsort((third, owner))
+    indptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(owner, minlength=P), dtype=np.int64))
+    )
+    edge_slot = np.empty(col.num_edges, dtype=np.int64)
+    edge_slot[col.pair_eid] = np.repeat(
+        np.arange(P, dtype=np.int64), np.diff(col.pair_indptr)
+    )
+    table = TriangleTable(
+        indptr, third[order], lo_slot[order], hi_slot[order], edge_slot
+    )
+    col.delta_cache[_TRI_KEY] = table
+    return table
 
 
 def _dir_prefixes(values: np.ndarray, is_in: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -256,8 +396,22 @@ def edge_window_ends(col: ColumnarGraph, delta: float) -> np.ndarray:
     return hi
 
 
+def _edge_window_starts(col: ColumnarGraph, delta: float) -> np.ndarray:
+    """Per-*edge* backward δ-window start ranks: first id with ``t >= t_e - δ``.
+
+    The triangle path reaches wedge partners through the pair CSR, so
+    it needs this bound by edge id rather than by incidence position.
+    """
+    key = ("elo", float(delta))
+    cached = col.delta_cache.get(key)
+    if cached is None:
+        cached = col.delta_cache[key] = np.searchsorted(col.t, col.t - delta)
+    return cached
+
+
 def warm_delta_cache(
-    col: ColumnarGraph, delta: float, star_pair: bool = True
+    col: ColumnarGraph, delta: float, star_pair: bool = True,
+    triangle: bool = True,
 ) -> None:
     """Force the FAST per-δ memos now (called before forking HARE workers).
 
@@ -268,6 +422,9 @@ def warm_delta_cache(
     _window_bounds(col, delta)
     if star_pair:
         _star_precompute(col, delta)
+    if triangle:
+        triangle_table(col)
+        _edge_window_starts(col, delta)
 
 
 #: Star prefix-table names, in their packed export order.
@@ -277,6 +434,7 @@ _STAR_TERMS = ("one", "slot", "cin", "gin", "win", "osub", "wsub", "ggin")
 def export_delta_cache(
     col: ColumnarGraph, delta: float, star_pair: bool = True,
     *, window_bounds: bool = True, edge_window: bool = False,
+    triangle: bool = False,
 ) -> "Dict[str, np.ndarray]":
     """Flatten the per-δ memo tables into a named-array dict.
 
@@ -286,11 +444,18 @@ def export_delta_cache(
     worker via shared memory instead of having each worker redo the
     O(m log m) setup (and hold its own quarter-gigabyte copy).
     ``window_bounds``/``star_pair`` select the FAST kernel tables;
-    ``edge_window`` adds the sampling kernels' per-edge window ranks
-    (:func:`edge_window_ends`) — a sampling-only job exports just
-    those.
+    ``triangle`` adds the static-triangle table (:func:`triangle_table`)
+    and the per-edge window starts; ``edge_window`` adds the
+    sampling kernels' per-edge window ranks (:func:`edge_window_ends`)
+    — a sampling-only job exports just those.
     """
     arrays: "Dict[str, np.ndarray]" = {}
+    if triangle:
+        table = triangle_table(col)
+        arrays.update(
+            {f"tri.{name}": value for name, value in table._asdict().items()}
+        )
+        arrays["elo.lo"] = _edge_window_starts(col, delta)
     if window_bounds or star_pair:
         lo_eid, hi_eid, ws, we = _window_bounds(col, delta)
         arrays.update({
@@ -320,9 +485,15 @@ def install_delta_cache(
     The inverse of :func:`export_delta_cache`: after this call the
     kernels hit the memo instead of recomputing.  Replaces whatever δ
     was resident (the cache is single-entry per kind, matching
-    :func:`_window_bounds`).
+    :func:`_window_bounds`) — the static-triangle table included, since
+    a resident one may be a view into a bundle about to be released.
     """
     col.delta_cache.clear()
+    if "tri.indptr" in arrays:
+        col.delta_cache[_TRI_KEY] = TriangleTable(
+            *(arrays[f"tri.{name}"] for name in TriangleTable._fields)
+        )
+        col.delta_cache[("elo", float(delta))] = arrays["elo.lo"]
     if "bounds.lo_eid" in arrays:
         col.delta_cache[("bounds", float(delta))] = (
             arrays["bounds.lo_eid"],
@@ -464,73 +635,190 @@ def count_triangle_columnar(
     if len(anchors) == 0 or len(col.pair_keys) == 0:
         return tri_acc
 
-    n = col.num_nodes
-    nbr = col.inc_nbr
-    dirs = col.inc_dir
-    eid = col.inc_eid
-    pair_keys = col.pair_keys
-    pair_rank = col.pair_rank_key
-    pair_cum_in = col.pair_cum_in
-    m_plus = np.int64(col.num_edges + 1)
-
     lo_eid, hi_eid, _, we = _window_bounds(col, delta)
-    counts = np.maximum(we[anchors] - (anchors + 1), 0)
+    window = np.maximum(we[anchors] - (anchors + 1), 0)
+    table = triangle_table(col)
+    slot_p = table.edge_slot[col.inc_eid[anchors]]
+    tri_lo = table.indptr[slot_p]
+    rows = table.indptr[slot_p + 1] - tri_lo
+    on_tri = rows < window
+    cost = np.where(on_tri, rows, window)
+    live = cost > 0
+    anchors, cost, on_tri, tri_lo = (
+        anchors[live], cost[live], on_tri[live], tri_lo[live]
+    )
 
-    for a, b in _chunks(counts, chunk_pairs):
-        pos_i, pos_j = _expand_pairs(anchors[a:b], counts[a:b], gap=1)
-        vi = nbr[pos_i]
-        vj = nbr[pos_j]
-        # A wedge needs distinct far endpoints whose pair exists at
-        # all; the Bloom gather rejects the bulk of open wedges before
-        # any binary search runs.
-        key = np.minimum(vi, vj) * np.int64(n) + np.maximum(vi, vj)
-        keep = (vi != vj) & col.pair_bloom[col.bloom_hash(key)]
-        if not keep.any():
-            continue
-        pos_i = pos_i[keep]
-        pos_j = pos_j[keep]
-        vi = vi[keep]
-        vj = vj[keep]
-        key = key[keep]
-        slot = np.searchsorted(pair_keys, key)
-        valid = slot < len(pair_keys)
-        valid &= pair_keys[np.minimum(slot, len(pair_keys) - 1)] == key
-        if not valid.any():
-            continue
-        pos_i = pos_i[valid]
-        pos_j = pos_j[valid]
-        vi = vi[valid]
-        vj = vj[valid]
-        slot = slot[valid]
-
-        # Timeline bounds as edge-id ranks: t_k >= t_j - δ (the
-        # Triangle-I constraint) and t_k <= t_i + δ (the Triangle-III
-        # constraint), both inclusive, exactly as in the Python loop.
-        base_slot = slot * m_plus
-        idx_lo = np.searchsorted(pair_rank, base_slot + lo_eid[pos_j])
-        idx_hi = np.searchsorted(pair_rank, base_slot + hi_eid[pos_i])
-        split_i = np.searchsorted(pair_rank, base_slot + eid[pos_i])
-        split_j = np.searchsorted(pair_rank, base_slot + eid[pos_j] + 1)
-
-        cell_base = dirs[pos_i] * 4 + dirs[pos_j] * 2
-        base_masks = [(value, cell_base == value) for value in (0, 2, 4, 6)]
-        # dk is the third edge's direction relative to vi; pair dirs
-        # are normalised to the smaller endpoint, so flip when vi is
-        # the larger one (the Fig. 7 convention).
-        flip = vi > vj
-
-        for lo, hi, offset in (
-            (idx_lo, split_i, 0),  # e_k before e_i  → Triangle-I
-            (split_i, split_j, 8),  # e_k between     → Triangle-II
-            (split_j, idx_hi, 16),  # e_k after e_j   → Triangle-III
-        ):
-            span = hi - lo
-            n_in = pair_cum_in[hi] - pair_cum_in[lo]
-            n_dk1 = np.where(flip, span - n_in, n_in)
-            n_dk0 = span - n_dk1
-            # Exact int64 scatter-add over the four (di, dj) cells.
-            for value, mask in base_masks:
-                tri_acc[offset + value + 1] += int(n_dk1[mask].sum())
-                tri_acc[offset + value] += int(n_dk0[mask].sum())
-
+    for a, b in _chunks(cost, chunk_pairs):
+        sel = on_tri[a:b]
+        win = ~sel
+        _window_wedges(
+            col, tri_acc, lo_eid, hi_eid, anchors[a:b][win], cost[a:b][win]
+        )
+        if sel.any():
+            _triangle_wedges(
+                col, tri_acc, delta, hi_eid, table, anchors[a:b][sel],
+                cost[a:b][sel], tri_lo[a:b][sel], chunk_pairs,
+            )
     return tri_acc
+
+
+def _window_wedges(
+    col: ColumnarGraph,
+    tri_acc: np.ndarray,
+    lo_eid: np.ndarray,
+    hi_eid: np.ndarray,
+    anchors: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Window path: every δ-window successor of each anchor is a wedge.
+
+    Wedges whose far pair does not exist are dropped by one binary
+    search over ``pair_keys``.
+    """
+    pos_i, pos_j = _expand_pairs(anchors, counts, gap=1)
+    vi = col.inc_nbr[pos_i]
+    vj = col.inc_nbr[pos_j]
+    pair_keys = col.pair_keys
+    wedge = np.flatnonzero(vi != vj)
+    vi, vj = vi[wedge], vj[wedge]
+    key = np.minimum(vi, vj) * np.int64(col.num_nodes) + np.maximum(vi, vj)
+    slot = np.searchsorted(pair_keys, key)
+    closed = pair_keys[np.minimum(slot, len(pair_keys) - 1)] == key
+    del key
+    wedge = wedge[closed]
+    pos_i, pos_j = pos_i[wedge], pos_j[wedge]
+    slot, flip = slot[closed], vi[closed] > vj[closed]
+    del wedge, vi, vj, closed
+    eid, dirs = col.inc_eid, col.inc_dir
+    _classify(
+        col, tri_acc, slot, flip,
+        dirs[pos_i], eid[pos_i], hi_eid[pos_i],
+        dirs[pos_j], eid[pos_j], lo_eid[pos_j],
+    )
+
+
+def _triangle_wedges(
+    col: ColumnarGraph,
+    tri_acc: np.ndarray,
+    delta: float,
+    hi_eid: np.ndarray,
+    table: TriangleTable,
+    anchors: np.ndarray,
+    rows: np.ndarray,
+    tri_lo: np.ndarray,
+    chunk_pairs: int,
+) -> None:
+    """Triangle path: expand the static triangles through each anchor's pair.
+
+    Anchor ``p`` (center ``u``, neighbour ``vi``) gets one row per
+    static triangle ``{u, vi, w}``; its wedge partners are the ``E(u, w)``
+    entries with edge id in ``(eid_p, hi_eid[p])`` — two rank probes —
+    and the closing pair ``{vi, w}`` comes straight from the table.
+    """
+    A, r = _ragged(rows)
+    r += tri_lo[A]
+    p = anchors[A]
+    del A
+    u_lo = col.inc_row[p] < col.inc_nbr[p]
+    base = np.where(u_lo, table.lo_slot[r], table.hi_slot[r])
+    base *= np.int64(col.num_edges + 1)
+    # Partners: E(u, w) entries with edge id in (eid_p, hi_eid[p]).
+    k_lo = np.searchsorted(col.pair_rank_key, base + col.inc_eid[p] + 1)
+    partners = np.searchsorted(col.pair_rank_key, base + hi_eid[p]) - k_lo
+    del base
+    row = np.flatnonzero(partners)
+    r, p, u_lo, k_lo, partners = r[row], p[row], u_lo[row], k_lo[row], partners[row]
+    del row
+    w = table.third[r]
+    slot_vw = np.where(u_lo, table.hi_slot[r], table.lo_slot[r])
+    del r, u_lo
+    # pair_dir is relative to the pair's smaller endpoint; flip it to
+    # the direction relative to the center u where u > w.
+    u_above_w = col.inc_row[p] > w
+    flip = col.inc_nbr[p] > w
+    del w
+    dir_i = col.inc_dir[p]
+    eid_p = col.inc_eid[p]
+    hi_i = hi_eid[p]
+    del p
+    elo = _edge_window_starts(col, delta)
+    for a, b in _chunks(partners, chunk_pairs):
+        R, k = _ragged(partners[a:b])
+        R += a
+        k += k_lo[R]
+        eid_j = col.pair_eid[k]
+        _classify(
+            col, tri_acc, slot_vw[R], flip[R], dir_i[R], eid_p[R], hi_i[R],
+            col.pair_dir[k] ^ u_above_w[R], eid_j, elo[eid_j],
+        )
+
+
+def _classify(
+    col: ColumnarGraph,
+    tri_acc: np.ndarray,
+    slot: np.ndarray,
+    flip: np.ndarray,
+    dir_i: np.ndarray,
+    eid_i: np.ndarray,
+    hi_i: np.ndarray,
+    dir_j: np.ndarray,
+    eid_j: np.ndarray,
+    lo_j: np.ndarray,
+) -> None:
+    """Scatter closable wedges' third edges into Triangle-I/II/III cells.
+
+    One wedge per element: ``e_i``/``e_j`` are its first/second edge at
+    the center, ``slot`` the pair-CSR slot of the closing pair
+    ``E(vi, vj)``, and ``flip`` whether ``vi`` is that pair's larger
+    endpoint.
+    """
+    if len(slot) == 0:
+        return
+    # Every cell total is a sum of per-wedge rank differences within
+    # one (dir_i, dir_j, flip) group, so each rank probe is summed per
+    # group on its own: make the groups contiguous (a stable radix
+    # argsort of the 3-bit tag), sort each probe set within its group,
+    # and probe in order — cache-local, where random-order probes into
+    # the m-sized rank key miss cache on nearly every step.
+    group = (dir_i * 4 + dir_j * 2 + flip).astype(np.int8)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=8))))
+    order = np.argsort(group, kind="stable")
+    del group
+    base = np.take(slot, order)
+    base *= np.int64(col.num_edges + 1)
+    ranks: Dict[str, np.ndarray] = {}
+    n_ins: Dict[str, np.ndarray] = {}
+    # Timeline bounds as edge-id ranks: t_k >= t_j - δ (the
+    # Triangle-I constraint) and t_k <= t_i + δ (the Triangle-III
+    # constraint), both inclusive, exactly as in the Python loop.
+    for name, bound in (("lo", lo_j), ("i", eid_i), ("j", eid_j + 1), ("hi", hi_i)):
+        keys = np.take(bound, order)
+        keys += base
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            keys[lo:hi].sort()
+        rank = np.searchsorted(col.pair_rank_key, keys)
+        del keys
+        ranks[name] = _group_sums(rank, bounds)
+        n_ins[name] = _group_sums(col.pair_cum_in[rank], bounds)
+
+    # dk is the third edge's direction relative to vi; pair dirs are
+    # normalised to the smaller endpoint, so flip when vi is the larger
+    # one (the Fig. 7 convention).
+    flipped = (np.arange(8) & 1).astype(bool)
+    cell_base = np.arange(8) >> 1 << 1  # dir_i * 4 + dir_j * 2
+    for lo, hi, offset in (
+        ("lo", "i", 0),  # e_k before e_i  → Triangle-I
+        ("i", "j", 8),   # e_k between     → Triangle-II
+        ("j", "hi", 16),  # e_k after e_j   → Triangle-III
+    ):
+        span = ranks[hi] - ranks[lo]
+        n_in = n_ins[hi] - n_ins[lo]
+        n_dk1 = np.where(flipped, span - n_in, n_in)
+        np.add.at(tri_acc, offset + cell_base + 1, n_dk1)
+        np.add.at(tri_acc, offset + cell_base, span - n_dk1)
+
+
+def _group_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Exact int64 sums of ``values`` over contiguous runs ``bounds``."""
+    csum = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    return csum[bounds[1:]] - csum[bounds[:-1]]

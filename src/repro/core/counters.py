@@ -263,6 +263,10 @@ class TriangleCounter(_FlatCounter):
         return result
 
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _format_count(value) -> str:
     """Format a count the way Fig. 10 does (K/M suffixes)."""
     if value >= 10_000_000:
@@ -300,6 +304,17 @@ class MotifCounts:
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid)
+        if grid.dtype == object and all(
+            isinstance(value, (int, np.integer)) for value in grid.flat
+        ):
+            # Python ints (e.g. python-backend sums) stay exact: int64
+            # when they fit, an error — never a float round — otherwise.
+            for cell, value in np.ndenumerate(grid):
+                if not _INT64_MIN <= value <= _INT64_MAX:
+                    raise ValidationError(
+                        f"exact count {value} in grid cell {cell} does not fit in int64"
+                    )
+            grid = grid.astype(np.int64)
         if np.issubdtype(grid.dtype, np.integer) or np.issubdtype(grid.dtype, np.bool_):
             grid = grid.astype(np.int64)
         else:

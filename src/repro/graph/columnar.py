@@ -88,12 +88,7 @@ class ColumnarGraph:
         "pair_eid",
         "pair_cum_in",
         "pair_rank_key",
-        "pair_bloom",
-        "pair_bloom_bits",
     )
-
-    #: Fibonacci-hash multiplier for pair keys.
-    _BLOOM_MULT = np.uint64(0x9E3779B97F4A7C15)
 
     def __init__(self, graph: "TemporalGraph") -> None:
         n = graph.num_nodes
@@ -213,18 +208,6 @@ class ColumnarGraph:
             else np.zeros(0, dtype=np.int64)
         )
         self.pair_rank_key = slot_of_entry * np.int64(m + 1) + self.pair_eid
-        # Bloom prefilter for "does pair {a, b} exist at all?": one
-        # gather instead of a binary search rejects the (typically vast)
-        # majority of open wedges in the triangle kernel; false
-        # positives fall through to the exact pair_keys search.  Sized
-        # to ~8 slots per existing pair (load factor ~0.12) so the
-        # false-positive rate stays low at any graph scale without
-        # burning megabytes on tiny graphs.
-        self.pair_bloom_bits = int(
-            np.clip(np.ceil(np.log2(max(len(self.pair_keys), 1) * 8)), 10, 27)
-        )
-        self.pair_bloom = np.zeros(1 << self.pair_bloom_bits, dtype=bool)
-        self.pair_bloom[self.bloom_hash(self.pair_keys)] = True
 
         for name in self.__slots__:
             value = getattr(self, name)
@@ -304,12 +287,6 @@ class ColumnarGraph:
     def degrees(self) -> np.ndarray:
         """Temporal degrees as ``np.diff`` over the CSR offsets."""
         return np.diff(self.inc_indptr)
-
-    def bloom_hash(self, keys: np.ndarray) -> np.ndarray:
-        """Bloom slots of pair keys (Fibonacci hashing, top bits)."""
-        return (keys.astype(np.uint64) * self._BLOOM_MULT) >> np.uint64(
-            64 - self.pair_bloom_bits
-        )
 
     def pair_slot(self, a: int, b: int) -> int:
         """Index of pair ``{a, b}`` into the pair CSR, or -1 if absent."""

@@ -251,7 +251,9 @@ def run_batches(
         # Build the store AND the per-δ kernel tables before forking:
         # every worker then reads them copy-on-write instead of
         # repeating the O(m log m) setup per batch.
-        warm_delta_cache(graph.columnar(), delta, star_pair=star_pair)
+        warm_delta_cache(
+            graph.columnar(), delta, star_pair=star_pair, triangle=triangle
+        )
     else:
         # Python kernels read the lazily-built sequence views (and the
         # pair index for triangles); force them pre-fork so children

@@ -691,17 +691,22 @@ class WorkerPool:
         delta: float,
         star_pair: bool,
         *,
+        triangle: bool = False,
         window_bounds: bool = True,
         edge_window: bool = False,
     ) -> bytes:
         """Publish (once) the per-δ kernel tables for a columnar run.
 
-        ``star_pair``/``window_bounds`` select the FAST kernel tables,
-        ``edge_window`` the sampling kernels' per-edge window ranks —
-        each flag combination is its own published bundle, so a
-        sampling job never pays for (or ships) the star prefix arrays.
+        ``star_pair``/``triangle``/``window_bounds`` select the FAST
+        kernel tables, ``edge_window`` the sampling kernels' per-edge
+        window ranks — each flag combination is its own published
+        bundle, so a sampling job never pays for (or ships) the star
+        prefix arrays or the static-triangle table.
         """
-        key = (float(delta), bool(star_pair), bool(window_bounds), bool(edge_window))
+        key = (
+            float(delta), bool(star_pair), bool(triangle),
+            bool(window_bounds), bool(edge_window),
+        )
         entry = state.deltas.get(key)
         if entry is None:
             from repro.core.columnar_kernels import export_delta_cache
@@ -709,11 +714,13 @@ class WorkerPool:
             bundle = publish_arrays(
                 export_delta_cache(
                     graph.columnar(), delta, star_pair=star_pair,
-                    window_bounds=window_bounds, edge_window=edge_window,
+                    triangle=triangle, window_bounds=window_bounds,
+                    edge_window=edge_window,
                 ),
                 meta={
                     "delta": float(delta),
                     "star_pair": bool(star_pair),
+                    "triangle": bool(triangle),
                     "window_bounds": bool(window_bounds),
                     "edge_window": bool(edge_window),
                 },
@@ -837,7 +844,9 @@ class WorkerPool:
             raise DeadlineExceededError("pool job deadline expired before dispatch")
         delta_blob = None
         if backend == "columnar":
-            delta_blob = self._ensure_delta_tables(graph, state, delta, star_pair)
+            delta_blob = self._ensure_delta_tables(
+                graph, state, delta, star_pair, triangle=triangle
+            )
 
         star_acc = np.zeros(24, dtype=np.int64) if star_pair else None
         pair_acc = np.zeros(8, dtype=np.int64) if star_pair else None

@@ -3,8 +3,8 @@
 The out-of-core substrate of ROADMAP item 2: a temporal graph is
 *packed* once into a single file of timestamp-sorted edge columns plus
 (optionally) every derived :class:`~repro.graph.columnar.ColumnarGraph`
-array — the incidence CSR, the pair CSR, the composite rank keys and
-the bloom prefilter — and reopened in O(validation) through one
+array — the incidence CSR, the pair CSR and the composite rank keys
+— and reopened in O(validation) through one
 ``mmap``.  Parse cost and columnar-build cost are paid at pack time,
 not per run; at open time every array is a zero-copy view into the
 mapping, so the kernel pages columns in on demand and a counting run
@@ -57,7 +57,8 @@ from repro.graph.temporal_graph import TemporalGraph
 MAGIC = b"\x89RGZ\r\n\x1a\n"
 
 #: On-disk format version this build reads and writes.
-FORMAT_VERSION = 1
+#: Version 2 dropped the pair Bloom-filter section of version 1.
+FORMAT_VERSION = 2
 
 #: Endianness sentinel stored as a little-endian u16; any other value
 #: means the preamble was produced (or mangled) byte-swapped.
@@ -72,7 +73,7 @@ ALIGNMENT = 64
 _PREAMBLE = struct.Struct("<8sHHII4x")
 
 #: dtypes a section may declare (everything the columnar store uses).
-_SECTION_DTYPES = ("<i8", "<f8", "|b1")
+_SECTION_DTYPES = ("<i8", "<f8")
 
 #: Derived ColumnarGraph array slots persisted by ``layout="full"``, in
 #: file order.  Together with the edge columns and the scalars below
@@ -98,7 +99,6 @@ DERIVED_SECTIONS: Tuple[str, ...] = (
     "pair_eid",
     "pair_cum_in",
     "pair_rank_key",
-    "pair_bloom",
 )
 
 #: Edge-column sections present in every layout.
@@ -113,8 +113,6 @@ def _align(offset: int) -> int:
 
 def _little_endian(arr: np.ndarray) -> np.ndarray:
     """A C-contiguous little-endian view/copy of ``arr`` for writing."""
-    if arr.dtype == np.bool_:
-        return np.ascontiguousarray(arr)
     return np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
 
 
@@ -156,11 +154,9 @@ def pack_graph(graph: TemporalGraph, path, *, layout: str = "full") -> Dict[str,
         ("dst", graph.destinations),
         ("t", graph.timestamps),
     ]
-    scalars: Dict[str, object] = {}
     if layout == "full":
         col = graph.columnar()
         arrays += [(name, getattr(col, name)) for name in DERIVED_SECTIONS]
-        scalars["pair_bloom_bits"] = int(col.pair_bloom_bits)
 
     sections = []
     offset = 0
@@ -184,7 +180,7 @@ def pack_graph(graph: TemporalGraph, path, *, layout: str = "full") -> Dict[str,
         "num_nodes": int(graph.num_nodes),
         "num_edges": int(graph.num_edges),
         "layout": layout,
-        "scalars": scalars,
+        "scalars": {},
         "sections": sections,
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
@@ -332,10 +328,6 @@ def _check_header(path: str, header, size: int, hlen: int) -> None:
         if lost:
             raise StorageFormatError(
                 f"{path}: layout 'full' is missing derived sections {sorted(lost)}"
-            )
-        if not isinstance(header["scalars"].get("pair_bloom_bits"), int):
-            raise StorageFormatError(
-                f"{path}: layout 'full' requires scalar 'pair_bloom_bits'"
             )
 
 
@@ -507,11 +499,7 @@ def _assemble(path: str, header, sections: Dict[str, np.ndarray],
         raise StorageFormatError(f"{path}: {exc}") from exc
     if header["layout"] == "full":
         _check_derived(path, sections, n, m, release)
-        scalars = {
-            "num_nodes": n,
-            "num_edges": m,
-            "pair_bloom_bits": int(header["scalars"]["pair_bloom_bits"]),
-        }
+        scalars = {"num_nodes": n, "num_edges": m}
         arrays = {name: sections[name] for name in EDGE_SECTIONS + DERIVED_SECTIONS}
         col = ColumnarGraph._attach(arrays, scalars)
         graph._columnar = col
@@ -580,8 +568,3 @@ def _check_derived(path: str, sections: Dict[str, np.ndarray],
     _bounded("pair_eid", m, max(m, 1))
     _shape("pair_cum_in", m + 1)
     _shape("pair_rank_key", m)
-    bloom = sections["pair_bloom"]
-    if bloom.dtype != np.bool_ or len(bloom) == 0 or (len(bloom) & (len(bloom) - 1)):
-        raise StorageFormatError(
-            f"{path}: section 'pair_bloom' must be a power-of-two bool array"
-        )

@@ -7,14 +7,18 @@ are themselves validated against the brute-force reference elsewhere.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from repro.core import columnar_kernels
 from repro.core.api import count_motifs
 from repro.core.columnar_kernels import (
+    DEFAULT_CHUNK_PAIRS,
     count_star_pair_columnar,
     count_triangle_columnar,
+    enumerate_static_triangles,
 )
 from repro.core.fast_star import count_star_pair, count_star_pair_tasks
 from repro.core.fast_tri import count_triangle, count_triangle_tasks
@@ -113,6 +117,125 @@ class TestKernelEquivalence:
         tri_big = count_triangle_columnar(g, 6)
         tri_small = count_triangle_columnar(g, 6, chunk_pairs=3)
         assert list(tri_big) == list(tri_small)
+
+
+TWO_PATH_DELTA = 10
+
+
+def two_path_graph() -> TemporalGraph:
+    """A graph whose FAST-Tri anchors split between both expansion paths.
+
+    Hub 0 meets many peers, each pair ``{0, p}`` on one static triangle
+    (``{0, p, q}``) but inside a busy δ-window: the triangle path is
+    smaller.  Hubs 0 and 1 share many common neighbours, but their
+    multi-edges sit in a quiet stretch: the δ-window is smaller.
+    Closing pairs carry multi-edges, and third edges sit exactly at
+    ``± δ`` from the wedge edges.
+    """
+    d = TWO_PATH_DELTA
+    edges = []
+    node = 2
+    for k in range(12):
+        p, q, t = node, node + 1, 2 * k
+        node += 2
+        edges += [(0, p, t), (q, 0, t + 3), (p, q, t + d)]  # tie at t_i + δ
+        edges.append((q, p, t + 3 - d))  # tie at t_j - δ
+        if k % 3 == 0:
+            edges += [(p, q, t + 1), (q, p, t + 1)]  # multi-edge closing pair
+    commons = list(range(node, node + 15))
+    edges += [(0, 1, 200), (1, 0, 200), (0, 1, 205)]
+    edges += [(0, commons[0], 203), (commons[0], 1, 200 + d), (1, commons[1], 200 - d)]
+    edges += [(commons[1], 0, 204), (commons[1], 0, 204)]
+    for i, c in enumerate(commons):
+        edges += [(0, c, 400 + 30 * i), (c, 1, 405 + 30 * i)]
+    return TemporalGraph(edges)
+
+
+def anchor_paths(g: TemporalGraph, delta: float):
+    """Per-anchor path choice of the triangle kernel: (triangle, window)."""
+    col = g.columnar()
+    anchors = columnar_kernels._task_positions(col, None)
+    we = columnar_kernels._window_bounds(col, delta)[3]
+    window = we[anchors] - anchors - 1
+    table = columnar_kernels.triangle_table(col)
+    slot = table.edge_slot[col.inc_eid[anchors]]
+    rows = table.indptr[slot + 1] - table.indptr[slot]
+    on_tri = rows < window
+    return on_tri & (rows > 0), ~on_tri & (window > 0)
+
+
+class TestTrianglePaths:
+    """The per-anchor δ-window / static-triangle choice is exact."""
+
+    def test_graph_drives_both_paths(self):
+        g = two_path_graph()
+        by_triangle, by_window = anchor_paths(g, TWO_PATH_DELTA)
+        assert by_triangle.sum() >= 10 and by_window.sum() >= 10
+        assert sum(count_triangle(g, TWO_PATH_DELTA).data) > 0
+
+    @pytest.mark.parametrize("chunk_pairs", [1, 3, DEFAULT_CHUNK_PAIRS])
+    def test_serial_matches_python(self, chunk_pairs):
+        g = two_path_graph()
+        for delta in (TWO_PATH_DELTA, 0, 3, 40):
+            got = count_triangle_columnar(g, delta, chunk_pairs=chunk_pairs)
+            assert list(got) == count_triangle(g, delta).data, delta
+
+    @pytest.mark.parametrize("chunk_pairs", [1, 3, DEFAULT_CHUNK_PAIRS])
+    def test_task_covers_match_python(self, chunk_pairs):
+        g = two_path_graph()
+        tasks = [t for b in build_batches(g, workers=3, thrd=4) for t in b.tasks]
+        delta = TWO_PATH_DELTA
+        for cover in (tasks, tasks[::2], tasks[1::3]):
+            got = count_triangle_columnar(g, delta, cover, chunk_pairs=chunk_pairs)
+            assert list(got) == count_triangle_tasks(g, delta, cover).data
+        merged = sum(
+            count_triangle_columnar(g, delta, [task], chunk_pairs=chunk_pairs)
+            for task in tasks
+        )
+        assert list(merged) == count_triangle(g, delta).data
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_table_survives_delta_changes(self, seed):
+        g = random_graph(seed, num_nodes=6 + seed % 5, num_edges=20 + 5 * seed)
+        table = columnar_kernels.triangle_table(g.columnar())
+        for delta in (0, 2, 6, 50):
+            got = count_triangle_columnar(g, delta, chunk_pairs=1 + seed % 3)
+            assert list(got) == count_triangle(g, delta).data
+            assert columnar_kernels.triangle_table(g.columnar()) is table
+
+
+class TestStaticTriangleEnumerator:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_brute_force(self, seed, monkeypatch):
+        g = random_graph(seed, num_nodes=5 + seed, num_edges=10 + 6 * seed)
+        col = g.columnar()
+        pairs = set(g.static_pairs())
+        expected = [
+            tri for tri in itertools.combinations(range(g.num_nodes), 3)
+            if {tri[:2], tri[::2], tri[1:]} <= pairs
+        ]
+        for chunk_pairs in (1, 4, DEFAULT_CHUNK_PAIRS):
+            monkeypatch.setattr(columnar_kernels, "DEFAULT_CHUNK_PAIRS", chunk_pairs)
+            nodes, slots = enumerate_static_triangles(col.num_nodes, col.pair_keys)
+            assert [tuple(row) for row in nodes.tolist()] == expected
+            n = col.num_nodes
+            for (a, b, c), sides in zip(nodes.tolist(), slots.tolist()):
+                assert col.pair_keys[sides].tolist() == [a * n + b, a * n + c, b * n + c]
+
+    def test_table_lists_each_triangle_under_its_three_pairs(self):
+        g = two_path_graph()
+        col = g.columnar()
+        table = columnar_kernels.triangle_table(col)
+        n = col.num_nodes
+        for slot, key in enumerate(col.pair_keys.tolist()):
+            a, b = divmod(key, n)
+            lo, hi = table.indptr[slot], table.indptr[slot + 1]
+            thirds = table.third[lo:hi].tolist()
+            assert thirds == sorted(thirds)
+            for w, s_a, s_b in zip(
+                thirds, table.lo_slot[lo:hi].tolist(), table.hi_slot[lo:hi].tolist()
+            ):
+                assert s_a == col.pair_slot(a, w) and s_b == col.pair_slot(b, w)
 
 
 class TestBackendAcrossAlgorithms:

@@ -148,6 +148,24 @@ class TestMotifCounts:
         assert counts.total() == 0
         assert counts.is_exact
 
+    def test_python_int_grid_beyond_float_precision_stays_exact(self):
+        grid = np.zeros((6, 6), dtype=object)
+        grid[:] = 0
+        grid[1, 3] = 2**53 + 1
+        grid[4, 4] = 2**63 - 1
+        counts = MotifCounts(grid)
+        assert counts.grid.dtype == np.int64
+        assert counts.is_exact
+        assert counts["M24"] == 2**53 + 1
+        assert counts["M55"] == 2**63 - 1
+
+    def test_python_int_grid_beyond_int64_is_rejected(self):
+        grid = np.zeros((6, 6), dtype=object)
+        grid[:] = 0
+        grid[2, 5] = 2**63 + 5
+        with pytest.raises(ValidationError, match=r"2\d+ in grid cell \(2, 5\)"):
+            MotifCounts(grid)
+
     def test_from_dict_and_getitem(self):
         counts = MotifCounts.from_dict({"M24": 7, "M55": 3})
         assert counts["M24"] == 7

@@ -54,10 +54,6 @@ class TestPairCSR:
         assert len(times) == len(dirs) == len(eids) == 0
         assert col.pair_slot(0, 3) == -1
 
-    def test_bloom_covers_all_pairs(self, paper_graph):
-        col = paper_graph.columnar()
-        assert bool(col.pair_bloom[col.bloom_hash(col.pair_keys)].all())
-
 
 class TestWindows:
     def test_window_bounds(self, paper_graph):

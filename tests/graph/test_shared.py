@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.api import count_motifs
-from repro.core.columnar_kernels import export_delta_cache, install_delta_cache
+from repro.core.columnar_kernels import (
+    export_delta_cache,
+    install_delta_cache,
+    triangle_table,
+)
 from repro.errors import ValidationError
 from repro.graph.shared import (
     attach_arrays,
@@ -88,7 +92,6 @@ class TestGraphPublication:
             att_col = attached.graph.columnar()
             assert np.array_equal(att_col.inc_indptr, col.inc_indptr)
             assert np.array_equal(att_col.pair_keys, col.pair_keys)
-            assert att_col.pair_bloom_bits == col.pair_bloom_bits
             assert not att_col.src.flags.writeable
             attached.close()
         finally:
@@ -162,6 +165,29 @@ class TestDeltaTables:
             # Installed tables are actually resident (no local rebuild).
             assert ("bounds", 10.0) in attached.graph._columnar.delta_cache
             assert ("star", 10.0) in attached.graph._columnar.delta_cache
+            tables.close()
+            attached.close()
+        finally:
+            bundle.close()
+            handle.close()
+
+    def test_triangle_table_ships_with_the_bundle(self, paper_graph):
+        delta = 10
+        ref = count_motifs(paper_graph, delta, backend="columnar")
+        exported = export_delta_cache(paper_graph.columnar(), delta, triangle=True)
+        assert "tri.indptr" in exported and "elo.lo" in exported
+        handle = publish_graph(paper_graph)
+        bundle = publish_arrays(exported)
+        try:
+            attached = attach_graph(handle.manifest)
+            tables = attach_arrays(bundle.manifest)
+            col = attached.graph._columnar
+            install_delta_cache(col, delta, tables.arrays)
+            installed = triangle_table(col)
+            assert np.shares_memory(installed.third, tables.arrays["tri.third"])
+            result = count_motifs(attached.graph, delta, backend="columnar")
+            assert result.same_counts(ref)
+            assert triangle_table(col) is installed  # used, never rebuilt
             tables.close()
             attached.close()
         finally:

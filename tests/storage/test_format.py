@@ -75,7 +75,6 @@ class TestRoundTrip:
             assert got.dtype == ref.dtype and np.array_equal(got, ref), name
         assert reopened.num_nodes == reference.num_nodes
         assert reopened.num_edges == reference.num_edges
-        assert reopened.pair_bloom_bits == reference.pair_bloom_bits
 
     @settings(max_examples=10, deadline=None)
     @given(graph=temporal_graphs(max_edges=20))
@@ -184,9 +183,12 @@ class TestCorruption:
             open_packed(packed_path)
 
     def test_version_skew(self, packed_path):
-        _corrupt(packed_path, len(MAGIC) + 2, struct.pack("<H", FORMAT_VERSION + 9))
-        with pytest.raises(StorageVersionError, match="re-pack"):
-            open_packed(packed_path)
+        # Version 1 carried a pair Bloom-filter section this build no
+        # longer reads; a future version is equally unreadable.
+        for version in (1, FORMAT_VERSION + 9):
+            _corrupt(packed_path, len(MAGIC) + 2, struct.pack("<H", version))
+            with pytest.raises(StorageVersionError, match="re-pack"):
+                open_packed(packed_path)
 
     def test_version_error_is_format_error(self):
         assert issubclass(StorageVersionError, StorageFormatError)
