@@ -123,16 +123,16 @@ def _task_positions(
     if tasks is None:
         rows, offsets = _ragged(np.maximum(np.diff(indptr) - tail, 0))
         return indptr[rows] + offsets
-    pieces: List[np.ndarray] = []
-    for node, i_lo, i_hi in tasks:
-        row_lo = int(indptr[node])
-        limit = int(indptr[node + 1]) - row_lo - tail
-        hi = limit if i_hi is None else min(i_hi, limit)
-        if hi > i_lo:
-            pieces.append(np.arange(row_lo + i_lo, row_lo + hi, dtype=np.int64))
-    if not pieces:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(pieces)
+    table = np.array(
+        [(node, i_lo, -1 if i_hi is None else i_hi) for node, i_lo, i_hi in tasks],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    node, lo, hi = table.T
+    row_lo = indptr[node]
+    limit = indptr[node + 1] - row_lo - tail
+    hi = np.where(hi < 0, limit, np.minimum(hi, limit))
+    task, offsets = _ragged(np.maximum(hi - lo, 0))
+    return row_lo[task] + lo[task] + offsets
 
 
 def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import time
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.core.counters import PairCounter, StarCounter, TriangleCounter
-import time
-
 from repro.core.fast_star import count_star_pair_tasks
 from repro.core.fast_tri import count_triangle_tasks
 from repro.errors import DeadlineExceededError, ParallelExecutionError, ValidationError
@@ -54,12 +53,12 @@ _WorkerResult = Tuple[Optional[List[int]], Optional[List[int]], Optional[List[in
 #: CI runs the suite under both to keep the spawn path honest.
 START_METHOD_ENV = "REPRO_START_METHOD"
 
-# Worker globals, inherited through fork.
-_GRAPH: Optional[TemporalGraph] = None
-_DELTA: float = 0.0
-_DO_STAR_PAIR: bool = True
-_DO_TRIANGLE: bool = True
-_BACKEND: str = "python"
+#: A forked worker's ``(graph, delta, star_pair, triangle, backend)``.
+#: Set only inside fork-per-call children, by :func:`_init_forked`;
+#: the parent hands the arguments over as pool ``initargs``, which
+#: fork inherits without pickling, so concurrent calls on different
+#: graphs cannot see each other's arguments.
+_FORKED_CALL: Optional[tuple] = None
 
 
 def execute_tasks(
@@ -74,7 +73,7 @@ def execute_tasks(
     """Run one batch's tasks against a graph; return raw cell lists.
 
     The single kernel-dispatch point shared by every runtime: the
-    serial path, forked workers (via the module globals) and the
+    serial path, forked workers (via their pool initializer) and the
     shared-memory pool workers all call this.  Raw cell lists keep the
     IPC payload identical across backends.
     """
@@ -102,15 +101,19 @@ def execute_tasks(
     return (star_data, pair_data, tri_data)
 
 
+def _init_forked(
+    graph: TemporalGraph, delta: float, star_pair: bool, triangle: bool, backend: str
+) -> None:
+    global _FORKED_CALL
+    _FORKED_CALL = (graph, delta, star_pair, triangle, backend)
+
+
 def _run_batch(batch: WorkBatch) -> _WorkerResult:
-    assert _GRAPH is not None
+    assert _FORKED_CALL is not None
+    graph, delta, star_pair, triangle, backend = _FORKED_CALL
     return execute_tasks(
-        _GRAPH,
-        _DELTA,
-        batch.tasks,
-        star_pair=_DO_STAR_PAIR,
-        triangle=_DO_TRIANGLE,
-        backend=_BACKEND,
+        graph, delta, batch.tasks,
+        star_pair=star_pair, triangle=triangle, backend=backend,
     )
 
 
@@ -244,7 +247,6 @@ def run_batches(
             backend=backend, deadline=deadline,
         )
 
-    global _GRAPH, _DELTA, _DO_STAR_PAIR, _DO_TRIANGLE, _BACKEND
     if backend == "columnar":
         from repro.core.columnar_kernels import warm_delta_cache
 
@@ -285,13 +287,12 @@ def run_batches(
 
     ctx = _fork_context()
     assert runtime == "fork-per-call" and ctx is not None
-    _GRAPH = graph
-    _DELTA = delta
-    _DO_STAR_PAIR = star_pair
-    _DO_TRIANGLE = triangle
-    _BACKEND = backend
     try:
-        with ctx.Pool(processes=workers) as proc_pool:
+        with ctx.Pool(
+            processes=workers,
+            initializer=_init_forked,
+            initargs=(graph, delta, star_pair, triangle, backend),
+        ) as proc_pool:
             if schedule == "dynamic":
                 results: Iterable[_WorkerResult] = proc_pool.imap_unordered(
                     _run_batch, batches, chunksize=1
@@ -304,6 +305,4 @@ def run_batches(
         raise
     except Exception as exc:  # pragma: no cover - worker crash path
         raise ParallelExecutionError(f"HARE worker failed: {exc}") from exc
-    finally:
-        _GRAPH = None
     return star, pair, tri

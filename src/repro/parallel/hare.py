@@ -65,12 +65,16 @@ def hare_count(
 ) -> MotifCounts:
     """Count all motifs with the HARE parallel framework.
 
-    Parameters mirror :func:`repro.core.api.count_motifs`; see
-    :func:`repro.parallel.scheduler.build_batches` for ``thrd`` and
-    ``split_factor`` semantics.  ``backend`` selects the per-worker
-    kernels (python loops or vectorized columnar); ``pool`` reuses a
-    persistent shared-memory worker pool.  Results are bit-identical
-    to the serial FAST pass in every configuration.
+    Parameters mirror :func:`repro.core.api.count_motifs`.  Nodes
+    with degree above ``thrd`` are split into ``workers *
+    split_factor`` consecutive pieces, which sets how finely one hub
+    can be shared between batches; the batches themselves are cut
+    from the whole task cover by weight, about four per worker (see
+    :func:`repro.parallel.scheduler.build_batches`).  ``backend``
+    selects the per-worker kernels (python loops or vectorized
+    columnar); ``pool`` reuses a persistent shared-memory worker pool.
+    Results are bit-identical to the serial FAST pass in every
+    configuration.
     """
     if delta < 0:
         raise ValidationError(f"delta must be non-negative, got {delta}")

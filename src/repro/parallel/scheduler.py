@@ -3,10 +3,20 @@
 The unit of work is a *task* ``(node, i_lo, i_hi)``: run the FAST scan
 for one center with first-edge indices in ``[i_lo, i_hi)`` (``None``
 means "to the end").  Tasks are grouped into *batches*, the unit of
-dispatch to worker processes — batching amortises IPC for the long
-tail of low-degree nodes, while high-degree nodes are split so no
-single worker inherits the whole head of the degree distribution
-(the Fig. 9 imbalance this framework exists to fix).
+dispatch to worker processes.
+
+The paper's HARE splits every node above ``thrd`` into intra-node
+subtasks so no single thread inherits the head of the degree
+distribution (the Fig. 9 imbalance this framework exists to fix).
+That design assumes a task costs nothing to dispatch, as an OpenMP
+task nearly does.  Here each batch is one queue message plus a call
+into every kernel, and a vectorized kernel call has a fixed cost of
+about a millisecond, so batches are sized for the kernels instead:
+the task cover is laid out in node order — heavy nodes as runs of
+consecutive pieces — and that sequence is cut into about
+``batches_per_worker`` batches per worker of equal cumulative weight.
+A hub can therefore straddle batches, at the granularity its pieces
+allow.
 
 Scheduling modes mirror OpenMP's:
 
@@ -49,9 +59,18 @@ def build_batches(
     workers: int,
     thrd: Optional[float] = None,
     split_factor: int = 4,
-    light_batches_per_worker: int = 8,
+    batches_per_worker: int = 4,
 ) -> List[WorkBatch]:
     """Build HARE's hierarchical work decomposition.
+
+    The task cover is built in node order: one whole-row task per
+    light node and ``workers * split_factor`` consecutive first-edge
+    pieces per heavy node.  Each task weighs its number of first
+    edges.  The sequence is then cut by cumulative weight into at most
+    ``workers * batches_per_worker`` batches, each a contiguous run of
+    the cover, returned heaviest-first.  Every first edge of every
+    node of degree >= 2 is covered exactly once, so the merged counts
+    are exact whatever the batching.
 
     Parameters
     ----------
@@ -65,67 +84,67 @@ def build_batches(
         "without thrd" configuration of Fig. 12(b)).
     split_factor:
         Heavy nodes are split into ``workers * split_factor``
-        first-edge ranges.
-    light_batches_per_worker:
-        Light nodes are grouped into about ``workers *
-        light_batches_per_worker`` batches of roughly equal total
-        degree.
+        first-edge ranges: the granularity at which a hub can be
+        shared between batches.
+    batches_per_worker:
+        The cover is cut into about ``workers * batches_per_worker``
+        batches of roughly equal total weight.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if split_factor < 1:
         raise ValidationError(f"split_factor must be >= 1, got {split_factor}")
+    if batches_per_worker < 1:
+        raise ValidationError(
+            f"batches_per_worker must be >= 1, got {batches_per_worker}"
+        )
     if thrd is None:
         thrd = default_degree_threshold(graph, 20)
 
-    # Classify all nodes in one vectorized pass over the degree column.
     # A degree-1 center can host nothing: stars/pairs need three
     # incident edges and FAST-Tri needs the (ei, ej) pair.  A degree-2
     # center still matters for triangles — the third edge lives on the
     # far pair, not on the center.
     degrees = graph.degrees()
-    eligible = degrees >= 2
-    heavy_mask = eligible & (degrees > thrd)
-    light_mask = eligible & ~heavy_mask
-    heavy = np.flatnonzero(heavy_mask)
-    light_nodes = np.flatnonzero(light_mask)
-    light_degrees = degrees[light_nodes]
+    nodes = np.flatnonzero(degrees >= 2)
+    if len(nodes) == 0:
+        return []
+    degree = degrees[nodes]
 
-    batches: List[WorkBatch] = []
-
-    # Intra-node splitting of heavy centers.
+    # Piece length per node: the whole row for a light node, a
+    # ceil(degree / pieces) slice for a heavy one.
     pieces = max(2, workers * split_factor)
-    for node in heavy.tolist():
-        degree = int(degrees[node])
-        step = max(1, -(-degree // pieces))  # ceil division
-        lo = 0
-        while lo < degree:
-            hi: Optional[int] = lo + step
-            assert hi is not None
-            batch = WorkBatch()
-            batch.add((node, lo, None if hi >= degree else hi), min(step, degree - lo))
-            batches.append(batch)
-            lo = hi
+    step = np.where(degree > thrd, -(-degree // pieces), degree)
+    count = -(-degree // step)
 
-    # Light nodes grouped into roughly equal-degree batches: boundary
-    # assignment is one cumulative sum sliced at multiples of the
-    # target weight, instead of a per-node accumulation loop.
-    if len(light_nodes):
-        total_light = int(light_degrees.sum())
-        target = max(1, total_light // max(1, workers * light_batches_per_worker))
-        group = np.minimum(
-            np.cumsum(light_degrees) - 1, total_light - 1
-        ) // target
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], group[1:] != group[:-1]))
-        ).tolist() + [len(light_nodes)]
-        node_list = light_nodes.tolist()
-        degree_list = light_degrees.tolist()
-        for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-            batch = WorkBatch()
-            for idx in range(lo, hi):
-                batch.add((node_list[idx], 0, None), degree_list[idx])
-            batches.append(batch)
+    # The cover in node order, one entry per task.
+    owner = np.repeat(np.arange(len(nodes)), count)
+    first = np.cumsum(count) - count
+    lo = (np.arange(len(owner)) - first[owner]) * step[owner]
+    hi = np.minimum(lo + step[owner], degree[owner])
+    weight = hi - lo
+
+    # Cut where a task's starting weight offset enters the next slice
+    # of ``target``: at most ``workers * batches_per_worker`` batches,
+    # fewer when one task outweighs a slice.
+    cumulative = np.cumsum(weight)
+    target = -(-int(cumulative[-1]) // (workers * batches_per_worker))
+    group = (cumulative - weight) // target
+    cuts = np.flatnonzero(np.diff(group)) + 1
+    bounds = [0] + cuts.tolist() + [len(owner)]
+
+    node_of = nodes[owner].tolist()
+    lo_of = lo.tolist()
+    # hi == degree means "to the end of the row".
+    hi_of = np.where(hi < degree[owner], hi, -1).tolist()
+    tasks: List[Task] = [
+        (n, a, None if b < 0 else b) for n, a, b in zip(node_of, lo_of, hi_of)
+    ]
+    batch_weight = np.add.reduceat(weight, bounds[:-1]).tolist()
+    batches = [
+        WorkBatch(tasks[a:b], w)
+        for a, b, w in zip(bounds[:-1], bounds[1:], batch_weight)
+    ]
 
     # Heaviest-first so dynamic scheduling starts stragglers early.
     batches.sort(key=lambda b: b.weight, reverse=True)

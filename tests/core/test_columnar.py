@@ -164,6 +164,46 @@ def anchor_paths(g: TemporalGraph, delta: float):
     return on_tri & (rows > 0), ~on_tri & (window > 0)
 
 
+def looped_task_positions(col, tasks, tail: int = 1) -> list:
+    """Reference for ``_task_positions``: one range per task."""
+    indptr = col.inc_indptr
+    out = []
+    for node, i_lo, i_hi in tasks:
+        row_lo = int(indptr[node])
+        limit = int(indptr[node + 1]) - row_lo - tail
+        hi = limit if i_hi is None else min(i_hi, limit)
+        out.extend(range(row_lo + i_lo, row_lo + hi))
+    return out
+
+
+class TestTaskPositions:
+    """The one-pass task flattening equals the per-task loop."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("tail", [0, 1, 2])
+    def test_matches_loop(self, seed, tail):
+        rng = random.Random(seed)
+        g = random_graph(seed, num_nodes=6 + seed % 4, num_edges=10 + 4 * seed)
+        # Extra node ids past the last endpoint have empty CSR rows.
+        g = TemporalGraph.from_canonical_arrays(
+            g.sources, g.destinations, g.timestamps, num_nodes=g.num_nodes + 3
+        )
+        col = g.columnar()
+        tasks = []
+        for _ in range(rng.randrange(0, 25)):
+            node = rng.randrange(g.num_nodes)
+            degree = g.degree(node)
+            lo = rng.randrange(0, degree + 3)  # lo >= limit included
+            hi = rng.choice([None, rng.randrange(0, degree + 5)])  # past the end
+            tasks.append((node, lo, hi))
+        got = columnar_kernels._task_positions(col, tasks, tail=tail)
+        assert got.tolist() == looped_task_positions(col, tasks, tail)
+
+    def test_empty_task_list(self, paper_graph):
+        got = columnar_kernels._task_positions(paper_graph.columnar(), [])
+        assert got.tolist() == []
+
+
 class TestTrianglePaths:
     """The per-anchor δ-window / static-triangle choice is exact."""
 

@@ -1,5 +1,9 @@
 """Tests for the HARE parallel framework: exactness above all."""
 
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 
@@ -29,6 +33,20 @@ def test_hare_static_schedule_equals_serial(graph, delta):
     assert hare_count(graph, delta, workers=2, schedule="static") == serial
 
 
+def hub_graph(seed: int) -> TemporalGraph:
+    """Two hubs above the default ``thrd`` amid triangle-closing chatter."""
+    rng = random.Random(seed)
+    edges = []
+    for t in range(400):
+        hub = t % 2
+        peer = rng.randrange(2, 30)
+        edges.append((hub, peer, t) if rng.random() < 0.5 else (peer, hub, t))
+        if t % 3 == 0:
+            a, b = rng.sample(range(2, 30), 2)
+            edges.append((a, b, t + rng.randrange(0, 20)))
+    return TemporalGraph(edges)
+
+
 class TestConfigurations:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("thrd", [None, 0, 5, float("inf")])
@@ -40,6 +58,13 @@ class TestConfigurations:
         g = star_burst_graph(30, 6, seed=4)
         serial = count_motifs(g, 50)
         assert hare_count(g, 50, workers=2, thrd=10) == serial
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_hub_graph_both_backends(self, workers, backend):
+        g = hub_graph(seed=workers)
+        serial = count_motifs(g, 40, backend=backend)
+        assert hare_count(g, 40, workers=workers, backend=backend) == serial
 
     def test_categories_star(self, paper_graph):
         result = hare_count(paper_graph, 10, workers=2, categories="star")
@@ -116,3 +141,32 @@ class TestExecutor:
     def test_oversubscription_is_exact(self, paper_graph):
         serial = count_motifs(paper_graph, 10)
         assert hare_count(paper_graph, 10, workers=6) == serial
+
+
+class TestForkPerCallThreads:
+    def test_concurrent_calls_on_different_graphs(self):
+        """Each fork-per-call run sees its own graph, not a neighbour's."""
+        graphs = [hub_graph(seed=11), hub_graph(seed=12)]
+        serial = [count_motifs(g, 40) for g in graphs]
+        results = [[], []]
+
+        def run(i: int) -> None:
+            for _ in range(6):
+                results[i].append(
+                    hare_count(graphs[i], 40, workers=2, start_method="fork")
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i in range(2):
+            assert len(results[i]) == 6
+            assert all(result == serial[i] for result in results[i])

@@ -80,6 +80,41 @@ class TestHeavySplitting:
             for node, lo, hi in batch.tasks:
                 assert hi is None or hi - lo >= 1
 
+    def test_heavy_pieces_are_consecutive(self):
+        g = star_burst_graph(20, 5, seed=1)  # hub degree 100
+        hub = g.index(0)
+        batches = build_batches(g, workers=2, thrd=10, split_factor=4)
+        pieces = sorted((lo, hi) for b in batches for n, lo, hi in b.tasks if n == hub)
+        assert len(pieces) == 8  # workers * split_factor
+        assert pieces[0][0] == 0 and pieces[-1][1] is None
+        for (_, hi), (lo, _) in zip(pieces, pieces[1:]):
+            assert hi == lo
+        for batch in batches:
+            # A batch holds a contiguous run of the node-ordered cover.
+            mine = [(lo, hi) for n, lo, hi in batch.tasks if n == hub]
+            for (_, hi), (lo, _) in zip(mine, mine[1:]):
+                assert hi == lo
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("batches_per_worker", [1, 4])
+    def test_batch_count_bounded_with_many_hubs(self, workers, batches_per_worker):
+        # thrd=0 makes every node heavy: hundreds of pieces, few batches.
+        g = star_burst_graph(40, 6, seed=5)
+        batches = build_batches(
+            g, workers=workers, thrd=0, batches_per_worker=batches_per_worker
+        )
+        assert sum(len(b.tasks) for b in batches) > 40 * workers
+        assert len(batches) <= workers * batches_per_worker
+        weights = sorted(b.weight for b in batches)
+        assert weights[-1] <= 2 * sum(weights) / len(weights)
+
+    def test_one_oversized_task_keeps_cover(self):
+        # A hub heavier than a whole batch target, never split.
+        g = star_burst_graph(30, 4, seed=2)
+        batches = build_batches(g, workers=2, thrd=float("inf"))
+        assert len(batches) <= 2 * 4
+        assert coverage(batches, g) == coverage(build_batches(g, 1, thrd=2), g)
+
     def test_batches_sorted_heaviest_first(self):
         g = star_burst_graph(15, 4, seed=3)
         batches = build_batches(g, workers=2, thrd=5)
@@ -113,6 +148,10 @@ class TestValidation:
     def test_split_factor_validation(self, paper_graph):
         with pytest.raises(ValidationError):
             build_batches(paper_graph, workers=2, split_factor=0)
+
+    def test_batches_per_worker_validation(self, paper_graph):
+        with pytest.raises(ValidationError):
+            build_batches(paper_graph, workers=2, batches_per_worker=0)
 
     def test_empty_graph(self):
         assert build_batches(TemporalGraph([]), workers=2) == []
