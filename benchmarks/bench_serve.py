@@ -6,8 +6,9 @@ graph, clients replaying counting requests over the unix socket.  The
 first pass over a mixed-δ request list is *cold* — every request runs
 a real pool execution (publish and δ-table export already amortized by
 a warm-up request).  Repeat passes are *warm*: identical requests are
-answered from the :class:`~repro.parallel.pool.WorkerPool`'s
-version-stamped result cache without touching the workers.  Every
+answered at admission from the
+:class:`~repro.serve.service.MotifService` answer table, without
+reaching the dispatcher or the pool.  Every
 served answer is checked byte-identical (canonical answer bytes) to a
 direct in-process :func:`~repro.core.api.count_motifs` call.
 
@@ -167,6 +168,7 @@ def bench_one(num_edges: int, num_nodes: int) -> Dict[str, object]:
             / max(entry["requests_per_sec_cold"], 1e-9)
         )
         entry["pool_cache_hits"] = service.pool.stats["cache_hits"]
+        entry["answer_hits"] = service.stats["answer_hits"]
 
         # -- duplicate-coalescing burst --------------------------------
         burst_delta = BASE_DELTA * (DELTA_STEPS + 3)  # never requested above

@@ -434,14 +434,20 @@ def make_slabs(graph: TemporalGraph, workers: int) -> List[Slab]:
     return slabs
 
 
-_WORKER_GRAPH: Optional[TemporalGraph] = None
-_WORKER_ARGS: Tuple = ()
+#: A forked slab worker's ``(graph, delta, categories)``, set only in
+#: fork children by :func:`_init_forked` from pool ``initargs``.
+_FORKED_CALL: Optional[tuple] = None
+
+
+def _init_forked(graph: TemporalGraph, delta: float, categories: str) -> None:
+    global _FORKED_CALL
+    _FORKED_CALL = (graph, delta, categories)
 
 
 def _slab_worker(slab: Slab) -> Dict[str, int]:
-    assert _WORKER_GRAPH is not None
-    delta, categories = _WORKER_ARGS
-    return _ex_partial(_WORKER_GRAPH, delta, categories, slab)
+    assert _FORKED_CALL is not None
+    graph, delta, categories = _FORKED_CALL
+    return _ex_partial(graph, delta, categories, slab)
 
 
 def ex_count(
@@ -500,7 +506,6 @@ def ex_count(
 
     from repro.parallel.executor import resolve_start_method
 
-    global _WORKER_GRAPH, _WORKER_ARGS
     # An explicitly requested-but-unavailable method raises, exactly
     # like the HARE path — never silently run something else.
     fork_requested = resolve_start_method(start_method) == "fork"
@@ -508,23 +513,19 @@ def ex_count(
     # inherit one copy-on-write build instead of each making their own.
     graph.sequences()
     slabs = make_slabs(graph, workers)
-    _WORKER_GRAPH = graph
-    _WORKER_ARGS = (delta, categories)
     try:
         ctx = mp.get_context("fork") if fork_requested else None
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = None
     if ctx is None:
-        _WORKER_GRAPH = None
-        _WORKER_ARGS = ()
         grid = _ex_partial(graph, delta, categories, _FULL_SLAB)
         return MotifCounts.from_dict(grid, algorithm="ex", delta=delta)
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            partials = pool.map(_slab_worker, slabs)
-    finally:
-        _WORKER_GRAPH = None
-        _WORKER_ARGS = ()
+    with ctx.Pool(
+        processes=workers,
+        initializer=_init_forked,
+        initargs=(graph, delta, categories),
+    ) as pool:
+        partials = pool.map(_slab_worker, slabs)
     grid: Dict[str, int] = {}
     for partial in partials:
         for name, value in partial.items():

@@ -70,8 +70,11 @@ from repro.graph.temporal_graph import TemporalGraph
 #: A sampled block: (first-edge index lo, hi, block end time).
 _Block = Tuple[int, int, float]
 
-_WORKER_GRAPH: Optional[TemporalGraph] = None
-_WORKER_ARGS: Tuple = ()
+#: A forked worker's ``(graph, delta, args)``.  Set only inside fork
+#: children, by :func:`_init_forked`; the parent hands them over as
+#: pool ``initargs``, which fork inherits without pickling, so
+#: concurrent calls on different graphs cannot see each other's.
+_FORKED_CALL: Optional[tuple] = None
 
 
 def _block_grid(
@@ -152,10 +155,15 @@ def pool_map_block_grids(
     ]
 
 
+def _init_forked(graph: TemporalGraph, delta: float, args: Tuple) -> None:
+    global _FORKED_CALL
+    _FORKED_CALL = (graph, delta, args)
+
+
 def _pool_worker(chunk: List[Tuple[int, _Block]]) -> List[Tuple[int, np.ndarray]]:
-    assert _WORKER_GRAPH is not None
-    delta, args = _WORKER_ARGS
-    return _chunk_grids(_WORKER_GRAPH, delta, args, chunk)
+    assert _FORKED_CALL is not None
+    graph, delta, args = _FORKED_CALL
+    return _chunk_grids(graph, delta, args, chunk)
 
 
 def _split_chunks(
@@ -275,7 +283,6 @@ def bts_count(
 
         from repro.parallel.executor import resolve_start_method
 
-        global _WORKER_GRAPH, _WORKER_ARGS
         # An explicitly requested-but-unavailable method raises inside
         # resolve_start_method, exactly like the HARE path — never
         # silently run another (so "fork" here implies get_context
@@ -303,23 +310,21 @@ def bts_count(
                 graph.sequences()
                 graph.ensure_pair_index()
                 graph.edge_lists()
-            _WORKER_GRAPH = graph
-            _WORKER_ARGS = (delta, args)
             # Chunk blocks so IPC is per-chunk, not per-block; the
             # per-block grids come back tagged with their sampling
             # index so the reduction order (and hence the estimate,
             # bit for bit) never depends on the chunking.
             chunks = _split_chunks(indexed, workers)
             collected: List[Tuple[int, np.ndarray]] = []
-            try:
-                with ctx.Pool(processes=workers) as proc_pool:
-                    for partial in proc_pool.imap_unordered(
-                        _pool_worker, chunks, chunksize=1
-                    ):
-                        collected.extend(partial)
-            finally:
-                _WORKER_GRAPH = None
-                _WORKER_ARGS = ()
+            with ctx.Pool(
+                processes=workers,
+                initializer=_init_forked,
+                initargs=(graph, delta, args),
+            ) as proc_pool:
+                for partial in proc_pool.imap_unordered(
+                    _pool_worker, chunks, chunksize=1
+                ):
+                    collected.extend(partial)
             grid += _reduce_block_grids(collected)
     return MotifCounts(grid, algorithm="bts", delta=delta)
 

@@ -466,11 +466,28 @@ class StreamingEdgeStore:
         """An immutable :class:`TemporalGraph` of one time slice.
 
         The graph's node labels are the store's internal ids (ints) —
-        counting kernels are label-agnostic, so slices skip the
-        re-interning cost.  Self-loops were already dropped at ingest.
+        counting kernels are label-agnostic, so slices never go back to
+        the original labels.  The graph equals
+        ``TemporalGraph.from_arrays`` over :meth:`slice_arrays` (same
+        ids, order and timestamp dtype), built in NumPy: ids are dense
+        by first appearance in the interleaved ``src, dst`` arrival
+        stream, then one stable sort on ``t`` gives the canonical
+        order.  Self-loops were already dropped at ingest.
         """
         src, dst, t = self.slice_arrays(t_lo, t_hi)
-        return TemporalGraph.from_arrays(src.tolist(), dst.tolist(), t.tolist())
+        stream = np.empty(2 * len(t), dtype=np.int64)
+        stream[0::2] = src
+        stream[1::2] = dst
+        ids, first, inverse = np.unique(stream, return_index=True, return_inverse=True)
+        by_arrival = np.argsort(first)
+        dense = np.empty(len(ids), dtype=np.int64)
+        dense[by_arrival] = np.arange(len(ids))
+        stream = dense[inverse]
+        order = np.argsort(t, kind="stable")
+        return TemporalGraph.from_canonical_arrays(
+            stream[0::2][order], stream[1::2][order], t[order],
+            labels=ids[by_arrival].tolist(),
+        )
 
     def live_graph(self) -> TemporalGraph:
         """A :class:`TemporalGraph` of every live edge (arrival order)."""

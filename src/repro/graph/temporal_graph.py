@@ -305,6 +305,7 @@ class TemporalGraph:
         t: np.ndarray,
         *,
         num_nodes: Optional[int] = None,
+        labels: Optional[Sequence[Hashable]] = None,
     ) -> "TemporalGraph":
         """Wrap already-canonical edge columns without copying or sorting.
 
@@ -317,7 +318,8 @@ class TemporalGraph:
         no re-interning), so a graph built here over shared-memory
         views stays zero-copy.  Node labels are the internal ids
         themselves, served by O(1) identity views (``range`` /
-        :class:`_IdentityIndex`) rather than materialized per process.
+        :class:`_IdentityIndex`) rather than materialized per process —
+        unless ``labels`` gives each internal id's label (one per node).
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -335,12 +337,18 @@ class TemporalGraph:
             raise ValidationError("timestamps are not in canonical (sorted) order")
         if len(src) and bool(np.any(src == dst)):
             raise ValidationError("canonical edge columns must not contain self-loops")
+        if labels is not None:
+            num_nodes = len(labels)
         n = int(num_nodes) if num_nodes is not None else (
             int(max(src.max(), dst.max())) + 1 if len(src) else 0
         )
         graph = cls.__new__(cls)
-        graph._labels = range(n)  # identity labels, O(1) memory
-        graph._index = _IdentityIndex(n)
+        if labels is None:
+            graph._labels = range(n)  # identity labels, O(1) memory
+            graph._index = _IdentityIndex(n)
+        else:
+            graph._labels = list(labels)
+            graph._index = dict(zip(graph._labels, range(n)))
         graph.num_self_loops_dropped = 0
         graph._src = src
         graph._dst = dst

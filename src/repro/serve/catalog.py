@@ -20,19 +20,24 @@ source back a name:
 
 Leases are the whole consistency story: :meth:`GraphCatalog.lease`
 hands out a refcounted ``(graph, version)`` snapshot, and every
-released lease gives the catalog a chance to reap.  The registry's
-version-stamped caches do the rest — a new generation is a new graph
-object with a new version, so no stale plan or cached count can ever
-be served for it.
+released lease gives the catalog a chance to reap.  Each generation
+also carries a process-unique ``serial``: a source's version restarts
+at 0 when its name is removed and re-added (a static graph's is always
+0), so callers that key on "the same graph" — the service's dedupe
+index and answer table — key on the serial, never on name + version.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Dict, List
 
 from repro.errors import UnknownGraphError, ValidationError
 from repro.graph.temporal_graph import TemporalGraph
+
+#: Serials of catalog generations, unique within the process.
+_SERIALS = itertools.count()
 
 
 class GraphLease:
@@ -43,12 +48,13 @@ class GraphLease:
     finishing on the old graph.
     """
 
-    __slots__ = ("name", "graph", "version", "_entry", "_released")
+    __slots__ = ("name", "graph", "version", "serial", "_entry", "_released")
 
-    def __init__(self, name: str, graph: TemporalGraph, version: int, entry) -> None:
+    def __init__(self, name: str, gen: "_Generation", entry) -> None:
         self.name = name
-        self.graph = graph
-        self.version = version
+        self.graph = gen.graph
+        self.version = gen.version
+        self.serial = gen.serial
         self._entry = entry
         self._released = False
 
@@ -56,7 +62,7 @@ class GraphLease:
         if self._released:
             return
         self._released = True
-        self._entry._return(self.version)
+        self._entry._return(self.serial)
 
     def __enter__(self) -> "GraphLease":
         return self
@@ -72,11 +78,12 @@ class GraphLease:
 class _Generation:
     """One snapshot of one named graph: the unit of reaping."""
 
-    __slots__ = ("graph", "version", "active", "retired")
+    __slots__ = ("graph", "version", "serial", "active", "retired")
 
     def __init__(self, graph: TemporalGraph, version: int) -> None:
         self.graph = graph
         self.version = version
+        self.serial = next(_SERIALS)
         self.active = 0
         self.retired = False
 
@@ -114,7 +121,7 @@ class _Entry:
         self.refresh()
         gen = self.current
         gen.active += 1
-        return GraphLease(self.name, gen.graph, gen.version, self)
+        return GraphLease(self.name, gen, self)
 
     def retire_all(self) -> None:
         """Retire the live generation too (catalog remove/close)."""
@@ -126,10 +133,10 @@ class _Entry:
             self.draining.append(gen)
 
     # -- called from GraphLease.release (takes the lock itself) --------
-    def _return(self, version: int) -> None:
+    def _return(self, serial: int) -> None:
         with self._catalog._lock:
             for gen in [self.current] + self.draining:
-                if gen.version == version:
+                if gen.serial == serial:
                     gen.active -= 1
                     if gen.retired and gen.active == 0:
                         self._catalog._reap(gen)

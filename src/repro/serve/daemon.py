@@ -17,9 +17,10 @@ onto two transports sharing the protocol of
 The event loop never blocks on counting: :meth:`MotifService.submit`
 returns a :class:`concurrent.futures.Future` resolved by the service's
 dispatcher thread, and the daemon awaits it via
-:func:`asyncio.wrap_future`.  Slow queries therefore never stall other
-connections — admission control, not the transport, is what bounds
-concurrency.
+:func:`asyncio.wrap_future` (a repeat answered at admission comes back
+already resolved and is encoded without awaiting).  Slow queries
+therefore never stall other connections — admission control, not the
+transport, is what bounds concurrency.
 """
 
 from __future__ import annotations
@@ -80,7 +81,11 @@ class ServeDaemon:
             if op == "count":
                 fields = parse_count(message)
                 future = self.service.submit(fields)
-                counts: MotifCounts = await asyncio.wrap_future(future)
+                # An answer-table hit comes back resolved: no loop hop.
+                counts: MotifCounts = (
+                    future.result() if future.done()
+                    else await asyncio.wrap_future(future)
+                )
                 return ok_response(encode_counts(counts), fields["id"])
             if op == "ping":
                 return ok_response(

@@ -7,14 +7,17 @@ drive it directly with threads.  One service owns one
 :class:`~repro.serve.catalog.GraphCatalog`, and funnels every request
 through three stages:
 
-**Admission** (:meth:`MotifService.submit`, caller's thread).  Checks
+**Admission** (:meth:`MotifService.submit`, caller's thread).  Takes
+a catalog lease (the snapshot the request will be answered on) and
+answers a repeat of settled deterministic work from the service's
+answer table at once — before any quota, backpressure or queue step,
+so a repeat never waits behind a running count.  Otherwise it checks
 the per-tenant quota and the global bounded queue (429-style
 :class:`~repro.errors.QuotaExceededError` /
 :class:`~repro.errors.BackpressureError`), converts the request's
-``timeout`` into an absolute deadline, takes a catalog lease (the
-snapshot the request will be answered on), and — the first dedupe —
-attaches to an identical in-flight request instead of enqueuing a
-second copy.  Returns a :class:`concurrent.futures.Future`.
+``timeout`` into an absolute deadline, and attaches to an identical
+in-flight request instead of enqueuing a second copy.  Returns a
+:class:`concurrent.futures.Future`.
 
 **Batching** (dispatcher thread).  Drains the queue after a short
 ``batch_window``, groups compatible requests — same graph generation,
@@ -29,16 +32,20 @@ future resolves (a result that arrives late is still a
 propagate into the pool, which aborts expired jobs mid-flight instead
 of finishing work nobody will read.
 
-Identical *repeated* (not just concurrent) requests are the pool's
-job: its version-stamped result cache answers them without touching
-the workers, which is where the warm-cache throughput in
-``BENCH_serve.json`` comes from.
+Settlement also fills the answer table: a bounded LRU of
+:data:`ANSWER_TABLE_SIZE` results keyed like the in-flight index, kept
+only for deterministic requests (exact algorithms, and samplers given
+an explicit ``seed``).  The key carries the catalog generation's
+serial, so a live-source reload or a removed and re-added name never
+reaches an answer computed on another graph.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -51,6 +58,9 @@ from repro.errors import (
     ReproError,
 )
 from repro.serve.catalog import GraphCatalog, GraphLease
+
+#: Settled deterministic answers the service keeps for repeats.
+ANSWER_TABLE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -144,10 +154,15 @@ class _Pending:
         return max(deadlines) if deadlines else None
 
 
-def _dedup_key(name: str, version: int, fields: Dict) -> Tuple:
-    """What makes two count requests the same computation."""
+def _dedup_key(serial: int, fields: Dict) -> Tuple:
+    """What makes two count requests the same computation.
+
+    ``serial`` names the catalog generation (see
+    :class:`~repro.serve.catalog.GraphLease`); δ must stay last, as
+    :meth:`MotifService._group` batches on everything before it.
+    """
     return (
-        name, version, fields["algorithm"], fields["categories"],
+        serial, fields["algorithm"], fields["categories"],
         fields["backend"], fields["seed"], fields["n_samples"],
         tuple(sorted(fields["params"].items())), float(fields["delta"]),
     )
@@ -177,6 +192,7 @@ class MotifService:
         self._cond = threading.Condition(self._lock)
         self._queue: List[_Pending] = []
         self._inflight: Dict[Tuple, _Pending] = {}
+        self._answers: "OrderedDict[Tuple, object]" = OrderedDict()
         self._tenant_inflight: Dict[str, int] = {}
         #: Graph name -> (cluster spec, packed source path or None).
         self._cluster_bindings: Dict[str, Tuple[str, Optional[str]]] = {}
@@ -186,6 +202,7 @@ class MotifService:
         self.stats: Dict[str, int] = {
             "requests": 0,
             "answered": 0,
+            "answer_hits": 0,
             "errors": 0,
             "coalesced": 0,
             "executions": 0,
@@ -254,7 +271,9 @@ class MotifService:
         ``fields`` is the output of
         :func:`repro.serve.protocol.parse_count` (or an equivalent
         dict).  Raises the 429-style admission errors synchronously;
-        execution errors surface through the returned future.
+        execution errors surface through the returned future.  A
+        repeat of settled deterministic work returns an already
+        resolved future and takes no tenant quota.
         """
         tenant = fields.get("tenant", "default")
         timeout = fields.get("timeout")
@@ -265,16 +284,25 @@ class MotifService:
             if self._closed:
                 raise ReproError("service is shut down")
             self.stats["requests"] += 1
-            held = self._tenant_inflight.get(tenant, 0)
-            if held >= self.config.tenant_quota:
-                self.stats["rejected_quota"] += 1
-                raise QuotaExceededError(
-                    f"tenant {tenant!r} has {held} requests in flight "
-                    f"(quota {self.config.tenant_quota})"
-                )
             lease = self.catalog.lease(fields["graph"])  # raises UnknownGraphError
             try:
-                key = _dedup_key(lease.name, lease.version, fields)
+                key = _dedup_key(lease.serial, fields)
+                answer = self._answers.get(key)
+                if answer is not None:
+                    lease.release()
+                    self._answers.move_to_end(key)
+                    self.stats["answered"] += 1
+                    self.stats["answer_hits"] += 1
+                    future: Future = Future()
+                    future.set_result(copy.deepcopy(answer))
+                    return future
+                held = self._tenant_inflight.get(tenant, 0)
+                if held >= self.config.tenant_quota:
+                    self.stats["rejected_quota"] += 1
+                    raise QuotaExceededError(
+                        f"tenant {tenant!r} has {held} requests in flight "
+                        f"(quota {self.config.tenant_quota})"
+                    )
                 pending = self._inflight.get(key)
                 waiter = _Waiter(Future(), tenant, deadline, fields.get("id"))
                 if pending is not None:
@@ -497,8 +525,19 @@ class MotifService:
 
     # -- settlement -----------------------------------------------------
     def _settle_result(self, pending: _Pending, counts) -> None:
+        from repro.core.registry import get_algorithm
+
+        fields = pending.fields
+        deterministic = (
+            fields["seed"] is not None or get_algorithm(fields["algorithm"]).is_exact
+        )
         with self._lock:
             self._retire(pending)
+            if deterministic:
+                # A private copy: waiters may mutate what they receive.
+                self._answers[pending.key] = copy.deepcopy(counts)
+                if len(self._answers) > ANSWER_TABLE_SIZE:
+                    self._answers.popitem(last=False)
             now = time.monotonic()
             for waiter in pending.waiters:
                 self._tenant_inflight[waiter.tenant] -= 1

@@ -10,7 +10,9 @@ from repro.core.bruteforce import brute_force_counts
 from repro.core.motifs import PAIR_MOTIFS
 from repro.errors import ValidationError
 from repro.graph.temporal_graph import TemporalGraph
+from tests.conftest import race_in_two_threads
 from tests.core.test_properties import deltas, temporal_graphs
+from tests.parallel.test_hare import hub_graph
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,6 +123,17 @@ class TestBTS:
         serial = bts_count_pairs(g, 10, q=0.8, seed=3, exact_when_full=False)
         parallel = bts_count_pairs(g, 10, q=0.8, seed=3, exact_when_full=False, workers=2)
         assert np.allclose(serial.grid, parallel.grid)
+
+    def test_concurrent_fork_calls_on_different_graphs(self):
+        """Each forked BTS run samples its own graph, not a neighbour's."""
+        graphs = [hub_graph(seed=11), hub_graph(seed=12)]
+        kwargs = dict(q=0.6, seed=3, exact_when_full=False)
+        serial = [bts_count(g, 40, **kwargs) for g in graphs]
+        results = race_in_two_threads(
+            lambda i: bts_count(graphs[i], 40, workers=2, start_method="fork", **kwargs)
+        )
+        for i in range(2):
+            assert all(np.array_equal(r.grid, serial[i].grid) for r in results[i])
 
     def test_all_motifs_mode(self, paper_graph):
         result = bts_count(paper_graph, 10, q=1.0)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+import sys
+import threading
+from typing import Callable, List, Tuple
 
 import pytest
 
@@ -54,3 +56,31 @@ def tiny_pair_graph() -> TemporalGraph:
 def triangle_graph() -> TemporalGraph:
     """A single temporal cycle a->b->c->a (one M26 instance)."""
     return TemporalGraph([(0, 1, 1), (1, 2, 2), (2, 0, 3)])
+
+
+def race_in_two_threads(call: Callable[[int], object], rounds: int = 6) -> List[List[object]]:
+    """Run ``call(0)`` and ``call(1)`` ``rounds`` times each, in two threads.
+
+    A tiny switch interval interleaves the threads as finely as the
+    interpreter allows, so shared module state between concurrent
+    calls shows up as wrong results.  Returns each thread's results.
+    """
+    results: List[List[object]] = [[], []]
+
+    def run(i: int) -> None:
+        for _ in range(rounds):
+            results[i].append(call(i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [len(r) for r in results] == [rounds, rounds]
+    return results

@@ -302,3 +302,41 @@ class TestStoreProperties:
                 # new slice never reuses it.
                 assert previous.columnar() is not col
             previous = graph
+
+
+@st.composite
+def mixed_stores(draw):
+    """A store after random appends/evictions, with a random slice."""
+    labels = st.sampled_from(["a", "b", "c", 7, 3, 40, "z", 0])
+    times = st.one_of(
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=0, max_value=40).map(lambda x: x / 2),
+    )
+    store = StreamingEdgeStore(max_runs=draw(st.integers(min_value=1, max_value=4)))
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        if draw(st.integers(min_value=0, max_value=4)):
+            batch = draw(st.lists(st.tuples(labels, labels, times), max_size=12))
+            store.extend(batch)
+        else:
+            store.evict_before(draw(st.integers(min_value=0, max_value=18)))
+    bounds = st.one_of(st.none(), st.integers(min_value=0, max_value=22))
+    return store, draw(bounds), draw(bounds)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=mixed_stores())
+def test_slice_graph_is_the_interned_from_arrays_graph(case):
+    """The NumPy slice build equals ``from_arrays`` over the same slice:
+    ids by first appearance, canonical order, timestamp dtype, labels."""
+    store, t_lo, t_hi = case
+    src, dst, t = store.slice_arrays(t_lo, t_hi)
+    reference = TemporalGraph.from_arrays(src.tolist(), dst.tolist(), t.tolist())
+    graph = store.slice_graph(t_lo, t_hi)
+    for column in ("sources", "destinations", "timestamps"):
+        got, want = getattr(graph, column), getattr(reference, column)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    labels = [reference.label(i) for i in range(reference.num_nodes)]
+    assert [graph.label(i) for i in range(graph.num_nodes)] == labels
+    assert all(graph.index(label) == i for i, label in enumerate(labels))
+    assert graph == reference

@@ -50,6 +50,17 @@ def test_served_exact_counts_are_byte_identical(served, graph):
             assert served_counts.is_exact
 
 
+def test_served_repeat_is_answered_at_admission(served, graph):
+    _, socket_path = served
+    direct = canonical_counts_bytes(count_motifs(graph, 25.0, algorithm="fast"))
+    with ServeClient(socket_path) as client:
+        first = client.count("demo", 25.0)
+        repeat = client.count("demo", 25.0)
+        stats = client.stats()
+    assert canonical_counts_bytes(first) == canonical_counts_bytes(repeat) == direct
+    assert stats["executions"] == 1 and stats["answer_hits"] == 1
+
+
 def test_served_sampling_counts_reproduce_fixed_seed(served, graph):
     _, socket_path = served
     with ServeClient(socket_path) as client:

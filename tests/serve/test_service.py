@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -16,8 +17,12 @@ from repro.errors import (
     UnknownGraphError,
     ValidationError,
 )
+from repro.graph.stream_store import StreamingEdgeStore
 from repro.serve import MotifService, ServiceConfig
 from repro.serve.protocol import canonical_counts_bytes
+
+from tests.serve.conftest import service_graph
+from tests.serve.test_catalog import fill_store
 
 
 def count_fields(graph="demo", delta=40.0, **overrides):
@@ -187,11 +192,15 @@ def test_concurrent_submissions_from_many_threads(service, graph):
     assert len(matches) == 12 and all(matches)
 
 
-def test_repeated_requests_hit_the_pool_result_cache(service):
+def test_repeated_requests_are_answered_at_admission(service):
+    # A repeat of settled work never reaches the dispatcher or the pool.
     service.submit(count_fields(delta=33.0)).result(60)
-    hits_before = service.pool.stats["cache_hits"]
+    executions = service.stats["executions"]
+    pool_hits = service.pool.stats["cache_hits"]
     service.submit(count_fields(delta=33.0)).result(60)
-    assert service.pool.stats["cache_hits"] > hits_before
+    assert service.stats["executions"] == executions
+    assert service.stats["answer_hits"] == 1
+    assert service.pool.stats["cache_hits"] == pool_hits
 
 
 def test_submit_after_close_raises(graph):
@@ -210,3 +219,169 @@ def test_describe_stats_merges_pool_and_catalog(service):
     assert "jobs" in stats["pool"]
     assert "generations_reaped" in stats["catalog"]
     assert stats["pool_workers"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the answer table: repeats of settled deterministic work
+# ---------------------------------------------------------------------------
+
+def hold_executions(svc):
+    """Make ``svc``'s executions wait; returns ``(started, release)`` events."""
+    started, release = threading.Event(), threading.Event()
+    run_group = svc._run_group
+
+    def held(*args, **kwargs):
+        started.set()
+        assert release.wait(60), "test never released the held execution"
+        return run_group(*args, **kwargs)
+
+    svc._run_group = held
+    return started, release
+
+
+def direct_bytes(graph, delta):
+    return canonical_counts_bytes(count_motifs(graph, delta, algorithm="fast"))
+
+
+def test_repeat_resolves_while_a_count_holds_the_dispatcher(service, graph):
+    service.submit(count_fields(delta=33.0)).result(60)
+    started, release = hold_executions(service)
+    try:
+        running = service.submit(count_fields(delta=50.0))
+        assert started.wait(60)
+        repeat = service.submit(count_fields(delta=33.0))
+        assert repeat.done() and not running.done()
+        assert canonical_counts_bytes(repeat.result()) == direct_bytes(graph, 33.0)
+    finally:
+        release.set()
+    assert canonical_counts_bytes(running.result(60)) == direct_bytes(graph, 50.0)
+
+
+def test_repeat_takes_no_quota(graph):
+    svc = MotifService(ServiceConfig(workers=1, batch_window=0.001, tenant_quota=1))
+    svc.add_graph("demo", graph)
+    try:
+        svc.submit(count_fields(delta=33.0, tenant="alice")).result(60)
+        started, release = hold_executions(svc)
+        try:
+            running = svc.submit(count_fields(delta=50.0, tenant="alice"))
+            assert started.wait(60)
+            # alice's one slot is taken, yet her repeat is answered.
+            svc.submit(count_fields(delta=33.0, tenant="alice")).result(0)
+            with pytest.raises(QuotaExceededError):
+                svc.submit(count_fields(delta=51.0, tenant="alice"))
+        finally:
+            release.set()
+        running.result(60)
+    finally:
+        svc.close()
+
+
+@pytest.mark.parametrize("seed, hits", [(None, 0), (7, 1)])
+def test_sampler_repeats_are_answered_only_with_a_seed(service, seed, hits):
+    fields = count_fields(delta=40.0, algorithm="bts", seed=seed)
+    first = service.submit(dict(fields)).result(60)
+    second = service.submit(dict(fields)).result(60)
+    assert service.stats["answer_hits"] == hits
+    assert service.stats["executions"] == 2 - hits
+    if seed is not None:
+        assert canonical_counts_bytes(second) == canonical_counts_bytes(first)
+
+
+def test_live_source_version_bump_misses_the_table():
+    store = StreamingEdgeStore()
+    fill_store(store, 250)
+    svc = MotifService(ServiceConfig(workers=2, batch_window=0.001))
+    svc.add_graph("live", store)
+    try:
+        svc.submit(count_fields(graph="live", delta=30.0)).result(60)
+        svc.submit(count_fields(graph="live", delta=30.0)).result(60)
+        assert svc.stats["answer_hits"] == 1
+        fill_store(store, 150, t0=600, seed=4)
+        after = svc.submit(count_fields(graph="live", delta=30.0)).result(60)
+        assert svc.stats["answer_hits"] == 1
+        assert svc.stats["executions"] == 2
+        assert canonical_counts_bytes(after) == direct_bytes(store.live_graph(), 30.0)
+    finally:
+        svc.close()
+
+
+def test_mutating_an_answer_does_not_change_the_next_hit(service, graph):
+    expected = direct_bytes(graph, 33.0)
+    for _ in range(3):
+        counts = service.submit(count_fields(delta=33.0)).result(60)
+        assert canonical_counts_bytes(counts) == expected
+        assert "scribble" not in counts.meta
+        counts.grid[0, 0] += 1_000
+        counts.meta["scribble"] = True
+    assert service.stats["answer_hits"] == 2
+
+
+def test_readded_name_never_joins_the_old_graphs_request(graph):
+    other = service_graph(seed=12)
+    svc = MotifService(ServiceConfig(workers=2, batch_window=0.001))
+    svc.add_graph("demo", graph)
+    try:
+        started, release = hold_executions(svc)
+        try:
+            old = svc.submit(count_fields(delta=40.0))
+            assert started.wait(60)
+            svc.catalog.remove("demo")
+            svc.add_graph("demo", other)
+            new = svc.submit(count_fields(delta=40.0))
+        finally:
+            release.set()
+        assert canonical_counts_bytes(old.result(60)) == direct_bytes(graph, 40.0)
+        assert canonical_counts_bytes(new.result(60)) == direct_bytes(other, 40.0)
+        assert svc.stats["coalesced"] == 0
+    finally:
+        svc.close()
+
+
+def test_readded_name_never_gets_a_stored_answer(graph):
+    other = service_graph(seed=12)
+    svc = MotifService(ServiceConfig(workers=2, batch_window=0.001))
+    svc.add_graph("demo", graph)
+    try:
+        svc.submit(count_fields(delta=40.0)).result(60)
+        svc.catalog.remove("demo")
+        svc.add_graph("demo", other)
+        new = svc.submit(count_fields(delta=40.0)).result(60)
+        assert canonical_counts_bytes(new) == direct_bytes(other, 40.0)
+        assert svc.stats["answer_hits"] == 0
+    finally:
+        svc.close()
+
+
+def test_answer_table_under_thread_stress(service, graph):
+    """Every request is answered exactly once, by exactly one route."""
+    deltas = [10.0, 20.0, 30.0]
+    direct = {d: direct_bytes(graph, d) for d in deltas}
+    wrong: list = []
+
+    def client(idx: int) -> None:
+        for step in range(15):
+            d = deltas[(idx + step) % len(deltas)]
+            counts = service.submit(count_fields(delta=d, tenant=f"t{idx}")).result(60)
+            if canonical_counts_bytes(counts) != direct[d]:
+                wrong.append(d)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(5)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    stats = service.stats
+    assert stats["requests"] == stats["answered"] == 75
+    routes = stats["answer_hits"] + stats["coalesced"] + stats["batched_deltas"]
+    assert routes == stats["requests"]
+    # A thread's first request for a δ may run or coalesce; every later
+    # one finds the answer its own earlier request settled.
+    assert stats["answer_hits"] >= 75 - 5 * len(deltas)
