@@ -434,19 +434,15 @@ def make_slabs(graph: TemporalGraph, workers: int) -> List[Slab]:
     return slabs
 
 
-#: A forked slab worker's ``(graph, delta, categories)``, set only in
-#: fork children by :func:`_init_forked` from pool ``initargs``.
-_FORKED_CALL: Optional[tuple] = None
+def pool_map_slab(
+    graph: TemporalGraph, delta: float, categories: str, slab: Slab
+) -> Dict[str, int]:
+    """:class:`~repro.parallel.pool.WorkerPool` map function (``"ex_slabs"``).
 
-
-def _init_forked(graph: TemporalGraph, delta: float, categories: str) -> None:
-    global _FORKED_CALL
-    _FORKED_CALL = (graph, delta, categories)
-
-
-def _slab_worker(slab: Slab) -> Dict[str, int]:
-    assert _FORKED_CALL is not None
-    graph, delta, categories = _FORKED_CALL
+    Counts one time slab against the worker's attached zero-copy
+    graph; the worker builds its own sequence views and pair index on
+    first use.
+    """
     return _ex_partial(graph, delta, categories, slab)
 
 
@@ -458,15 +454,15 @@ def ex_count(
     workers: int = 1,
     start_method: "Optional[str]" = None,
     backend: str = "python",
+    pool: Optional[object] = None,
 ) -> MotifCounts:
     """Count motifs with the EX baseline.
 
     ``workers > 1`` uses the time-slab parallel decomposition
-    described in the module docstring.  The decomposition relies on
-    fork copy-on-write sharing, so it only engages when the resolved
-    start method is ``fork`` (explicit ``start_method``, then the
-    ``REPRO_START_METHOD`` env var, then the platform default);
-    anything else runs serially — identical counts either way.
+    described in the module docstring: one slab per worker, farmed
+    through :meth:`~repro.parallel.pool.WorkerPool.run_map` on ``pool``
+    (or the process-wide shared pool started with ``start_method``)
+    and summed in slab order — identical counts to the serial run.
 
     ``backend="columnar"`` counts by full vectorized enumeration over
     the columnar store
@@ -497,35 +493,15 @@ def ex_count(
         if workers > 1:
             result.meta["workers_ignored"] = workers
         return result
-    graph.ensure_pair_index()
-    if workers == 1 or graph.num_edges == 0:
+    from repro.parallel.executor import runtime_pool
+
+    pool = runtime_pool(pool, workers, start_method) if graph.num_edges else None
+    if pool is None:
         grid = _ex_partial(graph, delta, categories, _FULL_SLAB)
         return MotifCounts.from_dict(grid, algorithm="ex", delta=delta)
-
-    import multiprocessing as mp
-
-    from repro.parallel.executor import resolve_start_method
-
-    # An explicitly requested-but-unavailable method raises, exactly
-    # like the HARE path — never silently run something else.
-    fork_requested = resolve_start_method(start_method) == "fork"
-    # Force the lazy sequence views before forking so slab workers
-    # inherit one copy-on-write build instead of each making their own.
-    graph.sequences()
-    slabs = make_slabs(graph, workers)
-    try:
-        ctx = mp.get_context("fork") if fork_requested else None
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        ctx = None
-    if ctx is None:
-        grid = _ex_partial(graph, delta, categories, _FULL_SLAB)
-        return MotifCounts.from_dict(grid, algorithm="ex", delta=delta)
-    with ctx.Pool(
-        processes=workers,
-        initializer=_init_forked,
-        initargs=(graph, delta, categories),
-    ) as pool:
-        partials = pool.map(_slab_worker, slabs)
+    partials = pool.run_map(
+        graph, "ex_slabs", make_slabs(graph, workers), args=categories, delta=delta
+    )
     grid: Dict[str, int] = {}
     for partial in partials:
         for name, value in partial.items():

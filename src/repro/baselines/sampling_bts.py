@@ -47,11 +47,11 @@ Both reduce each (block, motif) instance group through the canonical
 per-block grids always merge in sampling order
 (:func:`_reduce_block_grids`), so the estimate is bit-identical across
 backends, worker counts, and runtimes.  ``workers > 1`` farms block
-chunks to a fork pool when the resolved start method is ``fork``, and
-through a process-wide shared-memory
-:class:`~repro.parallel.pool.WorkerPool` otherwise; an explicit
-``pool=`` always wins and reuses its published zero-copy graph (and,
-for the columnar backend, the shared per-δ edge-window table).
+chunks through the process-wide shared-memory
+:class:`~repro.parallel.pool.WorkerPool`; an explicit ``pool=``
+always wins.  Either way the workers read the published zero-copy
+graph (and, for the columnar backend, the shared per-δ edge-window
+table).
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ from repro.graph.temporal_graph import TemporalGraph
 
 #: A sampled block: (first-edge index lo, hi, block end time).
 _Block = Tuple[int, int, float]
-
-#: A forked worker's ``(graph, delta, args)``.  Set only inside fork
-#: children, by :func:`_init_forked`; the parent hands them over as
-#: pool ``initargs``, which fork inherits without pickling, so
-#: concurrent calls on different graphs cannot see each other's.
-_FORKED_CALL: Optional[tuple] = None
 
 
 def _block_grid(
@@ -123,10 +117,9 @@ def _chunk_grids(
 ) -> List[Tuple[int, np.ndarray]]:
     """Per-block grids of one chunk, tagged with their sampling index.
 
-    The single evaluation point shared by the serial path, forked
-    workers, and the shared-memory pool: each block's grid is a pure
-    function of that block alone, so results never depend on the
-    chunking.
+    The single evaluation point shared by the serial path and the
+    pool workers: each block's grid is a pure function of that block
+    alone, so results never depend on the chunking.
     """
     W, q, motifs, backend = args
     blocks = [block for _, block in chunk]
@@ -153,17 +146,6 @@ def pool_map_block_grids(
         (index, grid.tolist())
         for index, grid in _chunk_grids(graph, delta, args, chunk)
     ]
-
-
-def _init_forked(graph: TemporalGraph, delta: float, args: Tuple) -> None:
-    global _FORKED_CALL
-    _FORKED_CALL = (graph, delta, args)
-
-
-def _pool_worker(chunk: List[Tuple[int, _Block]]) -> List[Tuple[int, np.ndarray]]:
-    assert _FORKED_CALL is not None
-    graph, delta, args = _FORKED_CALL
-    return _chunk_grids(graph, delta, args, chunk)
 
 
 def _split_chunks(
@@ -206,13 +188,13 @@ def bts_count(
     exact_when_full:
         With ``q >= 1``, fall back to the exact BT run.
     workers:
-        Number of processes to spread sampled blocks over: a fork pool
-        under the ``fork`` start method, the process-wide shared-memory
-        :func:`~repro.parallel.pool.shared_pool` otherwise.  The
-        estimate is bit-identical in every case (per-block grids reduce
-        in canonical order).
+        Number of processes to spread sampled blocks over, on the
+        process-wide shared-memory
+        :func:`~repro.parallel.pool.shared_pool`.  The estimate is
+        bit-identical in every case (per-block grids reduce in
+        canonical order).
     start_method:
-        Explicit start method; ``None`` resolves via
+        How the shared pool starts its workers; ``None`` resolves via
         ``REPRO_START_METHOD``, then the platform default.
     backend:
         ``"python"`` (per-motif BT generator passes per block) or
@@ -274,58 +256,14 @@ def bts_count(
     # results always reflect exactly the patterns requested.
     args = (W, q, tuple(selected), backend)
     indexed = list(enumerate(blocks))
+    if pool is None and len(blocks) > 1:
+        from repro.parallel.executor import runtime_pool
+
+        pool = runtime_pool(None, workers, start_method)
     if pool is not None and indexed:
         grid += _run_on_pool(pool, graph, delta, args, indexed, workers, backend)
-    elif workers == 1 or len(blocks) <= 1:
-        grid += _reduce_block_grids(_chunk_grids(graph, delta, args, indexed))
     else:
-        import multiprocessing as mp
-
-        from repro.parallel.executor import resolve_start_method
-
-        # An explicitly requested-but-unavailable method raises inside
-        # resolve_start_method, exactly like the HARE path — never
-        # silently run another (so "fork" here implies get_context
-        # succeeds).
-        method = resolve_start_method(start_method)
-        if method != "fork":
-            # Non-fork start methods route through the process-wide
-            # shared-memory pool — real parallelism instead of the
-            # historical silent serial fallback.
-            from repro.parallel.pool import shared_pool
-
-            grid += _run_on_pool(
-                shared_pool(workers, start_method=method),
-                graph, delta, args, indexed, workers, backend,
-            )
-        else:
-            ctx = mp.get_context("fork")
-            if backend == "columnar":
-                from repro.core.columnar_kernels import edge_window_ends
-
-                # Build the store and the per-δ edge-window table
-                # before forking so children share them copy-on-write.
-                edge_window_ends(graph.columnar(), delta)
-            else:
-                graph.sequences()
-                graph.ensure_pair_index()
-                graph.edge_lists()
-            # Chunk blocks so IPC is per-chunk, not per-block; the
-            # per-block grids come back tagged with their sampling
-            # index so the reduction order (and hence the estimate,
-            # bit for bit) never depends on the chunking.
-            chunks = _split_chunks(indexed, workers)
-            collected: List[Tuple[int, np.ndarray]] = []
-            with ctx.Pool(
-                processes=workers,
-                initializer=_init_forked,
-                initargs=(graph, delta, args),
-            ) as proc_pool:
-                for partial in proc_pool.imap_unordered(
-                    _pool_worker, chunks, chunksize=1
-                ):
-                    collected.extend(partial)
-            grid += _reduce_block_grids(collected)
+        grid += _reduce_block_grids(_chunk_grids(graph, delta, args, indexed))
     return MotifCounts(grid, algorithm="bts", delta=delta)
 
 

@@ -97,12 +97,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
     # A packed source is threaded through the request itself (the
     # registry opens it), so provenance lands in result.meta["source"].
     graph = None if args.source else _load_graph(args)
-    # An explicit pool for pool-runtime parallel counts: same results,
-    # but the pool's runtime counters (jobs, batches, jobs_aborted,
+    # An explicit pool for parallel counts: same results, but the
+    # pool's runtime counters (jobs, batches, jobs_aborted,
     # worker_restarts) become reportable below.
     pool = None
     spec = get_algorithm(args.algorithm)
-    if args.workers > 1 and spec.pool_runtime and args.cluster is None:
+    if args.workers > 1 and spec.parallel and args.cluster is None:
         from repro.parallel.pool import WorkerPool
 
         pool = WorkerPool(args.workers, start_method=args.start_method)
@@ -519,10 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(fastest the algorithm implements; identical "
                               "counts either way)")
     p_count.add_argument("--start-method", choices=("fork", "spawn"), default=None,
-                         help="process start method for parallel runs "
-                              "(default: REPRO_START_METHOD env var, then the "
-                              "platform default; spawn routes through the "
-                              "shared-memory worker pool)")
+                         help="start method for the worker pool of parallel "
+                              "runs (default: REPRO_START_METHOD env var, then "
+                              "the platform default)")
     p_count.add_argument("--shard-budget", type=int, default=None,
                          help="out-of-core mode: maximum own edges per time "
                               "shard; exact algorithms count shard-by-shard "
@@ -684,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="TCP port (0 = ephemeral; the bound address is "
                                "printed on startup)")
     p_worker.add_argument("--workers", type=int, default=1,
-                          help="resident pool size for pool-runtime algorithms "
+                          help="resident pool size for parallel algorithms "
                                "(default 1: serial in-process, no pool)")
     p_worker.add_argument("--start-method", choices=("fork", "spawn"), default=None)
     p_worker.add_argument("--source", action="append", default=[],

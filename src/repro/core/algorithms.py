@@ -51,7 +51,6 @@ def _fast_stream_factory(request):
     "fast",
     exact=True,
     parallel=True,
-    pool_runtime=True,
     backends=("columnar", "python"),
     description="FAST-Star + FAST-Tri (this paper); HARE when workers > 1",
     stream_factory=_fast_stream_factory,
@@ -109,6 +108,7 @@ def _ex(request: CountRequest) -> MotifCounts:
         workers=request.workers,
         start_method=request.start_method,
         backend=request.backend,
+        pool=request.pool,
     )
 
 
@@ -155,7 +155,6 @@ def _twoscent(request: CountRequest) -> MotifCounts:
     "bts",
     exact=False,
     parallel=True,
-    pool_runtime=True,
     backends=("columnar", "python"),
     params={"q": 0.3, "window_factor": 5.0},
     description="BTS interval sampling over BT (Liu et al., WSDM'19)",

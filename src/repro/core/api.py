@@ -123,13 +123,14 @@ def count_motifs(
         choice is recorded in ``result.meta["backend"]``.
     pool:
         A persistent :class:`~repro.parallel.pool.WorkerPool` for
-        parallel algorithms: repeated calls against the same graph
-        reuse the published shared-memory arrays, the memoized HARE
-        plan, and (for identical requests) the raw-counter cache,
-        instead of forking a fresh process pool per call.
+        parallel algorithms.  Without one, ``workers > 1`` runs on the
+        process-wide shared pool; either way repeated calls against
+        the same graph reuse the published shared-memory arrays, the
+        memoized HARE plan, and (for identical requests) the
+        raw-counter cache.
     start_method:
-        Process start method for parallel execution without a pool
-        (``"fork"``/``"spawn"``); default honours the
+        How the shared pool starts its workers when no ``pool`` is
+        given (``"fork"``/``"spawn"``); default honours the
         ``REPRO_START_METHOD`` environment variable, then the
         platform.  Counts are identical across methods.
     request_id:
@@ -380,14 +381,11 @@ def count_motifs_sweep(
     the algorithms that declare them, so mixed sweeps like
     ``algorithms=("fast", "bts"), q=0.5`` work.
 
-    With ``workers > 1`` and at least one pool-runtime algorithm in
-    the sweep (the HARE family — currently ``fast``), the whole sweep
-    executes on one persistent
+    With ``workers > 1`` every parallel cell runs on one persistent
     :class:`~repro.parallel.pool.WorkerPool` — the one passed as
-    ``pool=``, or a sweep-owned pool created (and closed) here — so
-    the graph is published to shared memory once and every such cell
-    amortizes the startup the per-call fork path would repay per run.
-    (EX and BTS run their own fork-only farming and ignore the pool.)
+    ``pool=``, or the process-wide shared pool — so the graph is
+    published to shared memory once and the HARE plan is memoized
+    across the sweep's cells.
     """
     from repro.core.registry import get_algorithm
 
@@ -406,36 +404,27 @@ def count_motifs_sweep(
             f"parameter(s) {sorted(orphaned)} are accepted by none of "
             f"{tuple(algorithms)}"
         )
-    own_pool = None
-    if pool is None and workers > 1 and any(spec.pool_runtime for spec in specs):
-        from repro.parallel.pool import WorkerPool
-
-        pool = own_pool = WorkerPool(workers, start_method=start_method)
     sweep = SweepResult()
-    try:
-        for spec in specs:
-            accepted: Dict[str, object] = {
-                key: value for key, value in params.items() if key in spec.params
-            }
-            for delta in deltas:
-                request = CountRequest(
-                    graph=graph,
-                    delta=delta,
-                    algorithm=spec.name,
-                    categories=categories,
-                    workers=workers if spec.parallel else 1,
-                    thrd=thrd,
-                    schedule=schedule,
-                    seed=seed if not spec.is_exact else None,
-                    n_samples=n_samples if not spec.is_exact else None,
-                    backend=backend,
-                    pool=pool if spec.pool_runtime else None,
-                    start_method=start_method,
-                    deadline=deadline,
-                    params=accepted,
-                )
-                sweep.add(spec.name, delta, execute(request))
-    finally:
-        if own_pool is not None:
-            own_pool.close()
+    for spec in specs:
+        accepted: Dict[str, object] = {
+            key: value for key, value in params.items() if key in spec.params
+        }
+        for delta in deltas:
+            request = CountRequest(
+                graph=graph,
+                delta=delta,
+                algorithm=spec.name,
+                categories=categories,
+                workers=workers if spec.parallel else 1,
+                thrd=thrd,
+                schedule=schedule,
+                seed=seed if not spec.is_exact else None,
+                n_samples=n_samples if not spec.is_exact else None,
+                backend=backend,
+                pool=pool if spec.parallel else None,
+                start_method=start_method,
+                deadline=deadline,
+                params=accepted,
+            )
+            sweep.add(spec.name, delta, execute(request))
     return sweep

@@ -19,8 +19,8 @@ id" is one probe of the row-composite key
 (:attr:`~repro.graph.columnar.ColumnarGraph.inc_row_key`).  Every
 δ-window bound used below is precomputed this way for *all* incidence
 positions at once — six vectorized ``searchsorted`` passes total,
-memoized per δ on the columnar store (HARE warms the memo before
-forking so every worker shares it copy-on-write instead of
+memoized per δ on the columnar store (the worker pool exports the memo
+once and every worker attaches it from shared memory instead of
 recomputing per batch).
 
 **FAST-Star has a closed form per anchor.**  Every star/pair motif
@@ -293,8 +293,7 @@ def triangle_table(col: ColumnarGraph) -> TriangleTable:
     """The memoized :class:`TriangleTable` of ``col``'s static pair graph.
 
     δ-independent, so it survives δ changes in ``col.delta_cache``; it
-    is warmed before forking and shipped to pool workers with the per-δ
-    tables.  Build cost is the O(P^1.5) enumeration plus O(m).
+    is shipped to pool workers with the per-δ tables.  Build cost is the O(P^1.5) enumeration plus O(m).
     """
     cached = col.delta_cache.get(_TRI_KEY)
     if cached is not None:
@@ -407,24 +406,6 @@ def _edge_window_starts(col: ColumnarGraph, delta: float) -> np.ndarray:
     if cached is None:
         cached = col.delta_cache[key] = np.searchsorted(col.t, col.t - delta)
     return cached
-
-
-def warm_delta_cache(
-    col: ColumnarGraph, delta: float, star_pair: bool = True,
-    triangle: bool = True,
-) -> None:
-    """Force the FAST per-δ memos now (called before forking HARE workers).
-
-    Sampling jobs warm their own (and only their own) table by calling
-    :func:`edge_window_ends` directly — it has no dependency on the
-    position-indexed window bounds built here.
-    """
-    _window_bounds(col, delta)
-    if star_pair:
-        _star_precompute(col, delta)
-    if triangle:
-        triangle_table(col)
-        _edge_window_starts(col, delta)
 
 
 #: Star prefix-table names, in their packed export order.

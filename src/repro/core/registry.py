@@ -135,15 +135,16 @@ class CountRequest:
     backend: str = "auto"
     #: Persistent shared-memory worker pool
     #: (:class:`repro.parallel.pool.WorkerPool`) to execute on;
-    #: ``None`` uses the per-call runtime.  Consumed by algorithms
-    #: whose spec declares ``pool_runtime`` (the HARE family —
-    #: currently ``fast``); others ignore it.  Repeated requests
-    #: against one pool amortize graph publication, planning, and —
-    #: for identical requests — the counting itself.
+    #: ``None`` uses the process-wide shared pool when ``workers > 1``.
+    #: Consumed by every algorithm whose spec is ``parallel`` (HARE
+    #: batches for ``fast``, time slabs for ``ex``, block chunks for
+    #: ``bts``); others ignore it.  Repeated requests against one pool
+    #: amortize graph publication, planning, and — for identical
+    #: requests — the counting itself.
     pool: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Process start method for parallel execution without a pool
-    #: (``"fork"``/``"spawn"``; default: ``REPRO_START_METHOD`` env
-    #: var, then the platform default).
+    #: How the shared pool starts its workers when no ``pool`` is
+    #: given (``"fork"``/``"spawn"``; default: ``REPRO_START_METHOD``
+    #: env var, then the platform default).
     start_method: Optional[str] = None
     #: Caller-assigned identifier for tracing one request through the
     #: serving layer, worker pools, and result metadata.  Purely
@@ -454,14 +455,11 @@ class AlgorithmSpec:
     func: Callable[[CountRequest], "MotifCounts"]
     is_exact: bool
     categories: Tuple[str, ...] = CATEGORIES
+    #: Whether ``workers > 1`` runs in parallel, on
+    #: ``CountRequest.pool`` (a persistent
+    #: :class:`~repro.parallel.pool.WorkerPool`) or the process-wide
+    #: shared pool.
     parallel: bool = False
-    #: Whether the algorithm executes through the shared HARE runtime
-    #: and therefore consumes ``CountRequest.pool`` (a persistent
-    #: :class:`~repro.parallel.pool.WorkerPool`).  Parallel algorithms
-    #: without it (EX time slabs, BTS block farming) run their own
-    #: fork-only pools and fall back to serial under other start
-    #: methods.
-    pool_runtime: bool = False
     #: Backends the algorithm implements, fastest first ("auto" picks
     #: the first).  Every algorithm has at least the python path.
     backends: Tuple[str, ...] = ("python",)
@@ -511,7 +509,6 @@ def register_algorithm(
     exact: bool,
     categories: Tuple[str, ...] = CATEGORIES,
     parallel: bool = False,
-    pool_runtime: bool = False,
     backends: Tuple[str, ...] = ("python",),
     params: Optional[Mapping[str, object]] = None,
     description: str = "",
@@ -556,7 +553,6 @@ def register_algorithm(
             is_exact=exact,
             categories=tuple(categories),
             parallel=parallel,
-            pool_runtime=pool_runtime,
             backends=tuple(backends),
             params=dict(params or {}),
             description=description,

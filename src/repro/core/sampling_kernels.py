@@ -493,8 +493,8 @@ def bts_columnar_block_grids(
     tuples and ``cells`` the flat grid cells of the selected motifs.
     Every block's grid is a pure function of that block alone (spans
     are grouped per (block, cell) and reduced with
-    :func:`ht_weight_sum`), so any batching of blocks — serial, fork
-    chunks, pool chunks, and the internal memory batches below —
+    :func:`ht_weight_sum`), so any batching of blocks — serial, pool
+    chunks, and the internal memory batches below —
     produces identical per-block bits.
 
     Memory: instance spans buffer per *block batch* (batches cut at

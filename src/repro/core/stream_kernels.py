@@ -59,8 +59,9 @@ RawCounts = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: 2x by 512, 2.7x by 2048, including the slice-graph build).
 AUTO_COLUMNAR_MIN_EDGES = 256
 
-#: Default minimum slice size before ``workers > 1`` forks a HARE pool
-#: (micro-batch execution); below it fork overhead dominates.
+#: Default minimum slice size before ``workers > 1`` runs a slice on
+#: the HARE worker pool (micro-batch execution); below it publishing
+#: the slice and dispatching its batches cost more than they save.
 DEFAULT_PARALLEL_MIN_EDGES = 200_000
 
 
@@ -114,9 +115,8 @@ def count_slice_raw(
     a :class:`~repro.parallel.pool.WorkerPool`, e.g. the streaming
     engine's resident-pool accessor) is consulted *only* when this
     function decides to go parallel — the threshold decision lives
-    here alone — so micro-batches reuse a resident pool instead of
-    re-forking per batch, and no pool is ever created for slices that
-    stay serial.  Passes the engine does not need are skipped.
+    here alone — so micro-batches reuse a resident pool, and no pool is
+    ever created for slices that stay serial.  Passes the engine does not need are skipped.
     """
     star, pair, tri = zero_raw()
     if graph.num_edges == 0 or not (star_pair or triangle):

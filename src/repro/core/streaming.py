@@ -135,8 +135,8 @@ class StreamingMotifEngine:
         self._num_checkpoints = 0
         #: Resident worker pool for large micro-batches; created
         #: lazily (or adopted from ``request.pool``) and kept for the
-        #: engine's lifetime so parallel dirty slices stop paying
-        #: fork-per-batch startup.
+        #: engine's lifetime so parallel dirty slices pay pool startup
+        #: once.
         self._pool = request.pool
         self._owns_pool = False
 

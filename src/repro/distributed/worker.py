@@ -99,8 +99,8 @@ class WorkerDaemon:
         TCP bind address; port ``0`` picks an ephemeral port (read the
         bound one from :attr:`address` after :meth:`start`).
     workers:
-        Resident pool size for pool-runtime algorithms (the HARE
-        family).  ``1`` (default) counts serially in-process — no pool,
+        Resident pool size for parallel algorithms (``fast``, ``ex``,
+        ``bts``).  ``1`` (default) counts serially in-process — no pool,
         no shared-memory segments, nothing to leak even under SIGKILL.
     start_method:
         Pool process start method (as in
@@ -264,7 +264,7 @@ class WorkerDaemon:
             time.sleep(self.delay)
         algo = get_algorithm(spec["algorithm"])
         workers = self.workers if algo.parallel else 1
-        pool = self._ensure_pool() if (workers > 1 and algo.pool_runtime) else None
+        pool = self._ensure_pool() if workers > 1 else None
         result = execute(CountRequest(
             graph=piece,
             delta=spec["delta"],

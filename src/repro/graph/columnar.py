@@ -56,7 +56,8 @@ class ColumnarGraph:
     """Read-only columnar companion of one :class:`TemporalGraph`.
 
     Construction is O(m log m) (a few sorts); every array is stored
-    exactly once and shared copy-on-write across forked HARE workers.
+    exactly once, and the worker pool publishes it into shared memory
+    for its workers to attach zero-copy.
     Do not instantiate directly — use
     :meth:`TemporalGraph.columnar`, which caches the instance.
     """
@@ -166,8 +167,8 @@ class ColumnarGraph:
             ([0], np.cumsum(self.inc_dir[self.grp_order], dtype=np.int64))
         )
         #: δ-keyed memo for kernel precomputations (window bounds, star
-        #: prefix arrays); single-entry per kind, warmed before forking
-        #: parallel workers so children share it copy-on-write.
+        #: prefix arrays); single-entry per kind, exported once by the
+        #: worker pool's owner and attached by its workers.
         self.delta_cache: dict = {}
 
         # -- pair CSR -----------------------------------------------------

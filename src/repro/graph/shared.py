@@ -1,13 +1,10 @@
-"""Shared-memory publication of graphs for persistent worker pools.
+"""Shared-memory publication of graphs for the persistent worker pool.
 
 The HARE framework of §IV-C assumes OpenMP threads reading one shared
-graph.  The fork-based executor approximates that with copy-on-write
-pages, but copy-on-write is fork-only: spawn-created workers (the only
-option on Windows and macOS defaults, and the safer option under
-threads) would have to re-pickle and rebuild the whole graph per
-request.  This module is the platform-neutral replacement: the owner
-*publishes* a graph's columnar arrays into one
-:mod:`multiprocessing.shared_memory` segment, and any process
+graph.  Its process analogue here is the persistent
+:class:`~repro.parallel.pool.WorkerPool`, whether its workers are
+forked or spawned: the owner *publishes* a graph's columnar arrays into
+one :mod:`multiprocessing.shared_memory` segment, and every worker
 *attaches* zero-copy NumPy views over the same physical pages.
 
 Three layers, lowest first:
@@ -23,18 +20,21 @@ Three layers, lowest first:
     without any re-sorting or CSR rebuilding.
 
 Lifecycle (see ``docs/architecture.md``)
-    The **owner** calls :func:`publish_graph` (create + copy), ships
-    the manifest to workers (it is tiny and picklable), and eventually
-    calls :meth:`SharedGraph.unlink` — typically via
-    :meth:`SharedGraph.close`, which both unmaps and unlinks.  Each
-    **worker** calls :func:`attach_graph` (map, no copy) and
-    :meth:`AttachedGraph.close` when evicting.  On POSIX the physical
-    segment lives until the last mapping closes, so the owner may
-    unlink while workers still compute on it.
+    The **owner** calls :func:`publish_graph` (create, write through
+    the descriptor, unmap: it keeps its own private arrays, so the
+    segment's pages never enter its address space), ships the manifest
+    to workers (it is tiny and picklable), and eventually calls
+    :meth:`SharedGraph.close`, which unlinks the name.  Each **worker**
+    calls :func:`attach_graph` (map, no copy) and
+    :meth:`AttachedGraph.close` when evicting.  This relies on POSIX
+    shared memory, where a linked name outlives every mapping and the
+    physical segment lives until the last mapping closes, so the owner
+    may unlink while workers still compute on it.
 """
 
 from __future__ import annotations
 
+import os
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -138,7 +138,8 @@ def live_segments() -> Tuple[str, ...]:
 class SharedArrays:
     """Owner handle of one published bundle: the segment plus manifest.
 
-    ``close()`` unmaps *and* unlinks — the owner-side end-of-life call.
+    The owner's mapping is already gone once publication returns;
+    ``close()`` unlinks the name — the owner-side end-of-life call.
     A finalizer does the same at garbage collection / interpreter exit,
     so abandoned handles never leak ``/dev/shm`` segments.
     """
@@ -151,7 +152,7 @@ class SharedArrays:
         _LIVE_SEGMENTS.add(self)
 
     def close(self) -> None:
-        """Unmap and unlink the segment (idempotent)."""
+        """Unlink the segment (idempotent)."""
         self._finalizer()
         _LIVE_SEGMENTS.discard(self)
 
@@ -197,15 +198,20 @@ def _publish_into_segment(
         offset += arr.nbytes
     shm = _QuietSharedMemory(create=True, size=max(offset, 1))
     try:
+        # The owner keeps its private arrays and never reads the
+        # segment, so it writes through the descriptor: no page of the
+        # copy ever enters the owner's address space (or its RSS).
         for spec, arr in zip(specs, arrays.values()):
-            arr = np.ascontiguousarray(arr)
-            view = np.frombuffer(
-                shm.buf, dtype=np.dtype(spec.dtype), count=arr.size, offset=spec.offset
-            )
-            view[:] = arr.reshape(-1)
+            data = np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
+            written = 0
+            while written < data.size:
+                written += os.pwrite(shm._fd, data[written:], spec.offset + written)
     except BaseException:
         _destroy_segment(shm)
         raise
+    # Unmap now; the name stays linked, so workers can still attach
+    # and the owner's close() can still unlink it.
+    shm.close()
     manifest = ArrayBundleManifest(
         segment=shm.name,
         arrays=tuple(specs),
@@ -219,8 +225,10 @@ def publish_arrays(
 ) -> SharedArrays:
     """Copy named arrays into one new shared segment; return the handle.
 
-    The single copy here is the *only* copy in the pool architecture:
-    every worker attaches views over the same pages afterwards.
+    The single copy here is the *only* shared copy in the pool
+    architecture: every worker attaches views over the same pages
+    afterwards, while the owner unmaps the segment and keeps using its
+    own arrays.
     """
     return SharedArrays(*_publish_into_segment(arrays, meta))
 

@@ -209,11 +209,9 @@ class TemporalGraph:
     def _ensure_sequences(self) -> List[NodeSequence]:
         """Build the per-node ``S_u`` views lazily, on first access.
 
-        Laziness matters for two reasons: columnar-only consumers (the
-        vectorized kernels, shared-memory pool workers) never pay the
-        O(m) Python loop, and the HARE fork path forces the build in
-        the *parent* (see :func:`repro.parallel.executor.run_batches`)
-        so children inherit it copy-on-write.
+        Laziness means columnar-only consumers (the vectorized kernels,
+        shared-memory pool workers running them) never pay the O(m)
+        Python loop.
         """
         if self._sequences is None:
             self._rebuild_sequences()
@@ -506,8 +504,8 @@ class TemporalGraph:
     def ensure_pair_index(self) -> None:
         """Force the lazy pair index to be built now.
 
-        HARE calls this before forking workers so every process shares
-        the parent's index instead of rebuilding its own copy.
+        Benchmarks call this to keep the build out of a timed region;
+        counting code builds it lazily on first use.
         """
         if self._pair_index is None:
             self._build_pair_index()
@@ -519,9 +517,8 @@ class TemporalGraph:
         :class:`repro.graph.columnar.ColumnarGraph` for the array
         layout (timestamp-sorted edge columns, incidence CSR, pair
         CSR).  The vectorized counting kernels selected with
-        ``backend="columnar"`` consume this view; like the pair index
-        it should be forced before forking parallel workers so the
-        arrays are shared copy-on-write.
+        ``backend="columnar"`` consume this view; the worker pool
+        publishes it into shared memory once per graph.
 
         The cache is stamped with :attr:`version` when built and
         rebuilt automatically if the graph was mutated in place (see

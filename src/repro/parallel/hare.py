@@ -6,23 +6,24 @@ exact results (tested), produced by the two-level decomposition of
 §IV-C.  ``hare_star_pair`` / ``hare_triangle`` expose the individual
 passes for the paper's per-category benchmarks (HARE-Pair in Fig. 11).
 
-Every entry point accepts ``pool=`` (a persistent
-:class:`~repro.parallel.pool.WorkerPool`; repeated calls against the
-same graph then reuse the published shared-memory arrays, the memoized
-batch plan, and — for identical requests — the raw-counter cache) and
-``start_method=`` (``"fork"``/``"spawn"`` routing when no pool is
-given; see :func:`repro.parallel.executor.run_batches`).
+Every entry point runs on a persistent
+:class:`~repro.parallel.pool.WorkerPool`: the one passed as ``pool=``,
+or for ``workers > 1`` the process-wide shared pool, started with
+``start_method=`` (see :func:`repro.parallel.executor.runtime_pool`).
+Repeated calls against the same graph then reuse the published
+shared-memory arrays, the memoized batch plan, and — for identical
+requests — the raw-counter cache.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.counters import MotifCounts, PairCounter, StarCounter, TriangleCounter
 from repro.errors import ValidationError
 from repro.graph.temporal_graph import TemporalGraph
-from repro.parallel.executor import resolved_runtime, run_batches
-from repro.parallel.scheduler import build_batches, partition_static
+from repro.parallel.executor import resolved_runtime, run_batches, runtime_pool
+from repro.parallel.scheduler import WorkBatch, build_batches, partition_static
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.registry import CountRequest
@@ -35,18 +36,23 @@ def _prepare_batches(
     thrd: Optional[float],
     schedule: str,
     split_factor: int,
-    pool: Optional["WorkerPool"] = None,
-):
+    pool: Optional["WorkerPool"],
+    start_method: Optional[str],
+) -> Tuple[Optional["WorkerPool"], List[WorkBatch]]:
+    """The pool a call runs on (``None``: serial) and its batch plan."""
+    if schedule not in ("dynamic", "static"):
+        raise ValidationError(f"schedule must be 'dynamic' or 'static', got {schedule!r}")
+    pool = runtime_pool(pool, workers, start_method)
     if pool is not None:
         # The pool memoizes the decomposition per published graph, so
         # repeated requests skip the planning pass entirely.
-        return pool.plan_batches(
+        return pool, pool.plan_batches(
             graph, workers, thrd=thrd, schedule=schedule, split_factor=split_factor
         )
     batches = build_batches(graph, workers, thrd=thrd, split_factor=split_factor)
     if schedule == "static":
         batches = partition_static(batches, workers)
-    return batches
+    return None, batches
 
 
 def hare_count(
@@ -80,11 +86,13 @@ def hare_count(
         raise ValidationError(f"delta must be non-negative, got {delta}")
     star_pair = categories in ("all", "star", "pair", "star_pair")
     triangle = categories in ("all", "triangle")
-    batches = _prepare_batches(graph, workers, thrd, schedule, split_factor, pool)
+    pool, batches = _prepare_batches(
+        graph, workers, thrd, schedule, split_factor, pool, start_method
+    )
     star, pair, tri = run_batches(
-        graph, delta, batches, workers, schedule,
+        graph, delta, batches, workers,
         star_pair=star_pair, triangle=triangle, backend=backend,
-        pool=pool, start_method=start_method, deadline=deadline,
+        pool=pool, deadline=deadline,
     )
     result = MotifCounts.from_counters(
         star, pair, tri, algorithm=f"hare[{workers}]", delta=delta,
@@ -92,11 +100,8 @@ def hare_count(
             "workers": workers,
             "schedule": schedule,
             "backend": backend,
-            # The same decision run_batches routed on — provenance can
-            # never claim "per-call" for a shared-pool execution.
-            "runtime": resolved_runtime(
-                pool, workers, start_method, has_work=bool(batches)
-            ),
+            # The same decision run_batches routed on.
+            "runtime": resolved_runtime(pool, workers, has_work=bool(batches)),
         },
     )
     return result.masked(categories)
@@ -132,11 +137,13 @@ def hare_star_pair(
     start_method: Optional[str] = None,
 ) -> Tuple[StarCounter, PairCounter]:
     """Parallel FAST-Star pass (the paper's HARE-Pair workload)."""
-    batches = _prepare_batches(graph, workers, thrd, schedule, split_factor, pool)
+    pool, batches = _prepare_batches(
+        graph, workers, thrd, schedule, split_factor, pool, start_method
+    )
     star, pair, _ = run_batches(
-        graph, delta, batches, workers, schedule,
+        graph, delta, batches, workers,
         star_pair=True, triangle=False, backend=backend,
-        pool=pool, start_method=start_method,
+        pool=pool,
     )
     assert star is not None and pair is not None
     return star, pair
@@ -155,11 +162,13 @@ def hare_triangle(
     start_method: Optional[str] = None,
 ) -> TriangleCounter:
     """Parallel FAST-Tri pass."""
-    batches = _prepare_batches(graph, workers, thrd, schedule, split_factor, pool)
+    pool, batches = _prepare_batches(
+        graph, workers, thrd, schedule, split_factor, pool, start_method
+    )
     _, _, tri = run_batches(
-        graph, delta, batches, workers, schedule,
+        graph, delta, batches, workers,
         star_pair=False, triangle=True, backend=backend,
-        pool=pool, start_method=start_method,
+        pool=pool,
     )
     assert tri is not None
     return tri

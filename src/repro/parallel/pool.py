@@ -1,16 +1,15 @@
-"""A persistent, shared-memory HARE worker pool.
+"""The persistent, shared-memory worker pool: the one process runtime.
 
-The fork-per-call executor rebuilds its whole parallel runtime on
-every request: a fresh process pool, fresh copy-on-write mappings,
-fresh per-δ kernel tables in every child — and it cannot run at all on
-spawn-only platforms.  :class:`WorkerPool` is the resident
-alternative, the Python analogue of the paper's long-lived OpenMP
-thread team reading one shared graph (§IV-C):
+Every parallel count runs here — HARE batches, EX time slabs and BTS
+block chunks.  :class:`WorkerPool` is the Python analogue of the
+paper's long-lived OpenMP thread team reading one shared graph
+(§IV-C); callers either pass one explicitly or get the process-wide
+:func:`shared_pool` for their worker count and start method:
 
 * **Workers are long-lived processes** (fork- and spawn-safe), started
   once and fed :class:`~repro.parallel.scheduler.WorkBatch` task lists
   through one shared queue — pulling the next batch as they finish is
-  exactly the dynamic work-stealing schedule of the fork path.
+  the dynamic work-stealing schedule.
 * **Graphs are published once** into
   :mod:`multiprocessing.shared_memory`
   (:func:`repro.graph.shared.publish_graph`) and attached zero-copy by
@@ -102,10 +101,12 @@ _ABORT_RING = 16
 
 #: Map functions runnable on pool workers via :meth:`WorkerPool.run_map`
 #: (name -> "module:attr", resolved worker-side by import so spawn
-#: workers never need the function object pickled).  The sampling
-#: estimators register their block/chunk evaluators here.
+#: workers never need the function object pickled).  The baselines
+#: register their per-chunk evaluators here: BTS block chunks and EX
+#: time slabs.
 MAP_FUNCTIONS: Dict[str, str] = {
     "bts_blocks": "repro.baselines.sampling_bts:pool_map_block_grids",
+    "ex_slabs": "repro.baselines.exact_ex:pool_map_slab",
 }
 
 
@@ -900,8 +901,8 @@ class WorkerPool:
         """Run a registered map function over ``chunks`` on the workers.
 
         The generic sibling of :meth:`run_batches` for algorithms whose
-        work decomposition is not a HARE task cover — the sampling
-        estimators farm their block chunks here.  ``fn`` names an entry
+        work decomposition is not a HARE task cover — BTS farms its
+        block chunks and EX its time slabs here.  ``fn`` names an entry
         of :data:`MAP_FUNCTIONS`; each worker resolves it by import and
         calls ``fn(graph, delta, args, chunk)`` against its attached
         zero-copy graph.  With ``backend="columnar"`` the per-δ
@@ -1111,13 +1112,15 @@ def install_signal_handlers(signals: Optional[Tuple[int, ...]] = None) -> None:
 
     The handler is **fork-safe**: it remembers the installing PID and
     only closes pools when it fires in that exact process.  Forked
-    children (fork-method workers, ``fork-per-call`` helpers — whom
-    ``multiprocessing.Pool.terminate`` SIGTERMs as routine teardown)
-    inherit both the handler and the parent's pool registry; running
+    children (fork-method workers, or any helper ``multiprocessing.Pool``
+    whose ``terminate`` SIGTERMs them as routine teardown) inherit
+    both the handler and the parent's pool registry; running
     ``close_all_pools`` there would push stop sentinels onto the
     *shared* task queues and unlink the parent's live ``/dev/shm``
-    segments, killing every sibling pool from the outside.  In a
-    non-installing process the handler only chains.
+    segments, killing every sibling pool from the outside.  A forked
+    child therefore gets the previous disposition restored right after
+    the fork, and in any other non-installing process the handler only
+    chains.
 
     Idempotent per signal per process; only the main thread may call
     it (a :mod:`signal` restriction).
@@ -1143,3 +1146,11 @@ def install_signal_handlers(signals: Optional[Tuple[int, ...]] = None) -> None:
 
         signal_module.signal(signum, _handler)
         _INSTALLED_SIGNALS[signum] = owner_pid
+        # A forked child gets the previous disposition back at once: a
+        # child stuck in a lock inherited from another thread never
+        # reaches the interpreter loop that would run a Python handler,
+        # so only a C-level default lets Pool.terminate kill it.
+        if previous is not None:
+            os.register_at_fork(
+                after_in_child=lambda num=signum, prev=previous: signal_module.signal(num, prev)
+            )

@@ -1,5 +1,7 @@
 """Shared-memory graph publication: publish/attach round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,41 @@ class TestArrayBundles:
         handle = publish_arrays({"x": np.arange(4)})
         handle.close()
         handle.close()
+
+
+def _owner_maps(segment: str) -> bool:
+    """Whether this process currently maps the named shm segment."""
+    with open("/proc/self/maps") as fh:
+        return any(f"/dev/shm/{segment}" in line for line in fh)
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+)
+class TestOwnerUnmapsAfterPublish:
+    @pytest.mark.parametrize("kind", ["arrays", "graph"])
+    def test_segment_unmapped_but_attachable_and_unlinkable(self, paper_graph, kind):
+        if kind == "arrays":
+            expected = {"x": np.arange(1000, dtype=np.int64), "y": np.linspace(0, 1, 9)}
+            handle = publish_arrays(expected)
+        else:
+            expected = {
+                "edge.src": paper_graph.sources,
+                "edge.dst": paper_graph.destinations,
+                "edge.t": paper_graph.timestamps,
+            }
+            handle = publish_graph(paper_graph)
+        try:
+            assert os.path.exists(f"/dev/shm/{handle.name}")
+            assert not _owner_maps(handle.name)
+            for _ in range(2):
+                attached = attach_arrays(handle.manifest)
+                for name, arr in expected.items():
+                    assert np.array_equal(attached.arrays[name], arr), name
+                attached.close()
+        finally:
+            handle.close()
+        assert not os.path.exists(f"/dev/shm/{handle.name}")
 
 
 class TestGraphPublication:

@@ -131,8 +131,8 @@ class TestExecutor:
         assert tri == count_triangle(paper_graph, 10)
 
     def test_invalid_schedule(self, paper_graph):
-        with pytest.raises(ValidationError):
-            run_batches(paper_graph, 10, [], workers=1, schedule="guided")
+        with pytest.raises(ValidationError, match="schedule"):
+            hare_count(paper_graph, 10, workers=1, schedule="guided")
 
     def test_invalid_workers(self, paper_graph):
         with pytest.raises(ValidationError):
@@ -143,18 +143,19 @@ class TestExecutor:
         assert hare_count(paper_graph, 10, workers=6) == serial
 
 
-class TestForkPerCallThreads:
+class TestSharedPoolThreads:
     def test_concurrent_calls_on_different_graphs(self):
-        """Each fork-per-call run sees its own graph, not a neighbour's."""
-        graphs = [hub_graph(seed=11), hub_graph(seed=12)]
-        serial = [count_motifs(g, 40) for g in graphs]
+        """Threads sharing the process-wide pool each see their own graph.
+
+        Every call counts a fresh copy of its thread's graph, so each
+        one publishes and executes instead of hitting the result cache.
+        """
+        serial = [count_motifs(hub_graph(seed=11 + i), 40) for i in range(2)]
         results = [[], []]
 
         def run(i: int) -> None:
             for _ in range(6):
-                results[i].append(
-                    hare_count(graphs[i], 40, workers=2, start_method="fork")
-                )
+                results[i].append(hare_count(hub_graph(seed=11 + i), 40, workers=2))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -170,3 +171,4 @@ class TestForkPerCallThreads:
         for i in range(2):
             assert len(results[i]) == 6
             assert all(result == serial[i] for result in results[i])
+            assert all(result.meta["runtime"] == "pool" for result in results[i])

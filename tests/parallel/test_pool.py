@@ -161,26 +161,22 @@ class TestReuse:
 
 
 class TestSweepIntegration:
-    def test_sweep_without_pool_runtime_algorithms_creates_no_pool(
-        self, paper_graph, monkeypatch
-    ):
-        """EX runs its own fork time-slab farming; a sweep over only
-        non-pool-runtime algorithms must not pay WorkerPool startup
-        for a pool nothing uses.  (BTS left this club in PR 5: its
-        block chunks now execute on the shared-memory pool runtime.)"""
-        import repro.parallel.pool as pool_module
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("WorkerPool created for a pool-less sweep")
-
-        monkeypatch.setattr(pool_module, "WorkerPool", forbidden)
-        sweep = count_motifs_sweep(
-            paper_graph, deltas=(5, 10), algorithms=("ex",), workers=2
-        )
-        assert len(sweep) == 2
+    def test_ex_sweep_runs_on_shared_pool(self, paper_graph):
+        """A workers>1 EX sweep farms its time slabs on the shared pool
+        and still equals the serial counts."""
+        try:
+            sweep = count_motifs_sweep(
+                paper_graph, deltas=(5, 10), algorithms=("ex",), workers=2
+            )
+            serial = count_motifs_sweep(paper_graph, deltas=(5, 10), algorithms=("ex",))
+            for got, want in zip(sweep, serial):
+                assert got.same_counts(want)
+            assert shared_pool(2).stats["jobs"] >= 2
+        finally:
+            close_shared_pools()
 
     def test_sweep_with_bts_uses_pool_runtime(self, paper_graph):
-        """A workers>1 sweep naming bts rides the sweep-owned pool and
+        """A workers>1 sweep naming bts rides the shared pool and
         still reproduces the serial estimate bit for bit."""
         sweep = count_motifs_sweep(
             paper_graph, deltas=(5,), algorithms=("bts",), workers=2, seed=3
@@ -255,7 +251,7 @@ class TestRouting:
             assert result.same_counts(serial)
             # Provenance reflects the actual routing, not the absence
             # of an explicit pool argument.
-            assert result.meta["runtime"] == "shared-pool"
+            assert result.meta["runtime"] == "pool"
             pool = shared_pool(2, "spawn")
             assert pool.stats["jobs"] >= 1
         finally:
@@ -263,10 +259,13 @@ class TestRouting:
 
     def test_runtime_label_matches_routing(self, paper_graph, fork_pool):
         assert count_motifs(paper_graph, 10).meta.get("runtime") is None  # serial fast
-        assert (
-            count_motifs(paper_graph, 10, workers=2, start_method="fork").meta["runtime"]
-            == "fork-per-call"
-        )
+        try:
+            assert (
+                count_motifs(paper_graph, 10, workers=2, start_method="fork").meta["runtime"]
+                == "pool"
+            )
+        finally:
+            close_shared_pools()
         assert (
             count_motifs(paper_graph, 10, workers=2, pool=fork_pool).meta["runtime"]
             == "pool"
@@ -308,18 +307,23 @@ class TestRouting:
             assert result == serial
             assert pool.stats["jobs"] == 1
 
-    def test_ex_and_bts_honor_non_fork_start_method(self, paper_graph):
-        """Fork-only farming must fall back to serial (bit-identically)
-        when the caller asks for a non-fork start method, not silently
-        fork anyway."""
-        for algorithm in ("ex", "bts"):
-            kwargs = {} if algorithm == "ex" else {"seed": 5, "n_samples": 1}
-            serial = count_motifs(paper_graph, 10, algorithm=algorithm, **kwargs)
-            spawned = count_motifs(
-                paper_graph, 10, algorithm=algorithm, workers=2,
-                start_method="spawn", **kwargs,
-            )
-            assert np.array_equal(serial.grid, spawned.grid), algorithm
+    def test_ex_and_bts_honor_non_fork_start_method(self):
+        """EX and BTS run on the shared pool of the requested start
+        method, and their counts equal the serial run bit for bit."""
+        graph = random_graph(4, num_nodes=8, num_edges=200, t_max=400)
+        try:
+            for algorithm in ("ex", "bts"):
+                kwargs = {} if algorithm == "ex" else {"seed": 5, "n_samples": 1}
+                serial = count_motifs(graph, 10, algorithm=algorithm, **kwargs)
+                jobs = shared_pool(2, "spawn").stats["jobs"]
+                spawned = count_motifs(
+                    graph, 10, algorithm=algorithm, workers=2,
+                    start_method="spawn", **kwargs,
+                )
+                assert np.array_equal(serial.grid, spawned.grid), algorithm
+                assert shared_pool(2, "spawn").stats["jobs"] > jobs, algorithm
+        finally:
+            close_shared_pools()
 
 
 class TestStreamingIntegration:

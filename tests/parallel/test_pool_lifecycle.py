@@ -129,10 +129,12 @@ print("OK", flush=True)
 def test_signal_handlers_survive_forked_helper_teardown():
     """Forked helpers SIGTERMed by ``Pool.terminate`` must not close pools.
 
-    Regression: the fork-per-call runtime tears its helpers down with
-    SIGTERM; the inherited shutdown handler used to run
-    ``close_all_pools`` *inside the child*, killing every sibling pool
-    in the parent through the shared queues and segments.
+    Fork-method pool workers, and any helper ``multiprocessing.Pool``
+    a caller forks, inherit the installed shutdown handler; such a
+    pool tears its helpers down with SIGTERM.  Regression: the
+    inherited handler used to run ``close_all_pools`` *inside the
+    child*, killing every sibling pool in the parent through the
+    shared queues and segments.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + REPO_ROOT
@@ -143,6 +145,46 @@ def test_signal_handlers_survive_forked_helper_teardown():
         cwd=REPO_ROOT,
         text=True,
         timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "OK" in proc.stdout
+
+
+_FORK_RESTORE_SCRIPT = """
+import os, signal
+from repro.parallel.pool import install_signal_handlers
+
+install_signal_handlers()
+assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+pid = os.fork()
+if pid == 0:
+    restored = (
+        signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        and signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    )
+    os._exit(0 if restored else 1)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, "forked child kept the pool handler"
+print("OK", flush=True)
+"""
+
+
+def test_forked_child_gets_previous_signal_disposition():
+    """A fork child runs the pre-install handlers, not the pool handler.
+
+    A child blocked in a lock inherited from another thread never runs
+    a Python-level handler, so ``Pool.terminate``'s SIGTERM could not
+    kill it; the C-level default can.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + REPO_ROOT
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_RESTORE_SCRIPT],
+        capture_output=True,
+        env=env,
+        cwd=REPO_ROOT,
+        text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert "OK" in proc.stdout

@@ -86,11 +86,10 @@ def _variants(spec, pools):
     variants = [("serial-python", {"backend": "python"})]
     variants.append(("serial-columnar", {"backend": "columnar"}))
     if spec.parallel:
-        variants.append(("fork", {"workers": 2, "start_method": "fork"}))
-    if spec.pool_runtime:
-        # Persistent-pool execution: HARE batches for fast, block
-        # chunks for bts — both must stay exact under either start
-        # method and either kernel backend.
+        variants.append(("shared-pool", {"workers": 2, "start_method": "fork"}))
+        # Persistent-pool execution: HARE batches for fast, time slabs
+        # for ex, block chunks for bts — all must stay exact under
+        # either start method and either kernel backend.
         variants.append(
             ("pool-fork", {"workers": 2, "pool": pools["fork"], "backend": "columnar"})
         )
