@@ -19,9 +19,10 @@ id" is one probe of the row-composite key
 (:attr:`~repro.graph.columnar.ColumnarGraph.inc_row_key`).  Every
 δ-window bound used below is precomputed this way for *all* incidence
 positions at once — six vectorized ``searchsorted`` passes total,
-memoized per δ on the columnar store (the worker pool exports the memo
-once and every worker attaches it from shared memory instead of
-recomputing per batch).
+memoized per δ on the columnar store, so every batch at one δ (in a
+serial count or on one pool worker) pays the setup once.  The memo
+holds one δ at a time: building a table for a new δ evicts every
+table of the old one, and only the δ-free static-triangle table stays.
 
 **FAST-Star has a closed form per anchor.**  Every star/pair motif
 triple contains at least two edges on the *same* (center, neighbour)
@@ -95,7 +96,8 @@ at most ``chunk_pairs`` wedge partners per slice of rows.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+import functools
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -173,6 +175,38 @@ def _chunks(counts: np.ndarray, chunk_pairs: int) -> Iterable[Tuple[int, int]]:
         start = stop
 
 
+#: ``delta_cache`` key of the (δ-independent) static-triangle table.
+_TRI_KEY = ("tri",)
+
+
+def _delta_memo(kind: str):
+    """Memoize a ``(col, δ)`` table builder under ``col.delta_cache[(kind, δ)]``.
+
+    One rule for every δ-keyed table: memoizing a new δ evicts the
+    tables of every other δ (before building, so the store never holds
+    two δs at once), and a long-lived store (a pool worker, a serve daemon's
+    graph) holds one δ's tables however many δs it visits.  HARE
+    batches revisit one δ often; sweeps revisit a δ rarely.  Only the
+    δ-free static-triangle table survives.
+    """
+    def decorate(build):
+        @functools.wraps(build)
+        def memoized(col: ColumnarGraph, delta: float):
+            key = (kind, float(delta))
+            cached = col.delta_cache.get(key)
+            if cached is None:
+                for stale in list(col.delta_cache):
+                    if stale != _TRI_KEY and stale[1] != key[1]:
+                        col.delta_cache.pop(stale, None)
+                cached = col.delta_cache[key] = build(col, delta)
+            return cached
+
+        return memoized
+
+    return decorate
+
+
+@_delta_memo("bounds")
 def _window_bounds(
     col: ColumnarGraph, delta: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -187,13 +221,8 @@ def _window_bounds(
     * ``ws[p]`` / ``we[p]`` — the same bounds as absolute positions
       inside ``p``'s own CSR row (row-composite probes).
 
-    Memoized per δ on ``col.delta_cache`` (single entry — sweeps
-    revisit deltas rarely, HARE batches revisit the same δ often).
+    Memoized per δ on ``col.delta_cache`` (see :func:`_delta_memo`).
     """
-    key = ("bounds", float(delta))
-    cached = col.delta_cache.get(key)
-    if cached is not None:
-        return cached
     t = col.t
     time_col = col.inc_time
     lo_eid = np.searchsorted(t, time_col - delta, side="left")
@@ -201,15 +230,7 @@ def _window_bounds(
     row_base = col.inc_row * np.int64(col.num_edges + 1)
     ws = np.searchsorted(col.inc_row_key, row_base + lo_eid)
     we = np.searchsorted(col.inc_row_key, row_base + hi_eid)
-    # A new δ evicts every δ-keyed memo; the δ-free triangle table stays.
-    for stale in [k for k in col.delta_cache if k != _TRI_KEY]:
-        del col.delta_cache[stale]
-    col.delta_cache[key] = (lo_eid, hi_eid, ws, we)
-    return col.delta_cache[key]
-
-
-#: ``delta_cache`` key of the (δ-independent) static-triangle table.
-_TRI_KEY = ("tri",)
+    return lo_eid, hi_eid, ws, we
 
 
 class TriangleTable(NamedTuple):
@@ -292,8 +313,8 @@ def enumerate_static_triangles(
 def triangle_table(col: ColumnarGraph) -> TriangleTable:
     """The memoized :class:`TriangleTable` of ``col``'s static pair graph.
 
-    δ-independent, so it survives δ changes in ``col.delta_cache``; it
-    is shipped to pool workers with the per-δ tables.  Build cost is the O(P^1.5) enumeration plus O(m).
+    δ-independent, so it survives δ changes in ``col.delta_cache``.
+    Build cost is the O(P^1.5) enumeration plus O(m).
     """
     cached = col.delta_cache.get(_TRI_KEY)
     if cached is not None:
@@ -330,6 +351,7 @@ def _dir_prefixes(values: np.ndarray, is_in: np.ndarray) -> Tuple[np.ndarray, np
     return out, into
 
 
+@_delta_memo("star")
 def _star_precompute(col: ColumnarGraph, delta: float):
     """δ-dependent, task-independent tables of the star closed form.
 
@@ -338,10 +360,6 @@ def _star_precompute(col: ColumnarGraph, delta: float):
     window bounds so HARE batches (and repeated serial calls at one δ)
     pay the O(m log m) setup once.
     """
-    key = ("star", float(delta))
-    cached = col.delta_cache.get(key)
-    if cached is not None:
-        return cached
     _, _, ws, we = _window_bounds(col, delta)
     L = 2 * col.num_edges
     slot_ids = np.arange(L, dtype=np.int64)
@@ -368,10 +386,10 @@ def _star_precompute(col: ColumnarGraph, delta: float):
         "wsub": _dir_prefixes(ws[pos_s] - gws[pos_s], is_in),
         "ggin": _dir_prefixes(gcum_in[slot_ids], is_in),
     }
-    col.delta_cache[key] = (gws, gwe, prefixes)
-    return col.delta_cache[key]
+    return gws, gwe, prefixes
 
 
+@_delta_memo("ewin")
 def edge_window_ends(col: ColumnarGraph, delta: float) -> np.ndarray:
     """Per-*edge* forward δ-window end ranks: first id with ``t > t_e + δ``.
 
@@ -380,120 +398,20 @@ def edge_window_ends(col: ColumnarGraph, delta: float) -> np.ndarray:
     the id range ``(e, edge_window_ends(col, δ)[e])``.  This is the
     candidate-cap primitive of the sampling kernels
     (:mod:`repro.core.sampling_kernels`), which only ever look
-    *forward* from an anchor — so no backward-bound array is computed
-    or shipped.  Memoized per δ alongside the other kernel tables;
-    exported/installed through the same shared-memory bundle so pool
-    workers share one copy.
+    *forward* from an anchor — so no backward-bound array is computed.
+    Memoized per δ alongside the other kernel tables (see :func:`_delta_memo`).
     """
-    key = ("ewin", float(delta))
-    cached = col.delta_cache.get(key)
-    if cached is not None:
-        return cached
-    t = col.t
-    hi = np.searchsorted(t, t + delta, side="right")
-    col.delta_cache[key] = hi
-    return hi
+    return np.searchsorted(col.t, col.t + delta, side="right")
 
 
+@_delta_memo("elo")
 def _edge_window_starts(col: ColumnarGraph, delta: float) -> np.ndarray:
     """Per-*edge* backward δ-window start ranks: first id with ``t >= t_e - δ``.
 
     The triangle path reaches wedge partners through the pair CSR, so
     it needs this bound by edge id rather than by incidence position.
     """
-    key = ("elo", float(delta))
-    cached = col.delta_cache.get(key)
-    if cached is None:
-        cached = col.delta_cache[key] = np.searchsorted(col.t, col.t - delta)
-    return cached
-
-
-#: Star prefix-table names, in their packed export order.
-_STAR_TERMS = ("one", "slot", "cin", "gin", "win", "osub", "wsub", "ggin")
-
-
-def export_delta_cache(
-    col: ColumnarGraph, delta: float, star_pair: bool = True,
-    *, window_bounds: bool = True, edge_window: bool = False,
-    triangle: bool = False,
-) -> "Dict[str, np.ndarray]":
-    """Flatten the per-δ memo tables into a named-array dict.
-
-    Warms the memos first if needed.  The returned mapping round-trips
-    through :func:`install_delta_cache`, which is how the persistent
-    worker pool ships one copy of the O(m)-sized δ tables to every
-    worker via shared memory instead of having each worker redo the
-    O(m log m) setup (and hold its own quarter-gigabyte copy).
-    ``window_bounds``/``star_pair`` select the FAST kernel tables;
-    ``triangle`` adds the static-triangle table (:func:`triangle_table`)
-    and the per-edge window starts; ``edge_window`` adds the
-    sampling kernels' per-edge window ranks (:func:`edge_window_ends`)
-    — a sampling-only job exports just those.
-    """
-    arrays: "Dict[str, np.ndarray]" = {}
-    if triangle:
-        table = triangle_table(col)
-        arrays.update(
-            {f"tri.{name}": value for name, value in table._asdict().items()}
-        )
-        arrays["elo.lo"] = _edge_window_starts(col, delta)
-    if window_bounds or star_pair:
-        lo_eid, hi_eid, ws, we = _window_bounds(col, delta)
-        arrays.update({
-            "bounds.lo_eid": lo_eid,
-            "bounds.hi_eid": hi_eid,
-            "bounds.ws": ws,
-            "bounds.we": we,
-        })
-    if star_pair:
-        gws, gwe, prefixes = _star_precompute(col, delta)
-        arrays["star.gws"] = gws
-        arrays["star.gwe"] = gwe
-        for name in _STAR_TERMS:
-            out, into = prefixes[name]
-            arrays[f"star.{name}.out"] = out
-            arrays[f"star.{name}.in"] = into
-    if edge_window:
-        arrays["ewin.hi"] = edge_window_ends(col, delta)
-    return arrays
-
-
-def install_delta_cache(
-    col: ColumnarGraph, delta: float, arrays: "Mapping[str, np.ndarray]"
-) -> None:
-    """Install exported per-δ tables into ``col.delta_cache``.
-
-    The inverse of :func:`export_delta_cache`: after this call the
-    kernels hit the memo instead of recomputing.  Replaces whatever δ
-    was resident (the cache is single-entry per kind, matching
-    :func:`_window_bounds`) — the static-triangle table included, since
-    a resident one may be a view into a bundle about to be released.
-    """
-    col.delta_cache.clear()
-    if "tri.indptr" in arrays:
-        col.delta_cache[_TRI_KEY] = TriangleTable(
-            *(arrays[f"tri.{name}"] for name in TriangleTable._fields)
-        )
-        col.delta_cache[("elo", float(delta))] = arrays["elo.lo"]
-    if "bounds.lo_eid" in arrays:
-        col.delta_cache[("bounds", float(delta))] = (
-            arrays["bounds.lo_eid"],
-            arrays["bounds.hi_eid"],
-            arrays["bounds.ws"],
-            arrays["bounds.we"],
-        )
-    if "ewin.hi" in arrays:
-        col.delta_cache[("ewin", float(delta))] = arrays["ewin.hi"]
-    if "star.gws" in arrays:
-        prefixes = {
-            name: (arrays[f"star.{name}.out"], arrays[f"star.{name}.in"])
-            for name in _STAR_TERMS
-        }
-        col.delta_cache[("star", float(delta))] = (
-            arrays["star.gws"],
-            arrays["star.gwe"],
-            prefixes,
-        )
+    return np.searchsorted(col.t, col.t - delta)
 
 
 def count_star_pair_columnar(

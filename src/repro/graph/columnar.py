@@ -228,9 +228,8 @@ class ColumnarGraph:
         into a shared-memory segment) and ``scalars`` the remaining
         plain-value slots, exactly as another process's
         ``ColumnarGraph`` produced them.  ``delta_cache`` always starts
-        empty — per-δ kernel tables are installed separately (see
-        :func:`repro.core.columnar_kernels.install_delta_cache`) or
-        rebuilt locally on first use.
+        empty: each process builds its per-δ kernel tables locally on
+        first use.
         """
         col = object.__new__(cls)
         for name in cls.__slots__:

@@ -7,17 +7,13 @@ forked or spawned: the owner *publishes* a graph's columnar arrays into
 one :mod:`multiprocessing.shared_memory` segment, and every worker
 *attaches* zero-copy NumPy views over the same physical pages.
 
-Three layers, lowest first:
-
-:func:`publish_arrays` / :func:`attach_arrays`
-    Generic bundle of named arrays in one segment, described by a
-    picklable :class:`ArrayBundleManifest` (name → dtype/shape/offset).
-
 :func:`publish_graph` / :func:`attach_graph`
     A whole :class:`~repro.graph.temporal_graph.TemporalGraph`: the
     canonical edge columns plus (optionally) every array of its
-    :class:`~repro.graph.columnar.ColumnarGraph`, reassembled on attach
-    without any re-sorting or CSR rebuilding.
+    :class:`~repro.graph.columnar.ColumnarGraph`, in one segment
+    described by a picklable :class:`ArrayBundleManifest` (name →
+    dtype/shape/offset) and reassembled on attach without any
+    re-sorting or CSR rebuilding.
 
 Lifecycle (see ``docs/architecture.md``)
     The **owner** calls :func:`publish_graph` (create, write through
@@ -220,19 +216,6 @@ def _publish_into_segment(
     return shm, manifest
 
 
-def publish_arrays(
-    arrays: Mapping[str, np.ndarray], meta: Optional[Mapping[str, object]] = None
-) -> SharedArrays:
-    """Copy named arrays into one new shared segment; return the handle.
-
-    The single copy here is the *only* shared copy in the pool
-    architecture: every worker attaches views over the same pages
-    afterwards, while the owner unmaps the segment and keeps using its
-    own arrays.
-    """
-    return SharedArrays(*_publish_into_segment(arrays, meta))
-
-
 class AttachedArrays:
     """Worker-side view of a published bundle: zero-copy, read-only.
 
@@ -365,8 +348,7 @@ def attach_graph(manifest: ArrayBundleManifest) -> AttachedGraph:
     """Attach to a published graph; see :class:`AttachedGraph`.
 
     Raises :class:`~repro.errors.ValidationError` when the manifest
-    does not describe a graph bundle (use :func:`attach_arrays` for raw
-    bundles).
+    does not describe a graph bundle.
     """
     if _EDGE_PREFIX + "src" not in {spec.name for spec in manifest.arrays}:
         raise ValidationError(
@@ -374,7 +356,3 @@ def attach_graph(manifest: ArrayBundleManifest) -> AttachedGraph:
         )
     return AttachedGraph(manifest)
 
-
-def attach_arrays(manifest: ArrayBundleManifest) -> AttachedArrays:
-    """Attach to any published bundle; see :class:`AttachedArrays`."""
-    return AttachedArrays(manifest)

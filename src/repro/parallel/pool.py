@@ -14,10 +14,10 @@ paper's long-lived OpenMP thread team reading one shared graph
   :mod:`multiprocessing.shared_memory`
   (:func:`repro.graph.shared.publish_graph`) and attached zero-copy by
   every worker; repeated requests against the same graph pay no
-  per-request pickling, forking, or columnar rebuild.  The per-δ
-  kernel tables are exported once by the owner and shared the same way
-  (:func:`repro.core.columnar_kernels.export_delta_cache`), so N
-  workers hold one copy instead of N.
+  per-request pickling, forking, or columnar rebuild.  Only the graph
+  travels: each worker builds the per-δ kernel tables it needs lazily
+  in its attached graph's ``delta_cache``, exactly as a serial count
+  does, and keeps them while the δ stays the same.
 * **Reduction is per worker**: a worker keeps merging batch counters
   locally and ships one partial per idle moment, not one message per
   batch — the OpenMP ``reduction`` clause with IPC proportional to
@@ -64,14 +64,7 @@ import numpy as np
 
 from repro.core.counters import PairCounter, StarCounter, TriangleCounter
 from repro.errors import DeadlineExceededError, ParallelExecutionError, ValidationError
-from repro.graph.shared import (
-    SharedArrays,
-    SharedGraph,
-    attach_arrays,
-    attach_graph,
-    publish_arrays,
-    publish_graph,
-)
+from repro.graph.shared import AttachedGraph, SharedGraph, attach_graph, publish_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.scheduler import WorkBatch
 
@@ -80,9 +73,6 @@ WORKER_GRAPH_CACHE = 4
 
 #: Owner-side cap on auto-published (unpinned) graphs kept resident.
 AUTO_GRAPH_CACHE = 4
-
-#: Owner-side cap on published per-(graph, δ) kernel-table segments.
-DELTA_TABLE_CACHE = 8
 
 #: Entries kept in the repeated-request raw-counter cache.
 RESULT_CACHE = 32
@@ -122,57 +112,6 @@ def _resolve_map_fn(name: str):
 # worker process
 # ----------------------------------------------------------------------
 
-class _WorkerGraph:
-    """One attached graph plus its installed δ-table attachments."""
-
-    __slots__ = ("attached", "delta_attachments", "installed_delta")
-
-    def __init__(self, manifest_blob: bytes) -> None:
-        self.attached = attach_graph(pickle.loads(manifest_blob))
-        #: manifest blob -> AttachedArrays (kept alive while the views
-        #: sit inside the columnar store's delta_cache), LRU capped at
-        #: :data:`DELTA_TABLE_CACHE` so a long δ sweep does not leave
-        #: every historical table bundle mapped forever.  The owner
-        #: pickles each bundle's manifest exactly once, so the blob
-        #: bytes identify the bundle — including which table kinds
-        #: (FAST window/star, sampling edge-window) it carries.
-        self.delta_attachments: "OrderedDict[bytes, object]" = OrderedDict()
-        self.installed_delta: Optional[bytes] = None
-
-    @property
-    def graph(self) -> TemporalGraph:
-        return self.attached.graph
-
-    def install_delta(self, manifest_blob: Optional[bytes], delta: float) -> None:
-        """Make the shared per-δ tables resident for the next kernel run."""
-        if manifest_blob is None or self.graph._columnar is None:
-            return
-        from repro.core.columnar_kernels import install_delta_cache
-
-        key = manifest_blob
-        if self.installed_delta == key:
-            return
-        bundle = self.delta_attachments.get(key)
-        if bundle is None:
-            bundle = attach_arrays(pickle.loads(manifest_blob))
-            self.delta_attachments[key] = bundle
-        else:
-            self.delta_attachments.move_to_end(key)
-        install_delta_cache(self.graph._columnar, delta, bundle.arrays)
-        self.installed_delta = key
-        while len(self.delta_attachments) > DELTA_TABLE_CACHE:
-            evicted_key = next(iter(self.delta_attachments))
-            if evicted_key == key:  # pragma: no cover - cache >= 1 entry
-                break
-            self.delta_attachments.pop(evicted_key).close()
-
-    def close(self) -> None:
-        for bundle in self.delta_attachments.values():
-            bundle.close()
-        self.delta_attachments = OrderedDict()
-        self.attached.close()
-
-
 class _Partial:
     """A worker's running reduction for one job."""
 
@@ -208,9 +147,9 @@ def _worker_main(
     """Worker loop: attach graphs by manifest, run batches, reduce.
 
     Top-level (spawn-picklable).  Protocol: ``("run", job_id, gid,
-    graph_blob, delta_blob, delta, star_pair, triangle, backend,
-    tasks)`` messages (manifests ship pre-pickled, decoded only on a
-    cache miss) plus ``("stop",)`` sentinels on ``task_q``;
+    graph_blob, delta, star_pair, triangle, backend, tasks)`` messages
+    (the graph manifest ships pre-pickled, decoded only on a cache
+    miss) plus ``("stop",)`` sentinels on ``task_q``;
     ``("ok", job_id, n_batches, star, pair, tri)`` and
     ``("err", job_id, text)`` on ``result_q``.  Partials accumulate
     per job and flush when the queue goes idle or the job changes, so
@@ -220,7 +159,7 @@ def _worker_main(
     """
     from repro.parallel.executor import execute_tasks
 
-    graphs: "OrderedDict[int, _WorkerGraph]" = OrderedDict()
+    graphs: "OrderedDict[int, AttachedGraph]" = OrderedDict()
     partial: Optional[_Partial] = None
 
     def flush() -> None:
@@ -231,16 +170,16 @@ def _worker_main(
             )
         partial = None
 
-    def lookup(gid: int, graph_blob: bytes) -> _WorkerGraph:
+    def lookup(gid: int, graph_blob: bytes) -> TemporalGraph:
         entry = graphs.get(gid)
         if entry is None:
-            entry = _WorkerGraph(graph_blob)
+            entry = attach_graph(pickle.loads(graph_blob))
             graphs[gid] = entry
             while len(graphs) > graph_cache_limit:
                 graphs.popitem(last=False)[1].close()
         else:
             graphs.move_to_end(gid)
-        return entry
+        return entry.graph
 
     while True:
         if partial is not None:
@@ -258,33 +197,26 @@ def _worker_main(
             # Generic map job (see WorkerPool.run_map): one payload
             # message per chunk, no worker-side reduction.
             flush()
-            (_, job_id, gid, graph_blob, delta_blob,
-             delta, fn, args_blob, index, chunk) = message
+            (_, job_id, gid, graph_blob, delta, fn, args_blob, index, chunk) = message
             if _job_aborted(aborted, job_id):
                 continue
             try:
-                entry = lookup(gid, graph_blob)
-                entry.install_delta(delta_blob, delta)
                 payload = _resolve_map_fn(fn)(
-                    entry.graph, delta, pickle.loads(args_blob), chunk
+                    lookup(gid, graph_blob), delta, pickle.loads(args_blob), chunk
                 )
             except BaseException:
                 result_q.put(("err", job_id, traceback.format_exc()))
                 continue
             result_q.put(("map_ok", job_id, index, payload))
             continue
-        (_, job_id, gid, graph_blob, delta_blob,
-         delta, star_pair, triangle, backend, tasks) = message
+        (_, job_id, gid, graph_blob, delta, star_pair, triangle, backend, tasks) = message
         if _job_aborted(aborted, job_id):
             if partial is not None and partial.job_id == job_id:
                 partial = None
             continue
         try:
-            entry = lookup(gid, graph_blob)
-            if backend == "columnar":
-                entry.install_delta(delta_blob, delta)
             result = execute_tasks(
-                entry.graph, delta, tasks,
+                lookup(gid, graph_blob), delta, tasks,
                 star_pair=star_pair, triangle=triangle, backend=backend,
             )
         except BaseException:
@@ -329,15 +261,8 @@ class _GraphState:
     has_columnar: bool = False
     #: (workers, thrd, schedule, split_factor) -> List[WorkBatch]
     plans: Dict[Tuple, List[WorkBatch]] = field(default_factory=dict)
-    #: (delta, star_pair) -> (SharedArrays, pickled manifest)
-    deltas: "OrderedDict[Tuple[float, bool], Tuple[SharedArrays, bytes]]" = field(
-        default_factory=OrderedDict
-    )
 
     def release_segments(self) -> None:
-        for bundle, _ in self.deltas.values():
-            bundle.close()
-        self.deltas = OrderedDict()
         if self.handle is not None:
             self.handle.close()
         self.handle = None
@@ -420,7 +345,7 @@ class WorkerPool:
         *suspended* (joined, freeing their memory and mappings) while
         published segments, plans, and the result cache stay resident.
         The next run transparently restarts workers — they are
-        stateless caches; every message carries its manifests.  For
+        stateless caches; every message carries its graph manifest.  For
         long-running daemons that see bursty traffic.  ``None``
         (default) keeps workers forever.
 
@@ -488,7 +413,6 @@ class WorkerPool:
             "batches": 0,
             "cache_hits": 0,
             "graphs_published": 0,
-            "delta_tables_published": 0,
             "jobs_aborted": 0,
             "worker_restarts": 0,
         }
@@ -685,56 +609,6 @@ class WorkerPool:
                     evicted_state.release_segments()
         return state
 
-    def _ensure_delta_tables(
-        self,
-        graph: TemporalGraph,
-        state: _GraphState,
-        delta: float,
-        star_pair: bool,
-        *,
-        triangle: bool = False,
-        window_bounds: bool = True,
-        edge_window: bool = False,
-    ) -> bytes:
-        """Publish (once) the per-δ kernel tables for a columnar run.
-
-        ``star_pair``/``triangle``/``window_bounds`` select the FAST
-        kernel tables, ``edge_window`` the sampling kernels' per-edge
-        window ranks — each flag combination is its own published
-        bundle, so a sampling job never pays for (or ships) the star
-        prefix arrays or the static-triangle table.
-        """
-        key = (
-            float(delta), bool(star_pair), bool(triangle),
-            bool(window_bounds), bool(edge_window),
-        )
-        entry = state.deltas.get(key)
-        if entry is None:
-            from repro.core.columnar_kernels import export_delta_cache
-
-            bundle = publish_arrays(
-                export_delta_cache(
-                    graph.columnar(), delta, star_pair=star_pair,
-                    triangle=triangle, window_bounds=window_bounds,
-                    edge_window=edge_window,
-                ),
-                meta={
-                    "delta": float(delta),
-                    "star_pair": bool(star_pair),
-                    "triangle": bool(triangle),
-                    "window_bounds": bool(window_bounds),
-                    "edge_window": bool(edge_window),
-                },
-            )
-            entry = (bundle, pickle.dumps(bundle.manifest))
-            state.deltas[key] = entry
-            self.stats["delta_tables_published"] += 1
-            while len(state.deltas) > DELTA_TABLE_CACHE:
-                state.deltas.popitem(last=False)[1][0].close()
-        else:
-            state.deltas.move_to_end(key)
-        return entry[1]
-
     # -- planning -------------------------------------------------------
     def plan_batches(
         self,
@@ -843,11 +717,6 @@ class WorkerPool:
 
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceededError("pool job deadline expired before dispatch")
-        delta_blob = None
-        if backend == "columnar":
-            delta_blob = self._ensure_delta_tables(
-                graph, state, delta, star_pair, triangle=triangle
-            )
 
         star_acc = np.zeros(24, dtype=np.int64) if star_pair else None
         pair_acc = np.zeros(8, dtype=np.int64) if star_pair else None
@@ -858,7 +727,7 @@ class WorkerPool:
         self.stats["batches"] += len(batches)
         for batch in batches:
             self._task_q.put((
-                "run", job_id, state.gid, state.manifest_blob, delta_blob,
+                "run", job_id, state.gid, state.manifest_blob,
                 delta, star_pair, triangle, backend, batch.tasks,
             ))
 
@@ -905,11 +774,9 @@ class WorkerPool:
         block chunks and EX its time slabs here.  ``fn`` names an entry
         of :data:`MAP_FUNCTIONS`; each worker resolves it by import and
         calls ``fn(graph, delta, args, chunk)`` against its attached
-        zero-copy graph.  With ``backend="columnar"`` the per-δ
-        edge-window table is published once and installed in every
-        worker (:func:`repro.core.columnar_kernels.edge_window_ends`
-        shipped via the delta-cache bundle), so no worker repeats the
-        O(m log m) setup.
+        zero-copy graph.  With ``backend="columnar"`` the graph ships
+        with its columnar store and each worker memoizes its own per-δ
+        tables, as in :meth:`run_batches`.
 
         Returns the per-chunk payloads **in chunk order** — map
         reductions are algorithm-specific and must stay canonical, so
@@ -936,19 +803,13 @@ class WorkerPool:
             state = self._ensure_published(
                 graph, include_columnar=(backend == "columnar")
             )
-            delta_blob = None
-            if backend == "columnar":
-                delta_blob = self._ensure_delta_tables(
-                    graph, state, delta, star_pair=False,
-                    window_bounds=False, edge_window=True,
-                )
             args_blob = pickle.dumps(args)
             job_id = next(self._job_counter)
             self.stats["jobs"] += 1
             self.stats["batches"] += len(chunks)
             for index, chunk in enumerate(chunks):
                 self._task_q.put((
-                    "map", job_id, state.gid, state.manifest_blob, delta_blob,
+                    "map", job_id, state.gid, state.manifest_blob,
                     delta, fn, args_blob, index, chunk,
                 ))
             results: List = [None] * len(chunks)

@@ -3,18 +3,14 @@
 The cross-backend *estimate* equalities live in tests/test_conformance
 and tests/test_determinism; this module pins the kernel building
 blocks themselves: the shared triple-classification table, the
-canonical floating-point reductions, and the per-edge δ-window memo's
-export/install round trip.
+canonical floating-point reductions, and the per-edge δ-window memo.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.columnar_kernels import (
-    edge_window_ends,
-    export_delta_cache,
-    install_delta_cache,
-)
+from repro.core.api import count_motifs
+from repro.core.columnar_kernels import edge_window_ends
 from repro.core.motifs import classify_triple
 from repro.core.sampling_kernels import (
     TRIPLE_CELL_TABLE,
@@ -24,7 +20,6 @@ from repro.core.sampling_kernels import (
     third_edge_code,
     wedge_node,
 )
-from repro.graph.temporal_graph import TemporalGraph
 from tests.conftest import random_graph
 
 
@@ -102,17 +97,16 @@ class TestEdgeWindowEnds:
         for e in range(col.num_edges):
             assert hi[e] == np.count_nonzero(t <= t[e] + 6.0)
 
-    def test_export_install_round_trip(self):
-        graph = random_graph(9, num_nodes=7, num_edges=30, t_max=20)
+    def test_memo_holds_one_delta(self):
+        """Every δ-keyed table evicts the other δs; the triangle table stays."""
+        graph = random_graph(9, num_nodes=7, num_edges=60, t_max=40)
         col = graph.columnar()
-        arrays = export_delta_cache(
-            col, 5.0, star_pair=False, window_bounds=False, edge_window=True
-        )
-        assert set(arrays) == {"ewin.hi"}
-        # A second graph instance stands in for a pool worker's
-        # attached store: installing must hit the memo, not recompute.
-        twin = TemporalGraph(list(graph.internal_edges())).columnar()
-        install_delta_cache(twin, 5.0, arrays)
-        hi = edge_window_ends(twin, 5.0)
-        assert hi is arrays["ewin.hi"]
-        assert np.array_equal(hi, edge_window_ends(col, 5.0))
+        count_motifs(graph, 3.0, backend="columnar")
+        for delta in range(1, 21):
+            count_motifs(graph, float(delta), algorithm="ews", p=0.5, backend="columnar")
+        kinds = sorted(key[0] for key in col.delta_cache)
+        assert kinds == ["ewin", "tri"]
+        assert ("ewin", 20.0) in col.delta_cache
+        count_motifs(graph, 7.0, backend="columnar")
+        assert all(key == ("tri",) or key[1] == 7.0 for key in col.delta_cache)
+        assert {"bounds", "star", "tri"} <= {key[0] for key in col.delta_cache}

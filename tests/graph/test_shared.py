@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.api import count_motifs
-from repro.core.columnar_kernels import (
-    export_delta_cache,
-    install_delta_cache,
-    triangle_table,
-)
 from repro.errors import ValidationError
 from repro.graph.shared import (
-    attach_arrays,
+    ArrayBundleManifest,
+    ArraySpec,
     attach_graph,
-    publish_arrays,
     publish_graph,
 )
 from repro.graph.temporal_graph import TemporalGraph
@@ -23,48 +18,54 @@ from tests.conftest import random_graph
 
 
 class TestArrayBundles:
-    def test_round_trip_values_and_meta(self):
-        src = {
-            "a": np.arange(10, dtype=np.int64),
-            "b": np.linspace(0, 1, 7),
-            "flags": np.array([True, False, True]),
-            "empty": np.zeros(0, dtype=np.int64),
-        }
-        handle = publish_arrays(src, meta={"delta": 3.5, "kind": "test"})
+    """Segment lifecycle of one published graph bundle."""
+
+    def test_round_trip_values_and_meta(self, paper_graph):
+        col = paper_graph.columnar()
+        handle = publish_graph(paper_graph)
         try:
-            attached = attach_arrays(handle.manifest)
-            assert set(attached.arrays) == set(src)
-            for name, arr in src.items():
-                got = attached.arrays[name]
-                assert got.dtype == arr.dtype
-                assert np.array_equal(got, arr)
-                assert not got.flags.writeable
-            assert handle.manifest.metadata() == {"delta": 3.5, "kind": "test"}
+            attached = attach_graph(handle.manifest)
+            arrays = attached._attached.arrays
+            expected = {
+                "edge.src": paper_graph.sources,
+                "edge.t": paper_graph.timestamps,
+                "col.inc_dir": col.inc_dir,
+                "col.pair_keys": col.pair_keys,
+            }
+            for name, arr in expected.items():
+                got = arrays[name]
+                assert got.dtype == arr.dtype, name
+                assert np.array_equal(got, arr), name
+                assert not got.flags.writeable, name
+            meta = handle.manifest.metadata()
+            assert meta["num_nodes"] == paper_graph.num_nodes
+            assert meta["num_edges"] == paper_graph.num_edges
+            assert meta["version"] == paper_graph.version
             attached.close()
         finally:
             handle.close()
 
-    def test_manifest_is_picklable(self):
+    def test_manifest_is_picklable(self, paper_graph):
         import pickle
 
-        handle = publish_arrays({"x": np.arange(4)})
+        handle = publish_graph(paper_graph)
         try:
             manifest = pickle.loads(pickle.dumps(handle.manifest))
-            attached = attach_arrays(manifest)
-            assert np.array_equal(attached.arrays["x"], np.arange(4))
+            attached = attach_graph(manifest)
+            assert np.array_equal(attached.graph.timestamps, paper_graph.timestamps)
             attached.close()
         finally:
             handle.close()
 
-    def test_close_unlinks_segment(self):
-        handle = publish_arrays({"x": np.arange(4)})
+    def test_close_unlinks_segment(self, paper_graph):
+        handle = publish_graph(paper_graph)
         manifest = handle.manifest
         handle.close()
         with pytest.raises(FileNotFoundError):
-            attach_arrays(manifest)
+            attach_graph(manifest)
 
-    def test_close_is_idempotent(self):
-        handle = publish_arrays({"x": np.arange(4)})
+    def test_close_is_idempotent(self, paper_graph):
+        handle = publish_graph(paper_graph)
         handle.close()
         handle.close()
 
@@ -81,23 +82,22 @@ def _owner_maps(segment: str) -> bool:
 class TestOwnerUnmapsAfterPublish:
     @pytest.mark.parametrize("kind", ["arrays", "graph"])
     def test_segment_unmapped_but_attachable_and_unlinkable(self, paper_graph, kind):
-        if kind == "arrays":
-            expected = {"x": np.arange(1000, dtype=np.int64), "y": np.linspace(0, 1, 9)}
-            handle = publish_arrays(expected)
-        else:
-            expected = {
-                "edge.src": paper_graph.sources,
-                "edge.dst": paper_graph.destinations,
-                "edge.t": paper_graph.timestamps,
-            }
-            handle = publish_graph(paper_graph)
+        # "arrays": an edge-only bundle; "graph": with the columnar store.
+        expected = {
+            "edge.src": paper_graph.sources,
+            "edge.dst": paper_graph.destinations,
+            "edge.t": paper_graph.timestamps,
+        }
+        if kind == "graph":
+            expected["col.pair_keys"] = paper_graph.columnar().pair_keys
+        handle = publish_graph(paper_graph, include_columnar=(kind == "graph"))
         try:
             assert os.path.exists(f"/dev/shm/{handle.name}")
             assert not _owner_maps(handle.name)
             for _ in range(2):
-                attached = attach_arrays(handle.manifest)
+                attached = attach_graph(handle.manifest)
                 for name, arr in expected.items():
-                    assert np.array_equal(attached.arrays[name], arr), name
+                    assert np.array_equal(attached._attached.arrays[name], arr), name
                 attached.close()
         finally:
             handle.close()
@@ -167,12 +167,9 @@ class TestGraphPublication:
             handle.close()
 
     def test_non_graph_manifest_rejected(self):
-        handle = publish_arrays({"x": np.arange(4)})
-        try:
-            with pytest.raises(ValidationError, match="graph bundle"):
-                attach_graph(handle.manifest)
-        finally:
-            handle.close()
+        manifest = ArrayBundleManifest("unused", (ArraySpec("x", "<i8", (4,), 0),))
+        with pytest.raises(ValidationError, match="graph bundle"):
+            attach_graph(manifest)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_random_graphs_round_trip(self, seed):
@@ -185,56 +182,6 @@ class TestGraphPublication:
             attached.close()
         finally:
             handle.close()
-
-
-class TestDeltaTables:
-    def test_export_install_round_trip(self, paper_graph):
-        ref = count_motifs(paper_graph, 10, backend="columnar")
-        exported = export_delta_cache(paper_graph.columnar(), 10)
-        handle = publish_graph(paper_graph)
-        bundle = publish_arrays(exported)
-        try:
-            attached = attach_graph(handle.manifest)
-            tables = attach_arrays(bundle.manifest)
-            install_delta_cache(attached.graph._columnar, 10, tables.arrays)
-            result = count_motifs(attached.graph, 10, backend="columnar")
-            assert result.same_counts(ref)
-            # Installed tables are actually resident (no local rebuild).
-            assert ("bounds", 10.0) in attached.graph._columnar.delta_cache
-            assert ("star", 10.0) in attached.graph._columnar.delta_cache
-            tables.close()
-            attached.close()
-        finally:
-            bundle.close()
-            handle.close()
-
-    def test_triangle_table_ships_with_the_bundle(self, paper_graph):
-        delta = 10
-        ref = count_motifs(paper_graph, delta, backend="columnar")
-        exported = export_delta_cache(paper_graph.columnar(), delta, triangle=True)
-        assert "tri.indptr" in exported and "elo.lo" in exported
-        handle = publish_graph(paper_graph)
-        bundle = publish_arrays(exported)
-        try:
-            attached = attach_graph(handle.manifest)
-            tables = attach_arrays(bundle.manifest)
-            col = attached.graph._columnar
-            install_delta_cache(col, delta, tables.arrays)
-            installed = triangle_table(col)
-            assert np.shares_memory(installed.third, tables.arrays["tri.third"])
-            result = count_motifs(attached.graph, delta, backend="columnar")
-            assert result.same_counts(ref)
-            assert triangle_table(col) is installed  # used, never rebuilt
-            tables.close()
-            attached.close()
-        finally:
-            bundle.close()
-            handle.close()
-
-    def test_bounds_only_export(self, paper_graph):
-        exported = export_delta_cache(paper_graph.columnar(), 4, star_pair=False)
-        assert "bounds.lo_eid" in exported
-        assert "star.gws" not in exported
 
 
 class TestCanonicalArrays:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.api import count_motifs, count_motifs_sweep
 from repro.errors import ParallelExecutionError, ValidationError
 from repro.graph.generators import powerlaw_temporal_graph
+from repro.graph.shared import live_segments
 from repro.parallel.executor import START_METHOD_ENV, resolve_start_method, run_batches
 from repro.parallel.hare import hare_count
 from repro.parallel.pool import (
@@ -158,6 +159,47 @@ class TestReuse:
             del g
             gc.collect()
             assert key not in pool._states
+
+
+class TestWorkerDeltaTables:
+    """Workers build their own per-δ tables; only the graph is shipped."""
+
+    def test_only_the_graph_segment_is_published(self):
+        graph = random_graph(3, num_nodes=10, num_edges=120, t_max=200)
+        before = set(live_segments())
+        with WorkerPool(2, result_cache=False) as pool:
+            pool.publish(graph)
+            plan = pool.plan_batches(graph, 2)
+            for delta in (4, 9, 30):
+                pool.run_batches(graph, delta, plan, backend="columnar")
+            assert len(set(live_segments()) - before) == 1
+            assert pool.stats["jobs"] == 3
+        assert not set(live_segments()) - before
+
+    def test_alternating_deltas_match_serial(self):
+        """A worker whose memo holds δ=b never answers δ=a from it."""
+
+        def fresh():
+            return powerlaw_temporal_graph(40, 600, seed=5)
+
+        graph = fresh()
+        deltas = (20.0, 90.0, 20.0)
+        bts = dict(algorithm="bts", seed=3, n_samples=1, q=0.6, backend="columnar")
+        with WorkerPool(1, result_cache=False) as pool:
+            plan = pool.plan_batches(graph, 1)
+            for delta in deltas:
+                pooled = pool.run_batches(graph, delta, plan, backend="columnar")
+                serial = run_batches(fresh(), delta, plan, 1, backend="columnar")
+                assert pooled == serial, delta
+                pooled = count_motifs(graph, delta, pool=pool, **bts)
+                serial = count_motifs(fresh(), delta, **bts)
+                assert np.array_equal(pooled.grid, serial.grid), delta
+            assert pool.stats["jobs"] == 2 * len(deltas)
+        # EWS has no pool route: its columnar memo alternates in process.
+        ews = dict(algorithm="ews", seed=3, p=0.5, q=0.5, backend="columnar")
+        for delta in deltas:
+            reused = count_motifs(graph, delta, **ews)
+            assert np.array_equal(reused.grid, count_motifs(fresh(), delta, **ews).grid), delta
 
 
 class TestSweepIntegration:
