@@ -32,7 +32,7 @@ from repro.core.motifs import (
     Motif,
     PAIR_MOTIFS,
 )
-from repro.errors import ValidationError
+from repro.errors import ValidationError, check_delta
 from repro.graph.temporal_graph import IN, OUT, TemporalGraph
 
 
@@ -70,8 +70,7 @@ def match_instances(
     strictly below it — together these let BTS match inside a sampled
     time block without materialising a subgraph.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     _check_pattern(pattern)
     src, dst, t = graph.edge_lists()
     m = graph.num_edges

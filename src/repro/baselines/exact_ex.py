@@ -40,7 +40,7 @@ from repro.baselines.window_counter import count_sequences
 from repro.core.columnar_kernels import enumerate_static_triangles
 from repro.core.counters import MotifCounts
 from repro.core.motifs import classify_triple, pair_cell_motif, star_cell_motif
-from repro.errors import ValidationError
+from repro.errors import ValidationError, check_delta
 from repro.graph.temporal_graph import TemporalGraph
 
 #: A slab: (inclusive lower (t, eid) threshold or None, exclusive upper
@@ -472,8 +472,7 @@ def ex_count(
     ``"auto"`` resolution), because it is *sublinear* in instances on
     dense timelines.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if backend not in ("python", "columnar"):

@@ -64,7 +64,7 @@ from repro.baselines.backtracking import bt_count, match_instances
 from repro.core.counters import MotifCounts
 from repro.core.motifs import ALL_MOTIFS, Motif, PAIR_MOTIFS, motif_cell
 from repro.core.sampling_kernels import bts_columnar_block_grids, ht_weight_sum
-from repro.errors import ValidationError
+from repro.errors import ValidationError, check_delta
 from repro.graph.temporal_graph import TemporalGraph
 
 #: A sampled block: (first-edge index lo, hi, block end time).
@@ -214,8 +214,7 @@ def bts_count(
         raise ValidationError(f"q must be in (0, 1], got {q}")
     if window_factor <= 1:
         raise ValidationError(f"window_factor must be > 1, got {window_factor}")
-    if delta < 0:
-        raise ValidationError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if backend not in ("python", "columnar"):

@@ -49,7 +49,7 @@ from repro.core.sampling_kernels import (
     third_edge_code,
     wedge_node,
 )
-from repro.errors import ValidationError
+from repro.errors import ValidationError, check_delta
 from repro.graph.temporal_graph import OUT, TemporalGraph
 
 
@@ -153,8 +153,7 @@ def ews_count(
     for name, prob in (("p", p), ("q", q)):
         if not 0 < prob <= 1:
             raise ValidationError(f"{name} must be in (0, 1], got {prob}")
-    if delta < 0:
-        raise ValidationError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     if backend not in ("python", "columnar"):
         raise ValidationError(
             f"backend must be 'python' or 'columnar', got {backend!r}"

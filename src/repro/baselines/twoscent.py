@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import ValidationError
+from repro.errors import ValidationError, check_delta
 from repro.graph.temporal_graph import OUT, TemporalGraph
 
 #: Per-node summary capacity before the filter saturates to a wildcard
@@ -116,8 +116,7 @@ def enumerate_cycles(
     cycle is reported once, rooted at its first (canonically earliest)
     edge.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     if min_length < 2:
         raise ValidationError("temporal cycles need at least 2 edges")
     if max_length is not None and max_length < min_length:

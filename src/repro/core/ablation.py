@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.core.counters import PairCounter, StarCounter, TriangleCounter
-from repro.errors import ValidationError
+from repro.errors import check_delta
 from repro.graph.temporal_graph import TemporalGraph
 
 
@@ -33,8 +33,7 @@ def count_star_pair_rescan(
     nodes: Optional[Sequence[int]] = None,
 ) -> Tuple[StarCounter, PairCounter]:
     """FAST-Star with the middle-edge rescan instead of hash maps."""
-    if delta < 0:
-        raise ValidationError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     star_counter = StarCounter()
     pair_counter = PairCounter()
     star = star_counter.data
@@ -84,8 +83,7 @@ def count_triangle_no_window(
     nodes: Optional[Sequence[int]] = None,
 ) -> TriangleCounter:
     """FAST-Tri scanning whole pair timelines (no bisect windows)."""
-    if delta < 0:
-        raise ValidationError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     counter = TriangleCounter(multiplicity=3)
     tri = counter.data
     pair_timeline = graph.pair_timeline

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.counters import MotifCounts
 from repro.core.motifs import classify_triple
-from repro.errors import ValidationError
+from repro.errors import check_delta
 from repro.graph.temporal_graph import TemporalGraph
 
 
@@ -23,8 +23,7 @@ def brute_force_counts(graph: TemporalGraph, delta: float) -> MotifCounts:
 
     Intended for small graphs in tests; raises on negative ``delta``.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     src, dst, t = graph.edge_lists()
     m = graph.num_edges
     grid = np.zeros((6, 6), dtype=np.int64)

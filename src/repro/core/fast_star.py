@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.counters import PairCounter, StarCounter
+from repro.errors import check_delta
 from repro.graph.temporal_graph import NodeSequence, TemporalGraph
 
 #: An intra-node work unit: (center node, first-edge index range).
@@ -160,8 +161,7 @@ def count_star_pair(
         Star cells hold exact per-motif counts.  Pair cells hold the
         both-endpoints view (see :class:`~repro.core.counters.PairCounter`).
     """
-    if delta < 0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     if backend == "columnar":
         from repro.core.columnar_kernels import count_star_pair_columnar
 

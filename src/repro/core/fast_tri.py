@@ -31,7 +31,7 @@ from bisect import bisect_left
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.counters import TriangleCounter
-from repro.errors import ValidationError
+from repro.errors import ValidationError, check_delta
 from repro.graph.temporal_graph import TemporalGraph
 
 #: An intra-node work unit: (center node, first-edge index range).
@@ -165,8 +165,7 @@ def count_triangle(
         ``multiplicity=3`` by default; ``multiplicity=1`` with
         ``remove_centers=True``.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     if backend == "columnar":
         if remove_centers:
             raise ValidationError(

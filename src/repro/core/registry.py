@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import ValidationError, check_delta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.counters import MotifCounts
@@ -221,8 +221,7 @@ class CountRequest:
             from repro.distributed.protocol import parse_cluster
 
             self.cluster = ",".join(parse_cluster(self.cluster))
-        if self.delta is None or self.delta < 0:
-            raise ValidationError(f"delta must be non-negative, got {self.delta}")
+        check_delta(self.delta)
         if self.backend not in BACKENDS:
             raise ValidationError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
@@ -388,8 +387,7 @@ class StreamRequest:
     params: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.delta is None or self.delta < 0:
-            raise ValidationError(f"delta must be non-negative, got {self.delta}")
+        check_delta(self.delta)
         _check_start_method(self.start_method)
         if self.window is not None and self.window <= 0:
             raise ValidationError(

@@ -7,6 +7,8 @@ distinguishing failure modes where it matters.
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for every error raised by this library."""
@@ -18,6 +20,20 @@ class ValidationError(ReproError, ValueError):
     Also derives from :class:`ValueError` so that generic callers using
     ``except ValueError`` keep working.
     """
+
+
+def check_delta(delta) -> None:
+    """Require a finite, non-negative time window δ.
+
+    The one δ check of every entry point.  NaN and ±∞ are refused like
+    non-finite timestamps: they would poison every δ-window comparison.
+    """
+    try:
+        valid = math.isfinite(delta) and delta >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValidationError(f"delta must be finite and non-negative, got {delta!r}")
 
 
 class GraphFormatError(ReproError, ValueError):

@@ -6,8 +6,8 @@ FAST's per-center decomposition has no data dependency across centers
 exceeds the threshold ``thrd`` are split into first-edge-range
 subtasks, everything else is batched whole, and batches are scheduled
 dynamically across a process pool (the OpenMP ``dynamic`` schedule
-analogue) with per-worker counters merged at the end (the ``reduction``
-analogue).
+analogue) with per-batch counters summed in batch order at the end
+(the ``reduction`` analogue).
 """
 
 from repro.parallel.scheduler import WorkBatch, build_batches, partition_static

@@ -4,13 +4,13 @@ The paper's HARE framework runs "OpenMP threads over one shared graph"
 (§IV-C).  Its one process runtime here is the persistent
 shared-memory pool (:class:`repro.parallel.pool.WorkerPool`):
 long-lived workers attach the graph's arrays from
-:mod:`multiprocessing.shared_memory` once and then execute batches by
-id, so the startup cost is paid once per graph instead of once per
-request.  Each worker accumulates into private counters and the owner
-merges them afterwards — exactly the OpenMP ``reduction`` clause the
-paper relies on for intra-node parallelism ("each thread keeps the
-backup of these variables, and then reduce and output the final
-result").
+:mod:`multiprocessing.shared_memory` once and then run batches as a
+map job (:func:`pool_map_tasks`), so the startup cost is paid once per
+graph instead of once per request.  Each batch returns raw cell lists
+and :func:`reduce_results` sums them in batch order — the paper's
+``reduction`` step ("each thread keeps the backup of these variables,
+and then reduce and output the final result"), shared by the serial
+and pool paths and exact at any magnitude.
 
 Routing: an explicit ``pool=`` wins; otherwise ``workers > 1`` runs on
 the process-wide :func:`~repro.parallel.pool.shared_pool` for the
@@ -31,14 +31,14 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 from repro.core.counters import PairCounter, StarCounter, TriangleCounter
 from repro.core.fast_star import count_star_pair_tasks
 from repro.core.fast_tri import count_triangle_tasks
-from repro.errors import DeadlineExceededError, ValidationError
+from repro.errors import DeadlineExceededError, ValidationError, check_delta
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.scheduler import WorkBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.pool import WorkerPool
 
-#: What a worker returns: raw counter cell lists (cheap to pickle).
+#: What one batch returns: raw counter cell lists (cheap to pickle).
 _WorkerResult = Tuple[Optional[List[int]], Optional[List[int]], Optional[List[int]]]
 
 #: Environment override for the pool's start method ("fork"/"spawn");
@@ -83,6 +83,39 @@ def execute_tasks(
         tri = count_triangle_tasks(graph, delta, tasks)
         tri_data = tri.data
     return (star_data, pair_data, tri_data)
+
+
+def pool_map_tasks(graph: TemporalGraph, delta: float, args: Tuple, tasks) -> _WorkerResult:
+    """:class:`~repro.parallel.pool.WorkerPool` map function (``"hare_tasks"``).
+
+    Runs one HARE batch against the worker's attached zero-copy graph;
+    ``args`` is ``(star_pair, triangle, backend)``.
+    """
+    star_pair, triangle, backend = args
+    return execute_tasks(
+        graph, delta, tasks, star_pair=star_pair, triangle=triangle, backend=backend
+    )
+
+
+def reduce_results(
+    results: Iterable[_WorkerResult], star_pair: bool, triangle: bool
+) -> Tuple[Optional[StarCounter], Optional[PairCounter], Optional[TriangleCounter]]:
+    """Sum per-batch cell lists, in batch order, into the requested counters.
+
+    The one HARE reducer of the serial and pool paths; the counters'
+    Python-int ``merge`` keeps it exact at any magnitude.
+    """
+    star = StarCounter() if star_pair else None
+    pair = PairCounter() if star_pair else None
+    tri = TriangleCounter(multiplicity=3) if triangle else None
+    for star_data, pair_data, tri_data in results:
+        if star is not None:
+            star.merge(StarCounter(star_data))
+        if pair is not None:
+            pair.merge(PairCounter(pair_data))
+        if tri is not None:
+            tri.merge(TriangleCounter(tri_data))
+    return star, pair, tri
 
 
 def resolve_start_method(start_method: Optional[str] = None) -> str:
@@ -144,7 +177,7 @@ def run_batches(
     start_method: Optional[str] = None,
     deadline: Optional[float] = None,
 ) -> Tuple[Optional[StarCounter], Optional[PairCounter], Optional[TriangleCounter]]:
-    """Execute work batches and reduce the per-worker counters.
+    """Execute work batches and reduce their counters.
 
     The static/dynamic choice lives in the plan
     (:func:`~repro.parallel.scheduler.partition_static`); pool workers
@@ -157,6 +190,7 @@ def run_batches(
     also cancelled mid-flight.  Results are bit-identical across
     runtimes.
     """
+    check_delta(delta)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if backend not in ("python", "columnar"):
@@ -175,18 +209,13 @@ def run_batches(
             backend=backend, deadline=deadline,
         )
 
-    star = StarCounter() if star_pair else None
-    pair = PairCounter() if star_pair else None
-    tri = TriangleCounter(multiplicity=3) if triangle else None
-    for batch in batches:
-        star_data, pair_data, tri_data = execute_tasks(
-            graph, delta, batch.tasks,
-            star_pair=star_pair, triangle=triangle, backend=backend,
-        )
-        if star is not None:
-            star.merge(StarCounter(star_data))
-        if pair is not None:
-            pair.merge(PairCounter(pair_data))
-        if tri is not None:
-            tri.merge(TriangleCounter(tri_data))
-    return star, pair, tri
+    return reduce_results(
+        (
+            execute_tasks(
+                graph, delta, batch.tasks,
+                star_pair=star_pair, triangle=triangle, backend=backend,
+            )
+            for batch in batches
+        ),
+        star_pair, triangle,
+    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.counters import MotifCounts, PairCounter, StarCounter, TriangleCounter
-from repro.errors import ValidationError
+from repro.errors import ValidationError, check_delta
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.executor import resolved_runtime, run_batches, runtime_pool
 from repro.parallel.scheduler import WorkBatch, build_batches, partition_static
@@ -82,8 +82,7 @@ def hare_count(
     Results are bit-identical to the serial FAST pass in every
     configuration.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be non-negative, got {delta}")
+    check_delta(delta)
     star_pair = categories in ("all", "star", "pair", "star_pair")
     triangle = categories in ("all", "triangle")
     pool, batches = _prepare_batches(
@@ -137,6 +136,7 @@ def hare_star_pair(
     start_method: Optional[str] = None,
 ) -> Tuple[StarCounter, PairCounter]:
     """Parallel FAST-Star pass (the paper's HARE-Pair workload)."""
+    check_delta(delta)
     pool, batches = _prepare_batches(
         graph, workers, thrd, schedule, split_factor, pool, start_method
     )
@@ -162,6 +162,7 @@ def hare_triangle(
     start_method: Optional[str] = None,
 ) -> TriangleCounter:
     """Parallel FAST-Tri pass."""
+    check_delta(delta)
     pool, batches = _prepare_batches(
         graph, workers, thrd, schedule, split_factor, pool, start_method
     )

@@ -7,9 +7,11 @@ paper's long-lived OpenMP thread team reading one shared graph
 :func:`shared_pool` for their worker count and start method:
 
 * **Workers are long-lived processes** (fork- and spawn-safe), started
-  once and fed :class:`~repro.parallel.scheduler.WorkBatch` task lists
-  through one shared queue — pulling the next batch as they finish is
-  the dynamic work-stealing schedule.
+  once and fed chunks of one job kind, a registered map function
+  (:data:`MAP_FUNCTIONS`), through one shared queue — pulling the next
+  chunk as they finish is the dynamic work-stealing schedule.  A HARE
+  :class:`~repro.parallel.scheduler.WorkBatch` is one chunk of the
+  ``"hare_tasks"`` function.
 * **Graphs are published once** into
   :mod:`multiprocessing.shared_memory`
   (:func:`repro.graph.shared.publish_graph`) and attached zero-copy by
@@ -18,10 +20,11 @@ paper's long-lived OpenMP thread team reading one shared graph
   travels: each worker builds the per-δ kernel tables it needs lazily
   in its attached graph's ``delta_cache``, exactly as a serial count
   does, and keeps them while the δ stays the same.
-* **Reduction is per worker**: a worker keeps merging batch counters
-  locally and ships one partial per idle moment, not one message per
-  batch — the OpenMP ``reduction`` clause with IPC proportional to
-  worker count, not batch count.
+* **Reduction is owner-side and canonical**: every chunk ships its
+  payload back and the owner reduces them in chunk order
+  (:func:`repro.parallel.executor.reduce_results` for HARE), exactly
+  as the serial path does.  A HARE job has only a few batches per
+  worker, so one message per batch costs little.
 * **Plans and results are cached**: the HARE batch decomposition is
   memoized per (graph, workers, thrd, schedule), and — because counts
   are a pure function of the immutable, version-stamped graph —
@@ -60,10 +63,13 @@ from typing import Dict, List, Optional, Tuple
 
 import multiprocessing as mp
 
-import numpy as np
-
 from repro.core.counters import PairCounter, StarCounter, TriangleCounter
-from repro.errors import DeadlineExceededError, ParallelExecutionError, ValidationError
+from repro.errors import (
+    DeadlineExceededError,
+    ParallelExecutionError,
+    ValidationError,
+    check_delta,
+)
 from repro.graph.shared import AttachedGraph, SharedGraph, attach_graph, publish_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.scheduler import WorkBatch
@@ -77,9 +83,6 @@ AUTO_GRAPH_CACHE = 4
 #: Entries kept in the repeated-request raw-counter cache.
 RESULT_CACHE = 32
 
-#: Seconds a worker waits for more work before flushing its partial.
-_FLUSH_IDLE_SECONDS = 0.002
-
 #: Seconds between liveness checks while the owner waits on results.
 _POLL_SECONDS = 1.0
 
@@ -91,10 +94,11 @@ _ABORT_RING = 16
 
 #: Map functions runnable on pool workers via :meth:`WorkerPool.run_map`
 #: (name -> "module:attr", resolved worker-side by import so spawn
-#: workers never need the function object pickled).  The baselines
-#: register their per-chunk evaluators here: BTS block chunks and EX
-#: time slabs.
+#: workers never need the function object pickled).  Every parallel
+#: algorithm registers its per-chunk evaluator here: HARE batches, BTS
+#: block chunks and EX time slabs.
 MAP_FUNCTIONS: Dict[str, str] = {
+    "hare_tasks": "repro.parallel.executor:pool_map_tasks",
     "bts_blocks": "repro.baselines.sampling_bts:pool_map_block_grids",
     "ex_slabs": "repro.baselines.exact_ex:pool_map_slab",
 }
@@ -112,27 +116,6 @@ def _resolve_map_fn(name: str):
 # worker process
 # ----------------------------------------------------------------------
 
-class _Partial:
-    """A worker's running reduction for one job."""
-
-    __slots__ = ("job_id", "star", "pair", "tri", "batches")
-
-    def __init__(self, job_id: int) -> None:
-        self.job_id = job_id
-        self.star = self.pair = self.tri = None
-        self.batches = 0
-
-    def add(self, result) -> None:
-        star, pair, tri = result
-        if star is not None:
-            self.star = star if self.star is None else [a + b for a, b in zip(self.star, star)]
-        if pair is not None:
-            self.pair = pair if self.pair is None else [a + b for a, b in zip(self.pair, pair)]
-        if tri is not None:
-            self.tri = tri if self.tri is None else [a + b for a, b in zip(self.tri, tri)]
-        self.batches += 1
-
-
 def _job_aborted(aborted, job_id: int) -> bool:
     """Whether the owner cancelled ``job_id`` (shared abort ring)."""
     if aborted is None:
@@ -144,31 +127,18 @@ def _job_aborted(aborted, job_id: int) -> bool:
 def _worker_main(
     task_q, result_q, aborted=None, graph_cache_limit: int = WORKER_GRAPH_CACHE
 ) -> None:
-    """Worker loop: attach graphs by manifest, run batches, reduce.
+    """Worker loop: attach graphs by manifest, run map chunks.
 
-    Top-level (spawn-picklable).  Protocol: ``("run", job_id, gid,
-    graph_blob, delta, star_pair, triangle, backend, tasks)`` messages
-    (the graph manifest ships pre-pickled, decoded only on a cache
-    miss) plus ``("stop",)`` sentinels on ``task_q``;
-    ``("ok", job_id, n_batches, star, pair, tri)`` and
-    ``("err", job_id, text)`` on ``result_q``.  Partials accumulate
-    per job and flush when the queue goes idle or the job changes, so
-    result traffic scales with workers, not batches.  ``aborted`` is
-    the shared cancelled-job ring: queued tasks of an aborted job are
-    skipped, not executed (the owner stopped listening).
+    Top-level (spawn-picklable).  Protocol: ``("map", job_id, gid,
+    graph_blob, delta, fn, args_blob, index, chunk)`` messages (the
+    graph manifest ships pre-pickled, decoded only on a cache miss)
+    plus ``("stop",)`` sentinels on ``task_q``; ``("ok", job_id,
+    index, payload)`` and ``("err", job_id, text)`` on ``result_q``,
+    one reply per chunk.  ``aborted`` is the shared cancelled-job ring:
+    queued chunks of an aborted job are skipped, not executed (the
+    owner stopped listening).
     """
-    from repro.parallel.executor import execute_tasks
-
     graphs: "OrderedDict[int, AttachedGraph]" = OrderedDict()
-    partial: Optional[_Partial] = None
-
-    def flush() -> None:
-        nonlocal partial
-        if partial is not None and partial.batches:
-            result_q.put(
-                ("ok", partial.job_id, partial.batches, partial.star, partial.pair, partial.tri)
-            )
-        partial = None
 
     def lookup(gid: int, graph_blob: bytes) -> TemporalGraph:
         entry = graphs.get(gid)
@@ -182,54 +152,20 @@ def _worker_main(
         return entry.graph
 
     while True:
-        if partial is not None:
-            try:
-                message = task_q.get(timeout=_FLUSH_IDLE_SECONDS)
-            except queue.Empty:
-                flush()
-                continue
-        else:
-            message = task_q.get()
+        message = task_q.get()
         if message[0] == "stop":
-            flush()
             break
-        if message[0] == "map":
-            # Generic map job (see WorkerPool.run_map): one payload
-            # message per chunk, no worker-side reduction.
-            flush()
-            (_, job_id, gid, graph_blob, delta, fn, args_blob, index, chunk) = message
-            if _job_aborted(aborted, job_id):
-                continue
-            try:
-                payload = _resolve_map_fn(fn)(
-                    lookup(gid, graph_blob), delta, pickle.loads(args_blob), chunk
-                )
-            except BaseException:
-                result_q.put(("err", job_id, traceback.format_exc()))
-                continue
-            result_q.put(("map_ok", job_id, index, payload))
-            continue
-        (_, job_id, gid, graph_blob, delta, star_pair, triangle, backend, tasks) = message
+        (_, job_id, gid, graph_blob, delta, fn, args_blob, index, chunk) = message
         if _job_aborted(aborted, job_id):
-            if partial is not None and partial.job_id == job_id:
-                partial = None
             continue
         try:
-            result = execute_tasks(
-                lookup(gid, graph_blob), delta, tasks,
-                star_pair=star_pair, triangle=triangle, backend=backend,
+            payload = _resolve_map_fn(fn)(
+                lookup(gid, graph_blob), delta, pickle.loads(args_blob), chunk
             )
         except BaseException:
-            if partial is not None and partial.job_id != job_id:
-                flush()
-            partial = None
             result_q.put(("err", job_id, traceback.format_exc()))
             continue
-        if partial is not None and partial.job_id != job_id:
-            flush()
-        if partial is None:
-            partial = _Partial(job_id)
-        partial.add(result)
+        result_q.put(("ok", job_id, index, payload))
 
     for entry in graphs.values():
         entry.close()
@@ -656,32 +592,46 @@ class WorkerPool:
 
         Same contract (and bit-identical results) as
         :func:`repro.parallel.executor.run_batches`: returns
-        ``(star, pair, tri)`` counters for the requested passes.
-        ``reuse`` overrides the pool-level result cache for this call.
-        ``deadline`` (a :func:`time.monotonic` instant) cancels the
-        job when it expires mid-collection: the owner stops waiting,
-        the job id enters the shared abort ring so workers skip its
-        queued tasks, and :class:`~repro.errors.DeadlineExceededError`
-        propagates.  Cache hits ignore the deadline (they are
-        instantaneous and deadline never keys a cache).
+        ``(star, pair, tri)`` counters for the requested passes.  The
+        batches run as one ``"hare_tasks"`` :meth:`run_map` job and
+        their cell lists reduce through
+        :func:`~repro.parallel.executor.reduce_results`, as on the
+        serial path.  ``reuse`` overrides the pool-level result cache
+        for this call.  ``deadline`` (a :func:`time.monotonic` instant)
+        cancels the job when it expires, as in :meth:`run_map`.  Cache
+        hits ignore the deadline (they are instantaneous and deadline
+        never keys a cache).
         """
-        if backend not in ("python", "columnar"):
-            raise ValidationError(
-                f"backend must be 'python' or 'columnar', got {backend!r}"
-            )
+        from repro.parallel.executor import reduce_results
+
+        check_delta(delta)
         if self.closed:
             raise ParallelExecutionError("worker pool is closed")
+        use_cache = self._result_cache_enabled if reuse is None else reuse
         with self._lock:
-            self._ensure_workers()
-            self._last_active = time.monotonic()
-            try:
-                return self._run_batches_locked(
-                    graph, delta, batches,
-                    star_pair=star_pair, triangle=triangle, backend=backend,
-                    reuse=reuse, deadline=deadline,
+            if use_cache:
+                state = self._ensure_published(
+                    graph, include_columnar=(backend == "columnar")
                 )
-            finally:
-                self._last_active = time.monotonic()
+                cache_key = (
+                    state.gid, float(delta), star_pair, triangle, backend,
+                    self._fingerprint_batches(batches),
+                )
+                cached = self._results.get(cache_key)
+                if cached is not None:
+                    self._results.move_to_end(cache_key)
+                    self.stats["cache_hits"] += 1
+                    return reduce_results(cached, star_pair, triangle)
+            results = self.run_map(
+                graph, "hare_tasks", [batch.tasks for batch in batches],
+                (star_pair, triangle, backend),
+                delta=delta, backend=backend, deadline=deadline,
+            )
+            if use_cache:
+                self._results[cache_key] = results
+                while len(self._results) > RESULT_CACHE:
+                    self._results.popitem(last=False)
+        return reduce_results(results, star_pair, triangle)
 
     @staticmethod
     def _fingerprint_batches(batches: List[WorkBatch]) -> bytes:
@@ -699,62 +649,6 @@ class WorkerPool:
             pickle.dumps([batch.tasks for batch in batches], protocol=4)
         ).digest()
 
-    def _run_batches_locked(
-        self, graph, delta, batches, *, star_pair, triangle, backend, reuse, deadline
-    ):
-        state = self._ensure_published(graph, include_columnar=(backend == "columnar"))
-        use_cache = self._result_cache_enabled if reuse is None else reuse
-        cache_key = (
-            state.gid, float(delta), star_pair, triangle, backend,
-            self._fingerprint_batches(batches) if use_cache else None,
-        )
-        if use_cache:
-            cached = self._results.get(cache_key)
-            if cached is not None:
-                self._results.move_to_end(cache_key)
-                self.stats["cache_hits"] += 1
-                return self._build_counters(cached, star_pair, triangle)
-
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceededError("pool job deadline expired before dispatch")
-
-        star_acc = np.zeros(24, dtype=np.int64) if star_pair else None
-        pair_acc = np.zeros(8, dtype=np.int64) if star_pair else None
-        tri_acc = np.zeros(24, dtype=np.int64) if triangle else None
-
-        job_id = next(self._job_counter)
-        self.stats["jobs"] += 1
-        self.stats["batches"] += len(batches)
-        for batch in batches:
-            self._task_q.put((
-                "run", job_id, state.gid, state.manifest_blob,
-                delta, star_pair, triangle, backend, batch.tasks,
-            ))
-
-        def reduce_partial(message) -> int:
-            nonlocal star_acc, pair_acc, tri_acc
-            _, _, n_batches, star, pair, tri = message
-            if star_acc is not None and star is not None:
-                star_acc += np.asarray(star, dtype=np.int64)
-            if pair_acc is not None and pair is not None:
-                pair_acc += np.asarray(pair, dtype=np.int64)
-            if tri_acc is not None and tri is not None:
-                tri_acc += np.asarray(tri, dtype=np.int64)
-            return n_batches
-
-        self._collect_results(job_id, len(batches), reduce_partial, deadline=deadline)
-
-        payload = (
-            star_acc.tolist() if star_acc is not None else None,
-            pair_acc.tolist() if pair_acc is not None else None,
-            tri_acc.tolist() if tri_acc is not None else None,
-        )
-        if use_cache:
-            self._results[cache_key] = payload
-            while len(self._results) > RESULT_CACHE:
-                self._results.popitem(last=False)
-        return self._build_counters(payload, star_pair, triangle)
-
     # -- generic map jobs -------------------------------------------------
     def run_map(
         self,
@@ -769,18 +663,21 @@ class WorkerPool:
     ) -> List:
         """Run a registered map function over ``chunks`` on the workers.
 
-        The generic sibling of :meth:`run_batches` for algorithms whose
-        work decomposition is not a HARE task cover — BTS farms its
-        block chunks and EX its time slabs here.  ``fn`` names an entry
-        of :data:`MAP_FUNCTIONS`; each worker resolves it by import and
-        calls ``fn(graph, delta, args, chunk)`` against its attached
-        zero-copy graph.  With ``backend="columnar"`` the graph ships
-        with its columnar store and each worker memoizes its own per-δ
-        tables, as in :meth:`run_batches`.
+        The pool's one job kind: HARE batches (via :meth:`run_batches`),
+        BTS block chunks and EX time slabs all run here.  ``fn`` names
+        an entry of :data:`MAP_FUNCTIONS`; each worker resolves it by
+        import and calls ``fn(graph, delta, args, chunk)`` against its
+        attached zero-copy graph.  With ``backend="columnar"`` the graph
+        ships with its columnar store and each worker memoizes its own
+        per-δ tables, exactly as a serial count does.
 
-        Returns the per-chunk payloads **in chunk order** — map
-        reductions are algorithm-specific and must stay canonical, so
-        no owner-side merging happens here.
+        Returns the per-chunk payloads **in chunk order** — reductions
+        are algorithm-specific and must stay canonical, so no merging
+        happens here.  ``deadline`` (a :func:`time.monotonic` instant)
+        cancels the job when it expires mid-collection: the owner stops
+        waiting, the job id enters the shared abort ring so workers skip
+        its queued chunks, and
+        :class:`~repro.errors.DeadlineExceededError` propagates.
         """
         if fn not in MAP_FUNCTIONS:
             raise ValidationError(
@@ -812,28 +709,18 @@ class WorkerPool:
                     "map", job_id, state.gid, state.manifest_blob,
                     delta, fn, args_blob, index, chunk,
                 ))
-            results: List = [None] * len(chunks)
-
-            def store_payload(message) -> int:
-                _, _, index, payload = message
-                results[index] = payload
-                return 1
-
             try:
-                self._collect_results(
-                    job_id, len(chunks), store_payload, deadline=deadline
-                )
+                return self._collect_results(job_id, len(chunks), deadline)
             finally:
                 self._last_active = time.monotonic()
-            return results
 
     def _abort_job(self, job_id: int) -> None:
         """Cancel a job: record it in the shared abort ring.
 
-        Workers consult the ring before executing every queued task, so
+        Workers consult the ring before executing every queued chunk, so
         the job's remaining work is skipped rather than computed and
-        discarded; any partials it already produced are stale messages
-        that the next collection loop filters by job id.
+        discarded; replies from chunks already in flight are stale
+        messages that the next collection loop filters by job id.
         """
         with self._aborted.get_lock():
             self._aborted[self._abort_slot % _ABORT_RING] = job_id
@@ -841,21 +728,20 @@ class WorkerPool:
         self.stats["jobs_aborted"] += 1
 
     def _collect_results(
-        self, job_id: int, expected: int, handle, deadline: Optional[float] = None
-    ) -> None:
-        """Drain ``result_q`` for one job until ``expected`` units arrive.
+        self, job_id: int, expected: int, deadline: Optional[float] = None
+    ) -> List:
+        """Drain ``result_q`` for one job; return its payloads in chunk order.
 
-        The shared liveness/stale-message protocol of both job kinds:
-        poll with a timeout so dead workers are detected (the pool then
-        closes and raises), skip partials left over from aborted jobs,
-        and surface worker tracebacks as
-        :class:`~repro.errors.ParallelExecutionError`.  ``handle`` is
-        called with each of this job's payload messages and returns how
-        many work units it accounted for.  An expired ``deadline``
-        aborts the job (see :meth:`_abort_job`) and raises
-        :class:`~repro.errors.DeadlineExceededError` — the workers stay
-        healthy and the pool stays usable.
+        Polls with a timeout so dead workers are detected (the pool then
+        closes and raises) and skips replies left over from aborted
+        jobs.  A worker traceback aborts the job (see
+        :meth:`_abort_job`), so its queued chunks are skipped, and
+        raises :class:`~repro.errors.ParallelExecutionError`.  An
+        expired ``deadline`` aborts the job too and raises
+        :class:`~repro.errors.DeadlineExceededError`.  Either way the
+        workers stay healthy and the pool stays usable.
         """
+        results: List = [None] * expected
         done = 0
         while done < expected:
             timeout = _POLL_SECONDS
@@ -882,24 +768,13 @@ class WorkerPool:
                 continue
             kind, msg_job = message[0], message[1]
             if msg_job != job_id:
-                continue  # stale partial from an aborted job
+                continue  # stale reply from an aborted job
             if kind == "err":
+                self._abort_job(job_id)
                 raise ParallelExecutionError(f"pool worker failed:\n{message[2]}")
-            done += handle(message)
-
-    @staticmethod
-    def _build_counters(payload, star_pair: bool, triangle: bool):
-        star_data, pair_data, tri_data = payload
-        star = StarCounter(star_data) if star_pair and star_data is not None else (
-            StarCounter() if star_pair else None
-        )
-        pair = PairCounter(pair_data) if star_pair and pair_data is not None else (
-            PairCounter() if star_pair else None
-        )
-        tri = TriangleCounter(tri_data, multiplicity=3) if triangle and tri_data is not None else (
-            TriangleCounter(multiplicity=3) if triangle else None
-        )
-        return star, pair, tri
+            results[message[2]] = message[3]
+            done += 1
+        return results
 
 
 # ----------------------------------------------------------------------

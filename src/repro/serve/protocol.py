@@ -54,6 +54,7 @@ from repro.errors import (
     ReproError,
     UnknownGraphError,
     ValidationError,
+    check_delta,
 )
 
 #: Protocol revision, embedded in every response envelope.
@@ -248,8 +249,9 @@ COUNT_FIELDS = frozenset({
 def parse_count(message: Dict) -> Dict:
     """Validate a ``count`` request's shape; return normalized fields.
 
-    Shape checks only — semantic validation (unknown algorithm, bad
-    δ, capability violations) is the registry's job and surfaces as
+    Shape checks, plus δ's range so a NaN or negative δ never joins a
+    batched sweep — other semantic validation (unknown algorithm,
+    capability violations) is the registry's job and surfaces as
     :class:`~repro.errors.ValidationError` from execution, mapped to
     the same ``bad_request`` code.
     """
@@ -265,6 +267,7 @@ def parse_count(message: Dict) -> Dict:
         delta = float(message["delta"])
     except (TypeError, ValueError):
         raise ValidationError(f"delta must be a number, got {message['delta']!r}") from None
+    check_delta(delta)
     params = message.get("params")
     if params is None:
         params = {}

@@ -51,7 +51,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import ValidationError, check_delta
 from repro.graph.temporal_graph import TemporalGraph
 
 #: Default shard budget (own edges per shard) when none is specified.
@@ -188,8 +188,7 @@ class ShardedGraph:
 
     def plan(self, delta: float) -> List[Shard]:
         """The shard slices for one δ: own ranges plus halo extents."""
-        if delta is None or delta < 0:
-            raise ValidationError(f"delta must be non-negative, got {delta}")
+        check_delta(delta)
         t = self.graph.timestamps
         m = self.graph.num_edges
         shards: List[Shard] = []

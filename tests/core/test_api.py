@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.api import count_motifs
+from repro.core.fast_star import count_star_pair
 from repro.core.motifs import MotifCategory
 from repro.errors import ValidationError
 from repro.graph.temporal_graph import TemporalGraph
@@ -39,6 +40,29 @@ class TestOptions:
     def test_negative_delta(self, paper_graph):
         with pytest.raises(ValidationError):
             count_motifs(paper_graph, -1)
+
+
+#: A graph on which a NaN δ once gave the δ=∞ answer (ex, bt,
+#: bruteforce), 0 (twoscent, ews) or an untyped error (fast, bts).
+SIX_EDGES = [(0, 1, 1), (1, 2, 2), (2, 0, 3), (0, 1, 4), (1, 0, 5), (0, 2, 5.5)]
+BAD_DELTAS = pytest.mark.parametrize(
+    "delta", [float("nan"), float("inf"), -float("inf"), -1.0],
+    ids=["nan", "inf", "-inf", "negative"],
+)
+
+
+@BAD_DELTAS
+class TestDeltaValidation:
+    @pytest.mark.parametrize(
+        "algorithm", ["fast", "ex", "bruteforce", "bt", "twoscent", "bts", "ews"]
+    )
+    def test_every_algorithm_rejects(self, algorithm, delta):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            count_motifs(TemporalGraph(SIX_EDGES), delta, algorithm=algorithm)
+
+    def test_kernel_entry_raises_typed_error(self, delta):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            count_star_pair(TemporalGraph(SIX_EDGES), delta)
 
 
 class TestCategorySelection:

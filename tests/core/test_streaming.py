@@ -218,6 +218,11 @@ class TestStreamRequestValidation:
         with pytest.raises(ValidationError):
             StreamRequest(delta=-1.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta(self, delta):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            StreamRequest(delta=delta)
+
     def test_nonpositive_window(self):
         with pytest.raises(ValidationError):
             StreamRequest(delta=1.0, window=0.0)

@@ -90,6 +90,15 @@ class TestConfigurations:
         with pytest.raises(ValidationError):
             hare_count(paper_graph, -1, workers=2)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1.0])
+    def test_every_entry_point_rejects_bad_delta(self, paper_graph, delta):
+        for entry in (hare_count, hare_star_pair, hare_triangle):
+            with pytest.raises(ValidationError, match="finite and non-negative"):
+                entry(paper_graph, delta, workers=2)
+        batches = build_batches(paper_graph, 2)
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            run_batches(paper_graph, delta, batches, 1)
+
     def test_empty_graph(self):
         assert hare_count(TemporalGraph([]), 10, workers=2).total() == 0
 

@@ -1,5 +1,7 @@
 """Persistent shared-memory worker pool: exactness, reuse, lifecycle."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from repro.core.api import count_motifs, count_motifs_sweep
 from repro.errors import ParallelExecutionError, ValidationError
 from repro.graph.generators import powerlaw_temporal_graph
 from repro.graph.shared import live_segments
+from repro.parallel import executor
 from repro.parallel.executor import START_METHOD_ENV, resolve_start_method, run_batches
 from repro.parallel.hare import hare_count
 from repro.parallel.pool import (
+    MAP_FUNCTIONS,
     WorkerPool,
     close_shared_pools,
     shared_pool,
@@ -68,6 +72,68 @@ class TestExactness:
             # Resident workers answer the repeat too (cache or not).
             repeat = count_motifs(paper_graph, 10, workers=2, pool=pool)
             assert repeat.same_counts(serial)
+
+
+class TestReduction:
+    def test_sum_beyond_int64_is_exact(self, paper_graph, monkeypatch):
+        # Every batch reports 2**62 in every cell, so two batches already
+        # take each reduced cell past int64.  Patched before the fork, so
+        # the workers run the stub too.
+        big = 2 ** 62
+        monkeypatch.setattr(
+            executor, "execute_tasks",
+            lambda *args, **kwargs: ([big] * 24, [big] * 8, [big] * 24),
+        )
+        batches = build_batches(paper_graph, 2)
+        assert len(batches) >= 2
+        expected = len(batches) * big
+        with WorkerPool(2, "fork", result_cache=False) as pool:
+            star, pair, tri = pool.run_batches(paper_graph, 10, batches)
+        assert star.data == [expected] * 24
+        assert pair.data == [expected] * 8
+        assert tri.data == [expected] * 24
+        assert run_batches(paper_graph, 10, batches, 1) == (star, pair, tri)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1.0])
+    def test_bad_delta_rejected_before_dispatch(self, paper_graph, fork_pool, delta):
+        jobs = fork_pool.stats["jobs"]
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            fork_pool.run_batches(paper_graph, delta, fork_pool.plan_batches(paper_graph))
+        assert fork_pool.stats["jobs"] == jobs
+
+
+def _log_chunk(graph, delta, path, chunk):
+    """Map function for the abort test: log the chunk; chunk 0 fails."""
+    with open(path, "a") as fh:
+        fh.write(f"{chunk}\n")
+    if chunk == 0:
+        raise RuntimeError("chunk 0 fails")
+    time.sleep(0.2)
+    return chunk
+
+
+class TestFailedJob:
+    def test_failed_chunk_aborts_the_rest_of_its_job(
+        self, paper_graph, monkeypatch, tmp_path
+    ):
+        # Registered before the fork, so the workers resolve it too.
+        monkeypatch.setitem(MAP_FUNCTIONS, "log_chunk", f"{__name__}:_log_chunk")
+        log = tmp_path / "chunks.log"
+        workers = 2
+        with WorkerPool(workers, "fork") as pool:
+            with pytest.raises(ParallelExecutionError, match="chunk 0 fails"):
+                pool.run_map(paper_graph, "log_chunk", list(range(20)), args=str(log))
+            # The next job queues behind what is left of the failed one,
+            # so once it answers every earlier chunk was run or skipped.
+            next_job = pool.run_map(
+                paper_graph, "log_chunk", [1], args=str(tmp_path / "next.log")
+            )
+            assert next_job == [1]
+            ran = log.read_text().split()
+            # Chunk 0 plus at most about one chunk per worker already in
+            # flight when the owner aborted the job.
+            assert len(ran) <= 1 + 2 * workers, ran
+            assert pool.stats["jobs_aborted"] == 1
 
 
 class TestReuse:

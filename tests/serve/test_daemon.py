@@ -157,6 +157,23 @@ def test_malformed_json_line_gets_bad_request_envelope(served):
         sock.close()
 
 
+@pytest.mark.parametrize("delta", ["NaN", "Infinity", "-1"])
+def test_count_with_bad_delta_gets_bad_request(served, delta):
+    # Python's json parses the NaN/Infinity literals a client may send.
+    _, socket_path = served
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.connect(socket_path)
+    try:
+        line = '{"op": "count", "graph": "demo", "delta": %s}\n' % delta
+        sock.sendall(line.encode())
+        reply = json.loads(sock.makefile("rb").readline())
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad_request"
+        assert "finite and non-negative" in reply["error"]["message"]
+    finally:
+        sock.close()
+
+
 def test_request_id_echoes_back(served):
     _, socket_path = served
     with ServeClient(socket_path) as client:
