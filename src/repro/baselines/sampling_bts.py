@@ -50,8 +50,8 @@ backends, worker counts, and runtimes.  ``workers > 1`` farms block
 chunks through the process-wide shared-memory
 :class:`~repro.parallel.pool.WorkerPool`; an explicit ``pool=``
 always wins.  Either way the workers read the published zero-copy
-graph (and, for the columnar backend, the shared per-δ edge-window
-table).
+graph and its columnar store; the columnar backend's per-δ
+edge-window table is built by each worker.
 """
 
 from __future__ import annotations
@@ -260,20 +260,16 @@ def bts_count(
 
         pool = runtime_pool(None, workers, start_method)
     if pool is not None and indexed:
-        grid += _run_on_pool(pool, graph, delta, args, indexed, workers, backend)
+        grid += _run_on_pool(pool, graph, delta, args, indexed, workers)
     else:
         grid += _reduce_block_grids(_chunk_grids(graph, delta, args, indexed))
     return MotifCounts(grid, algorithm="bts", delta=delta)
 
 
-def _run_on_pool(
-    pool, graph, delta, args, indexed, workers: int, backend: str
-) -> np.ndarray:
+def _run_on_pool(pool, graph, delta, args, indexed, workers: int) -> np.ndarray:
     """Farm block chunks to a persistent pool; reduce canonically."""
     chunks = _split_chunks(indexed, max(workers, getattr(pool, "workers", 1)))
-    payloads = pool.run_map(
-        graph, "bts_blocks", chunks, args=args, delta=delta, backend=backend
-    )
+    payloads = pool.run_map(graph, "bts_blocks", chunks, args=args, delta=delta)
     collected = [
         (index, np.asarray(grid, dtype=np.float64))
         for payload in payloads

@@ -15,7 +15,7 @@ Subcommands
     Run one of the paper's experiments (table2/table3/fig9..fig12b).
 ``serve``
     Run the resident motif-counting daemon: named graphs published to
-    shared memory once, compatible requests batched, typed protocol
+    shared memory once, identical requests coalesced, typed protocol
     errors (see ``docs/serving.md``).
 ``worker``
     Run one node of a counting cluster: a TCP daemon that counts
@@ -371,7 +371,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         workers=args.workers,
         start_method=args.start_method,
-        batch_window=args.batch_window,
         max_pending=args.max_pending,
         tenant_quota=args.tenant_quota,
         default_timeout=args.default_timeout,
@@ -633,9 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the resident motif-counting daemon",
         description="Serve motif counts for a catalog of named graphs: "
                     "graphs are published to shared memory once, "
-                    "compatible concurrent requests are batched into "
-                    "single pool runs, and repeats are answered from "
-                    "the result cache.  See docs/serving.md.",
+                    "identical concurrent requests share one pool run, "
+                    "and repeats are answered from the answer table.  "
+                    "See docs/serving.md.",
     )
     p_serve.add_argument("--graph", action="append", default=[],
                          metavar="NAME=SOURCE[@CLUSTER]",
@@ -651,11 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=2,
                          help="worker processes in the service pool (default 2)")
     p_serve.add_argument("--start-method", choices=("fork", "spawn"), default=None)
-    p_serve.add_argument("--batch-window", type=float, default=0.002,
-                         help="seconds to wait for coalescable requests "
-                              "(default 0.002)")
     p_serve.add_argument("--max-pending", type=int, default=64,
-                         help="bound on pending request groups before "
+                         help="bound on pending requests before "
                               "429-style rejection (default 64)")
     p_serve.add_argument("--tenant-quota", type=int, default=16,
                          help="concurrent in-flight requests per tenant "

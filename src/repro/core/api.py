@@ -135,8 +135,10 @@ def count_motifs(
         platform.  Counts are identical across methods.
     request_id:
         Optional caller-assigned trace id, recorded in
-        ``result.meta["request_id"]`` (the serving layer threads its
-        wire-level ids through here).  Never affects results.
+        ``result.meta["request_id"]``.  Never affects results.  The
+        serving layer passes none: a coalesced or answer-table result
+        is shared by several waiters, so it cannot carry one waiter's
+        wire id, which is echoed only in the reply envelope.
     deadline:
         Optional absolute :func:`time.monotonic` instant after which
         the call raises :class:`~repro.errors.DeadlineExceededError`

@@ -146,9 +146,9 @@ class CountRequest:
     #: given (``"fork"``/``"spawn"``; default: ``REPRO_START_METHOD``
     #: env var, then the platform default).
     start_method: Optional[str] = None
-    #: Caller-assigned identifier for tracing one request through the
-    #: serving layer, worker pools, and result metadata.  Purely
-    #: provenance: never affects results or cache keys.
+    #: Caller-assigned identifier, recorded in the result's metadata
+    #: (the serving layer sets none).  Purely provenance: never
+    #: affects results or cache keys.
     request_id: Optional[str] = field(default=None, compare=False)
     #: Absolute :func:`time.monotonic` instant after which the request
     #: is worthless.  :func:`execute` refuses to start (and the pool

@@ -9,7 +9,7 @@ one :mod:`multiprocessing.shared_memory` segment, and every worker
 
 :func:`publish_graph` / :func:`attach_graph`
     A whole :class:`~repro.graph.temporal_graph.TemporalGraph`: the
-    canonical edge columns plus (optionally) every array of its
+    canonical edge columns plus every array of its
     :class:`~repro.graph.columnar.ColumnarGraph`, in one segment
     described by a picklable :class:`ArrayBundleManifest` (name →
     dtype/shape/offset) and reassembled on attach without any
@@ -266,43 +266,39 @@ class SharedGraph(SharedArrays):
         meta = manifest.metadata()
         self.num_nodes = meta["num_nodes"]
         self.num_edges = meta["num_edges"]
-        self.has_columnar = meta["columnar_scalars"] is not None
 
 
-def publish_graph(graph: TemporalGraph, *, include_columnar: bool = True) -> SharedGraph:
+def publish_graph(graph: TemporalGraph) -> SharedGraph:
     """Publish a graph's arrays into shared memory; return the handle.
 
-    Copies the canonical edge columns and, with ``include_columnar``
-    (the default), every array of ``graph.columnar()`` — forcing the
-    columnar build first if needed, so the O(m log m) construction
-    happens exactly once, in the owner.  The handle's ``manifest`` is
-    what workers feed to :func:`attach_graph`.
+    Copies the canonical edge columns and every array of
+    ``graph.columnar()`` — forcing the columnar build first if needed,
+    so the O(m log m) construction happens exactly once, in the owner,
+    whichever backend the workers then run.  The handle's ``manifest``
+    is what workers feed to :func:`attach_graph`.
     """
     arrays: Dict[str, np.ndarray] = {
         _EDGE_PREFIX + "src": graph.sources,
         _EDGE_PREFIX + "dst": graph.destinations,
         _EDGE_PREFIX + "t": graph.timestamps,
     }
-    columnar_scalars: Optional[Tuple[Tuple[str, object], ...]] = None
-    if include_columnar:
-        col = graph.columnar()
-        scalars = []
-        for name in ColumnarGraph.__slots__:
-            if name == "delta_cache":
-                continue
-            value = getattr(col, name)
-            if isinstance(value, np.ndarray):
-                arrays[_COL_PREFIX + name] = value
-            else:
-                scalars.append((name, value))
-        columnar_scalars = tuple(scalars)
+    col = graph.columnar()
+    scalars = []
+    for name in ColumnarGraph.__slots__:
+        if name == "delta_cache":
+            continue
+        value = getattr(col, name)
+        if isinstance(value, np.ndarray):
+            arrays[_COL_PREFIX + name] = value
+        else:
+            scalars.append((name, value))
     shm, manifest = _publish_into_segment(
         arrays,
         meta={
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
             "version": graph.version,
-            "columnar_scalars": columnar_scalars,
+            "columnar_scalars": tuple(scalars),
         },
     )
     return SharedGraph(shm, manifest)
@@ -311,8 +307,8 @@ def publish_graph(graph: TemporalGraph, *, include_columnar: bool = True) -> Sha
 class AttachedGraph:
     """Worker-side reassembled graph over a shared segment.
 
-    ``graph`` is a real :class:`TemporalGraph` whose edge columns (and
-    cached ``ColumnarGraph``, when published) are zero-copy views into
+    ``graph`` is a real :class:`TemporalGraph` whose edge columns and
+    cached ``ColumnarGraph`` are zero-copy views into
     the shared pages; python-loop views (node sequences, pair index)
     are built lazily per process on first use.  ``close()`` drops the
     graph and unmaps.
@@ -328,15 +324,15 @@ class AttachedGraph:
             arrays[_EDGE_PREFIX + "t"],
             num_nodes=int(meta["num_nodes"]),
         )
-        scalars = meta["columnar_scalars"]
-        if scalars is not None:
-            col_arrays = {
-                name[len(_COL_PREFIX):]: arr
-                for name, arr in arrays.items()
-                if name.startswith(_COL_PREFIX)
-            }
-            self.graph._columnar = ColumnarGraph._attach(col_arrays, dict(scalars))
-            self.graph._columnar_version = self.graph.version
+        col_arrays = {
+            name[len(_COL_PREFIX):]: arr
+            for name, arr in arrays.items()
+            if name.startswith(_COL_PREFIX)
+        }
+        self.graph._columnar = ColumnarGraph._attach(
+            col_arrays, dict(meta["columnar_scalars"])
+        )
+        self.graph._columnar_version = self.graph.version
 
     def close(self) -> None:
         """Release the local mapping (the owner's segment is untouched)."""

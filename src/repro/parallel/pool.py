@@ -194,7 +194,6 @@ class _GraphState:
     gid: Optional[int] = None
     handle: Optional[SharedGraph] = None
     manifest_blob: Optional[bytes] = None
-    has_columnar: bool = False
     #: (workers, thrd, schedule, split_factor) -> List[WorkBatch]
     plans: Dict[Tuple, List[WorkBatch]] = field(default_factory=dict)
 
@@ -204,7 +203,6 @@ class _GraphState:
         self.handle = None
         self.manifest_blob = None
         self.gid = None
-        self.has_columnar = False
 
 
 #: Every live pool, weakly held: :func:`close_all_pools` (and the
@@ -497,7 +495,7 @@ class WorkerPool:
 
         return reap
 
-    def publish(self, graph: TemporalGraph, *, include_columnar: bool = True) -> int:
+    def publish(self, graph: TemporalGraph) -> int:
         """Pin a graph into the pool's shared memory; return its id.
 
         Pinned graphs stay resident until :meth:`release` or
@@ -507,7 +505,7 @@ class WorkerPool:
         streaming-slice graphs.
         """
         with self._lock:
-            state = self._ensure_published(graph, include_columnar)
+            state = self._ensure_published(graph)
             state.pinned = True
             self._auto.pop(id(graph), None)
             assert state.gid is not None
@@ -522,17 +520,13 @@ class WorkerPool:
             if state is not None:
                 state.release_segments()
 
-    def _ensure_published(
-        self, graph: TemporalGraph, include_columnar: bool
-    ) -> _GraphState:
+    def _ensure_published(self, graph: TemporalGraph) -> _GraphState:
         state = self._state(graph)
-        if state.handle is None or (include_columnar and not state.has_columnar):
-            state.release_segments()
-            handle = publish_graph(graph, include_columnar=include_columnar)
+        if state.handle is None:
+            handle = publish_graph(graph)
             state.gid = next(self._gid_counter)
             state.handle = handle
             state.manifest_blob = pickle.dumps(handle.manifest)
-            state.has_columnar = include_columnar
             self.stats["graphs_published"] += 1
         key = id(graph)
         if not state.pinned:
@@ -605,14 +599,16 @@ class WorkerPool:
         from repro.parallel.executor import reduce_results
 
         check_delta(delta)
+        if backend not in ("python", "columnar"):
+            raise ValidationError(
+                f"backend must be 'python' or 'columnar', got {backend!r}"
+            )
         if self.closed:
             raise ParallelExecutionError("worker pool is closed")
         use_cache = self._result_cache_enabled if reuse is None else reuse
         with self._lock:
             if use_cache:
-                state = self._ensure_published(
-                    graph, include_columnar=(backend == "columnar")
-                )
+                state = self._ensure_published(graph)
                 cache_key = (
                     state.gid, float(delta), star_pair, triangle, backend,
                     self._fingerprint_batches(batches),
@@ -625,7 +621,7 @@ class WorkerPool:
             results = self.run_map(
                 graph, "hare_tasks", [batch.tasks for batch in batches],
                 (star_pair, triangle, backend),
-                delta=delta, backend=backend, deadline=deadline,
+                delta=delta, deadline=deadline,
             )
             if use_cache:
                 self._results[cache_key] = results
@@ -658,7 +654,6 @@ class WorkerPool:
         args: Tuple = (),
         *,
         delta: float = 0.0,
-        backend: str = "python",
         deadline: Optional[float] = None,
     ) -> List:
         """Run a registered map function over ``chunks`` on the workers.
@@ -667,9 +662,9 @@ class WorkerPool:
         BTS block chunks and EX time slabs all run here.  ``fn`` names
         an entry of :data:`MAP_FUNCTIONS`; each worker resolves it by
         import and calls ``fn(graph, delta, args, chunk)`` against its
-        attached zero-copy graph.  With ``backend="columnar"`` the graph
-        ships with its columnar store and each worker memoizes its own
-        per-δ tables, exactly as a serial count does.
+        attached zero-copy graph, which always carries its columnar
+        store; each worker memoizes its own per-δ tables, exactly as a
+        serial count does.
 
         Returns the per-chunk payloads **in chunk order** — reductions
         are algorithm-specific and must stay canonical, so no merging
@@ -683,10 +678,6 @@ class WorkerPool:
             raise ValidationError(
                 f"unknown map function {fn!r}; registered: {sorted(MAP_FUNCTIONS)}"
             )
-        if backend not in ("python", "columnar"):
-            raise ValidationError(
-                f"backend must be 'python' or 'columnar', got {backend!r}"
-            )
         if self.closed:
             raise ParallelExecutionError("worker pool is closed")
         chunks = list(chunks)
@@ -697,9 +688,7 @@ class WorkerPool:
             self._last_active = time.monotonic()
             if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExceededError("pool map deadline expired before dispatch")
-            state = self._ensure_published(
-                graph, include_columnar=(backend == "columnar")
-            )
+            state = self._ensure_published(graph)
             args_blob = pickle.dumps(args)
             job_id = next(self._job_counter)
             self.stats["jobs"] += 1

@@ -1,7 +1,7 @@
 """``repro serve`` — the resident motif-counting service.
 
 The serving tier over the counting engine: named graphs published to
-shared memory once (:mod:`repro.serve.catalog`), compatible requests
+shared memory once (:mod:`repro.serve.catalog`), identical requests
 coalesced into single pool runs (:mod:`repro.serve.service`), typed
 protocol errors and quota/deadline enforcement
 (:mod:`repro.serve.protocol`), exposed over unix-socket JSONL and HTTP

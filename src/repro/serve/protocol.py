@@ -249,8 +249,8 @@ COUNT_FIELDS = frozenset({
 def parse_count(message: Dict) -> Dict:
     """Validate a ``count`` request's shape; return normalized fields.
 
-    Shape checks, plus δ's range so a NaN or negative δ never joins a
-    batched sweep — other semantic validation (unknown algorithm,
+    Shape checks, plus δ's range so a NaN or negative δ never reaches
+    the dispatcher — other semantic validation (unknown algorithm,
     capability violations) is the registry's job and surfaces as
     :class:`~repro.errors.ValidationError` from execution, mapped to
     the same ``bad_request`` code.

@@ -19,17 +19,17 @@ the per-tenant quota and the global bounded queue (429-style
 in-flight request instead of enqueuing a second copy.  Returns a
 :class:`concurrent.futures.Future`.
 
-**Batching** (dispatcher thread).  Drains the queue after a short
-``batch_window``, groups compatible requests — same graph generation,
-algorithm, backend, categories, seed/replication, params — and runs
-each group as **one** :func:`~repro.core.api.count_motifs_sweep` over
-the member δ values, on the shared pool.  N compatible requests pay
-one graph publication, one plan, one worker dispatch per δ.
+**Dispatch** (dispatcher thread).  Takes queued requests one at a
+time, in FIFO order, and runs each as its own execution: a
+:func:`~repro.core.api.count_motifs_sweep` over its single δ on the
+shared pool, or a distributed count when the graph is cluster-bound.
+Distinct requests never share an execution; identical ones already
+do, through coalescing.
 
 **Settlement.**  Every waiter's deadline is re-checked before its
 future resolves (a result that arrives late is still a
-:class:`~repro.errors.DeadlineExceededError`); group deadlines
-propagate into the pool, which aborts expired jobs mid-flight instead
+:class:`~repro.errors.DeadlineExceededError`); a request's deadline
+propagates into the pool, which aborts expired jobs mid-flight instead
 of finishing work nobody will read.
 
 Settlement also fills the answer table: a bounded LRU of
@@ -45,7 +45,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -71,11 +71,9 @@ class ServiceConfig:
     workers: int = 2
     #: Process start method for the pool (None: platform default).
     start_method: Optional[str] = None
-    #: Seconds the dispatcher waits after waking before draining the
-    #: queue, so a burst of compatible requests lands in one batch.
-    batch_window: float = 0.002
-    #: Bound on queued-or-running request *groups*; admission beyond it
-    #: raises :class:`~repro.errors.BackpressureError` (HTTP 429).
+    #: Bound on queued-or-running requests (coalesced duplicates count
+    #: once); admission beyond it raises
+    #: :class:`~repro.errors.BackpressureError` (HTTP 429).
     max_pending: int = 64
     #: Concurrent admitted requests allowed per tenant;
     #: :class:`~repro.errors.QuotaExceededError` beyond it.
@@ -102,8 +100,6 @@ class ServiceConfig:
 
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        if self.batch_window < 0:
-            raise ValidationError(f"batch_window must be >= 0, got {self.batch_window}")
         if self.max_pending < 1:
             raise ValidationError(f"max_pending must be >= 1, got {self.max_pending}")
         if self.tenant_quota < 1:
@@ -121,26 +117,24 @@ class ServiceConfig:
 class _Waiter:
     """One admitted request: its future, quota bucket, and deadline."""
 
-    __slots__ = ("future", "tenant", "deadline", "request_id")
+    __slots__ = ("future", "tenant", "deadline")
 
-    def __init__(self, future, tenant, deadline, request_id) -> None:
+    def __init__(self, future, tenant, deadline) -> None:
         self.future = future
         self.tenant = tenant
         self.deadline = deadline
-        self.request_id = request_id
 
 
 class _Pending:
     """One unique in-flight computation (possibly many waiters)."""
 
-    __slots__ = ("key", "fields", "lease", "waiters", "running")
+    __slots__ = ("key", "fields", "lease", "waiters")
 
     def __init__(self, key, fields, lease: GraphLease) -> None:
         self.key = key
         self.fields = fields
         self.lease = lease
         self.waiters: List[_Waiter] = []
-        self.running = False
 
     def effective_deadline(self) -> Optional[float]:
         """Latest waiter deadline — ``None`` if any waiter has none.
@@ -158,8 +152,7 @@ def _dedup_key(serial: int, fields: Dict) -> Tuple:
     """What makes two count requests the same computation.
 
     ``serial`` names the catalog generation (see
-    :class:`~repro.serve.catalog.GraphLease`); δ must stay last, as
-    :meth:`MotifService._group` batches on everything before it.
+    :class:`~repro.serve.catalog.GraphLease`).
     """
     return (
         serial, fields["algorithm"], fields["categories"],
@@ -190,7 +183,7 @@ class MotifService:
         self.catalog = GraphCatalog(self.pool)
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self._queue: List[_Pending] = []
+        self._queue: "deque[_Pending]" = deque()
         self._inflight: Dict[Tuple, _Pending] = {}
         self._answers: "OrderedDict[Tuple, object]" = OrderedDict()
         self._tenant_inflight: Dict[str, int] = {}
@@ -206,6 +199,8 @@ class MotifService:
             "errors": 0,
             "coalesced": 0,
             "executions": 0,
+            # One δ per execution: always equals "executions" (the
+            # end-to-end benchmark's traced probe still reads it).
             "batched_deltas": 0,
             "rejected_quota": 0,
             "rejected_backpressure": 0,
@@ -304,7 +299,7 @@ class MotifService:
                         f"(quota {self.config.tenant_quota})"
                     )
                 pending = self._inflight.get(key)
-                waiter = _Waiter(Future(), tenant, deadline, fields.get("id"))
+                waiter = _Waiter(Future(), tenant, deadline)
                 if pending is not None:
                     # Identical request already queued or running:
                     # attach, drop the redundant lease.
@@ -315,7 +310,7 @@ class MotifService:
                     if len(self._inflight) >= self.config.max_pending:
                         self.stats["rejected_backpressure"] += 1
                         raise BackpressureError(
-                            f"{len(self._inflight)} request groups pending "
+                            f"{len(self._inflight)} requests pending "
                             f"(bound {self.config.max_pending}); retry later"
                         )
                     pending = _Pending(key, fields, lease)
@@ -337,73 +332,43 @@ class MotifService:
             with self._cond:
                 while not self._queue and not self._closed:
                     self._cond.wait()
-                if self._closed and not self._queue:
+                if not self._queue:
                     return
-            # Outside the lock: let a burst of concurrent submissions
-            # land before draining, so they ride the same batch.
-            if self.config.batch_window:
-                time.sleep(self.config.batch_window)
-            with self._cond:
-                drained, self._queue = self._queue, []
-                for pending in drained:
-                    pending.running = True
-            for group in self._group(drained):
-                self._execute_group(group)
+                pending = self._queue.popleft()
+            self._execute(pending)
 
-    @staticmethod
-    def _group(drained: List[_Pending]) -> List[List[_Pending]]:
-        """Partition a drain by everything but δ (order-preserving)."""
-        groups: "Dict[Tuple, List[_Pending]]" = {}
-        for pending in drained:
-            groups.setdefault(pending.key[:-1], []).append(pending)
-        return list(groups.values())
-
-    def _execute_group(self, group: List[_Pending]) -> None:
-        # Settle (and drop) members that expired while queued.
-        live: List[_Pending] = []
-        for pending in group:
-            deadline = pending.effective_deadline()
-            if deadline is not None and time.monotonic() >= deadline:
-                self._settle_error(
-                    pending,
-                    DeadlineExceededError("request expired while queued"),
-                )
-            else:
-                live.append(pending)
-        if not live:
+    def _execute(self, pending: _Pending) -> None:
+        """Run one queued request and settle every waiter on it."""
+        deadline = pending.effective_deadline()
+        if deadline is not None and time.monotonic() >= deadline:
+            self._settle_error(
+                pending, DeadlineExceededError("request expired while queued")
+            )
             return
-        fields = live[0].fields
-        deltas = sorted({float(p.fields["delta"]) for p in live})
-        member_deadlines = [p.effective_deadline() for p in live]
-        group_deadline = (
-            None if any(d is None for d in member_deadlines)
-            else max(member_deadlines)
-        )
         with self._lock:
-            binding = self._cluster_bindings.get(live[0].lease.name)
+            binding = self._cluster_bindings.get(pending.lease.name)
         try:
-            sweep = self._run_group(live, fields, deltas, group_deadline, binding)
+            counts = self._run(pending, deadline, binding)
         except Exception as exc:
-            for pending in live:
-                self._settle_error(pending, exc)
+            self._settle_error(pending, exc)
             return
         with self._lock:
             self.stats["executions"] += 1
-            self.stats["batched_deltas"] += len(deltas)
-        for pending in live:
-            self._settle_result(
-                pending, sweep.get(fields["algorithm"], float(pending.fields["delta"]))
-            )
+            self.stats["batched_deltas"] += 1
+        self._settle_result(pending, counts)
 
-    def _run_group(self, live, fields, deltas, group_deadline, binding):
-        """One batched execution: local pool sweep, or the bound cluster."""
+    def _run(self, pending: _Pending, deadline, binding):
+        """One execution: a local pool count, or the bound cluster."""
         from repro.core.registry import get_algorithm
 
+        fields = pending.fields
         if binding is not None and get_algorithm(fields["algorithm"]).is_exact:
-            return self._run_cluster_group(live, fields, deltas, group_deadline, binding)
+            return self._run_cluster(pending, deadline, binding)
+        # The one-δ sweep drops `workers`/`pool` for serial-only
+        # algorithms and `seed`/`n_samples` for exact ones.
         return count_motifs_sweep(
-            live[0].lease.graph,
-            deltas,
+            pending.lease.graph,
+            [float(fields["delta"])],
             algorithms=(fields["algorithm"],),
             categories=fields["categories"],
             workers=self.config.workers,
@@ -411,66 +376,60 @@ class MotifService:
             n_samples=fields["n_samples"],
             backend=fields["backend"],
             pool=self.pool,
-            deadline=group_deadline,
+            deadline=deadline,
             **fields["params"],
-        )
+        ).results[0]
 
-    def _run_cluster_group(self, live, fields, deltas, group_deadline, binding):
-        """Cluster-bound exact counts, guarded by the graph's breaker.
+    def _run_cluster(self, pending: _Pending, deadline, binding):
+        """A cluster-bound exact count, guarded by the graph's breaker.
 
-        Distributed, one δ at a time (the shard plan is per-δ anyway);
-        a packed source path travels instead of the graph so workers
+        A packed source path travels instead of the graph so workers
         holding the file count by reference.  Consecutive
         :class:`~repro.errors.WorkerUnavailableError` failures open the
         graph's circuit breaker, and open-breaker (or just-failed)
         requests degrade to :meth:`_run_local_fallback` instead of
         hammering a dead cluster.
         """
-        from repro.core.api import SweepResult, count_motifs
+        from repro.core.api import count_motifs
         from repro.errors import WorkerUnavailableError
 
         cluster, source_path = binding
-        name = live[0].lease.name
+        fields = pending.fields
+        name = pending.lease.name
         with self._lock:
             breaker = self._breakers.get(name)
         if breaker is not None and not breaker.allow():
             return self._run_local_fallback(
-                live, fields, deltas, group_deadline, name, source_path,
-                breaker, cause=None,
+                pending, deadline, source_path, breaker, cause=None
             )
         try:
-            sweep = SweepResult()
-            for delta in deltas:
-                counts = count_motifs(
-                    live[0].lease.graph if source_path is None else source_path,
-                    delta,
-                    algorithm=fields["algorithm"],
-                    categories=fields["categories"],
-                    backend=fields["backend"],
-                    cluster=cluster,
-                    deadline=group_deadline,
-                    **fields["params"],
-                )
-                counts.meta.setdefault("cluster", {})["breaker_state"] = (
-                    "closed" if breaker is None else breaker.state
-                )
-                sweep.add(fields["algorithm"], delta, counts)
+            counts = count_motifs(
+                pending.lease.graph if source_path is None else source_path,
+                float(fields["delta"]),
+                algorithm=fields["algorithm"],
+                categories=fields["categories"],
+                backend=fields["backend"],
+                cluster=cluster,
+                deadline=deadline,
+                **fields["params"],
+            )
+            counts.meta.setdefault("cluster", {})["breaker_state"] = (
+                "closed" if breaker is None else breaker.state
+            )
         except WorkerUnavailableError as exc:
             with self._lock:
                 self.stats["cluster_failures"] += 1
             if breaker is not None:
                 breaker.record_failure()
             return self._run_local_fallback(
-                live, fields, deltas, group_deadline, name, source_path,
-                breaker, cause=exc,
+                pending, deadline, source_path, breaker, cause=exc
             )
         if breaker is not None:
             breaker.record_success()
-        return sweep
+        return counts
 
     def _run_local_fallback(
-        self, live, fields, deltas, group_deadline, name, source_path,
-        breaker, *, cause,
+        self, pending: _Pending, deadline, source_path, breaker, *, cause
     ):
         """Graceful degradation for an unreachable cluster.
 
@@ -483,9 +442,11 @@ class MotifService:
         """
         import os
 
-        from repro.core.api import SweepResult, count_motifs
+        from repro.core.api import count_motifs
         from repro.errors import ClusterDegradedError
 
+        fields = pending.fields
+        name = pending.lease.name
         state = "closed" if breaker is None else breaker.state
         can_fall_back = self.config.cluster_fallback and (
             source_path is None or os.path.exists(source_path)
@@ -493,23 +454,20 @@ class MotifService:
         if can_fall_back:
             with self._lock:
                 self.stats["cluster_fallbacks"] += 1
-            sweep = SweepResult()
-            for delta in deltas:
-                counts = count_motifs(
-                    live[0].lease.graph if source_path is None else source_path,
-                    delta,
-                    algorithm=fields["algorithm"],
-                    categories=fields["categories"],
-                    backend=fields["backend"],
-                    num_shards=max(2, self.config.workers),
-                    deadline=group_deadline,
-                    **fields["params"],
-                )
-                counts.meta.setdefault("cluster", {}).update(
-                    {"breaker_state": state, "degraded": True}
-                )
-                sweep.add(fields["algorithm"], delta, counts)
-            return sweep
+            counts = count_motifs(
+                pending.lease.graph if source_path is None else source_path,
+                float(fields["delta"]),
+                algorithm=fields["algorithm"],
+                categories=fields["categories"],
+                backend=fields["backend"],
+                num_shards=max(2, self.config.workers),
+                deadline=deadline,
+                **fields["params"],
+            )
+            counts.meta.setdefault("cluster", {}).update(
+                {"breaker_state": state, "degraded": True}
+            )
+            return counts
         with self._lock:
             self.stats["cluster_degraded"] += 1
         retry_after = 0.0 if breaker is None else breaker.retry_after()
@@ -599,7 +557,7 @@ class MotifService:
         # Settle anything still queued (submitted before close won).
         with self._lock:
             leftovers = list(self._queue)
-            self._queue = []
+            self._queue.clear()
         for pending in leftovers:
             self._settle_error(pending, ReproError("service is shut down"))
         self.catalog.close()

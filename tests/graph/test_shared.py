@@ -10,6 +10,9 @@ from repro.errors import ValidationError
 from repro.graph.shared import (
     ArrayBundleManifest,
     ArraySpec,
+    AttachedArrays,
+    SharedArrays,
+    _publish_into_segment,
     attach_graph,
     publish_graph,
 )
@@ -82,7 +85,8 @@ def _owner_maps(segment: str) -> bool:
 class TestOwnerUnmapsAfterPublish:
     @pytest.mark.parametrize("kind", ["arrays", "graph"])
     def test_segment_unmapped_but_attachable_and_unlinkable(self, paper_graph, kind):
-        # "arrays": an edge-only bundle; "graph": with the columnar store.
+        # "arrays": a bare edge-column bundle; "graph": a whole graph,
+        # columnar store included.
         expected = {
             "edge.src": paper_graph.sources,
             "edge.dst": paper_graph.destinations,
@@ -90,14 +94,21 @@ class TestOwnerUnmapsAfterPublish:
         }
         if kind == "graph":
             expected["col.pair_keys"] = paper_graph.columnar().pair_keys
-        handle = publish_graph(paper_graph, include_columnar=(kind == "graph"))
+            handle = publish_graph(paper_graph)
+        else:
+            handle = SharedArrays(*_publish_into_segment(expected, meta=None))
         try:
             assert os.path.exists(f"/dev/shm/{handle.name}")
             assert not _owner_maps(handle.name)
             for _ in range(2):
-                attached = attach_graph(handle.manifest)
+                if kind == "graph":
+                    attached = attach_graph(handle.manifest)
+                    arrays = attached._attached.arrays
+                else:
+                    attached = AttachedArrays(handle.manifest)
+                    arrays = attached.arrays
                 for name, arr in expected.items():
-                    assert np.array_equal(attached._attached.arrays[name], arr), name
+                    assert np.array_equal(arrays[name], arr), name
                 attached.close()
         finally:
             handle.close()
@@ -130,17 +141,6 @@ class TestGraphPublication:
             assert np.array_equal(att_col.inc_indptr, col.inc_indptr)
             assert np.array_equal(att_col.pair_keys, col.pair_keys)
             assert not att_col.src.flags.writeable
-            attached.close()
-        finally:
-            handle.close()
-
-    def test_edge_only_publication_skips_columnar(self, paper_graph):
-        handle = publish_graph(paper_graph, include_columnar=False)
-        try:
-            assert not handle.has_columnar
-            attached = attach_graph(handle.manifest)
-            assert attached.graph._columnar is None
-            assert count_motifs(attached.graph, 10).total() == 27
             attached.close()
         finally:
             handle.close()

@@ -144,6 +144,17 @@ class TestReuse:
             assert pool.stats["graphs_published"] == 1
             assert pool.stats["jobs"] == 3
 
+    def test_ex_then_fast_publish_the_graph_once(self, paper_graph):
+        # EX slabs and columnar FAST batches read one published segment,
+        # which always carries the columnar store.
+        with WorkerPool(2, "fork", result_cache=False) as pool:
+            ex = count_motifs(paper_graph, 10, algorithm="ex", workers=2, pool=pool)
+            fast = count_motifs(paper_graph, 10, algorithm="fast", workers=2, pool=pool)
+            assert pool.stats["graphs_published"] == 1
+            assert pool.stats["jobs"] == 2
+        assert np.array_equal(ex.grid, fast.grid)
+        assert ex.same_counts(count_motifs(paper_graph, 10))
+
     def test_result_cache_hits_identical_requests(self, paper_graph):
         with WorkerPool(2, "fork") as pool:
             first = count_motifs(paper_graph, 10, workers=2, pool=pool)

@@ -29,6 +29,20 @@ def graph() -> TemporalGraph:
     return service_graph()
 
 
+def hold_executions(svc: MotifService):
+    """Make ``svc``'s executions wait; returns ``(started, release)`` events."""
+    started, release = threading.Event(), threading.Event()
+    run = svc._run
+
+    def held(*args, **kwargs):
+        started.set()
+        assert release.wait(60), "test never released the held execution"
+        return run(*args, **kwargs)
+
+    svc._run = held
+    return started, release
+
+
 @contextmanager
 def running_daemon(service: MotifService, *, http: bool = False):
     """Run a :class:`ServeDaemon` on a fresh unix socket in a thread.
@@ -75,7 +89,7 @@ def running_daemon(service: MotifService, *, http: bool = False):
 @pytest.fixture
 def served(graph):
     """A running daemon over a 2-worker service holding ``graph`` as "demo"."""
-    service = MotifService(ServiceConfig(workers=2, batch_window=0.001))
+    service = MotifService(ServiceConfig(workers=2))
     service.add_graph("demo", graph)
     try:
         with running_daemon(service) as (daemon, socket_path):

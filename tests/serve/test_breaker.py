@@ -23,12 +23,18 @@ import numpy as np
 import pytest
 
 from repro.core.api import count_motifs
+from repro.distributed import WorkerDaemon
 from repro.distributed import health as _health
 from repro.distributed.health import RetryPolicy
 from repro.errors import ClusterDegradedError, ReproError
 from repro.serve import MotifService, ServiceConfig
 from repro.serve.client import ServeClient
-from repro.serve.protocol import error_response, ok_response, raise_from_response
+from repro.serve.protocol import (
+    canonical_counts_bytes,
+    error_response,
+    ok_response,
+    raise_from_response,
+)
 
 from tests.serve.test_service import count_fields
 
@@ -46,8 +52,7 @@ def fast_policy(monkeypatch):
 
 
 def cluster_service(graph, **config_overrides):
-    kwargs = dict(workers=2, batch_window=0.001,
-                  breaker_threshold=2, breaker_reset=0.25)
+    kwargs = dict(workers=2, breaker_threshold=2, breaker_reset=0.25)
     kwargs.update(config_overrides)
     svc = MotifService(ServiceConfig(**kwargs))
     svc.add_graph("demo", graph, cluster=DEAD_CLUSTER)
@@ -71,6 +76,23 @@ def test_dead_cluster_falls_back_to_identical_local_counts(graph, fast_policy):
         assert stats["breakers"]["demo"]["state"] in ("closed", "open")
     finally:
         svc.close()
+
+
+def test_live_cluster_serves_identical_counts(graph):
+    with WorkerDaemon() as worker:
+        svc = MotifService(ServiceConfig(workers=2))
+        svc.add_graph("demo", graph, cluster=worker.start())
+        try:
+            for delta in (30.0, 45.0):
+                counts = svc.submit(count_fields(delta=delta)).result(60)
+                direct = count_motifs(graph, delta, algorithm="fast")
+                assert canonical_counts_bytes(counts) == canonical_counts_bytes(direct)
+                assert counts.meta["cluster"]["breaker_state"] == "closed"
+            stats = svc.describe_stats()
+            assert stats["executions"] == stats["batched_deltas"] == 2
+            assert stats["cluster_failures"] == stats["cluster_fallbacks"] == 0
+        finally:
+            svc.close()
 
 
 def test_breaker_opens_and_short_circuits_the_dead_cluster(graph, fast_policy):

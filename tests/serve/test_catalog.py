@@ -141,7 +141,7 @@ def test_reload_reaps_old_generation_segments():
 def test_service_level_reload_semantics():
     store = StreamingEdgeStore()
     fill_store(store, 250)
-    svc = MotifService(ServiceConfig(workers=2, batch_window=0.001))
+    svc = MotifService(ServiceConfig(workers=2))
     svc.add_graph("live", store)
     try:
         fields = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -22,7 +23,7 @@ from repro.errors import (
 from repro.serve import MotifService, ServeClient, ServeDaemon, ServiceConfig
 from repro.serve.protocol import PROTOCOL_VERSION, canonical_counts_bytes
 
-from tests.serve.conftest import running_daemon
+from tests.serve.conftest import hold_executions, running_daemon
 
 
 # ---------------------------------------------------------------------------
@@ -87,39 +88,59 @@ def test_wire_errors_arrive_typed(served):
         assert client.ping()["version"] == PROTOCOL_VERSION
 
 
+def direct_fields(delta: float, tenant: str) -> dict:
+    return {
+        "graph": "demo", "delta": delta, "algorithm": "fast",
+        "categories": "all", "backend": "auto", "seed": None,
+        "n_samples": None, "params": {}, "tenant": tenant,
+        "timeout": 30.0, "id": None,
+    }
+
+
 def test_deadline_and_quota_errors_cross_the_wire(graph):
-    service = MotifService(
-        ServiceConfig(workers=1, batch_window=0.5, tenant_quota=1)
-    )
+    service = MotifService(ServiceConfig(workers=1, tenant_quota=1))
     service.add_graph("demo", graph)
     try:
         with running_daemon(service) as (_, socket_path):
             with ServeClient(socket_path) as client:
-                with pytest.raises(DeadlineExceededError):
-                    client.count("demo", 20.0, timeout=0.01)
+                # A held direct submission keeps the dispatcher busy
+                # while the wire request waits in the queue past its
+                # deadline; the hold lifts after 0.2 s.
+                started, release = hold_executions(service)
+                blocker = service.submit(direct_fields(50.0, "dave"))
+                assert started.wait(60)
+                timer = threading.Timer(0.2, release.set)
+                timer.start()
+                try:
+                    with pytest.raises(DeadlineExceededError):
+                        client.count("demo", 20.0, timeout=0.01)
+                finally:
+                    timer.join()
+                blocker.result(60)
 
-                # Pin carol's only quota slot with a direct submission;
-                # the wide batch window keeps it queued while the wire
-                # request for a *different* delta arrives and is turned
-                # away with a typed 429-class error.
-                held = service.submit({
-                    "graph": "demo", "delta": 35.0, "algorithm": "fast",
-                    "categories": "all", "backend": "auto", "seed": None,
-                    "n_samples": None, "params": {}, "tenant": "carol",
-                    "timeout": 30.0, "id": None,
-                })
-                with pytest.raises(QuotaExceededError):
-                    client.count("demo", 36.0, tenant="carol")
+                # Pin carol's only quota slot with a held direct
+                # submission; the wire request for a *different* delta
+                # arrives and is turned away with a typed 429-class
+                # error.
+                started, release = hold_executions(service)
+                held = service.submit(direct_fields(35.0, "carol"))
+                try:
+                    with pytest.raises(QuotaExceededError):
+                        client.count("demo", 36.0, tenant="carol")
+                finally:
+                    release.set()
                 held.result(60)
     finally:
         service.close()
 
 
 def test_concurrent_clients_share_one_execution(graph):
-    service = MotifService(ServiceConfig(workers=2, batch_window=0.4))
+    service = MotifService(ServiceConfig(workers=2))
     service.add_graph("demo", graph)
     try:
         with running_daemon(service) as (_, socket_path):
+            # Hold the first execution until all five requests are in.
+            started, release = hold_executions(service)
             results, errors = [], []
 
             def hit() -> None:
@@ -132,6 +153,13 @@ def test_concurrent_clients_share_one_execution(graph):
             threads = [threading.Thread(target=hit) for _ in range(5)]
             for t in threads:
                 t.start()
+            try:
+                assert started.wait(60)
+                admitted_by = time.monotonic() + 60
+                while service.stats["requests"] < 5 and time.monotonic() < admitted_by:
+                    time.sleep(0.01)
+            finally:
+                release.set()
             for t in threads:
                 t.join(timeout=120)
             assert not errors
@@ -197,7 +225,7 @@ def test_client_rejects_missing_socket(tmp_path):
 
 @pytest.fixture
 def http_served(graph):
-    service = MotifService(ServiceConfig(workers=2, batch_window=0.001))
+    service = MotifService(ServiceConfig(workers=2))
     service.add_graph("demo", graph)
     try:
         with running_daemon(service, http=True) as (daemon, _):

@@ -1,9 +1,10 @@
-"""MotifService admission/batching tests: coalescing, quotas, deadlines."""
+"""MotifService admission/dispatch tests: coalescing, quotas, deadlines."""
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from repro.graph.stream_store import StreamingEdgeStore
 from repro.serve import MotifService, ServiceConfig
 from repro.serve.protocol import canonical_counts_bytes
 
-from tests.serve.conftest import service_graph
+from tests.serve.conftest import hold_executions, service_graph
 from tests.serve.test_catalog import fill_store
 
 
@@ -38,7 +39,7 @@ def count_fields(graph="demo", delta=40.0, **overrides):
 
 @pytest.fixture
 def service(graph):
-    svc = MotifService(ServiceConfig(workers=2, batch_window=0.001))
+    svc = MotifService(ServiceConfig(workers=2))
     svc.add_graph("demo", graph)
     try:
         yield svc
@@ -64,12 +65,18 @@ def test_bad_algorithm_surfaces_as_validation_error(service):
 
 
 def test_duplicate_inflight_requests_coalesce_to_one_execution(graph):
-    # A wide batch window holds the queue open while identical
-    # requests pile up; all must resolve from a single pool execution.
-    svc = MotifService(ServiceConfig(workers=2, batch_window=0.4))
+    # A held execution keeps the first request in flight while
+    # identical requests pile up; all must resolve from a single pool
+    # execution.
+    svc = MotifService(ServiceConfig(workers=2))
     svc.add_graph("demo", graph)
     try:
-        futures = [svc.submit(count_fields(delta=35.0)) for _ in range(6)]
+        started, release = hold_executions(svc)
+        try:
+            futures = [svc.submit(count_fields(delta=35.0)) for _ in range(6)]
+            assert started.wait(60)
+        finally:
+            release.set()
         results = [f.result(60) for f in futures]
         grids = [r.grid for r in results]
         for grid in grids[1:]:
@@ -81,16 +88,29 @@ def test_duplicate_inflight_requests_coalesce_to_one_execution(graph):
         svc.close()
 
 
-def test_compatible_deltas_batch_into_one_sweep(graph):
-    svc = MotifService(ServiceConfig(workers=2, batch_window=0.4))
+def test_distinct_deltas_run_as_separate_executions(graph):
+    svc = MotifService(ServiceConfig(workers=2))
     svc.add_graph("demo", graph)
     try:
+        started, release = hold_executions(svc)
+        held_run, order = svc._run, []
+
+        def recording(pending, *args):
+            order.append(pending.fields["delta"])
+            return held_run(pending, *args)
+
+        svc._run = recording
         deltas = [20.0, 40.0, 60.0]
-        futures = [svc.submit(count_fields(delta=d)) for d in deltas]
+        try:
+            futures = [svc.submit(count_fields(delta=d)) for d in deltas]
+            assert started.wait(60)
+        finally:
+            release.set()
         results = {d: f.result(60) for d, f in zip(deltas, futures)}
-        # One batched execution covering all three δ, answers exact.
-        assert svc.stats["executions"] == 1
-        assert svc.stats["batched_deltas"] == 3
+        # One execution per δ, in arrival order, answers exact.
+        assert order == deltas
+        assert svc.stats["executions"] == 3
+        assert svc.stats["batched_deltas"] == svc.stats["executions"]
         for d in deltas:
             direct = count_motifs(graph, d, algorithm="fast")
             assert canonical_counts_bytes(results[d]) == canonical_counts_bytes(direct)
@@ -99,17 +119,21 @@ def test_compatible_deltas_batch_into_one_sweep(graph):
 
 
 def test_tenant_quota_rejects_excess_in_flight(graph):
-    svc = MotifService(ServiceConfig(workers=1, batch_window=0.5, tenant_quota=2))
+    svc = MotifService(ServiceConfig(workers=1, tenant_quota=2))
     svc.add_graph("demo", graph)
     try:
-        held = [
-            svc.submit(count_fields(delta=d, tenant="alice"))
-            for d in (10.0, 20.0)
-        ]
-        with pytest.raises(QuotaExceededError):
-            svc.submit(count_fields(delta=30.0, tenant="alice"))
-        # Another tenant is unaffected: quotas are per tenant.
-        other = svc.submit(count_fields(delta=30.0, tenant="bob"))
+        started, release = hold_executions(svc)
+        try:
+            held = [
+                svc.submit(count_fields(delta=d, tenant="alice"))
+                for d in (10.0, 20.0)
+            ]
+            with pytest.raises(QuotaExceededError):
+                svc.submit(count_fields(delta=30.0, tenant="alice"))
+            # Another tenant is unaffected: quotas are per tenant.
+            other = svc.submit(count_fields(delta=30.0, tenant="bob"))
+        finally:
+            release.set()
         for future in held + [other]:
             future.result(60)
         assert svc.stats["rejected_quota"] == 1
@@ -120,14 +144,18 @@ def test_tenant_quota_rejects_excess_in_flight(graph):
 
 
 def test_backpressure_bounds_pending_groups(graph):
-    svc = MotifService(ServiceConfig(workers=1, batch_window=0.5, max_pending=2))
+    svc = MotifService(ServiceConfig(workers=1, max_pending=2))
     svc.add_graph("demo", graph)
     try:
-        held = [svc.submit(count_fields(delta=d)) for d in (10.0, 20.0)]
-        with pytest.raises(BackpressureError):
-            svc.submit(count_fields(delta=30.0))
-        # Identical to an in-flight request: coalesces, never rejected.
-        dup = svc.submit(count_fields(delta=10.0))
+        started, release = hold_executions(svc)
+        try:
+            held = [svc.submit(count_fields(delta=d)) for d in (10.0, 20.0)]
+            with pytest.raises(BackpressureError):
+                svc.submit(count_fields(delta=30.0))
+            # Identical to an in-flight request: coalesces, never rejected.
+            dup = svc.submit(count_fields(delta=10.0))
+        finally:
+            release.set()
         for future in held + [dup]:
             future.result(60)
         assert svc.stats["rejected_backpressure"] == 1
@@ -137,13 +165,22 @@ def test_backpressure_bounds_pending_groups(graph):
 
 
 def test_deadline_expires_while_queued(graph):
-    svc = MotifService(ServiceConfig(workers=1, batch_window=0.3))
+    svc = MotifService(ServiceConfig(workers=1))
     svc.add_graph("demo", graph)
     try:
-        future = svc.submit(count_fields(delta=25.0, timeout=0.01))
+        started, release = hold_executions(svc)
+        try:
+            # A held count keeps the dispatcher busy past the deadline.
+            blocker = svc.submit(count_fields(delta=50.0))
+            assert started.wait(60)
+            future = svc.submit(count_fields(delta=25.0, timeout=0.01))
+            time.sleep(0.05)
+        finally:
+            release.set()
         with pytest.raises(DeadlineExceededError):
             future.result(60)
         assert svc.stats["deadline_misses"] >= 1
+        blocker.result(60)
         # The service stays healthy for later requests.
         ok = svc.submit(count_fields(delta=25.0, timeout=30.0))
         assert ok.result(60).total() >= 0
@@ -152,14 +189,21 @@ def test_deadline_expires_while_queued(graph):
 
 
 def test_default_timeout_applies_when_request_has_none(graph):
-    svc = MotifService(
-        ServiceConfig(workers=1, batch_window=0.3, default_timeout=0.01)
-    )
+    svc = MotifService(ServiceConfig(workers=1, default_timeout=0.01))
     svc.add_graph("demo", graph)
     try:
-        future = svc.submit(count_fields(delta=25.0, timeout=None))
+        started, release = hold_executions(svc)
+        try:
+            # The blocker carries its own 30 s timeout.
+            blocker = svc.submit(count_fields(delta=50.0))
+            assert started.wait(60)
+            future = svc.submit(count_fields(delta=25.0, timeout=None))
+            time.sleep(0.05)
+        finally:
+            release.set()
         with pytest.raises(DeadlineExceededError):
             future.result(60)
+        blocker.result(60)
     finally:
         svc.close()
 
@@ -225,20 +269,6 @@ def test_describe_stats_merges_pool_and_catalog(service):
 # the answer table: repeats of settled deterministic work
 # ---------------------------------------------------------------------------
 
-def hold_executions(svc):
-    """Make ``svc``'s executions wait; returns ``(started, release)`` events."""
-    started, release = threading.Event(), threading.Event()
-    run_group = svc._run_group
-
-    def held(*args, **kwargs):
-        started.set()
-        assert release.wait(60), "test never released the held execution"
-        return run_group(*args, **kwargs)
-
-    svc._run_group = held
-    return started, release
-
-
 def direct_bytes(graph, delta):
     return canonical_counts_bytes(count_motifs(graph, delta, algorithm="fast"))
 
@@ -258,7 +288,7 @@ def test_repeat_resolves_while_a_count_holds_the_dispatcher(service, graph):
 
 
 def test_repeat_takes_no_quota(graph):
-    svc = MotifService(ServiceConfig(workers=1, batch_window=0.001, tenant_quota=1))
+    svc = MotifService(ServiceConfig(workers=1, tenant_quota=1))
     svc.add_graph("demo", graph)
     try:
         svc.submit(count_fields(delta=33.0, tenant="alice")).result(60)
@@ -291,7 +321,7 @@ def test_sampler_repeats_are_answered_only_with_a_seed(service, seed, hits):
 def test_live_source_version_bump_misses_the_table():
     store = StreamingEdgeStore()
     fill_store(store, 250)
-    svc = MotifService(ServiceConfig(workers=2, batch_window=0.001))
+    svc = MotifService(ServiceConfig(workers=2))
     svc.add_graph("live", store)
     try:
         svc.submit(count_fields(graph="live", delta=30.0)).result(60)
@@ -319,7 +349,7 @@ def test_mutating_an_answer_does_not_change_the_next_hit(service, graph):
 
 def test_readded_name_never_joins_the_old_graphs_request(graph):
     other = service_graph(seed=12)
-    svc = MotifService(ServiceConfig(workers=2, batch_window=0.001))
+    svc = MotifService(ServiceConfig(workers=2))
     svc.add_graph("demo", graph)
     try:
         started, release = hold_executions(svc)
@@ -340,7 +370,7 @@ def test_readded_name_never_joins_the_old_graphs_request(graph):
 
 def test_readded_name_never_gets_a_stored_answer(graph):
     other = service_graph(seed=12)
-    svc = MotifService(ServiceConfig(workers=2, batch_window=0.001))
+    svc = MotifService(ServiceConfig(workers=2))
     svc.add_graph("demo", graph)
     try:
         svc.submit(count_fields(delta=40.0)).result(60)
