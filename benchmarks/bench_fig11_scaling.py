@@ -15,7 +15,7 @@ from conftest import DELTA, SCALE, bench_graph, once, resolve_backend, write_rep
 from repro.baselines.exact_ex import ex_count
 from repro.baselines.sampling_bts import bts_count_pairs
 from repro.bench.experiments import run_fig11
-from repro.parallel.hare import hare_count, hare_star_pair
+from repro.parallel.hare import hare_count
 
 WORKERS = (1, 2, 4)
 DATASETS = ("superuser", "wikitalk")
@@ -51,8 +51,9 @@ def test_fig11_hare_pair(benchmark, dataset, workers, backend):
     graph = bench_graph(dataset)
     once(
         benchmark,
-        lambda: hare_star_pair(
-            graph, DELTA, workers=workers, backend=resolve_backend(backend)
+        lambda: hare_count(
+            graph, DELTA, workers=workers, categories="star_pair",
+            backend=resolve_backend(backend),
         ),
     )
 

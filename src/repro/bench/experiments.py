@@ -28,7 +28,7 @@ from repro.baselines.sampling_ews import ews_count
 from repro.baselines.twoscent import twoscent_count_cycles
 from repro.graph.datasets import REGISTRY, load_dataset
 from repro.graph.statistics import compute_statistics, default_degree_threshold, top_k_degrees
-from repro.parallel.hare import hare_count, hare_star_pair
+from repro.parallel.hare import hare_count
 
 DELTA_DEFAULT = 600
 
@@ -304,7 +304,9 @@ def run_fig11(
         for w in workers:
             hare = time_call(lambda: hare_count(graph, delta, workers=w))
             exp = time_call(lambda: ex_count(graph, delta, workers=w))
-            hare_pair = time_call(lambda: hare_star_pair(graph, delta, workers=w))
+            hare_pair = time_call(
+                lambda: hare_count(graph, delta, workers=w, categories="star_pair")
+            )
             bts = time_call(
                 lambda: bts_count_pairs(
                     graph, delta, q=0.3, exact_when_full=False, workers=w

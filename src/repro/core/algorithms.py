@@ -56,7 +56,9 @@ def _fast_stream_factory(request):
     stream_factory=_fast_stream_factory,
 )
 def _fast(request: CountRequest) -> MotifCounts:
-    if request.workers > 1:
+    # The runtime_pool rule: an explicit pool always wins, even for a
+    # single worker; otherwise workers > 1 runs on the shared pool.
+    if request.workers > 1 or request.pool is not None:
         from repro.parallel.hare import hare_count_request
 
         return hare_count_request(request)

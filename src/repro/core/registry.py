@@ -364,8 +364,9 @@ class StreamRequest:
         ``StreamingMotifEngine.replay``; explicit ``checkpoint()``
         calls are always allowed.
     parallel_min_edges:
-        Minimum dirty-slice size before ``workers > 1`` engages the
-        HARE pool for a micro-batch (see
+        Minimum dirty-slice size before ``workers > 1`` counts a
+        slice as one HARE job on the worker pool (``pool``, else the
+        process-wide shared pool; see
         :mod:`repro.core.stream_kernels`).
     """
 
@@ -377,12 +378,14 @@ class StreamRequest:
     workers: int = 1
     checkpoint_every: int = 10_000
     parallel_min_edges: int = 200_000
-    #: Persistent worker pool for large micro-batches; ``None`` lets
-    #: the engine keep its own resident pool once one is needed (see
-    #: :meth:`repro.core.streaming.StreamingMotifEngine.close`).
+    #: Persistent worker pool for large micro-batches
+    #: (:class:`repro.parallel.pool.WorkerPool`); ``None`` uses the
+    #: process-wide shared pool when ``workers > 1``.  The caller owns
+    #: it: the engine never closes it.
     pool: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Start method for the engine's resident pool (``None``:
-    #: ``REPRO_START_METHOD`` env var, then platform default).
+    #: How the shared pool starts its workers when no ``pool`` is
+    #: given (``None``: ``REPRO_START_METHOD`` env var, then platform
+    #: default).
     start_method: Optional[str] = None
     params: Dict[str, object] = field(default_factory=dict)
 

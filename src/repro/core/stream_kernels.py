@@ -30,9 +30,9 @@ are therefore additive over edge-multiset differences; projection to
 the de-duplicated 6×6 grid happens only at checkpoint time.
 
 The slice counts reuse the existing batch kernels unchanged — the
-python loops, the vectorized columnar kernels, or the HARE process
-pool for large dirty ranges (micro-batch execution) — so streaming
-inherits every backend the batch path has.
+python loops, the vectorized columnar kernels, or, for large dirty
+ranges, one HARE job on the shared worker pool (micro-batch
+execution) — so streaming inherits every backend the batch path has.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ RawCounts = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: 2x by 512, 2.7x by 2048, including the slice-graph build).
 AUTO_COLUMNAR_MIN_EDGES = 256
 
-#: Default minimum slice size before ``workers > 1`` runs a slice on
-#: the HARE worker pool (micro-batch execution); below it publishing
-#: the slice and dispatching its batches cost more than they save.
+#: Default minimum slice size before ``workers > 1`` runs a slice as
+#: one HARE job on the worker pool (micro-batch execution); below it
+#: publishing the slice and dispatching its batches cost more than
+#: they save.
 DEFAULT_PARALLEL_MIN_EDGES = 200_000
 
 
@@ -102,7 +103,8 @@ def count_slice_raw(
     backend: str = "auto",
     workers: int = 1,
     parallel_min_edges: int = DEFAULT_PARALLEL_MIN_EDGES,
-    pool_factory=None,
+    pool=None,
+    start_method=None,
 ) -> RawCounts:
     """Raw flat counters of one immutable slice graph.
 
@@ -111,44 +113,36 @@ def count_slice_raw(
     when ``workers > 1`` and the slice has at least
     ``parallel_min_edges`` edges — the HARE runtime, so a large dirty
     range is counted as a micro-batch with full intra-node
-    parallelism.  ``pool_factory`` (a zero-argument callable returning
-    a :class:`~repro.parallel.pool.WorkerPool`, e.g. the streaming
-    engine's resident-pool accessor) is consulted *only* when this
-    function decides to go parallel — the threshold decision lives
-    here alone — so micro-batches reuse a resident pool, and no pool is
-    ever created for slices that stay serial.  Passes the engine does not need are skipped.
+    parallelism.  Such a slice runs on
+    ``runtime_pool(pool, workers, start_method)`` (the caller's pool,
+    else the process-wide shared pool) as one pool job covering every
+    requested pass; slices below the threshold never touch a pool.
+    Passes the engine does not need are skipped.
     """
-    star, pair, tri = zero_raw()
     if graph.num_edges == 0 or not (star_pair or triangle):
-        return star, pair, tri
+        return zero_raw()
     concrete = resolve_slice_backend(backend, graph.num_edges)
     if workers > 1 and graph.num_edges >= parallel_min_edges:
-        from repro.parallel.hare import hare_star_pair, hare_triangle
+        from repro.parallel.executor import run_batches, runtime_pool
 
-        pool = pool_factory() if pool_factory is not None else None
-        if star_pair:
-            star_counter, pair_counter = hare_star_pair(
-                graph, delta, workers=workers, backend=concrete, pool=pool
-            )
-            star = np.array(star_counter.data, dtype=np.int64)
-            pair = np.array(pair_counter.data, dtype=np.int64)
-        if triangle:
-            tri_counter = hare_triangle(
-                graph, delta, workers=workers, backend=concrete, pool=pool
-            )
-            tri = np.array(tri_counter.data, dtype=np.int64)
-        return star, pair, tri
-    from repro.core.fast_star import count_star_pair
-    from repro.core.fast_tri import count_triangle
+        pool = runtime_pool(pool, workers, start_method)
+        counters = run_batches(
+            graph, delta, pool.plan_batches(graph, workers), pool=pool,
+            star_pair=star_pair, triangle=triangle, backend=concrete,
+        )
+    else:
+        from repro.core.fast_star import count_star_pair
+        from repro.core.fast_tri import count_triangle
 
-    if star_pair:
-        star_counter, pair_counter = count_star_pair(graph, delta, backend=concrete)
-        star = np.array(star_counter.data, dtype=np.int64)
-        pair = np.array(pair_counter.data, dtype=np.int64)
-    if triangle:
-        tri_counter = count_triangle(graph, delta, backend=concrete)
-        tri = np.array(tri_counter.data, dtype=np.int64)
-    return star, pair, tri
+        star_pair_counters = (
+            count_star_pair(graph, delta, backend=concrete) if star_pair else (None, None)
+        )
+        tri_counter = count_triangle(graph, delta, backend=concrete) if triangle else None
+        counters = (*star_pair_counters, tri_counter)
+    return tuple(
+        zero if counter is None else np.array(counter.data, dtype=np.int64)
+        for zero, counter in zip(zero_raw(), counters)
+    )
 
 
 def project_raw(

@@ -10,8 +10,8 @@ of the ingest/count layer split:
   slices);
 * the pure diff kernels of :mod:`repro.core.stream_kernels` turn each
   dirty time range into raw-counter increments, reusing the batch
-  python/columnar kernels (and the HARE pool for large micro-batches)
-  unchanged.
+  python/columnar kernels (and, for large micro-batches, one HARE job
+  on the shared worker pool) unchanged.
 
 Per accepted batch the engine recounts only the edges whose δ-window
 intersects the dirty range — two slices around the batch's time span
@@ -133,40 +133,18 @@ class StreamingMotifEngine:
         self._phase: Dict[str, float] = {name: 0.0 for name in PHASES}
         self._phase_at_checkpoint: Dict[str, float] = dict(self._phase)
         self._num_checkpoints = 0
-        #: Resident worker pool for large micro-batches; created
-        #: lazily (or adopted from ``request.pool``) and kept for the
-        #: engine's lifetime so parallel dirty slices pay pool startup
-        #: once.
-        self._pool = request.pool
-        self._owns_pool = False
 
     # ------------------------------------------------------------------
     # counting plumbing
     # ------------------------------------------------------------------
-    def _parallel_pool(self):
-        """The resident pool, creating the engine-owned one on demand."""
-        if self._pool is None:
-            from repro.parallel.pool import WorkerPool
-
-            self._pool = WorkerPool(
-                self.request.workers, start_method=self.request.start_method
-            )
-            self._owns_pool = True
-        return self._pool
-
     def close(self) -> None:
-        """Shut down the engine-owned worker pool (if one was created).
+        """Release the engine; a no-op kept for the context-manager protocol.
 
-        Idempotent; also runs on garbage collection via the pool's own
-        finalizer, but explicit closing (or using the engine as a
-        context manager) releases the worker processes and their
-        shared-memory segments promptly.  A pool passed in through the
-        request is the caller's to close and is left running.
+        The engine owns no processes or shared memory: parallel dirty
+        slices run on ``request.pool`` or the process-wide shared pool
+        (see :func:`repro.parallel.executor.runtime_pool`), which
+        outlive it.
         """
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-        self._pool = self.request.pool
-        self._owns_pool = False
 
     def __enter__(self) -> "StreamingMotifEngine":
         return self
@@ -187,10 +165,8 @@ class StreamingMotifEngine:
             backend=request.backend,
             workers=request.workers,
             parallel_min_edges=request.parallel_min_edges,
-            # Invoked only when count_slice_raw decides a slice is
-            # parallel-worthy — the threshold lives there, and the
-            # engine's resident pool is created on first such slice.
-            pool_factory=self._parallel_pool,
+            pool=request.pool,
+            start_method=request.start_method,
         )
         self._phase["count"] += time.perf_counter() - tick
         return raw

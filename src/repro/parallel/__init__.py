@@ -12,7 +12,7 @@ analogue) with per-batch counters summed in batch order at the end
 
 from repro.parallel.scheduler import WorkBatch, build_batches, partition_static
 from repro.parallel.executor import resolve_start_method, run_batches
-from repro.parallel.hare import hare_count, hare_star_pair, hare_triangle
+from repro.parallel.hare import hare_count
 from repro.parallel.pool import (
     WorkerPool,
     close_all_pools,
@@ -33,6 +33,4 @@ __all__ = [
     "run_batches",
     "shared_pool",
     "hare_count",
-    "hare_star_pair",
-    "hare_triangle",
 ]

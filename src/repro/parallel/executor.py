@@ -12,13 +12,14 @@ and :func:`reduce_results` sums them in batch order — the paper's
 and then reduce and output the final result"), shared by the serial
 and pool paths and exact at any magnitude.
 
-Routing: an explicit ``pool=`` wins; otherwise ``workers > 1`` runs on
-the process-wide :func:`~repro.parallel.pool.shared_pool` for the
-resolved start method (explicit argument, then the
-``REPRO_START_METHOD`` environment variable, then the platform
-default), which only decides how that pool starts its workers.  A
-single worker without a pool (or an empty task cover) runs the
-batches serially in-process.  Results are bit-identical either way.
+Routing is decided once, by :func:`runtime_pool`: an explicit
+``pool=`` wins; otherwise ``workers > 1`` runs on the process-wide
+:func:`~repro.parallel.pool.shared_pool` for the resolved start method
+(explicit argument, then the ``REPRO_START_METHOD`` environment
+variable, then the platform default), which only decides how that pool
+starts its workers.  :func:`run_batches` then runs on the pool it is
+handed, or serially in-process when it gets none.  Results are
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ def runtime_pool(
     ``workers > 1`` without an explicit pool gets the process-wide
     :func:`~repro.parallel.pool.shared_pool` for the resolved start
     method; a single worker without a pool runs serially (``None``).
-    The one routing decision shared by HARE, EX and BTS.
+    The one routing decision shared by HARE (batch and stream), EX and
+    BTS.
     """
     if pool is not None or workers == 1:
         return pool
@@ -153,62 +155,43 @@ def runtime_pool(
     return shared_pool(workers, start_method)
 
 
-def resolved_runtime(pool=None, workers: int = 1, has_work: bool = True) -> str:
-    """Which runtime :func:`run_batches` executes on: ``"pool"`` or ``"serial"``.
-
-    ``"pool"`` for an explicit pool or ``workers > 1`` (the shared
-    pool), ``"serial"`` otherwise or when there is no work.  Callers
-    that label results (``hare_count``'s ``meta["runtime"]``) ask here
-    instead of re-deriving it, so provenance can never drift from
-    routing.
-    """
-    return "pool" if has_work and (pool is not None or workers > 1) else "serial"
-
-
 def run_batches(
     graph: TemporalGraph,
     delta: float,
     batches: List[WorkBatch],
-    workers: int,
+    *,
+    pool: Optional["WorkerPool"] = None,
     star_pair: bool = True,
     triangle: bool = True,
     backend: str = "python",
-    pool: Optional["WorkerPool"] = None,
-    start_method: Optional[str] = None,
     deadline: Optional[float] = None,
 ) -> Tuple[Optional[StarCounter], Optional[PairCounter], Optional[TriangleCounter]]:
     """Execute work batches and reduce their counters.
 
-    The static/dynamic choice lives in the plan
+    Runs on ``pool`` (see :func:`runtime_pool`) as one pool job, or
+    serially in-process when ``pool`` is ``None``.  The static/dynamic
+    choice lives in the plan
     (:func:`~repro.parallel.scheduler.partition_static`); pool workers
     pull whatever batches they are given as they finish.  ``backend``
     selects the kernels (``"python"`` loops or ``"columnar"``
-    vectorized).  ``pool`` and ``start_method`` route as in the module
-    docstring.  ``deadline`` (a :func:`time.monotonic` instant) bounds
-    the call: an expired-on-entry request raises
+    vectorized).  ``deadline`` (a :func:`time.monotonic` instant)
+    bounds the call: an expired-on-entry request raises
     :class:`~repro.errors.DeadlineExceededError`, and a pool job is
     also cancelled mid-flight.  Results are bit-identical across
     runtimes.
     """
     check_delta(delta)
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     if backend not in ("python", "columnar"):
         raise ValidationError(
             f"backend must be 'python' or 'columnar', got {backend!r}"
         )
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceededError("run_batches deadline expired before execution")
-
-    if resolved_runtime(pool, workers, has_work=bool(batches)) == "pool":
-        # An explicit pool always wins — even for workers == 1, so a
-        # single-worker pool exercises the full resident runtime rather
-        # than silently collapsing to in-process execution.
-        return runtime_pool(pool, workers, start_method).run_batches(
+    if pool is not None:
+        return pool.run_batches(
             graph, delta, batches, star_pair=star_pair, triangle=triangle,
             backend=backend, deadline=deadline,
         )
-
     return reduce_results(
         (
             execute_tasks(

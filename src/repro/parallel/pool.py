@@ -194,7 +194,7 @@ class _GraphState:
     gid: Optional[int] = None
     handle: Optional[SharedGraph] = None
     manifest_blob: Optional[bytes] = None
-    #: (workers, thrd, schedule, split_factor) -> List[WorkBatch]
+    #: (workers, thrd, schedule) -> List[WorkBatch]
     plans: Dict[Tuple, List[WorkBatch]] = field(default_factory=dict)
 
     def release_segments(self) -> None:
@@ -546,7 +546,6 @@ class WorkerPool:
         workers: Optional[int] = None,
         thrd: Optional[float] = None,
         schedule: str = "dynamic",
-        split_factor: int = 4,
     ) -> List[WorkBatch]:
         """The HARE work decomposition, memoized per graph.
 
@@ -560,10 +559,10 @@ class WorkerPool:
         workers = self.workers if workers is None else workers
         with self._lock:
             state = self._state(graph)
-            key = (workers, thrd, schedule, split_factor)
+            key = (workers, thrd, schedule)
             plan = state.plans.get(key)
             if plan is None:
-                plan = build_batches(graph, workers, thrd=thrd, split_factor=split_factor)
+                plan = build_batches(graph, workers, thrd=thrd)
                 if schedule == "static":
                     plan = partition_static(plan, workers)
                 state.plans[key] = plan

@@ -14,7 +14,8 @@ into every kernel, and a vectorized kernel call has a fixed cost of
 about a millisecond, so batches are sized for the kernels instead:
 the task cover is laid out in node order — heavy nodes as runs of
 consecutive pieces — and that sequence is cut into about
-``batches_per_worker`` batches per worker of equal cumulative weight.
+:data:`BATCHES_PER_WORKER` batches per worker of equal cumulative
+weight.
 A hub can therefore straddle batches, at the granularity its pieces
 allow.
 
@@ -40,6 +41,15 @@ from repro.graph.temporal_graph import TemporalGraph
 #: (node, first-edge range lo, hi) — ``hi=None`` means the sequence end.
 Task = Tuple[int, int, Optional[int]]
 
+#: A node above ``thrd`` is split into ``workers * PIECES_PER_WORKER``
+#: consecutive first-edge ranges: the granularity at which one hub can
+#: be shared between batches.
+PIECES_PER_WORKER = 4
+
+#: The task cover is cut into about ``workers * BATCHES_PER_WORKER``
+#: batches of roughly equal total weight.
+BATCHES_PER_WORKER = 4
+
 
 @dataclass
 class WorkBatch:
@@ -58,16 +68,14 @@ def build_batches(
     graph: TemporalGraph,
     workers: int,
     thrd: Optional[float] = None,
-    split_factor: int = 4,
-    batches_per_worker: int = 4,
 ) -> List[WorkBatch]:
     """Build HARE's hierarchical work decomposition.
 
     The task cover is built in node order: one whole-row task per
-    light node and ``workers * split_factor`` consecutive first-edge
-    pieces per heavy node.  Each task weighs its number of first
-    edges.  The sequence is then cut by cumulative weight into at most
-    ``workers * batches_per_worker`` batches, each a contiguous run of
+    light node and ``workers * PIECES_PER_WORKER`` consecutive
+    first-edge pieces per heavy node.  Each task weighs its number of
+    first edges.  The sequence is then cut by cumulative weight into at
+    most ``workers * BATCHES_PER_WORKER`` batches, each a contiguous run of
     the cover, returned heaviest-first.  Every first edge of every
     node of degree >= 2 is covered exactly once, so the merged counts
     are exact whatever the batching.
@@ -82,22 +90,9 @@ def build_batches(
         paper's default — the minimum degree among the top-20 nodes.
         ``float("inf")`` disables intra-node parallelism entirely (the
         "without thrd" configuration of Fig. 12(b)).
-    split_factor:
-        Heavy nodes are split into ``workers * split_factor``
-        first-edge ranges: the granularity at which a hub can be
-        shared between batches.
-    batches_per_worker:
-        The cover is cut into about ``workers * batches_per_worker``
-        batches of roughly equal total weight.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    if split_factor < 1:
-        raise ValidationError(f"split_factor must be >= 1, got {split_factor}")
-    if batches_per_worker < 1:
-        raise ValidationError(
-            f"batches_per_worker must be >= 1, got {batches_per_worker}"
-        )
     if thrd is None:
         thrd = default_degree_threshold(graph, 20)
 
@@ -113,7 +108,7 @@ def build_batches(
 
     # Piece length per node: the whole row for a light node, a
     # ceil(degree / pieces) slice for a heavy one.
-    pieces = max(2, workers * split_factor)
+    pieces = max(2, workers * PIECES_PER_WORKER)
     step = np.where(degree > thrd, -(-degree // pieces), degree)
     count = -(-degree // step)
 
@@ -125,10 +120,10 @@ def build_batches(
     weight = hi - lo
 
     # Cut where a task's starting weight offset enters the next slice
-    # of ``target``: at most ``workers * batches_per_worker`` batches,
+    # of ``target``: at most ``workers * BATCHES_PER_WORKER`` batches,
     # fewer when one task outweighs a slice.
     cumulative = np.cumsum(weight)
-    target = -(-int(cumulative[-1]) // (workers * batches_per_worker))
+    target = -(-int(cumulative[-1]) // (workers * BATCHES_PER_WORKER))
     group = (cumulative - weight) // target
     cuts = np.flatnonzero(np.diff(group)) + 1
     bounds = [0] + cuts.tolist() + [len(owner)]

@@ -14,7 +14,8 @@ from repro.errors import ValidationError
 from repro.graph.generators import star_burst_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.executor import run_batches
-from repro.parallel.hare import hare_count, hare_star_pair, hare_triangle
+from repro.parallel.hare import hare_count
+from repro.parallel.pool import WorkerPool
 from repro.parallel.scheduler import build_batches
 from tests.core.test_properties import deltas, temporal_graphs
 
@@ -31,6 +32,13 @@ def test_hare_equals_serial(graph, delta):
 def test_hare_static_schedule_equals_serial(graph, delta):
     serial = count_motifs(graph, delta)
     assert hare_count(graph, delta, workers=2, schedule="static") == serial
+
+
+@pytest.fixture(scope="module")
+def category_pool():
+    """An explicit pool (``REPRO_START_METHOD`` picks how it starts)."""
+    with WorkerPool(2, result_cache=False) as pool:
+        yield pool
 
 
 def hub_graph(seed: int) -> TemporalGraph:
@@ -66,20 +74,35 @@ class TestConfigurations:
         serial = count_motifs(g, 40, backend=backend)
         assert hare_count(g, 40, workers=workers, backend=backend) == serial
 
-    def test_categories_star(self, paper_graph):
-        result = hare_count(paper_graph, 10, workers=2, categories="star")
-        expected = count_motifs(paper_graph, 10, categories="star")
-        assert result == expected
+    @staticmethod
+    def check_category(graph, pool, category):
+        """``hare_count(categories=c)`` equals the serial count, on every route."""
+        expected = count_motifs(graph, 10, categories=category)
+        serial = hare_count(graph, 10, workers=1, categories=category)
+        assert serial == expected
+        assert serial.meta["runtime"] == "serial"
+        assert hare_count(graph, 10, workers=2, categories=category) == expected
+        jobs = pool.stats["jobs"]
+        on_pool = hare_count(graph, 10, workers=2, categories=category, pool=pool)
+        assert on_pool == expected
+        assert on_pool.meta["runtime"] == "pool"
+        assert pool.stats["jobs"] == jobs + 1  # both passes run as one job
 
-    def test_categories_pair(self, paper_graph):
-        result = hare_count(paper_graph, 10, workers=2, categories="pair")
-        expected = count_motifs(paper_graph, 10, categories="pair")
-        assert result == expected
+    def test_categories_star(self, paper_graph, category_pool):
+        self.check_category(paper_graph, category_pool, "star")
 
-    def test_categories_triangle(self, paper_graph):
-        result = hare_count(paper_graph, 10, workers=2, categories="triangle")
-        expected = count_motifs(paper_graph, 10, categories="triangle")
-        assert result == expected
+    def test_categories_pair(self, paper_graph, category_pool):
+        self.check_category(paper_graph, category_pool, "pair")
+
+    def test_categories_triangle(self, paper_graph, category_pool):
+        self.check_category(paper_graph, category_pool, "triangle")
+
+    def test_categories_star_pair(self, paper_graph, category_pool):
+        # The HARE-Pair workload of Fig. 11: the star/pair pass alone.
+        self.check_category(paper_graph, category_pool, "star_pair")
+
+    def test_categories_all(self, paper_graph, category_pool):
+        self.check_category(paper_graph, category_pool, "all")
 
     def test_metadata(self, paper_graph):
         result = hare_count(paper_graph, 10, workers=2, schedule="static")
@@ -92,32 +115,20 @@ class TestConfigurations:
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1.0])
     def test_every_entry_point_rejects_bad_delta(self, paper_graph, delta):
-        for entry in (hare_count, hare_star_pair, hare_triangle):
-            with pytest.raises(ValidationError, match="finite and non-negative"):
-                entry(paper_graph, delta, workers=2)
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            hare_count(paper_graph, delta, workers=2)
         batches = build_batches(paper_graph, 2)
         with pytest.raises(ValidationError, match="finite and non-negative"):
-            run_batches(paper_graph, delta, batches, 1)
+            run_batches(paper_graph, delta, batches)
 
     def test_empty_graph(self):
         assert hare_count(TemporalGraph([]), 10, workers=2).total() == 0
 
 
-class TestCategoryPasses:
-    def test_hare_star_pair_matches_serial(self, paper_graph):
-        star_s, pair_s = count_star_pair(paper_graph, 10)
-        star_p, pair_p = hare_star_pair(paper_graph, 10, workers=2)
-        assert star_p == star_s
-        assert pair_p == pair_s
-
-    def test_hare_triangle_matches_serial(self, paper_graph):
-        assert hare_triangle(paper_graph, 10, workers=2) == count_triangle(paper_graph, 10)
-
-
 class TestExecutor:
     def test_run_batches_serial_path(self, paper_graph):
         batches = build_batches(paper_graph, workers=1)
-        star, pair, tri = run_batches(paper_graph, 10, batches, workers=1)
+        star, pair, tri = run_batches(paper_graph, 10, batches)
         star_s, pair_s = count_star_pair(paper_graph, 10)
         assert star == star_s
         assert pair == pair_s
@@ -125,17 +136,13 @@ class TestExecutor:
 
     def test_star_pair_only(self, paper_graph):
         batches = build_batches(paper_graph, workers=1)
-        star, pair, tri = run_batches(
-            paper_graph, 10, batches, workers=1, triangle=False
-        )
+        star, pair, tri = run_batches(paper_graph, 10, batches, triangle=False)
         assert tri is None
         assert star is not None
 
     def test_triangle_only(self, paper_graph):
         batches = build_batches(paper_graph, workers=1)
-        star, pair, tri = run_batches(
-            paper_graph, 10, batches, workers=1, star_pair=False
-        )
+        star, pair, tri = run_batches(paper_graph, 10, batches, star_pair=False)
         assert star is None and pair is None
         assert tri == count_triangle(paper_graph, 10)
 
@@ -144,8 +151,8 @@ class TestExecutor:
             hare_count(paper_graph, 10, workers=1, schedule="guided")
 
     def test_invalid_workers(self, paper_graph):
-        with pytest.raises(ValidationError):
-            run_batches(paper_graph, 10, [], workers=0)
+        with pytest.raises(ValidationError, match="workers"):
+            hare_count(paper_graph, 10, workers=0)
 
     def test_oversubscription_is_exact(self, paper_graph):
         serial = count_motifs(paper_graph, 10)

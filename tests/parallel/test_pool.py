@@ -92,7 +92,7 @@ class TestReduction:
         assert star.data == [expected] * 24
         assert pair.data == [expected] * 8
         assert tri.data == [expected] * 24
-        assert run_batches(paper_graph, 10, batches, 1) == (star, pair, tri)
+        assert run_batches(paper_graph, 10, batches) == (star, pair, tri)
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1.0])
     def test_bad_delta_rejected_before_dispatch(self, paper_graph, fork_pool, delta):
@@ -266,7 +266,7 @@ class TestWorkerDeltaTables:
             plan = pool.plan_batches(graph, 1)
             for delta in deltas:
                 pooled = pool.run_batches(graph, delta, plan, backend="columnar")
-                serial = run_batches(fresh(), delta, plan, 1, backend="columnar")
+                serial = run_batches(fresh(), delta, plan, backend="columnar")
                 assert pooled == serial, delta
                 pooled = count_motifs(graph, delta, pool=pool, **bts)
                 serial = count_motifs(fresh(), delta, **bts)
@@ -411,9 +411,9 @@ class TestRouting:
     def test_run_batches_pool_parameter(self, paper_graph, fork_pool):
         batches = build_batches(paper_graph, 2)
         star, pair, tri = run_batches(
-            paper_graph, 10, batches, workers=2, pool=fork_pool, backend="columnar"
+            paper_graph, 10, batches, pool=fork_pool, backend="columnar"
         )
-        star_s, pair_s, tri_s = run_batches(paper_graph, 10, batches, workers=1)
+        star_s, pair_s, tri_s = run_batches(paper_graph, 10, batches)
         assert star == star_s and pair == pair_s and tri == tri_s
 
     def test_single_worker_pool_still_routes_through_pool(self, paper_graph):
@@ -425,6 +425,18 @@ class TestRouting:
             result = hare_count(paper_graph, 10, workers=1, pool=pool)
             assert result == serial
             assert pool.stats["jobs"] == 1
+
+    @pytest.mark.parametrize("algorithm", ["fast", "ex", "bts"])
+    def test_explicit_pool_wins_at_one_worker(self, fork_pool, algorithm):
+        """``count_motifs(pool=p)`` runs every parallel algorithm on
+        ``p`` even at ``workers=1``, with the serial count's grid."""
+        graph = random_graph(6, num_nodes=8, num_edges=200, t_max=400)
+        kwargs = {} if algorithm != "bts" else {"seed": 5, "n_samples": 1}
+        serial = count_motifs(graph, 10, algorithm=algorithm, **kwargs)
+        jobs = fork_pool.stats["jobs"]
+        pooled = count_motifs(graph, 10, algorithm=algorithm, pool=fork_pool, **kwargs)
+        assert fork_pool.stats["jobs"] > jobs
+        assert np.array_equal(pooled.grid, serial.grid)
 
     def test_ex_and_bts_honor_non_fork_start_method(self):
         """EX and BTS run on the shared pool of the requested start
@@ -446,26 +458,54 @@ class TestRouting:
 
 
 class TestStreamingIntegration:
-    def test_engine_owns_and_closes_pool(self):
+    def test_parallel_slice_runs_as_one_shared_pool_job(self):
+        """A ``workers=2`` engine counts each parallel dirty slice as
+        exactly one job on ``shared_pool(2)``, and its checkpoints equal
+        a serial engine's."""
         from repro.core.registry import StreamRequest, open_stream
 
         g = powerlaw_temporal_graph(60, 900, seed=3)
         edges = list(g.internal_edges())
-        request = StreamRequest(delta=2000.0, workers=2, parallel_min_edges=100)
-        with open_stream(request) as engine:
-            engine.ingest(edges)
-            parallel_counts = engine.counts()
-            assert engine._pool is not None
-            pool = engine._pool
-        assert pool.closed
-        assert engine._pool is None
-        serial = count_motifs(g, 2000.0)
-        assert parallel_counts.same_counts(serial)
+        settings = dict(delta=2000.0, window=float(g.time_span) / 2)
+        serial_engine = open_stream(StreamRequest(**settings))
+        close_shared_pools()
+        try:
+            pool = shared_pool(2)
+            request = StreamRequest(workers=2, parallel_min_edges=100, **settings)
+            with open_stream(request) as engine:
+                sizes = []
+                slice_graph = engine.store.slice_graph
 
-    def test_engine_without_parallel_never_creates_pool(self, paper_graph):
+                def recording_slice_graph(t_lo, t_hi):
+                    graph = slice_graph(t_lo, t_hi)
+                    sizes.append(graph.num_edges)
+                    return graph
+
+                engine.store.slice_graph = recording_slice_graph
+                for batch in (edges[:300], edges[300:600], edges[600:]):
+                    sizes.clear()
+                    jobs = pool.stats["jobs"]
+                    engine.ingest(batch)
+                    serial_engine.ingest(batch)
+                    parallel_slices = sum(size >= 100 for size in sizes)
+                    assert parallel_slices >= 1
+                    assert pool.stats["jobs"] - jobs == parallel_slices
+                    assert engine.checkpoint().counts.same_counts(
+                        serial_engine.checkpoint().counts
+                    )
+            assert not pool.closed  # the engine never owns its pool
+        finally:
+            close_shared_pools()
+
+    def test_engine_without_parallel_never_creates_pool(self, paper_graph, monkeypatch):
         from repro.core.registry import StreamRequest, open_stream
+        from repro.parallel import pool as pool_module
 
-        engine = open_stream(StreamRequest(delta=5.0))
-        engine.ingest(list(paper_graph.internal_edges()))
-        assert engine._pool is None
-        engine.close()
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a serial engine must not start a pool")
+
+        monkeypatch.setattr(pool_module, "shared_pool", no_pool)
+        monkeypatch.setattr(pool_module, "WorkerPool", no_pool)
+        with open_stream(StreamRequest(delta=5.0)) as engine:
+            engine.ingest(list(paper_graph.internal_edges()))
+        assert engine.counts().same_counts(count_motifs(paper_graph, 5.0))

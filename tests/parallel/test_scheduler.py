@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.graph.generators import star_burst_graph
 from repro.graph.temporal_graph import TemporalGraph
+from repro.parallel import scheduler
 from repro.parallel.scheduler import WorkBatch, build_batches, partition_static
 
 
@@ -54,9 +55,9 @@ class TestHeavySplitting:
     def test_heavy_node_is_split(self):
         g = star_burst_graph(20, 5, seed=1)  # hub degree 100
         hub = g.index(0)
-        batches = build_batches(g, workers=2, thrd=10, split_factor=4)
+        batches = build_batches(g, workers=2, thrd=10)
         hub_tasks = [t for b in batches for t in b.tasks if t[0] == hub]
-        assert len(hub_tasks) >= 8  # split into ~workers*split_factor ranges
+        assert len(hub_tasks) >= 8  # split into ~workers*PIECES_PER_WORKER ranges
 
     def test_infinite_thrd_disables_splitting(self):
         g = star_burst_graph(20, 5, seed=1)
@@ -83,9 +84,9 @@ class TestHeavySplitting:
     def test_heavy_pieces_are_consecutive(self):
         g = star_burst_graph(20, 5, seed=1)  # hub degree 100
         hub = g.index(0)
-        batches = build_batches(g, workers=2, thrd=10, split_factor=4)
+        batches = build_batches(g, workers=2, thrd=10)
         pieces = sorted((lo, hi) for b in batches for n, lo, hi in b.tasks if n == hub)
-        assert len(pieces) == 8  # workers * split_factor
+        assert len(pieces) == 2 * scheduler.PIECES_PER_WORKER
         assert pieces[0][0] == 0 and pieces[-1][1] is None
         for (_, hi), (lo, _) in zip(pieces, pieces[1:]):
             assert hi == lo
@@ -97,12 +98,13 @@ class TestHeavySplitting:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @pytest.mark.parametrize("batches_per_worker", [1, 4])
-    def test_batch_count_bounded_with_many_hubs(self, workers, batches_per_worker):
+    def test_batch_count_bounded_with_many_hubs(
+        self, monkeypatch, workers, batches_per_worker
+    ):
+        monkeypatch.setattr(scheduler, "BATCHES_PER_WORKER", batches_per_worker)
         # thrd=0 makes every node heavy: hundreds of pieces, few batches.
         g = star_burst_graph(40, 6, seed=5)
-        batches = build_batches(
-            g, workers=workers, thrd=0, batches_per_worker=batches_per_worker
-        )
+        batches = build_batches(g, workers=workers, thrd=0)
         assert sum(len(b.tasks) for b in batches) > 40 * workers
         assert len(batches) <= workers * batches_per_worker
         weights = sorted(b.weight for b in batches)
@@ -112,7 +114,7 @@ class TestHeavySplitting:
         # A hub heavier than a whole batch target, never split.
         g = star_burst_graph(30, 4, seed=2)
         batches = build_batches(g, workers=2, thrd=float("inf"))
-        assert len(batches) <= 2 * 4
+        assert len(batches) <= 2 * scheduler.BATCHES_PER_WORKER
         assert coverage(batches, g) == coverage(build_batches(g, 1, thrd=2), g)
 
     def test_batches_sorted_heaviest_first(self):
@@ -144,14 +146,6 @@ class TestValidation:
     def test_workers_validation(self, paper_graph):
         with pytest.raises(ValidationError):
             build_batches(paper_graph, workers=0)
-
-    def test_split_factor_validation(self, paper_graph):
-        with pytest.raises(ValidationError):
-            build_batches(paper_graph, workers=2, split_factor=0)
-
-    def test_batches_per_worker_validation(self, paper_graph):
-        with pytest.raises(ValidationError):
-            build_batches(paper_graph, workers=2, batches_per_worker=0)
 
     def test_empty_graph(self):
         assert build_batches(TemporalGraph([]), workers=2) == []
