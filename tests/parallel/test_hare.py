@@ -125,6 +125,17 @@ class TestConfigurations:
         assert hare_count(TemporalGraph([]), 10, workers=2).total() == 0
 
 
+class TestCategoryPasses:
+    def test_hare_triangle_matches_serial(self, paper_graph, category_pool):
+        # The triangle pass alone, on two workers, against the serial kernel.
+        batches = build_batches(paper_graph, workers=2)
+        star, pair, tri = run_batches(
+            paper_graph, 10, batches, pool=category_pool, star_pair=False
+        )
+        assert star is None and pair is None
+        assert tri == count_triangle(paper_graph, 10)
+
+
 class TestExecutor:
     def test_run_batches_serial_path(self, paper_graph):
         batches = build_batches(paper_graph, workers=1)
