@@ -2,34 +2,30 @@
 
 The accuracy claim of §V-D: both exact algorithms agree cell-by-cell
 on all four display datasets.  Benchmarks time each algorithm; the
-report renders both grids and hard-asserts equality.  ``--backend``
-(see conftest) reruns the figure on either kernel backend — the
-equality assertion is the same either way, which is the point.
+report renders both grids and hard-asserts equality: FAST's columnar
+kernels against EX's python window counters.
 """
 
 import pytest
 
-from conftest import DELTA, SCALE, bench_graph, once, resolve_backend, write_report
+from conftest import DELTA, SCALE, bench_graph, once, write_report
 from repro.baselines.exact_ex import ex_count
 from repro.bench.experiments import FIG10_DATASETS, run_fig10
 from repro.core.api import count_motifs
 
 
 @pytest.mark.parametrize("dataset", FIG10_DATASETS)
-def test_fig10_fast(benchmark, dataset, backend):
+def test_fig10_fast(benchmark, dataset):
     graph = bench_graph(dataset)
-    counts = once(benchmark, lambda: count_motifs(graph, DELTA, backend=backend))
+    counts = once(benchmark, lambda: count_motifs(graph, DELTA))
     assert counts.total() > 0
 
 
 @pytest.mark.parametrize("dataset", FIG10_DATASETS)
-def test_fig10_ex_matches_fast(benchmark, dataset, backend):
+def test_fig10_ex_matches_fast(benchmark, dataset):
     graph = bench_graph(dataset)
-    fast = count_motifs(graph, DELTA, backend=backend)
-    ex = once(
-        benchmark,
-        lambda: ex_count(graph, DELTA, backend=resolve_backend(backend)),
-    )
+    fast = count_motifs(graph, DELTA)
+    ex = once(benchmark, lambda: ex_count(graph, DELTA))
     assert ex == fast  # the figure's whole point
 
 

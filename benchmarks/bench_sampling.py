@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Before/after benchmark for the vectorized sampling kernels (ISSUE 5).
+"""Vectorized sampling kernels vs the python reference loops.
 
-Times the BTS-Pair and EWS estimators with ``backend="python"`` vs
-``backend="columnar"`` on synthetic power-law session graphs, asserts
-the fixed-seed estimates are **bit-identical** at every size (the PR 5
-conformance contract), and additionally times BTS block farming on a
-persistent shared-memory :class:`~repro.parallel.pool.WorkerPool`.
+Times the BTS-Pair and EWS estimators (their columnar kernels) against
+the python reference loops they replaced (``_block_grid`` per sampled
+block, ``_ews_python_counts``) on synthetic power-law session graphs,
+asserts the fixed-seed estimates are **bit-identical** at every size,
+and additionally times BTS block farming on a persistent shared-memory
+:class:`~repro.parallel.pool.WorkerPool`.
 
 Modes
 -----
@@ -35,8 +36,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.baselines.sampling_bts import bts_count_pairs
-from repro.baselines.sampling_ews import ews_count
+from repro.baselines.sampling_bts import (
+    _block_grid,
+    _reduce_block_grids,
+    _sample_blocks,
+    bts_count_pairs,
+)
+from repro.baselines.sampling_ews import _ews_python_counts, ews_count
+from repro.core.motifs import PAIR_MOTIFS
+from repro.core.sampling_kernels import ews_grid
 from repro.graph.generators import powerlaw_temporal_graph
 from repro.parallel.pool import WorkerPool
 
@@ -64,8 +72,25 @@ def _timed(fn):
     return result, time.perf_counter() - tick
 
 
+def python_bts_pairs(graph, delta: float) -> np.ndarray:
+    """BTS-Pair from the python reference: ``_block_grid`` per sampled block."""
+    W = 5.0 * max(delta, 1)  # bts_count's default window_factor
+    q = BTS_KWARGS["q"]
+    blocks = _sample_blocks(graph, W, q, BTS_KWARGS["seed"])
+    return _reduce_block_grids(
+        [(i, _block_grid(graph, delta, PAIR_MOTIFS, b, W, q)) for i, b in enumerate(blocks)]
+    )
+
+
+def python_ews(graph, delta: float) -> np.ndarray:
+    """EWS from the python reference tallies."""
+    p, q = EWS_KWARGS["p"], EWS_KWARGS["q"]
+    rng = np.random.default_rng(EWS_KWARGS["seed"])
+    return ews_grid(*_ews_python_counts(graph, delta, p, q, rng), p, q)
+
+
 def bench_one(num_edges: int, num_nodes: int, delta: float, pool_workers: int) -> Dict[str, object]:
-    """Time both backends (and the pool) on one synthetic graph."""
+    """Time kernels, python references and the pool on one synthetic graph."""
     graph = powerlaw_temporal_graph(num_nodes, num_edges, seed=GRAPH_SEED)
     entry: Dict[str, object] = {
         "edges": graph.num_edges,
@@ -74,28 +99,22 @@ def bench_one(num_edges: int, num_nodes: int, delta: float, pool_workers: int) -
     }
 
     # -- BTS-Pair ------------------------------------------------------
-    col, col_s = _timed(
-        lambda: bts_count_pairs(graph, delta, backend="columnar", **BTS_KWARGS)
-    )
-    py, py_s = _timed(
-        lambda: bts_count_pairs(graph, delta, backend="python", **BTS_KWARGS)
-    )
-    if not np.array_equal(col.grid, py.grid):
-        raise AssertionError(f"BTS backend mismatch at {num_edges} edges")
+    col, col_s = _timed(lambda: bts_count_pairs(graph, delta, **BTS_KWARGS))
+    py, py_s = _timed(lambda: python_bts_pairs(graph, delta))
+    if not np.array_equal(col.grid, py):
+        raise AssertionError(f"BTS kernel mismatch at {num_edges} edges")
     with WorkerPool(pool_workers, "fork", result_cache=False) as pool:
         # First call publishes the graph + δ table; the second measures
         # the steady-state resident runtime a service would see.
         pooled = bts_count_pairs(
-            graph, delta, backend="columnar", workers=pool_workers, pool=pool,
-            **BTS_KWARGS,
+            graph, delta, workers=pool_workers, pool=pool, **BTS_KWARGS
         )
         _, pool_s = _timed(
             lambda: bts_count_pairs(
-                graph, delta, backend="columnar", workers=pool_workers,
-                pool=pool, **BTS_KWARGS,
+                graph, delta, workers=pool_workers, pool=pool, **BTS_KWARGS
             )
         )
-    if not np.array_equal(pooled.grid, py.grid):
+    if not np.array_equal(pooled.grid, py):
         raise AssertionError(f"BTS pool mismatch at {num_edges} edges")
     entry["bts"] = {
         "python_seconds": py_s,
@@ -107,14 +126,10 @@ def bench_one(num_edges: int, num_nodes: int, delta: float, pool_workers: int) -
     }
 
     # -- EWS -----------------------------------------------------------
-    col, col_s = _timed(
-        lambda: ews_count(graph, delta, backend="columnar", **EWS_KWARGS)
-    )
-    py, py_s = _timed(
-        lambda: ews_count(graph, delta, backend="python", **EWS_KWARGS)
-    )
-    if not np.array_equal(col.grid, py.grid):
-        raise AssertionError(f"EWS backend mismatch at {num_edges} edges")
+    col, col_s = _timed(lambda: ews_count(graph, delta, **EWS_KWARGS))
+    py, py_s = _timed(lambda: python_ews(graph, delta))
+    if not np.array_equal(col.grid, py):
+        raise AssertionError(f"EWS kernel mismatch at {num_edges} edges")
     entry["ews"] = {
         "python_seconds": py_s,
         "columnar_seconds": col_s,
@@ -151,7 +166,7 @@ def run(sizes, delta: float, out: Optional[pathlib.Path], pool_workers: int) -> 
         print_entry(results[-1])
     if out is not None:
         payload = {
-            "description": "BTS-Pair + EWS estimators: python vs columnar backend",
+            "description": "BTS-Pair + EWS estimators: python loops vs columnar kernels",
             "generator": "powerlaw_temporal_graph",
             "delta": delta,
             "graph_seed": GRAPH_SEED,

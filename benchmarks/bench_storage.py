@@ -132,7 +132,7 @@ def bench_one(num_edges: int, num_nodes: int, delta: float,
     # -- parse-per-run cold path ---------------------------------------
     tick = time.perf_counter()
     parsed = load_edgelist(text_path)
-    reference = count_motifs(parsed, delta, backend="columnar")
+    reference = count_motifs(parsed, delta)
     entry["parse_run_seconds"] = time.perf_counter() - tick
     del parsed
 
@@ -141,7 +141,7 @@ def bench_one(num_edges: int, num_nodes: int, delta: float,
     for _ in range(COUNT_RUNS):
         tick = time.perf_counter()
         with open_packed(rgz_path) as packed:
-            result = count_motifs(packed.graph, delta, backend="columnar")
+            result = count_motifs(packed.graph, delta)
         packed_seconds += time.perf_counter() - tick
         if not result.same_counts(reference):
             raise AssertionError(

@@ -108,7 +108,7 @@ def bench_one(num_edges: int, num_nodes: int, delta: float) -> Dict[str, object]
         lo = bisect.bisect_left(times, cutoff, 0, processed)
         tick = time.perf_counter()
         live_graph = TemporalGraph(edges[lo:processed])
-        naive = count_motifs(live_graph, delta, backend="columnar")
+        naive = count_motifs(live_graph, delta)
         naive_sampled_seconds += time.perf_counter() - tick
         if naive.per_motif() != snap["per_motif"]:
             raise AssertionError(

@@ -3,15 +3,15 @@
 The flagship efficiency table.  Per-dataset benchmarks mirror the
 paper's columns; the report runs the full sixteen-dataset driver and
 asserts the headline shapes: FAST beats EX, FAST-Pair beats BT-Pair,
-and FAST-Tri beats the full 2SCENT enumeration, on average.
-``--backend columnar`` (see conftest) retimes every column that has a
-vectorized backend — FAST's kernels and the PR 5 sampling kernels for
-EX/EWS/BTS-Pair; BT and 2SCENT have only python paths.
+and FAST-Tri beats the full 2SCENT enumeration, on average.  FAST,
+EWS and BTS-Pair run their columnar kernels, EX its window counters;
+FAST-Pair and FAST-Tri time the paper's Algorithms 1 and 2 as python
+loops, like-for-like with the python BT-Pair and 2SCENT.
 """
 
 import pytest
 
-from conftest import DELTA, SCALE, bench_graph, once, resolve_backend, write_report
+from conftest import DELTA, SCALE, bench_graph, once, write_report
 from repro.baselines.backtracking import bt_count_pairs
 from repro.baselines.exact_ex import ex_count
 from repro.baselines.sampling_bts import bts_count_pairs
@@ -27,27 +27,22 @@ DATASETS = ("collegemsg", "bitcoinotc", "superuser", "wikitalk")
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_table3_fast(benchmark, dataset, backend):
+def test_table3_fast(benchmark, dataset):
     graph = bench_graph(dataset)
-    counts = once(benchmark, lambda: count_motifs(graph, DELTA, backend=backend))
+    counts = once(benchmark, lambda: count_motifs(graph, DELTA))
     assert counts.total() > 0
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_table3_ex(benchmark, dataset, backend):
+def test_table3_ex(benchmark, dataset):
     graph = bench_graph(dataset)
-    once(benchmark, lambda: ex_count(graph, DELTA, backend=resolve_backend(backend)))
+    once(benchmark, lambda: ex_count(graph, DELTA))
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_table3_ews(benchmark, dataset, backend):
+def test_table3_ews(benchmark, dataset):
     graph = bench_graph(dataset)
-    once(
-        benchmark,
-        lambda: ews_count(
-            graph, DELTA, p=0.01, q=1.0, backend=resolve_backend(backend)
-        ),
-    )
+    once(benchmark, lambda: ews_count(graph, DELTA, p=0.01, q=1.0))
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
@@ -57,24 +52,18 @@ def test_table3_bt_pair(benchmark, dataset):
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_table3_bts_pair(benchmark, dataset, backend):
+def test_table3_bts_pair(benchmark, dataset):
     graph = bench_graph(dataset)
     once(
         benchmark,
-        lambda: bts_count_pairs(
-            graph, DELTA, q=0.3, exact_when_full=False,
-            backend=resolve_backend(backend),
-        ),
+        lambda: bts_count_pairs(graph, DELTA, q=0.3, exact_when_full=False),
     )
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_table3_fast_pair(benchmark, dataset, backend):
+def test_table3_fast_pair(benchmark, dataset):
     graph = bench_graph(dataset)
-    once(
-        benchmark,
-        lambda: count_star_pair(graph, DELTA, backend=resolve_backend(backend)),
-    )
+    once(benchmark, lambda: count_star_pair(graph, DELTA))
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
@@ -84,12 +73,9 @@ def test_table3_twoscent_tri(benchmark, dataset):
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_table3_fast_tri(benchmark, dataset, backend):
+def test_table3_fast_tri(benchmark, dataset):
     graph = bench_graph(dataset)
-    once(
-        benchmark,
-        lambda: count_triangle(graph, DELTA, backend=resolve_backend(backend)),
-    )
+    once(benchmark, lambda: count_triangle(graph, DELTA))
 
 
 def test_table3_report(benchmark):

@@ -1,10 +1,10 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark regenerates part of a paper artifact (DESIGN.md §4
-maps files to tables/figures).  ``REPRO_BENCH_SCALE`` shrinks the
+Every benchmark regenerates part of a paper artifact (each file is
+named after its table or figure).  ``REPRO_BENCH_SCALE`` shrinks the
 dataset twins uniformly (default 0.35 of the registry sizes, which
 keeps a full ``pytest benchmarks/ --benchmark-only`` run in the
-minutes range); set it to 1.0 to reproduce the EXPERIMENTS.md runs.
+minutes range); set it to 1.0 for the registry's full sizes.
 
 Rendered paper-style tables are written to ``benchmarks/reports/``
 by the ``*_report`` benchmarks.
@@ -23,37 +23,6 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
 DELTA = 600
 
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        choices=("auto", "python", "columnar"),
-        default="auto",
-        help="execution backend for the paper-figure benchmarks "
-             "(fig10/fig11/table3): auto resolves per algorithm, "
-             "python forces the interpreted loops, columnar the "
-             "vectorized kernels — counts/estimates are identical "
-             "either way, only the timings move",
-    )
-
-
-@pytest.fixture(scope="session")
-def backend(request):
-    """The --backend choice, threaded into every paper-figure run."""
-    return request.config.getoption("--backend")
-
-
-def resolve_backend(backend: str, algorithm_default: str = "python") -> str:
-    """Concrete backend for direct baseline calls (no registry resolve).
-
-    The paper-figure benchmarks call baseline functions directly
-    (``ex_count``, ``bts_count_pairs``, ...), whose ``backend=``
-    parameter has no ``"auto"``; map it to each baseline's historical
-    default so ``--backend`` omitted keeps timing exactly what the
-    committed baselines timed.
-    """
-    return algorithm_default if backend == "auto" else backend
 
 
 def bench_graph(name: str):

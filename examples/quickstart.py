@@ -2,7 +2,7 @@
 
 Reproduces the paper's running example (Fig. 1): five nodes, twelve
 timestamped edges, δ = 10 seconds — then tours the pluggable algorithm
-registry: every backend (FAST/HARE, the exact baselines, and the
+registry: every algorithm (FAST/HARE, the exact baselines, and the
 sampling estimators with their confidence intervals) is reachable
 through the one `count_motifs` entry point.
 
@@ -26,7 +26,7 @@ def main() -> None:
     print(f"registered algorithms: {', '.join(available_algorithms())}")
     print()
 
-    counts = count_motifs(graph, delta=10)  # FAST, the default backend
+    counts = count_motifs(graph, delta=10)  # FAST, the default algorithm
     print(counts.to_text("All 2-/3-node, 3-edge motifs with δ = 10s"))
     print()
 
@@ -44,7 +44,7 @@ def main() -> None:
         print(f"  {category.value:9s} motifs: {counts.category_total(category)}")
     print()
 
-    # Any registered backend is one keyword away; the exact ones agree
+    # Any registered algorithm is one keyword away; the exact ones agree
     # cell for cell.
     for algorithm in ("bruteforce", "ex", "bt"):
         other = count_motifs(graph, delta=10, algorithm=algorithm)

@@ -8,7 +8,7 @@ experiments from the paper's evaluation.
 
 Quickstart
 ----------
-Every counting backend — FAST/HARE and the paper's five baselines —
+Every counting algorithm — FAST/HARE and the paper's five baselines —
 is reachable through one registry-dispatched entry point:
 
 >>> from repro import TemporalGraph, count_motifs, available_algorithms
@@ -43,7 +43,7 @@ checkpoints that are bit-identical to a batch recount of the live set:
 >>> [cp.counts.total() for cp in stream_motifs(edges, delta=10)]
 [1]
 
-Adding a backend is one decorated function — see
+Adding an algorithm is one decorated function — see
 :func:`repro.core.registry.register_algorithm` and docs/extending.md.
 """
 

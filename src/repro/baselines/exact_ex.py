@@ -453,7 +453,6 @@ def ex_count(
     categories: str = "all",
     workers: int = 1,
     start_method: "Optional[str]" = None,
-    backend: str = "python",
     pool: Optional[object] = None,
 ) -> MotifCounts:
     """Count motifs with the EX baseline.
@@ -463,35 +462,10 @@ def ex_count(
     through :meth:`~repro.parallel.pool.WorkerPool.run_map` on ``pool``
     (or the process-wide shared pool started with ``start_method``)
     and summed in slab order — identical counts to the serial run.
-
-    ``backend="columnar"`` counts by full vectorized enumeration over
-    the columnar store
-    (:func:`repro.core.sampling_kernels.ex_columnar_grid`) — identical
-    counts, Θ(instances) cost, serial.  It is explicit opt-in: the
-    window-counter machinery below stays the default (and the
-    ``"auto"`` resolution), because it is *sublinear* in instances on
-    dense timelines.
     """
     check_delta(delta)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    if backend not in ("python", "columnar"):
-        raise ValidationError(
-            f"backend must be 'python' or 'columnar', got {backend!r}"
-        )
-    if backend == "columnar":
-        from repro.core.sampling_kernels import ex_columnar_grid
-
-        result = MotifCounts(
-            ex_columnar_grid(graph, delta, categories), algorithm="ex", delta=delta
-        )
-        # The enumeration kernel has no slab decomposition, so a
-        # workers>1 request is answered serially — and says so in the
-        # result's provenance instead of implying parallel execution.
-        result.meta["runtime"] = "serial"
-        if workers > 1:
-            result.meta["workers_ignored"] = workers
-        return result
     from repro.parallel.executor import runtime_pool
 
     pool = runtime_pool(pool, workers, start_method) if graph.num_edges else None

@@ -27,31 +27,28 @@ offset; :func:`bts_count` therefore short-circuits ``q >= 1 and
 exact_when_full`` to a plain exact BT run, matching how the original
 is used as a sanity configuration.
 
-Backends and runtimes — same bits everywhere
---------------------------------------------
+Runtimes — same bits everywhere
+-------------------------------
 
-Block sampling (offset, coin flips, edge ranges) is always the
-vectorized draw below, so every backend consumes the same RNG stream.
-Each kept block's HT-weighted grid is then evaluated by:
-
-* ``backend="python"`` — per-motif :func:`match_instances` generator
-  walks (one BT pass per selected motif);
-* ``backend="columnar"`` — one vectorized enumeration pass over the
-  columnar CSR layouts
-  (:func:`repro.core.sampling_kernels.bts_columnar_block_grids`),
-  covering all selected motifs at once; pair-only selections stay on
-  the anchor's own pair timeline.
+Block sampling (offset, coin flips, edge ranges) is the vectorized
+draw below.  Each kept block's HT-weighted grid is evaluated by one
+vectorized enumeration pass over the columnar CSR layouts
+(:func:`repro.core.sampling_kernels.bts_columnar_block_grids`),
+covering all selected motifs at once; pair-only selections stay on
+the anchor's own pair timeline.  :func:`_block_grid` — per-motif
+:func:`match_instances` generator walks, one BT pass per selected
+motif — is its test reference.
 
 Both reduce each (block, motif) instance group through the canonical
 :func:`~repro.core.sampling_kernels.ht_weight_sum` (sorted spans), and
 per-block grids always merge in sampling order
 (:func:`_reduce_block_grids`), so the estimate is bit-identical across
-backends, worker counts, and runtimes.  ``workers > 1`` farms block
-chunks through the process-wide shared-memory
+worker counts and runtimes.  ``workers > 1`` farms block chunks
+through the process-wide shared-memory
 :class:`~repro.parallel.pool.WorkerPool`; an explicit ``pool=``
 always wins.  Either way the workers read the published zero-copy
-graph and its columnar store; the columnar backend's per-δ
-edge-window table is built by each worker.
+graph and its columnar store, and each builds its own per-δ
+edge-window table.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ def _block_grid(
     W: float,
     q: float,
 ) -> np.ndarray:
-    """HT-weighted counts of one sampled block (python backend)."""
+    """HT-weighted counts of one sampled block (python reference)."""
     t = graph.edge_lists()[2]
     grid = np.zeros((6, 6), dtype=np.float64)
     lo, hi, b_hi = block
@@ -93,6 +90,29 @@ def _block_grid(
         if spans:
             grid[motif.row - 1, motif.col - 1] += ht_weight_sum(spans, W, q)
     return grid
+
+
+def _sample_blocks(graph: TemporalGraph, W: float, q: float, seed: int) -> List[_Block]:
+    """Draw the kept blocks of one BTS sample (random offset, coin flips).
+
+    Vectorised: coin flips and edge ranges in bulk.  Blocks holding
+    fewer than three edges cannot contain an instance and are dropped.
+    """
+    rng = np.random.default_rng(seed)
+    offset = float(rng.uniform(0, W))
+    times = graph.timestamps
+    first_block = int(np.floor((float(times[0]) - offset) / W))
+    last_block = int(np.floor((float(times[-1]) - offset) / W))
+    block_ids = np.arange(first_block, last_block + 1)
+    kept = block_ids[rng.random(block_ids.size) < q]
+    b_los = offset + kept * W
+    los = np.searchsorted(times, b_los, side="left")
+    his = np.searchsorted(times, b_los + W, side="left")
+    mask = (his - los) >= 3
+    return [
+        (int(lo), int(hi), float(b_lo + W))
+        for lo, hi, b_lo in zip(los[mask], his[mask], b_los[mask])
+    ]
 
 
 def _reduce_block_grids(indexed_grids: List[Tuple[int, np.ndarray]]) -> np.ndarray:
@@ -119,16 +139,12 @@ def _chunk_grids(
 
     The single evaluation point shared by the serial path and the
     pool workers: each block's grid is a pure function of that block
-    alone, so results never depend on the chunking.
+    alone, so results never depend on the chunking.  ``args`` is
+    ``(W, q, cells)``.
     """
-    W, q, motifs, backend = args
+    W, q, cells = args
     blocks = [block for _, block in chunk]
-    if backend == "columnar":
-        grids = bts_columnar_block_grids(
-            graph, delta, blocks, W, q, [motif_cell(m) for m in motifs]
-        )
-    else:
-        grids = [_block_grid(graph, delta, motifs, block, W, q) for block in blocks]
+    grids = bts_columnar_block_grids(graph, delta, blocks, W, q, cells)
     return [(index, grid) for (index, _), grid in zip(chunk, grids)]
 
 
@@ -168,7 +184,6 @@ def bts_count(
     exact_when_full: bool = True,
     workers: int = 1,
     start_method: Optional[str] = None,
-    backend: str = "python",
     pool: Optional[object] = None,
 ) -> MotifCounts:
     """Estimate motif counts by interval sampling.
@@ -196,19 +211,10 @@ def bts_count(
     start_method:
         How the shared pool starts its workers; ``None`` resolves via
         ``REPRO_START_METHOD``, then the platform default.
-    backend:
-        ``"python"`` (per-motif BT generator passes per block) or
-        ``"columnar"`` (one vectorized enumeration pass per block
-        batch).  Same draws, same canonical reductions — same bits.
-        Note the columnar pass always enumerates every candidate
-        triple (pair-only selections excepted, which stay on the pair
-        timeline): for a small non-pair motif subset the python
-        backend's per-pattern matching can be cheaper.
     pool:
         A persistent :class:`~repro.parallel.pool.WorkerPool` to farm
         block chunks to (wins over ``workers``/``start_method``); its
-        workers run either backend against the published zero-copy
-        graph.
+        workers count against the published zero-copy graph.
     """
     if not 0 < q <= 1:
         raise ValidationError(f"q must be in (0, 1], got {q}")
@@ -217,43 +223,18 @@ def bts_count(
     check_delta(delta)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    if backend not in ("python", "columnar"):
-        raise ValidationError(
-            f"backend must be 'python' or 'columnar', got {backend!r}"
-        )
     selected: List[Motif] = list(ALL_MOTIFS if motifs is None else motifs)
     if q >= 1 and exact_when_full:
         result = bt_count(graph, delta, selected)
         result.algorithm = "bts"
         return result
 
-    rng = np.random.default_rng(seed)
     W = window_factor * max(delta, 1)
-    offset = float(rng.uniform(0, W))
     grid = np.zeros((6, 6), dtype=np.float64)
-    m = graph.num_edges
-    if m == 0:
+    if graph.num_edges == 0:
         return MotifCounts(grid, algorithm="bts", delta=delta)
-
-    times = graph.timestamps
-    first_block = int(np.floor((float(times[0]) - offset) / W))
-    last_block = int(np.floor((float(times[-1]) - offset) / W))
-    # Vectorised block sampling: coin flips and edge ranges in bulk.
-    block_ids = np.arange(first_block, last_block + 1)
-    kept = block_ids[rng.random(block_ids.size) < q]
-    b_los = offset + kept * W
-    los = np.searchsorted(times, b_los, side="left")
-    his = np.searchsorted(times, b_los + W, side="left")
-    mask = (his - los) >= 3
-    blocks: List[_Block] = [
-        (int(lo), int(hi), float(b_lo + W))
-        for lo, hi, b_lo in zip(los[mask], his[mask], b_los[mask])
-    ]
-
-    # The caller's motif objects travel to the workers verbatim (the
-    # columnar kernel derives its cell selection from them), so chunk
-    # results always reflect exactly the patterns requested.
-    args = (W, q, tuple(selected), backend)
+    blocks = _sample_blocks(graph, W, q, seed)
+    args = (W, q, tuple(motif_cell(m) for m in selected))
     indexed = list(enumerate(blocks))
     if pool is None and len(blocks) > 1:
         from repro.parallel.executor import runtime_pool
@@ -288,7 +269,6 @@ def bts_count_pairs(
     exact_when_full: bool = True,
     workers: int = 1,
     start_method: Optional[str] = None,
-    backend: str = "python",
     pool: Optional[object] = None,
 ) -> MotifCounts:
     """BTS-Pair: interval-sampled estimate of the four 2-node motifs."""
@@ -302,6 +282,5 @@ def bts_count_pairs(
         exact_when_full=exact_when_full,
         workers=workers,
         start_method=start_method,
-        backend=backend,
         pool=pool,
     )

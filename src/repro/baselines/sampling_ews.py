@@ -19,19 +19,21 @@ FAST), which is the degeneracy argument for unbiasedness.
 
 The paper's configuration is ``p = 0.01, q = 1``.
 
-Two execution backends, identical estimates bit for bit per seed:
+Two implementations, identical estimates bit for bit per seed:
 
-* ``backend="python"`` — the per-anchor generator walk below.  Each
-  candidate triple is classified by the precomputed
-  :data:`~repro.core.sampling_kernels.TRIPLE_CELL_TABLE` (an integer
-  shape/direction code instead of a
+* :func:`ews_count` runs the vectorized kernel
+  (:func:`~repro.core.sampling_kernels.ews_columnar_counts`);
+* :func:`_ews_python_counts`, its test reference, is the per-anchor
+  generator walk below.  Each candidate triple is classified by the
+  precomputed :data:`~repro.core.sampling_kernels.TRIPLE_CELL_TABLE`
+  (an integer shape/direction code instead of a
   :func:`~repro.core.motifs.classify_triple` canonicalisation per
   instance), and occurrences are tallied as exact int64 counts per
   (cell, weight class) — the two weights ``1/p`` and ``1/(p·q)`` are
   applied once at the end (:func:`~repro.core.sampling_kernels.ews_grid`).
-* ``backend="columnar"`` — the vectorized kernel
-  (:func:`~repro.core.sampling_kernels.ews_columnar_counts`), which
-  draws the same RNG stream and feeds the same tally → grid reduction.
+
+Both draw the same RNG stream and feed the same tally → grid
+reduction.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import numpy as np
 from repro.core.counters import MotifCounts
 from repro.core.sampling_kernels import (
     TRIPLE_CELL_TABLE,
+    ews_columnar_counts,
     ews_grid,
     second_edge_code,
     third_edge_code,
@@ -132,7 +135,6 @@ def ews_count(
     p: float = 0.01,
     q: float = 1.0,
     seed: int = 0,
-    backend: str = "python",
 ) -> MotifCounts:
     """Estimate all 36 motif counts by edge/wedge sampling.
 
@@ -145,31 +147,14 @@ def ews_count(
         edges that introduce a third node.
     seed:
         RNG seed for both samplers.
-    backend:
-        ``"python"`` (generator walk) or ``"columnar"`` (vectorized
-        kernel over the columnar store).  Same draws, same canonical
-        tally reduction — the estimate is bit-identical either way.
     """
     for name, prob in (("p", p), ("q", q)):
         if not 0 < prob <= 1:
             raise ValidationError(f"{name} must be in (0, 1], got {prob}")
     check_delta(delta)
-    if backend not in ("python", "columnar"):
-        raise ValidationError(
-            f"backend must be 'python' or 'columnar', got {backend!r}"
-        )
-
     if graph.num_edges == 0:
         return MotifCounts(np.zeros((6, 6)), algorithm="ews", delta=delta)
-    if backend == "columnar":
-        from repro.core.sampling_kernels import ews_columnar_counts
-
-        pair_counts, wedge_counts = ews_columnar_counts(
-            graph, delta, p=p, q=q, seed=seed
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        pair_counts, wedge_counts = _ews_python_counts(graph, delta, p, q, rng)
+    pair_counts, wedge_counts = ews_columnar_counts(graph, delta, p=p, q=q, seed=seed)
     return MotifCounts(
         ews_grid(pair_counts, wedge_counts, p, q), algorithm="ews", delta=delta
     )

@@ -42,8 +42,8 @@ from typing import List, Optional
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.core.api import CATEGORIES, count_motifs
+from repro.core.counters import t95
 from repro.core.registry import (
-    BACKENDS,
     StreamRequest,
     algorithm_specs,
     available_algorithms,
@@ -117,7 +117,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
             schedule=args.schedule,
             seed=args.seed,
             n_samples=args.n_samples,
-            backend=args.backend,
             pool=pool,
             start_method=args.start_method,
             source=args.source,
@@ -137,7 +136,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         payload = {
             "algorithm": counts.algorithm,
             "delta": args.delta,
-            "backend": counts.backend,
             "elapsed_seconds": counts.elapsed_seconds,
             "phase_seconds": dict(counts.phase_seconds),
             "dominant_phase": None if dominant is None else dominant[0],
@@ -169,10 +167,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 f"{name}={seconds:.3f}s"
                 for name, seconds in sorted(counts.phase_seconds.items())
             )
-            print(
-                f"backend: {counts.backend}; phases: {phases} "
-                f"(dominant: {dominant[0]})"
-            )
+            print(f"phases: {phases} (dominant: {dominant[0]})")
         if "coverage" in counts.meta:
             print(f"coverage: {counts.meta['coverage']}")
         if counts.meta.get("sharding") == "halo-union":
@@ -198,18 +193,17 @@ def _cmd_count(args: argparse.Namespace) -> int:
             # single draw has no stderr: say so instead of printing a
             # zero-width interval.
             total_stderr = counts.meta.get("total_stderr")
-            line = (
-                f"sampling estimate over {counts.meta.get('n_samples', 1)} "
-                "replicate(s); "
-            )
+            n_samples = counts.meta.get("n_samples", 1)
+            line = f"sampling estimate over {n_samples} replicate(s); "
             if total_stderr is None:
                 line += "CI unavailable (single replicate)"
             else:
-                se = float(total_stderr)
+                # Student's t: the stderr comes from the replicates.
+                half = t95(n_samples) * float(total_stderr)
                 total = float(counts.total())
                 line += (
                     f"95% CI on total: "
-                    f"[{total - 1.96 * se:,.1f}, {total + 1.96 * se:,.1f}]"
+                    f"[{total - half:,.1f}, {total + half:,.1f}]"
                 )
             print(line)
     return 0
@@ -223,7 +217,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         window=args.window,
         algorithm=args.algorithm,
         categories=args.categories,
-        backend=args.backend,
         workers=args.workers,
         checkpoint_every=args.checkpoint_every,
         start_method=args.start_method,
@@ -429,7 +422,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             args.delta,
             algorithm=args.algorithm,
             categories=args.categories,
-            backend=args.backend,
             seed=args.seed,
             n_samples=args.n_samples,
             params=dict(
@@ -512,11 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n-samples", type=int, default=None,
                          help="sampling replicates to average (sampling "
                               "algorithms only; default 3, stderr across them)")
-    p_count.add_argument("--backend", choices=BACKENDS, default="auto",
-                         help="execution backend: columnar (vectorized NumPy "
-                              "kernels), python (interpreted loops), or auto "
-                              "(fastest the algorithm implements; identical "
-                              "counts either way)")
     p_count.add_argument("--start-method", choices=("fork", "spawn"), default=None,
                          help="start method for the worker pool of parallel "
                               "runs (default: REPRO_START_METHOD env var, then "
@@ -580,9 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--algorithm", choices=streaming_algorithms(), default="fast",
                           help="streaming-capable algorithm (default fast)")
     p_stream.add_argument("--categories", choices=CATEGORIES, default="all")
-    p_stream.add_argument("--backend", choices=BACKENDS, default="auto",
-                          help="kernel backend per dirty slice; auto picks "
-                               "python for tiny slices, columnar for large ones")
     p_stream.add_argument("--workers", type=int, default=1,
                           help="HARE workers for large dirty ranges (micro-batch "
                                "parallelism, served by a resident shared-memory "
@@ -699,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--delta", type=float, default=None, help="time window δ")
     p_query.add_argument("--algorithm", choices=algorithms, default="fast")
     p_query.add_argument("--categories", choices=CATEGORIES, default="all")
-    p_query.add_argument("--backend", choices=BACKENDS, default="auto")
     p_query.add_argument("--seed", type=int, default=None)
     p_query.add_argument("--n-samples", type=int, default=None)
     p_query.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",

@@ -1,6 +1,6 @@
 """Ablation variants of the FAST algorithms.
 
-DESIGN.md §5 calls out the design choices these isolate:
+Each variant removes one of the paper's design choices:
 
 * :func:`count_star_pair_rescan` removes FAST-Star's ``min``/``mout``
   hash-map trick: for every (first, third) edge pair the middle edges

@@ -9,6 +9,12 @@ timing, so adapters restrict *computation* where cheap (skipping a
 pass that the category selection cannot need) but never mask results
 themselves.
 
+Each adapter calls its algorithm's fastest implementation: the
+columnar kernels for ``fast``, ``bts`` and ``ews``, the window
+counters for ``ex``.  The interpreted loops of
+:mod:`repro.core.fast_star`, :mod:`repro.core.fast_tri` and the
+sampling modules are kept as test references.
+
 Heavy modules are imported lazily inside each adapter so importing the
 registry stays cheap.
 """
@@ -18,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import List
 
-from repro.core.counters import MotifCounts
+from repro.core.counters import MotifCounts, PairCounter, StarCounter, TriangleCounter
 from repro.core.registry import CountRequest, register_algorithm
 
 
@@ -51,7 +57,6 @@ def _fast_stream_factory(request):
     "fast",
     exact=True,
     parallel=True,
-    backends=("columnar", "python"),
     description="FAST-Star + FAST-Tri (this paper); HARE when workers > 1",
     stream_factory=_fast_stream_factory,
 )
@@ -62,28 +67,26 @@ def _fast(request: CountRequest) -> MotifCounts:
         from repro.parallel.hare import hare_count_request
 
         return hare_count_request(request)
-    from repro.core.fast_star import count_star_pair
-    from repro.core.fast_tri import count_triangle
+    from repro.core.columnar_kernels import (
+        count_star_pair_columnar,
+        count_triangle_columnar,
+    )
 
-    phase_seconds = {}
-    if request.backend == "columnar":
-        # Force (and time) the one-off columnar build so the counting
-        # phases below measure pure kernel time.
-        tick = time.perf_counter()
-        request.graph.columnar()
-        phase_seconds["columnar_build"] = time.perf_counter() - tick
+    # Force (and time) the one-off columnar build so the counting
+    # phases below measure pure kernel time.
+    tick = time.perf_counter()
+    request.graph.columnar()
+    phase_seconds = {"columnar_build": time.perf_counter() - tick}
     star = pair = triangle = None
     if request.wants_star_pair:
         tick = time.perf_counter()
-        star, pair = count_star_pair(
-            request.graph, request.delta, backend=request.backend
-        )
+        star_data, pair_data = count_star_pair_columnar(request.graph, request.delta)
+        star, pair = StarCounter(star_data.tolist()), PairCounter(pair_data.tolist())
         phase_seconds["star_pair"] = time.perf_counter() - tick
     if request.wants_triangle:
         tick = time.perf_counter()
-        triangle = count_triangle(
-            request.graph, request.delta, backend=request.backend
-        )
+        tri_data = count_triangle_columnar(request.graph, request.delta)
+        triangle = TriangleCounter(tri_data.tolist(), multiplicity=3)
         phase_seconds["triangle"] = time.perf_counter() - tick
     return MotifCounts.from_counters(
         star, pair, triangle, algorithm="fast", phase_seconds=phase_seconds
@@ -94,10 +97,6 @@ def _fast(request: CountRequest) -> MotifCounts:
     "ex",
     exact=True,
     parallel=True,
-    # Python first: EX's window counters are sublinear in instances,
-    # the columnar enumeration is Θ(instances) — columnar stays
-    # explicit opt-in, never the "auto" resolution.
-    backends=("python", "columnar"),
     description="EX sliding-window baseline (Paranjape et al., WSDM'17)",
 )
 def _ex(request: CountRequest) -> MotifCounts:
@@ -109,7 +108,6 @@ def _ex(request: CountRequest) -> MotifCounts:
         categories=request.categories,
         workers=request.workers,
         start_method=request.start_method,
-        backend=request.backend,
         pool=request.pool,
     )
 
@@ -157,7 +155,6 @@ def _twoscent(request: CountRequest) -> MotifCounts:
     "bts",
     exact=False,
     parallel=True,
-    backends=("columnar", "python"),
     params={"q": 0.3, "window_factor": 5.0},
     description="BTS interval sampling over BT (Liu et al., WSDM'19)",
 )
@@ -174,7 +171,6 @@ def _bts(request: CountRequest) -> MotifCounts:
         exact_when_full=False,
         workers=request.workers,
         start_method=request.start_method,
-        backend=request.backend,
         pool=request.pool,
     )
 
@@ -182,7 +178,6 @@ def _bts(request: CountRequest) -> MotifCounts:
 @register_algorithm(
     "ews",
     exact=False,
-    backends=("columnar", "python"),
     params={"p": 0.01, "q": 1.0},
     description="EWS edge/wedge sampling (Wang et al., CIKM'20)",
 )
@@ -195,5 +190,4 @@ def _ews(request: CountRequest) -> MotifCounts:
         p=float(request.param("p")),
         q=float(request.param("q")),
         seed=int(request.seed or 0),
-        backend=request.backend,
     )

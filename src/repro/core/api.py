@@ -5,7 +5,7 @@ redesign it is a thin shim: the keyword signature (kept for
 compatibility with every pre-registry call site) is packed into a
 :class:`~repro.core.registry.CountRequest` and handed to
 :func:`~repro.core.registry.execute`, which dispatches to whichever
-:func:`~repro.core.registry.register_algorithm`-decorated backend the
+:func:`~repro.core.registry.register_algorithm`-decorated algorithm the
 request names — the paper's FAST/HARE or any of the six baselines.
 
 :func:`count_motifs_sweep` batches the multi-δ / multi-algorithm grid
@@ -62,7 +62,6 @@ def count_motifs(
     schedule: str = "dynamic",
     seed: Optional[int] = None,
     n_samples: Optional[int] = None,
-    backend: str = "auto",
     pool: Optional[object] = None,
     start_method: Optional[str] = None,
     request_id: Optional[str] = None,
@@ -115,12 +114,6 @@ def count_motifs(
         Sampling algorithms only: number of independent replicates to
         average (default 3); the result's ``stderr`` grid holds the
         standard error of the mean across replicates.
-    backend:
-        ``"columnar"`` runs vectorized NumPy kernels over the columnar
-        edge store, ``"python"`` the interpreted per-edge loops, and
-        ``"auto"`` (default) the fastest backend the chosen algorithm
-        implements.  Counts are identical either way; the effective
-        choice is recorded in ``result.meta["backend"]``.
     pool:
         A persistent :class:`~repro.parallel.pool.WorkerPool` for
         parallel algorithms.  Without one, ``workers > 1`` runs on the
@@ -202,7 +195,6 @@ def count_motifs(
             "schedule": schedule != "dynamic",
             "seed": seed is not None,
             "n_samples": n_samples is not None,
-            "backend": backend != "auto",
             "pool": pool is not None,
             "start_method": start_method is not None,
             "request_id": request_id is not None,
@@ -231,7 +223,6 @@ def count_motifs(
         schedule=schedule,
         seed=seed,
         n_samples=n_samples,
-        backend=backend,
         pool=pool,
         start_method=start_method,
         request_id=request_id,
@@ -253,7 +244,6 @@ def stream_motifs(
     window: Optional[float] = None,
     algorithm: str = "fast",
     categories: str = "all",
-    backend: str = "auto",
     workers: int = 1,
     checkpoint_every: int = 10_000,
     batch_edges: Optional[int] = None,
@@ -285,7 +275,6 @@ def stream_motifs(
         window=window,
         algorithm=algorithm,
         categories=categories,
-        backend=backend,
         workers=workers,
         checkpoint_every=checkpoint_every,
         params=dict(params),
@@ -330,12 +319,12 @@ class SweepResult:
         ]
 
     def phase_report(self) -> List[Dict[str, object]]:
-        """Per-run provenance: backend and dominant phase of every cell.
+        """Per-run provenance: timing and dominant phase of every cell.
 
         One dict per sweep cell (run order) with ``algorithm``,
-        ``delta``, ``backend``, ``elapsed_seconds``, ``phase_seconds``
-        and the ``dominant_phase`` pair — what benchmark drivers print
-        to show which backend/phase the runtime went to.
+        ``delta``, ``elapsed_seconds``, ``phase_seconds`` and the
+        ``dominant_phase`` pair — what benchmark drivers print to show
+        which phase the runtime went to.
         """
         report: List[Dict[str, object]] = []
         for (algorithm, delta), result in zip(self.keys, self.results):
@@ -343,7 +332,6 @@ class SweepResult:
                 {
                     "algorithm": algorithm,
                     "delta": delta,
-                    "backend": result.backend,
                     "elapsed_seconds": result.elapsed_seconds,
                     "phase_seconds": dict(result.phase_seconds),
                     "dominant_phase": result.dominant_phase(),
@@ -369,7 +357,6 @@ def count_motifs_sweep(
     schedule: str = "dynamic",
     seed: Optional[int] = None,
     n_samples: Optional[int] = None,
-    backend: str = "auto",
     pool: Optional[object] = None,
     start_method: Optional[str] = None,
     deadline: Optional[float] = None,
@@ -422,7 +409,6 @@ def count_motifs_sweep(
                 schedule=schedule,
                 seed=seed if not spec.is_exact else None,
                 n_samples=n_samples if not spec.is_exact else None,
-                backend=backend,
                 pool=pool if spec.parallel else None,
                 start_method=start_method,
                 deadline=deadline,

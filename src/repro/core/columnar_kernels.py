@@ -4,9 +4,9 @@ These kernels produce counts **identical** to the pure-Python loops in
 :mod:`repro.core.fast_star` / :mod:`repro.core.fast_tri`
 (property-tested across all motif classes, timestamp ties included),
 but express Algorithms 1 and 2 of the paper as a handful of NumPy
-array passes instead of per-edge interpreter steps.  Select them with
-``backend="columnar"`` anywhere a
-:class:`~repro.core.registry.CountRequest` is accepted.
+array passes instead of per-edge interpreter steps.  They are what
+``algorithm="fast"`` runs, serially and in every HARE batch; the
+Python loops stay as their test references.
 
 How the Python loops vectorize
 ------------------------------
@@ -525,7 +525,7 @@ def count_triangle_columnar(
     to :func:`repro.core.fast_tri.count_triangle` over any complete
     task cover.  The sequential center-removal mode has no vectorized
     form (it is inherently order-dependent); callers wanting it use the
-    Python backend.
+    Python reference.
     """
     col = graph.columnar()
     tri_acc = np.zeros(24, dtype=np.int64)

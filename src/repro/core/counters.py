@@ -266,6 +266,29 @@ class TriangleCounter(_FlatCounter):
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+#: Two-sided 95% Student's t quantiles for 1..30 degrees of freedom.
+T95_TABLE = (
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+    2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+    2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+)
+
+
+def t95(n_samples: int) -> float:
+    """95% interval multiplier for a mean of ``n_samples`` replicates.
+
+    Student's t with ``n_samples - 1`` degrees of freedom: the stderr
+    comes from the replicates themselves, so the normal 1.96 is only
+    right in the limit (with the default 3 replicates it is 4.303).
+    Past 30 degrees of freedom the 30-df value is used, which errs
+    wide by at most 0.08.
+    """
+    if n_samples < 2:
+        raise ValidationError(
+            f"a confidence interval needs at least 2 replicates, got {n_samples}"
+        )
+    return T95_TABLE[min(n_samples - 1, len(T95_TABLE)) - 1]
+
 
 def _format_count(value) -> str:
     """Format a count the way Fig. 10 does (K/M suffixes)."""
@@ -307,7 +330,7 @@ class MotifCounts:
         if grid.dtype == object and all(
             isinstance(value, (int, np.integer)) for value in grid.flat
         ):
-            # Python ints (e.g. python-backend sums) stay exact: int64
+            # Python ints (e.g. python-loop sums) stay exact: int64
             # when they fit, an error — never a float round — otherwise.
             for cell, value in np.ndenumerate(grid):
                 if not _INT64_MIN <= value <= _INT64_MAX:
@@ -383,15 +406,6 @@ class MotifCounts:
         return {m.name: self.get(m.row, m.col) for m in GRID.values()}
 
     # -- provenance ---------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Effective execution backend (``"python"``/``"columnar"``).
-
-        Recorded by the registry dispatcher; defaults to ``"python"``
-        for results constructed outside it.
-        """
-        return str(self.meta.get("backend", "python"))
-
     def dominant_phase(self) -> Optional[Tuple[str, float]]:
         """The ``(name, seconds)`` phase that dominated the runtime.
 
@@ -412,10 +426,16 @@ class MotifCounts:
         motif = MOTIFS_BY_NAME[name]
         return float(self.stderr[motif.row - 1, motif.col - 1])
 
-    def confidence_interval(self, name: str, z: float = 1.96) -> Tuple[float, float]:
-        """Normal-approximation CI for one motif (default 95%)."""
+    def confidence_interval(self, name: str) -> Tuple[float, float]:
+        """95% confidence interval for one motif.
+
+        Student's t over the ``meta["n_samples"]`` replicates the
+        stderr came from (:func:`t95`); zero width without a stderr.
+        """
         center = float(self[name])
-        half = z * self.stderr_of(name)
+        if self.stderr is None:
+            return (center, center)
+        half = t95(int(self.meta["n_samples"])) * self.stderr_of(name)
         return (center - half, center + half)
 
     # -- category masking ---------------------------------------------

@@ -136,9 +136,12 @@ def count_star_pair(
     delta: float,
     *,
     nodes: Optional[Sequence[int]] = None,
-    backend: str = "python",
 ) -> Tuple[StarCounter, PairCounter]:
     """Count all star and pair temporal motifs (FAST-Star, serial).
+
+    The paper's Algorithm 1 as interpreted loops: the reference the
+    vectorized :func:`repro.core.columnar_kernels.count_star_pair_columnar`
+    (what ``algorithm="fast"`` runs) is tested against.
 
     Parameters
     ----------
@@ -149,11 +152,6 @@ def count_star_pair(
     nodes:
         Optional subset of internal node ids to use as centers; the
         default is every node, which yields the complete exact counts.
-    backend:
-        ``"python"`` runs the interpreted per-edge scan above;
-        ``"columnar"`` runs the vectorized kernel of
-        :mod:`repro.core.columnar_kernels` over the graph's columnar
-        view — same exact counts, array-at-a-time execution.
 
     Returns
     -------
@@ -162,11 +160,5 @@ def count_star_pair(
         both-endpoints view (see :class:`~repro.core.counters.PairCounter`).
     """
     check_delta(delta)
-    if backend == "columnar":
-        from repro.core.columnar_kernels import count_star_pair_columnar
-
-        tasks = None if nodes is None else [(u, 0, None) for u in nodes]
-        star_data, pair_data = count_star_pair_columnar(graph, delta, tasks)
-        return StarCounter(star_data.tolist()), PairCounter(pair_data.tolist())
     center_ids = range(graph.num_nodes) if nodes is None else nodes
     return count_star_pair_tasks(graph, delta, ((u, 0, None) for u in center_ids))

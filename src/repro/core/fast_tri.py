@@ -136,9 +136,12 @@ def count_triangle(
     *,
     nodes: Optional[Sequence[int]] = None,
     remove_centers: bool = False,
-    backend: str = "python",
 ) -> TriangleCounter:
     """Count all triangle temporal motifs (FAST-Tri, serial).
+
+    The paper's Algorithm 2 as interpreted loops: the reference the
+    vectorized :func:`repro.core.columnar_kernels.count_triangle_columnar`
+    (what ``algorithm="fast"`` runs) is tested against.
 
     Parameters
     ----------
@@ -152,12 +155,6 @@ def count_triangle(
         Use the paper's single-threaded de-duplication (line 26 of
         Algorithm 2): incompatible with ``nodes`` because correctness
         depends on processing every center in one sequence.
-    backend:
-        ``"python"`` runs the interpreted per-edge scan above;
-        ``"columnar"`` runs the vectorized kernel of
-        :mod:`repro.core.columnar_kernels` — same exact counts,
-        ``multiplicity=3`` only (center removal is order-dependent and
-        is rejected).
 
     Returns
     -------
@@ -166,16 +163,6 @@ def count_triangle(
         ``remove_centers=True``.
     """
     check_delta(delta)
-    if backend == "columnar":
-        if remove_centers:
-            raise ValidationError(
-                "remove_centers is inherently sequential; use backend='python'"
-            )
-        from repro.core.columnar_kernels import count_triangle_columnar
-
-        tasks = None if nodes is None else [(u, 0, None) for u in nodes]
-        tri_data = count_triangle_columnar(graph, delta, tasks)
-        return TriangleCounter(tri_data.tolist(), multiplicity=3)
     if remove_centers:
         if nodes is not None:
             raise ValidationError("remove_centers requires processing all nodes")

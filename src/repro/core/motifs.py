@@ -24,7 +24,7 @@ text — ``M24 = Star[I,in,o,in]``, ``M63 = Star[III,o,o,in]``,
 ``M65 = ⟨x→y, y→x, x→y⟩``, ``M25``/``M46`` worked examples, the full
 triangle table of Fig. 8, and ``M26`` being the temporal cycle that
 2SCENT counts.  Star cells not pinned by an anchor follow a systematic
-rule (documented in DESIGN.md §2): within a type's row pair, the row is
+rule: within a type's row pair, the row is
 chosen by the direction of the *isolated* edge (outward→odd row,
 inward→even row) and the column by the directions of the two *paired*
 edges in time order (``(in,in)→1, (in,o)→2, (o,o)→3, (o,in)→4``).

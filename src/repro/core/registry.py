@@ -1,4 +1,4 @@
-"""Pluggable algorithm registry: one entry point, seven (and counting) backends.
+"""Pluggable algorithm registry: one entry point, seven (and counting) algorithms.
 
 Every counting algorithm — the paper's FAST/HARE as well as the
 baselines it is evaluated against — registers itself here with
@@ -9,7 +9,7 @@ parameters (``q``, ``p``, ``window_factor``, …) it accepts.
 
 Callers describe *what* to count with a :class:`CountRequest` and get
 back a :class:`~repro.core.counters.MotifCounts` (aliased
-:data:`CountResult`) regardless of the backend:
+:data:`CountResult`) regardless of the algorithm:
 
 >>> from repro.core.registry import CountRequest, execute
 >>> result = execute(CountRequest(graph=g, delta=600, algorithm="bts"))
@@ -21,7 +21,7 @@ consecutive seeds; the dispatcher averages the replicate grids and
 fills ``result.stderr`` with the standard error of the mean, so every
 approximate answer carries its own uncertainty.
 
-Adding a backend is one decorated function::
+Adding an algorithm is one decorated function::
 
     @register_algorithm("mycounter", exact=True)
     def _mycounter(request: CountRequest) -> MotifCounts:
@@ -59,13 +59,6 @@ STAR_PAIR_CATEGORIES = ("all", "star", "pair", "star_pair")
 
 #: Category selections that require a triangle pass.
 TRIANGLE_CATEGORIES = ("all", "triangle")
-
-#: Execution backends a request may ask for.  ``"auto"`` resolves to
-#: the fastest backend the chosen algorithm declares (columnar when
-#: available, python otherwise); algorithms without vectorized kernels
-#: silently run their python path, so ``backend=`` never changes
-#: results, only execution strategy.
-BACKENDS = ("auto", "python", "columnar")
 
 #: Process start methods a request may pin for parallel execution
 #: (``None`` defers to ``REPRO_START_METHOD`` / the platform default).
@@ -132,7 +125,6 @@ class CountRequest:
     schedule: str = "dynamic"
     seed: Optional[int] = None
     n_samples: Optional[int] = None
-    backend: str = "auto"
     #: Persistent shared-memory worker pool
     #: (:class:`repro.parallel.pool.WorkerPool`) to execute on;
     #: ``None`` uses the process-wide shared pool when ``workers > 1``.
@@ -222,10 +214,6 @@ class CountRequest:
 
             self.cluster = ",".join(parse_cluster(self.cluster))
         check_delta(self.delta)
-        if self.backend not in BACKENDS:
-            raise ValidationError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
         if self.categories not in CATEGORIES:
             raise ValidationError(
                 f"unknown categories {self.categories!r}; choose from {CATEGORIES}"
@@ -315,23 +303,10 @@ class CountRequest:
         n_samples = self.n_samples
         if n_samples is None:
             n_samples = 1 if spec.is_exact else DEFAULT_SAMPLING_REPLICATES
-        # Resolve the backend to a concrete one: "auto" prefers the
-        # spec's first declared backend (specs list fastest first);
-        # an explicit choice the spec does not implement falls back to
-        # python — the backend knob selects execution strategy, never
-        # results, so every algorithm accepts it without signature
-        # churn.
-        if self.backend == "auto":
-            backend = spec.backends[0]
-        elif self.backend in spec.backends:
-            backend = self.backend
-        else:
-            backend = "python"
         return dataclasses.replace(
             self,
             seed=0 if self.seed is None else self.seed,
             n_samples=n_samples,
-            backend=backend,
             params=params,
         )
 
@@ -374,7 +349,6 @@ class StreamRequest:
     window: Optional[float] = None
     algorithm: str = "fast"
     categories: str = "all"
-    backend: str = "auto"
     workers: int = 1
     checkpoint_every: int = 10_000
     parallel_min_edges: int = 200_000
@@ -395,10 +369,6 @@ class StreamRequest:
         if self.window is not None and self.window <= 0:
             raise ValidationError(
                 f"window must be positive (or None for unbounded), got {self.window}"
-            )
-        if self.backend not in BACKENDS:
-            raise ValidationError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
         if self.categories not in CATEGORIES:
             raise ValidationError(
@@ -425,13 +395,7 @@ class StreamRequest:
         return self.categories in TRIANGLE_CATEGORIES
 
     def resolve(self, spec: "AlgorithmSpec") -> "StreamRequest":
-        """Capability-check against ``spec`` and make the backend concrete.
-
-        Unlike batch resolution, ``"auto"`` stays symbolic when the
-        spec implements the columnar backend: the engine picks python
-        vs columnar *per dirty slice* by size (tiny slices are faster
-        interpreted).  An explicit backend is honoured as-is.
-        """
+        """Capability-check against ``spec``; merge its default params."""
         if not spec.streaming:
             raise ValidationError(
                 f"algorithm {spec.name!r} does not support streaming "
@@ -440,12 +404,7 @@ class StreamRequest:
         params = _check_capabilities(
             spec, categories=self.categories, workers=self.workers, params=self.params
         )
-        backend = self.backend
-        if backend != "auto" and backend not in spec.backends:
-            backend = "python"
-        if backend == "auto" and "columnar" not in spec.backends:
-            backend = "python"
-        return dataclasses.replace(self, backend=backend, params=params)
+        return dataclasses.replace(self, params=params)
 
 
 @dataclass(frozen=True)
@@ -461,9 +420,6 @@ class AlgorithmSpec:
     #: :class:`~repro.parallel.pool.WorkerPool`) or the process-wide
     #: shared pool.
     parallel: bool = False
-    #: Backends the algorithm implements, fastest first ("auto" picks
-    #: the first).  Every algorithm has at least the python path.
-    backends: Tuple[str, ...] = ("python",)
     params: Mapping[str, object] = field(default_factory=dict)
     description: str = ""
     #: Factory building an incremental engine from a resolved
@@ -483,8 +439,6 @@ class AlgorithmSpec:
     def describe(self) -> str:
         """One line for ``repro list-algorithms`` / ``--help``."""
         bits = [self.kind, "parallel" if self.parallel else "serial"]
-        if "columnar" in self.backends:
-            bits.append("columnar")
         if self.streaming:
             bits.append("streaming")
         if set(self.categories) != set(CATEGORIES):
@@ -510,7 +464,6 @@ def register_algorithm(
     exact: bool,
     categories: Tuple[str, ...] = CATEGORIES,
     parallel: bool = False,
-    backends: Tuple[str, ...] = ("python",),
     params: Optional[Mapping[str, object]] = None,
     description: str = "",
     stream_factory: Optional[Callable[["StreamRequest"], object]] = None,
@@ -532,16 +485,6 @@ def register_algorithm(
         )
     if "all" not in categories:
         raise ValidationError("invalid capability: every algorithm must support 'all'")
-    bad_backends = set(backends) - (set(BACKENDS) - {"auto"})
-    if bad_backends:
-        raise ValidationError(
-            f"invalid capability: backends {sorted(bad_backends)} not in "
-            f"{tuple(b for b in BACKENDS if b != 'auto')}"
-        )
-    if "python" not in backends:
-        raise ValidationError(
-            "invalid capability: every algorithm must implement the python backend"
-        )
 
     def decorator(func: Callable[[CountRequest], "MotifCounts"]) -> Callable:
         if name in _REGISTRY and not replace:
@@ -554,7 +497,6 @@ def register_algorithm(
             is_exact=exact,
             categories=tuple(categories),
             parallel=parallel,
-            backends=tuple(backends),
             params=dict(params or {}),
             description=description,
             stream_factory=stream_factory,
@@ -636,7 +578,7 @@ def open_stream(request: StreamRequest):
 def execute(request: CountRequest) -> "MotifCounts":
     """Dispatch a request to its algorithm and normalize the result.
 
-    The uniform post-processing contract, applied to every backend:
+    The uniform post-processing contract, applied to every algorithm:
 
     * approximate algorithms run ``n_samples`` replicates with
       consecutive seeds; the grids are averaged and ``stderr`` holds
@@ -719,7 +661,6 @@ def execute(request: CountRequest) -> "MotifCounts":
     if result.algorithm == "fast" and req.algorithm != "fast":
         result.algorithm = req.algorithm
     result.meta.setdefault("requested_algorithm", req.algorithm)
-    result.meta.setdefault("backend", req.backend)
     if req.source is not None:
         result.meta.setdefault("source", req.source)
     if req.wants_sharding and not spec.is_exact:

@@ -7,14 +7,14 @@ EWS.  Their python baselines resolve each unit through per-edge
 generator loops (:func:`repro.baselines.backtracking.match_instances`,
 ``_later_incident_edges``); this module evaluates whole unit batches
 as NumPy array passes over the :class:`~repro.graph.columnar.ColumnarGraph`
-CSR layouts instead.  Select them with ``backend="columnar"`` on any
-:class:`~repro.core.registry.CountRequest` naming ``bts``, ``ews`` or
-``ex``.
+CSR layouts instead.  They are what ``algorithm="bts"`` and
+``algorithm="ews"`` run; the python loops stay as their test
+references.
 
 The enumeration core
 --------------------
 
-All three kernels share one primitive: *enumerate every time-ordered
+Both kernels share one primitive: *enumerate every time-ordered
 candidate triple rooted at a set of anchor edges*.  For an anchor edge
 ``a = (u, v)`` with a per-anchor edge-id cap ``hi`` (its δ-window end,
 possibly tightened by a BTS block boundary):
@@ -44,8 +44,8 @@ tracks a bounded slice of the work, not δ or the sample size.
 Bit-identical estimates
 -----------------------
 
-``backend=`` selects execution strategy, never results, so for a fixed
-seed the kernels reproduce the python estimators *bit for bit*:
+For a fixed seed the kernels reproduce the python reference
+estimators *bit for bit*:
 
 * **same sample draws** — EWS draws its anchor Bernoulli vector with
   one ``rng.random(m)`` call and its wedge coins in (anchor, second
@@ -53,19 +53,13 @@ seed the kernels reproduce the python estimators *bit for bit*:
   (NumPy's ``Generator`` produces the same stream batched or one at a
   time); BTS block boundaries and coin flips were already vectorized
   and are shared verbatim;
-* **canonical reductions** — both backends reduce floating-point
+* **canonical reductions** — kernel and reference reduce floating-point
   weights through the same helpers: :func:`ht_weight_sum` (sort the
   spans of one (block, motif) group, weight, ``np.add.reduce``) for
   BTS and :func:`ews_grid` (exact int64 occurrence counts per cell and
   weight class, one float multiply-add at the end) for EWS.  Identical
   input multisets therefore produce identical bits no matter which
-  backend — or how many workers — enumerated them.
-
-``ex`` is the degenerate case: with every anchor kept and unit
-weights, the enumeration core counts the full grid exactly, giving the
-EX baseline a columnar backend whose cost is Θ(instances) — explicit
-opt-in only (its ``"auto"`` backend stays python, whose window-counter
-machinery is *sublinear* in instances on dense timelines).
+  implementation — or how many workers — enumerated them.
 """
 
 from __future__ import annotations
@@ -180,7 +174,7 @@ def _third_codes(
 
 
 # ----------------------------------------------------------------------
-# canonical floating-point reductions (shared by both backends)
+# canonical floating-point reductions (shared with the python references)
 # ----------------------------------------------------------------------
 
 def ht_weight_sum(spans: Sequence[float], W: float, q: float) -> float:
@@ -204,10 +198,10 @@ def ews_grid(
     """Assemble the EWS estimate grid from exact per-cell tallies.
 
     EWS weights take exactly two values — ``1/p`` for second edges on
-    the anchor pair and ``1/(p·q)`` for wedges — so both backends tally
+    the anchor pair and ``1/(p·q)`` for wedges — so kernel and reference tally
     int64 occurrences per (cell, weight class) and multiply once here:
     integer tallies are order-free, which is what makes the fixed-seed
-    estimate bit-identical across backends and execution strategies.
+    estimate bit-identical across implementations and execution strategies.
     """
     inv_p = 1.0 / p
     grid = pair_counts.astype(np.float64).reshape(6, 6) * inv_p
@@ -500,9 +494,9 @@ def bts_columnar_block_grids(
     Memory: instance spans buffer per *block batch* (batches cut at
     :data:`BLOCK_BATCH_ANCHORS` first edges), never across the whole
     sample, so the working set tracks a few blocks' instances like the
-    python backend's, not the sample's.  Note that a partial non-pair
+    python reference's, not the sample's.  Note that a partial non-pair
     ``cells`` selection still pays the full enumeration and discards
-    unselected classifications afterwards — unlike the python backend,
+    unselected classifications afterwards — unlike the python reference,
     which matches only the selected patterns (pair-only selections
     *do* take the cheap pair-timeline path).
     """
@@ -565,39 +559,3 @@ def bts_columnar_block_grids(
                 spans[start:end], W, q
             )
     return grids
-
-
-# ----------------------------------------------------------------------
-# EX kernel (degenerate: all anchors, unit weights, exact counts)
-# ----------------------------------------------------------------------
-
-def ex_columnar_grid(
-    graph: TemporalGraph,
-    delta: float,
-    categories: str = "all",
-    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-) -> np.ndarray:
-    """Exact int64 count grid by full vectorized enumeration.
-
-    The ``p = q = 1`` degeneracy of the EWS kernel: every edge anchors,
-    every candidate counts with weight one.  Cost is Θ(instances) —
-    unlike python EX's window counters, which are sublinear in
-    instances on dense timelines — so this backend is explicit opt-in
-    (``backend="columnar"``), never ``"auto"``.
-    """
-    from repro.core.counters import category_keep_mask
-
-    col = graph.columnar()
-    grid = np.zeros(36, dtype=np.int64)
-    m = col.num_edges
-    if m == 0:
-        return grid.reshape(6, 6)
-    anchors = np.arange(m, dtype=np.int64)
-    edge_hi = edge_window_ends(col, delta)
-    if categories == "pair":
-        triples = _iter_pair_triples(col, anchors, edge_hi, chunk_pairs)
-    else:
-        triples = _iter_triples(col, anchors, edge_hi, chunk_pairs=chunk_pairs)
-    for _, cell, _, _ in triples:
-        grid += np.bincount(cell, minlength=36)
-    return grid.reshape(6, 6) * category_keep_mask(categories)

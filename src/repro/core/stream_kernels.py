@@ -30,9 +30,9 @@ are therefore additive over edge-multiset differences; projection to
 the de-duplicated 6×6 grid happens only at checkpoint time.
 
 The slice counts reuse the existing batch kernels unchanged — the
-python loops, the vectorized columnar kernels, or, for large dirty
-ranges, one HARE job on the shared worker pool (micro-batch
-execution) — so streaming inherits every backend the batch path has.
+python loops for tiny slices, the vectorized columnar kernels above
+:data:`AUTO_COLUMNAR_MIN_EDGES`, or, for large dirty ranges, one HARE
+job on the shared worker pool (micro-batch execution).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.graph.temporal_graph import TemporalGraph
 RawCounts = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Below this many slice edges the interpreted loops beat the columnar
-#: build cost; ``backend="auto"`` switches on it per slice.  Measured
+#: build cost, so :func:`count_slice_raw` switches on it per slice.  Measured
 #: crossover on power-law session slices is ~250 edges (columnar wins
 #: 2x by 512, 2.7x by 2048, including the slice-graph build).
 AUTO_COLUMNAR_MIN_EDGES = 256
@@ -82,25 +82,12 @@ def apply_diff(totals: RawCounts, plus: RawCounts, minus: RawCounts) -> None:
         total -= m
 
 
-def resolve_slice_backend(backend: str, num_edges: int) -> str:
-    """Concrete backend for one slice: ``auto`` picks by slice size.
-
-    Streaming slices are often tiny (a micro-batch plus a δ tail); the
-    O(k log k) columnar build only pays off past
-    :data:`AUTO_COLUMNAR_MIN_EDGES` edges.
-    """
-    if backend == "auto":
-        return "columnar" if num_edges >= AUTO_COLUMNAR_MIN_EDGES else "python"
-    return backend
-
-
 def count_slice_raw(
     graph: TemporalGraph,
     delta: float,
     *,
     star_pair: bool = True,
     triangle: bool = True,
-    backend: str = "auto",
     workers: int = 1,
     parallel_min_edges: int = DEFAULT_PARALLEL_MIN_EDGES,
     pool=None,
@@ -108,9 +95,11 @@ def count_slice_raw(
 ) -> RawCounts:
     """Raw flat counters of one immutable slice graph.
 
-    Dispatches to the same kernels the batch path uses: serial python
-    loops or columnar kernels per :func:`resolve_slice_backend`, and —
-    when ``workers > 1`` and the slice has at least
+    Dispatches to the same kernels the batch path uses: the columnar
+    kernels, or the python loops for slices under
+    :data:`AUTO_COLUMNAR_MIN_EDGES` edges (streaming slices are often a
+    micro-batch plus a δ tail, too small to amortize the O(k log k)
+    columnar build), and — when ``workers > 1`` and the slice has at least
     ``parallel_min_edges`` edges — the HARE runtime, so a large dirty
     range is counted as a micro-batch with full intra-node
     parallelism.  Such a slice runs on
@@ -121,27 +110,29 @@ def count_slice_raw(
     """
     if graph.num_edges == 0 or not (star_pair or triangle):
         return zero_raw()
-    concrete = resolve_slice_backend(backend, graph.num_edges)
     if workers > 1 and graph.num_edges >= parallel_min_edges:
         from repro.parallel.executor import run_batches, runtime_pool
 
         pool = runtime_pool(pool, workers, start_method)
         counters = run_batches(
             graph, delta, pool.plan_batches(graph, workers), pool=pool,
-            star_pair=star_pair, triangle=triangle, backend=concrete,
+            star_pair=star_pair, triangle=triangle,
         )
-    else:
+        cells = [None if c is None else c.data for c in counters]
+    elif graph.num_edges < AUTO_COLUMNAR_MIN_EDGES:
         from repro.core.fast_star import count_star_pair
         from repro.core.fast_tri import count_triangle
 
-        star_pair_counters = (
-            count_star_pair(graph, delta, backend=concrete) if star_pair else (None, None)
-        )
-        tri_counter = count_triangle(graph, delta, backend=concrete) if triangle else None
-        counters = (*star_pair_counters, tri_counter)
+        star, pair = count_star_pair(graph, delta) if star_pair else (None, None)
+        tri = count_triangle(graph, delta) if triangle else None
+        cells = [None if c is None else c.data for c in (star, pair, tri)]
+    else:
+        from repro.parallel.executor import execute_tasks
+
+        cells = execute_tasks(graph, delta, None, star_pair=star_pair, triangle=triangle)
     return tuple(
-        zero if counter is None else np.array(counter.data, dtype=np.int64)
-        for zero, counter in zip(zero_raw(), counters)
+        zero if data is None else np.array(data, dtype=np.int64)
+        for zero, data in zip(zero_raw(), cells)
     )
 
 

@@ -1,6 +1,6 @@
 """The streaming motif engine: incremental sliding-window counting.
 
-:class:`StreamingMotifEngine` is the reference streaming backend
+:class:`StreamingMotifEngine` is the reference streaming engine
 behind ``algorithm="fast"`` (obtained via
 :func:`repro.core.registry.open_stream`).  It composes the two halves
 of the ingest/count layer split:
@@ -99,7 +99,6 @@ class Checkpoint:
             "edges_expired": self.edges_expired,
             "edges_dropped_late": self.edges_dropped_late,
             "total": self.counts.total(),
-            "backend": self.counts.backend,
             "phase_seconds": dict(self.phase_seconds),
             "dominant_phase": None if dominant is None else dominant[0],
         }
@@ -162,7 +161,6 @@ class StreamingMotifEngine:
             request.delta,
             star_pair=request.wants_star_pair,
             triangle=request.wants_triangle,
-            backend=request.backend,
             workers=request.workers,
             parallel_min_edges=request.parallel_min_edges,
             pool=request.pool,
@@ -268,7 +266,6 @@ class StreamingMotifEngine:
         counts.elapsed_seconds = sum(phase_seconds.values())
         counts.meta.update(
             {
-                "backend": request.backend,
                 "window": request.window,
                 "workers": request.workers,
                 "checkpoint": self._num_checkpoints,
@@ -364,7 +361,6 @@ class StreamingMotifEngine:
                 "window": request.window,
                 "algorithm": request.algorithm,
                 "categories": request.categories,
-                "backend": request.backend,
             },
             "store": store.snapshot_state(),
             "engine": {
@@ -387,8 +383,8 @@ class StreamingMotifEngine:
         journal (execution knobs — workers, batch sizes — take their
         defaults).  A provided ``request`` must agree with the journal
         on every answer-shaping field (δ, window, algorithm,
-        categories); backend and parallelism may differ freely because
-        counts are bit-identical across them.  Corruption anywhere
+        categories); parallelism may differ freely because counts are
+        bit-identical across it.  Corruption anywhere
         raises :class:`~repro.errors.CheckpointCorruptError` before any
         engine state exists — there is no partial resume.
         """
@@ -402,7 +398,6 @@ class StreamingMotifEngine:
                 window=config["window"],
                 algorithm=config["algorithm"],
                 categories=config["categories"],
-                backend=config["backend"],
             )
         else:
             mismatches = [

@@ -33,7 +33,7 @@ worker has retired (or a single unit exhausts its own
 
 **Determinism.**  Every unit's grid is the exact int64 answer of a
 canonical slice (the repo-wide invariant: identical counts across
-backends, worker counts, and machines), and the coordinator reduces
+runtimes, worker counts, and machines), and the coordinator reduces
 them with the same :meth:`~repro.storage.sharded.ShardedGraph.reduce`
 as the serial :func:`~repro.storage.sharded.sharded_count`.  The total
 is therefore bit-identical to the serial count of the same plan —

@@ -85,7 +85,7 @@ MAX_MESSAGE = 128 << 20
 #: worker is free to honour.  Sharding/cluster fields are deliberately
 #: absent: a worker counts exactly the slice it was handed.
 SPEC_FIELDS = frozenset({
-    "delta", "algorithm", "categories", "backend", "thrd", "schedule", "params",
+    "delta", "algorithm", "categories", "thrd", "schedule", "params",
 })
 
 
@@ -101,7 +101,6 @@ def encode_count_spec(request) -> Dict:
         "delta": float(request.delta),
         "algorithm": request.algorithm,
         "categories": request.categories,
-        "backend": request.backend,
         "thrd": None if request.thrd is None else float(request.thrd),
         "schedule": request.schedule,
         "params": {str(k): v for k, v in request.params.items()},
@@ -112,16 +111,17 @@ def parse_count_spec(spec: object) -> Dict:
     """Validate a wire count spec's shape; returns the normalized dict."""
     if not isinstance(spec, dict):
         raise ValidationError(f"count spec must be an object, got {spec!r}")
-    unknown = set(spec) - SPEC_FIELDS
+    # Older coordinators also send a kernel "backend" choice; counts
+    # never depended on it, so it is accepted and dropped.
+    out = {key: value for key, value in spec.items() if key != "backend"}
+    unknown = set(out) - SPEC_FIELDS
     if unknown:
         raise ValidationError(f"unknown count spec field(s) {sorted(unknown)}")
-    if "delta" not in spec:
+    if "delta" not in out:
         raise ValidationError("count spec requires a 'delta'")
-    out = dict(spec)
-    out["delta"] = float(spec["delta"])
+    out["delta"] = float(out["delta"])
     out.setdefault("algorithm", "fast")
     out.setdefault("categories", "all")
-    out.setdefault("backend", "auto")
     out.setdefault("thrd", None)
     out.setdefault("schedule", "dynamic")
     params = out.setdefault("params", {})

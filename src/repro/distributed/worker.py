@@ -270,7 +270,6 @@ class WorkerDaemon:
             delta=spec["delta"],
             algorithm=spec["algorithm"],
             categories=spec["categories"],
-            backend=spec["backend"],
             thrd=spec["thrd"],
             schedule=spec["schedule"],
             workers=workers,

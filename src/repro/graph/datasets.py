@@ -4,8 +4,8 @@ The paper's Table II lists sixteen real-world temporal networks from
 SNAP and NetworkRepository, spanning 20K to 613M temporal edges.  This
 offline, pure-Python reproduction cannot ship or process the originals,
 so each registry entry pairs the *paper's* statistics with a synthetic
-configuration that reproduces the dataset's shape at a tractable scale
-(see DESIGN.md §1 for the substitution argument).  The four smallest
+configuration that reproduces the dataset's shape (node count, edge
+count, time span, degree skew) at a tractable scale.  The four smallest
 datasets are generated at full edge count; larger ones are scaled down,
 with the scale factor recorded on the spec.
 

@@ -273,8 +273,8 @@ def publish_graph(graph: TemporalGraph) -> SharedGraph:
 
     Copies the canonical edge columns and every array of
     ``graph.columnar()`` — forcing the columnar build first if needed,
-    so the O(m log m) construction happens exactly once, in the owner,
-    whichever backend the workers then run.  The handle's ``manifest``
+    so the O(m log m) construction happens exactly once, in the owner.
+    The handle's ``manifest``
     is what workers feed to :func:`attach_graph`.
     """
     arrays: Dict[str, np.ndarray] = {

@@ -516,8 +516,8 @@ class TemporalGraph:
         Built lazily on first access; see
         :class:`repro.graph.columnar.ColumnarGraph` for the array
         layout (timestamp-sorted edge columns, incidence CSR, pair
-        CSR).  The vectorized counting kernels selected with
-        ``backend="columnar"`` consume this view; the worker pool
+        CSR).  The vectorized counting kernels consume this view; the
+        worker pool
         publishes it into shared memory once per graph.
 
         The cache is stamped with :attr:`version` when built and

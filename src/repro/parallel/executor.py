@@ -29,9 +29,8 @@ import os
 import time
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
+from repro.core.columnar_kernels import count_star_pair_columnar, count_triangle_columnar
 from repro.core.counters import PairCounter, StarCounter, TriangleCounter
-from repro.core.fast_star import count_star_pair_tasks
-from repro.core.fast_tri import count_triangle_tasks
 from repro.errors import DeadlineExceededError, ValidationError, check_delta
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.scheduler import WorkBatch
@@ -54,35 +53,22 @@ def execute_tasks(
     *,
     star_pair: bool = True,
     triangle: bool = True,
-    backend: str = "python",
 ) -> _WorkerResult:
     """Run one batch's tasks against a graph; return raw cell lists.
 
     The single kernel-dispatch point shared by the serial path and the
-    pool workers.  Raw cell lists keep the IPC payload identical
-    across backends.
+    pool workers: the vectorized columnar kernels over the (local or
+    attached) columnar arrays.  The python task loops
+    (:func:`~repro.core.fast_star.count_star_pair_tasks`,
+    :func:`~repro.core.fast_tri.count_triangle_tasks`) are their test
+    references.
     """
     star_data = pair_data = tri_data = None
-    if backend == "columnar":
-        # Vectorized kernels over the (local or attached) columnar
-        # arrays.
-        from repro.core.columnar_kernels import (
-            count_star_pair_columnar,
-            count_triangle_columnar,
-        )
-
-        if star_pair:
-            star_arr, pair_arr = count_star_pair_columnar(graph, delta, tasks)
-            star_data, pair_data = star_arr.tolist(), pair_arr.tolist()
-        if triangle:
-            tri_data = count_triangle_columnar(graph, delta, tasks).tolist()
-        return (star_data, pair_data, tri_data)
     if star_pair:
-        star, pair = count_star_pair_tasks(graph, delta, tasks)
-        star_data, pair_data = star.data, pair.data
+        star_arr, pair_arr = count_star_pair_columnar(graph, delta, tasks)
+        star_data, pair_data = star_arr.tolist(), pair_arr.tolist()
     if triangle:
-        tri = count_triangle_tasks(graph, delta, tasks)
-        tri_data = tri.data
+        tri_data = count_triangle_columnar(graph, delta, tasks).tolist()
     return (star_data, pair_data, tri_data)
 
 
@@ -90,12 +76,10 @@ def pool_map_tasks(graph: TemporalGraph, delta: float, args: Tuple, tasks) -> _W
     """:class:`~repro.parallel.pool.WorkerPool` map function (``"hare_tasks"``).
 
     Runs one HARE batch against the worker's attached zero-copy graph;
-    ``args`` is ``(star_pair, triangle, backend)``.
+    ``args`` is ``(star_pair, triangle)``.
     """
-    star_pair, triangle, backend = args
-    return execute_tasks(
-        graph, delta, tasks, star_pair=star_pair, triangle=triangle, backend=backend
-    )
+    star_pair, triangle = args
+    return execute_tasks(graph, delta, tasks, star_pair=star_pair, triangle=triangle)
 
 
 def reduce_results(
@@ -163,7 +147,6 @@ def run_batches(
     pool: Optional["WorkerPool"] = None,
     star_pair: bool = True,
     triangle: bool = True,
-    backend: str = "python",
     deadline: Optional[float] = None,
 ) -> Tuple[Optional[StarCounter], Optional[PairCounter], Optional[TriangleCounter]]:
     """Execute work batches and reduce their counters.
@@ -172,32 +155,24 @@ def run_batches(
     serially in-process when ``pool`` is ``None``.  The static/dynamic
     choice lives in the plan
     (:func:`~repro.parallel.scheduler.partition_static`); pool workers
-    pull whatever batches they are given as they finish.  ``backend``
-    selects the kernels (``"python"`` loops or ``"columnar"``
-    vectorized).  ``deadline`` (a :func:`time.monotonic` instant)
-    bounds the call: an expired-on-entry request raises
+    pull whatever batches they are given as they finish.  ``deadline``
+    (a :func:`time.monotonic` instant) bounds the call: an
+    expired-on-entry request raises
     :class:`~repro.errors.DeadlineExceededError`, and a pool job is
     also cancelled mid-flight.  Results are bit-identical across
     runtimes.
     """
     check_delta(delta)
-    if backend not in ("python", "columnar"):
-        raise ValidationError(
-            f"backend must be 'python' or 'columnar', got {backend!r}"
-        )
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceededError("run_batches deadline expired before execution")
     if pool is not None:
         return pool.run_batches(
             graph, delta, batches, star_pair=star_pair, triangle=triangle,
-            backend=backend, deadline=deadline,
+            deadline=deadline,
         )
     return reduce_results(
         (
-            execute_tasks(
-                graph, delta, batch.tasks,
-                star_pair=star_pair, triangle=triangle, backend=backend,
-            )
+            execute_tasks(graph, delta, batch.tasks, star_pair=star_pair, triangle=triangle)
             for batch in batches
         ),
         star_pair, triangle,

@@ -67,7 +67,6 @@ def hare_count(
     thrd: Optional[float] = None,
     schedule: str = "dynamic",
     categories: str = "all",
-    backend: str = "python",
     pool: Optional["WorkerPool"] = None,
     start_method: Optional[str] = None,
     deadline: Optional[float] = None,
@@ -78,10 +77,9 @@ def hare_count(
     with degree above ``thrd`` are split into consecutive first-edge
     pieces and the task cover is cut into weight-balanced batches,
     both a fixed number per worker (see
-    :func:`repro.parallel.scheduler.build_batches`).  ``backend``
-    selects the per-worker kernels (python loops or vectorized
-    columnar); ``pool`` reuses a persistent shared-memory worker pool.
-    ``meta["runtime"]`` is ``"pool"`` when the batches ran on a pool,
+    :func:`repro.parallel.scheduler.build_batches`).  Every batch runs
+    the columnar kernels; ``pool`` reuses a persistent shared-memory
+    worker pool.  ``meta["runtime"]`` is ``"pool"`` when the batches ran on a pool,
     ``"serial"`` otherwise.  Results are bit-identical to the serial
     FAST pass in every configuration.
     """
@@ -91,15 +89,13 @@ def hare_count(
     pool, batches = _prepare_batches(graph, workers, thrd, schedule, pool, start_method)
     star, pair, tri = run_batches(
         graph, delta, batches, pool=pool,
-        star_pair=star_pair, triangle=triangle, backend=backend,
-        deadline=deadline,
+        star_pair=star_pair, triangle=triangle, deadline=deadline,
     )
     result = MotifCounts.from_counters(
         star, pair, tri, algorithm=f"hare[{workers}]", delta=delta,
         meta={
             "workers": workers,
             "schedule": schedule,
-            "backend": backend,
             "runtime": "serial" if pool is None else "pool",
         },
     )
@@ -115,7 +111,6 @@ def hare_count_request(request: "CountRequest") -> MotifCounts:
         thrd=request.thrd,
         schedule=request.schedule,
         categories=request.categories,
-        backend=request.backend,
         pool=request.pool,
         start_method=request.start_method,
         deadline=request.deadline,

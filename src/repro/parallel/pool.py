@@ -577,7 +577,6 @@ class WorkerPool:
         *,
         star_pair: bool = True,
         triangle: bool = True,
-        backend: str = "python",
         reuse: Optional[bool] = None,
         deadline: Optional[float] = None,
     ) -> Tuple[Optional[StarCounter], Optional[PairCounter], Optional[TriangleCounter]]:
@@ -598,10 +597,6 @@ class WorkerPool:
         from repro.parallel.executor import reduce_results
 
         check_delta(delta)
-        if backend not in ("python", "columnar"):
-            raise ValidationError(
-                f"backend must be 'python' or 'columnar', got {backend!r}"
-            )
         if self.closed:
             raise ParallelExecutionError("worker pool is closed")
         use_cache = self._result_cache_enabled if reuse is None else reuse
@@ -609,7 +604,7 @@ class WorkerPool:
             if use_cache:
                 state = self._ensure_published(graph)
                 cache_key = (
-                    state.gid, float(delta), star_pair, triangle, backend,
+                    state.gid, float(delta), star_pair, triangle,
                     self._fingerprint_batches(batches),
                 )
                 cached = self._results.get(cache_key)
@@ -619,7 +614,7 @@ class WorkerPool:
                     return reduce_results(cached, star_pair, triangle)
             results = self.run_map(
                 graph, "hare_tasks", [batch.tasks for batch in batches],
-                (star_pair, triangle, backend),
+                (star_pair, triangle),
                 delta=delta, deadline=deadline,
             )
             if use_cache:

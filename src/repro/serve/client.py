@@ -154,7 +154,6 @@ class ServeClient:
         *,
         algorithm: str = "fast",
         categories: str = "all",
-        backend: str = "auto",
         seed: Optional[int] = None,
         n_samples: Optional[int] = None,
         params: Optional[Dict] = None,
@@ -166,8 +165,7 @@ class ServeClient:
         :func:`repro.core.api.count_motifs` for the served knobs."""
         message: Dict = {
             "op": "count", "graph": graph, "delta": delta,
-            "algorithm": algorithm, "categories": categories,
-            "backend": backend, "tenant": tenant,
+            "algorithm": algorithm, "categories": categories, "tenant": tenant,
         }
         if seed is not None:
             message["seed"] = seed

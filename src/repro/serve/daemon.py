@@ -103,7 +103,6 @@ class ServeDaemon:
                                 "name": spec.name,
                                 "exact": spec.is_exact,
                                 "parallel": spec.parallel,
-                                "backends": list(spec.backends),
                                 "streaming": spec.streaming,
                                 "params": {k: repr(v) for k, v in sorted(spec.params.items())},
                             }

@@ -15,11 +15,12 @@ A request is a JSON object with an ``op``:
 ``count``
     ``{"op": "count", "graph": <catalog name>, "delta": <float>,
     "algorithm": "fast", ...}`` — optional knobs mirror
-    :func:`repro.core.api.count_motifs` (``categories``, ``workers``,
-    ``backend``, ``seed``, ``n_samples``, ``params``) plus serving
-    fields: ``tenant`` (quota bucket, default ``"default"``),
-    ``timeout`` (seconds; becomes a deadline that cancels pool work)
-    and ``id`` (caller trace id, echoed back).
+    :func:`repro.core.api.count_motifs` (``categories``, ``seed``,
+    ``n_samples``, ``params``) plus serving fields: ``tenant`` (quota
+    bucket, default ``"default"``), ``timeout`` (seconds; becomes a
+    deadline that cancels pool work) and ``id`` (caller trace id,
+    echoed back).  A ``backend`` field from older clients is accepted
+    and ignored.
 ``ping`` / ``stats`` / ``catalog`` / ``algorithms``
     Introspection; ``catalog`` lists the named graphs and their
     versions, ``stats`` the service/pool counters.
@@ -241,7 +242,7 @@ def canonical_counts_bytes(counts: MotifCounts) -> bytes:
 #: ``workers`` is deliberately absent: parallelism degree is a service
 #: deployment choice, not a per-request knob.
 COUNT_FIELDS = frozenset({
-    "op", "graph", "delta", "algorithm", "categories", "backend",
+    "op", "graph", "delta", "algorithm", "categories",
     "seed", "n_samples", "params", "tenant", "timeout", "id",
 })
 
@@ -255,7 +256,9 @@ def parse_count(message: Dict) -> Dict:
     :class:`~repro.errors.ValidationError` from execution, mapped to
     the same ``bad_request`` code.
     """
-    unknown = set(message) - COUNT_FIELDS
+    # Older clients also send a kernel "backend" choice; counts never
+    # depended on it, so it is accepted and dropped.
+    unknown = set(message) - COUNT_FIELDS - {"backend"}
     if unknown:
         raise ValidationError(f"unknown count field(s) {sorted(unknown)}")
     graph = message.get("graph")
@@ -292,7 +295,6 @@ def parse_count(message: Dict) -> Dict:
         "delta": delta,
         "algorithm": message.get("algorithm", "fast"),
         "categories": message.get("categories", "all"),
-        "backend": message.get("backend", "auto"),
         "seed": message.get("seed"),
         "n_samples": message.get("n_samples"),
         "params": params,

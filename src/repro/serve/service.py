@@ -156,7 +156,7 @@ def _dedup_key(serial: int, fields: Dict) -> Tuple:
     """
     return (
         serial, fields["algorithm"], fields["categories"],
-        fields["backend"], fields["seed"], fields["n_samples"],
+        fields["seed"], fields["n_samples"],
         tuple(sorted(fields["params"].items())), float(fields["delta"]),
     )
 
@@ -374,7 +374,6 @@ class MotifService:
             workers=self.config.workers,
             seed=fields["seed"],
             n_samples=fields["n_samples"],
-            backend=fields["backend"],
             pool=self.pool,
             deadline=deadline,
             **fields["params"],
@@ -408,7 +407,6 @@ class MotifService:
                 float(fields["delta"]),
                 algorithm=fields["algorithm"],
                 categories=fields["categories"],
-                backend=fields["backend"],
                 cluster=cluster,
                 deadline=deadline,
                 **fields["params"],
@@ -459,7 +457,6 @@ class MotifService:
                 float(fields["delta"]),
                 algorithm=fields["algorithm"],
                 categories=fields["categories"],
-                backend=fields["backend"],
                 num_shards=max(2, self.config.workers),
                 deadline=deadline,
                 **fields["params"],

@@ -14,7 +14,7 @@ A streaming checkpoint directory holds exactly two artefacts:
     "repro.checkpoint/1", "length": L, "crc": C}``; line 2 is exactly
     ``L`` bytes of canonical JSON (the *body*) whose CRC32 must equal
     ``C``.  The body carries the engine state a resume needs: the
-    stream config (δ, window, algorithm, categories, backend), the
+    stream config (δ, window, algorithm, categories), the
     store's label table and counters (watermark, eviction/lateness
     tallies, version), the engine's three raw counter arrays, and the
     snapshot's filename + whole-file CRC32 — which binds the journal
@@ -239,7 +239,7 @@ def _check_payload(journal: str, payload: Dict) -> None:
         journal, "config.delta missing or non-numeric",
     )
     _require(_number_or_none(config.get("window")), journal, "config.window mistyped")
-    for key in ("algorithm", "categories", "backend"):
+    for key in ("algorithm", "categories"):
         _require(isinstance(config.get(key), str), journal, f"config.{key} mistyped")
 
     store = payload["store"]
@@ -344,8 +344,12 @@ def read_checkpoint(directory) -> Dict:
     payload = _read_journal(journal)
     _check_payload(journal, payload)
     snap_path, src, dst, t = _load_snapshot(journal, directory, payload)
+    config = dict(payload["config"])
+    # Journals written by older releases also carry a kernel "backend"
+    # choice; counts never depended on it, so it is dropped.
+    config.pop("backend", None)
     return {
-        "config": payload["config"],
+        "config": config,
         "store": payload["store"],
         "engine": payload["engine"],
         "progress": payload["progress"],

@@ -24,8 +24,8 @@ halo ``H_i`` (``e1 >= c_j >= c_{i+1}``), so the subtraction cancels it
 The identity holds cell-by-cell on the deduplicated 6×6 grid because
 the grid is linear in the triple multiset, and each slice is a
 complete pass over a contiguous canonical range (slicing preserves
-relative canonical order and tie-breaking, so every exact backend —
-fast/HARE, ex, bruteforce, bt, twoscent, python or columnar — produces
+relative canonical order and tie-breaking, so every exact algorithm —
+fast/HARE, ex, bruteforce, bt, twoscent — produces
 its whole-graph answer restricted to the slice).
 
 Sampling estimators (``bts``/``ews``) do not decompose: they draw one

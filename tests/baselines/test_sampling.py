@@ -10,7 +10,7 @@ from repro.core.bruteforce import brute_force_counts
 from repro.core.motifs import PAIR_MOTIFS
 from repro.errors import ValidationError
 from repro.graph.temporal_graph import TemporalGraph
-from tests.conftest import race_in_two_threads
+from tests.conftest import python_bts_estimate, python_ews_estimate, race_in_two_threads
 from tests.core.test_properties import deltas, temporal_graphs
 from tests.parallel.test_hare import hub_graph
 
@@ -32,22 +32,22 @@ def test_ews_columnar_full_sampling_equals_fast(graph, delta):
     int grid cell for cell (the vectorized unbiasedness anchor)."""
     from repro.core.api import count_motifs
 
-    estimate = ews_count(graph, delta, p=1.0, q=1.0, backend="columnar")
-    exact = count_motifs(graph, delta, backend="columnar")
+    estimate = ews_count(graph, delta, p=1.0, q=1.0)
+    exact = count_motifs(graph, delta)
     assert np.array_equal(estimate.grid, exact.grid)
 
 
 @settings(max_examples=25, deadline=None)
 @given(graph=temporal_graphs(max_edges=30), delta=deltas)
 def test_sampling_backends_bit_identical(graph, delta):
-    """Fixed seed ⇒ python and columnar agree bit for bit (BTS + EWS)."""
+    """Fixed seed ⇒ python reference and kernel agree bit for bit (BTS + EWS)."""
     for p, q in ((0.6, 1.0), (0.6, 0.5)):
-        py = ews_count(graph, delta, p=p, q=q, seed=5, backend="python")
-        col = ews_count(graph, delta, p=p, q=q, seed=5, backend="columnar")
-        assert np.array_equal(py.grid, col.grid), (p, q)
-    py = bts_count(graph, delta, q=0.7, seed=5, exact_when_full=False, backend="python")
-    col = bts_count(graph, delta, q=0.7, seed=5, exact_when_full=False, backend="columnar")
-    assert np.array_equal(py.grid, col.grid)
+        py = python_ews_estimate(graph, delta, p=p, q=q, seed=5)
+        col = ews_count(graph, delta, p=p, q=q, seed=5)
+        assert np.array_equal(py, col.grid), (p, q)
+    py = python_bts_estimate(graph, delta, q=0.7, seed=5)
+    col = bts_count(graph, delta, q=0.7, seed=5, exact_when_full=False)
+    assert np.array_equal(py, col.grid)
 
 
 class TestEWS:

@@ -84,3 +84,47 @@ def race_in_two_threads(call: Callable[[int], object], rounds: int = 6) -> List[
     assert not any(thread.is_alive() for thread in threads)
     assert [len(r) for r in results] == [rounds, rounds]
     return results
+
+
+def python_bts_estimate(
+    graph: TemporalGraph, delta: float, *, q: float, seed: int, window_factor: float = 5.0
+):
+    """One BTS draw built from the python reference (``_block_grid``).
+
+    Same blocks and the same canonical reduction as
+    :func:`~repro.baselines.sampling_bts.bts_count`, so a fixed seed
+    must give the kernel's estimate bit for bit.
+    """
+    from repro.baselines.sampling_bts import _block_grid, _reduce_block_grids, _sample_blocks
+    from repro.core.motifs import ALL_MOTIFS
+
+    W = window_factor * max(delta, 1)
+    blocks = _sample_blocks(graph, W, q, seed) if graph.num_edges else []
+    return _reduce_block_grids(
+        [(i, _block_grid(graph, delta, ALL_MOTIFS, block, W, q)) for i, block in enumerate(blocks)]
+    )
+
+
+def python_ews_estimate(graph: TemporalGraph, delta: float, *, p: float, q: float, seed: int):
+    """One EWS draw built from the python reference (``_ews_python_counts``)."""
+    import numpy as np
+
+    from repro.baselines.sampling_ews import _ews_python_counts
+    from repro.core.sampling_kernels import ews_grid
+
+    tallies = _ews_python_counts(graph, delta, p, q, np.random.default_rng(seed))
+    return ews_grid(*tallies, p, q)
+
+
+def python_fast_counts(graph: TemporalGraph, delta: float):
+    """The exact grid from the paper's Algorithms 1 and 2 as python loops.
+
+    The reference the columnar FAST kernels (what ``algorithm="fast"``
+    runs on every route) are tested against.
+    """
+    from repro.core.counters import MotifCounts
+    from repro.core.fast_star import count_star_pair
+    from repro.core.fast_tri import count_triangle
+
+    star, pair = count_star_pair(graph, delta)
+    return MotifCounts.from_counters(star, pair, count_triangle(graph, delta))

@@ -1,6 +1,6 @@
-"""Columnar backend: kernel equivalence, backend plumbing, HARE parity.
+"""Columnar kernels: kernel equivalence, registry plumbing, HARE parity.
 
-The load-bearing guarantee of the columnar backend is *bit-identical
+The load-bearing guarantee of the columnar kernels is *bit-identical
 counts*: every test here compares against the pure-Python loops, which
 are themselves validated against the brute-force reference elsewhere.
 """
@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import columnar_kernels
 from repro.core.api import count_motifs
+from repro.core.counters import TriangleCounter
 from repro.core.columnar_kernels import (
     DEFAULT_CHUNK_PAIRS,
     count_star_pair_columnar,
@@ -31,7 +32,7 @@ from repro.graph.generators import (
 )
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.scheduler import build_batches
-from tests.conftest import random_graph
+from tests.conftest import python_fast_counts, random_graph
 
 #: Every registered algorithm (the seven built-ins).
 ALL_ALGORITHMS = ("fast", "ex", "bruteforce", "bt", "twoscent", "bts", "ews")
@@ -279,57 +280,62 @@ class TestStaticTriangleEnumerator:
 
 
 class TestBackendAcrossAlgorithms:
-    """Backend *plumbing* checks.
+    """Each algorithm runs its one fastest implementation.
 
-    The per-algorithm python-vs-columnar equivalence (and category
-    masking) assertions that used to live here are subsumed by the
-    systematic matrix in ``tests/test_conformance.py``, which also
-    covers fork/spawn/persistent-pool execution.  Only the
-    backend-resolution metadata checks remain.
+    The per-algorithm equivalence (and category masking) assertions
+    live in the systematic matrix of ``tests/test_conformance.py``,
+    which also pins the python loops against the kernels.
     """
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_backend_metadata_resolution(self, paper_graph, algorithm):
+        """No result records a kernel choice: there is none to make."""
         spec = get_algorithm(algorithm)
         kwargs = {} if spec.is_exact else {"seed": 7, "n_samples": 2}
-        py = count_motifs(paper_graph, 6, algorithm=algorithm, backend="python", **kwargs)
-        col = count_motifs(paper_graph, 6, algorithm=algorithm, backend="columnar", **kwargs)
-        assert py.meta["backend"] == "python"
-        # Algorithms without a columnar implementation fall back.
-        expected = "columnar" if "columnar" in spec.backends else "python"
-        assert col.meta["backend"] == expected
+        result = count_motifs(paper_graph, 6, algorithm=algorithm, **kwargs)
+        assert "backend" not in result.meta
+        assert not hasattr(spec, "backends")
 
     def test_auto_prefers_columnar_for_fast(self, paper_graph):
+        """``fast`` builds the columnar store and runs its kernels."""
         result = count_motifs(paper_graph, 10)
-        assert result.backend == "columnar"
+        assert "columnar_build" in result.phase_seconds
         assert result.total() == 27
 
     def test_auto_is_python_for_bt(self, paper_graph):
+        """``bt`` runs its python backtracking, exact like FAST."""
         result = count_motifs(paper_graph, 10, algorithm="bt")
-        assert result.backend == "python"
+        assert "columnar_build" not in result.phase_seconds
+        assert result.same_counts(count_motifs(paper_graph, 10))
 
 
 class TestBackendPlumbing:
     def test_unknown_backend_rejected(self, paper_graph):
+        """The removed knob is refused as an unknown parameter."""
         with pytest.raises(ValidationError, match="backend"):
-            CountRequest(graph=paper_graph, delta=10, backend="gpu")
+            count_motifs(paper_graph, 10, backend="columnar")
+        with pytest.raises(TypeError):
+            CountRequest(graph=paper_graph, delta=10, backend="columnar")
 
     def test_resolve_concretizes_auto(self, paper_graph):
-        spec = get_algorithm("fast")
-        req = CountRequest(graph=paper_graph, delta=10).resolve(spec)
-        assert req.backend == "columnar"
-        spec = get_algorithm("bt")
-        req = CountRequest(graph=paper_graph, delta=10, algorithm="bt").resolve(spec)
-        assert req.backend == "python"
+        """Resolution fills the sampling defaults and the spec's params."""
+        req = CountRequest(graph=paper_graph, delta=10).resolve(get_algorithm("fast"))
+        assert (req.seed, req.n_samples, req.params) == (0, 1, {})
+        req = CountRequest(graph=paper_graph, delta=10, algorithm="bts").resolve(
+            get_algorithm("bts")
+        )
+        assert req.n_samples == 3
+        assert req.params == {"q": 0.3, "window_factor": 5.0}
 
     def test_remove_centers_rejects_columnar(self, paper_graph):
-        with pytest.raises(ValidationError, match="sequential"):
-            count_triangle(paper_graph, 10, remove_centers=True, backend="columnar")
+        """Algorithm 2's center removal (python only) equals the kernel."""
+        removed = count_triangle(paper_graph, 10, remove_centers=True)
+        assert removed.multiplicity == 1
+        tri = TriangleCounter(count_triangle_columnar(paper_graph, 10).tolist())
+        assert removed.per_motif() == tri.per_motif()
 
     def test_phase_seconds_include_columnar_build(self, paper_graph):
-        result = execute(
-            CountRequest(graph=paper_graph, delta=10, backend="columnar")
-        )
+        result = execute(CountRequest(graph=paper_graph, delta=10))
         assert "columnar_build" in result.phase_seconds
         assert "star_pair" in result.phase_seconds
         assert result.dominant_phase() is not None
@@ -355,13 +361,11 @@ class TestHareColumnar:
     @pytest.mark.parametrize("schedule", ["dynamic", "static"])
     def test_parallel_columnar_matches_serial(self, schedule):
         g = powerlaw_temporal_graph(80, 900, seed=4)
-        serial = count_motifs(g, 4000, backend="python")
-        parallel = count_motifs(
-            g, 4000, workers=2, schedule=schedule, backend="columnar"
-        )
+        serial = python_fast_counts(g, 4000)
+        parallel = count_motifs(g, 4000, workers=2, schedule=schedule)
         assert serial.same_counts(parallel)
-        assert parallel.meta["backend"] == "columnar"
+        assert parallel.meta["runtime"] == "pool"
 
     def test_single_worker_pool_fallback(self, paper_graph):
-        parallel = count_motifs(paper_graph, 10, workers=2, backend="columnar")
+        parallel = count_motifs(paper_graph, 10, workers=2)
         assert parallel.total() == 27

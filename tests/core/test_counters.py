@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import motifs as M
 from repro.core.counters import (
+    T95_TABLE,
     MotifCounts,
     PairCounter,
     StarCounter,
@@ -12,6 +13,7 @@ from repro.core.counters import (
     merge_counters,
     pair_index,
     star_index,
+    t95,
 )
 from repro.errors import ValidationError
 from repro.graph.temporal_graph import IN, OUT
@@ -226,3 +228,63 @@ class TestMotifCounts:
 
     def test_str_contains_algorithm(self):
         assert "fast" in str(MotifCounts.zeros(algorithm="fast"))
+
+
+class TestStudentT:
+    """The 95% interval multiplier comes from the replicate count."""
+
+    @staticmethod
+    def two_sided_mass(t: float, df: int) -> float:
+        """P(|T| <= t) for Student's t, by trapezoid integration of its density."""
+        from math import gamma, pi, sqrt
+
+        x = np.linspace(0.0, t, 400_001)
+        scale = gamma((df + 1) / 2) / (sqrt(df * pi) * gamma(df / 2))
+        y = scale * (1 + x * x / df) ** (-(df + 1) / 2)
+        return 2 * (x[1] - x[0]) * (y.sum() - (y[0] + y[-1]) / 2)
+
+    def test_table_matches_t_quantiles(self):
+        assert len(T95_TABLE) == 30
+        for df, t in enumerate(T95_TABLE, start=1):
+            assert self.two_sided_mass(t, df) == pytest.approx(0.95, abs=2e-4), df
+        assert list(T95_TABLE) == sorted(T95_TABLE, reverse=True)
+        assert T95_TABLE[-1] > 1.96
+
+    def test_multiplier_from_replicates(self):
+        assert t95(2) == 12.706
+        assert t95(3) == 4.303  # the registry's default replicate count
+        assert t95(31) == 2.042
+        assert t95(10_000) == 2.042  # past the table: the 30-df value
+        with pytest.raises(ValidationError):
+            t95(1)
+
+    def test_confidence_interval_uses_the_replicate_count(self):
+        stderr = np.zeros((6, 6))
+        stderr[0, 0] = 2.0
+        counts = MotifCounts(
+            np.full((6, 6), 10.0), stderr=stderr, is_exact=False, meta={"n_samples": 3}
+        )
+        lo, hi = counts.confidence_interval("M11")
+        assert (lo, hi) == pytest.approx((10.0 - 2 * 4.303, 10.0 + 2 * 4.303))
+        assert counts.confidence_interval("M12") == (10.0, 10.0)
+        assert MotifCounts(np.full((6, 6), 4)).confidence_interval("M11") == (4.0, 4.0)
+
+    def test_bts_intervals_cover_the_exact_counts(self):
+        """Fixed-seed coverage check: 40 BTS estimates (3 replicates each)
+        of every motif with at least 20 instances.  Student's t covers
+        ~95% of them; the normal 1.96 covers under 80%."""
+        from repro.core.api import count_motifs
+        from repro.graph.generators import uniform_temporal_graph
+
+        graph = uniform_temporal_graph(30, 1500, seed=4)
+        exact = count_motifs(graph, 40.0)
+        names = [name for name, value in exact.per_motif().items() if value >= 20]
+        covered = checks = 0
+        for k in range(40):
+            est = count_motifs(graph, 40.0, algorithm="bts", seed=3 * k, n_samples=3, q=0.3)
+            for name in names:
+                lo, hi = est.confidence_interval(name)
+                covered += lo <= exact[name] <= hi
+                checks += 1
+        assert checks == 40 * len(names) > 1000
+        assert covered / checks >= 0.9

@@ -32,7 +32,7 @@ class TestRegistration:
         assert set(ALL_SEVEN) <= set(available_algorithms())
 
     def test_one_decorated_function_is_enough(self, paper_graph, dummy_cleanup):
-        """Registering a new backend end-to-end is a single decorator."""
+        """Registering a new algorithm end-to-end is a single decorator."""
 
         @register_algorithm("dummy42", exact=True, description="always 42 M11s")
         def _dummy(request):

@@ -1,8 +1,8 @@
 """Unit tests for the vectorized sampling kernels (PR 5 tentpole).
 
-The cross-backend *estimate* equalities live in tests/test_conformance
-and tests/test_determinism; this module pins the kernel building
-blocks themselves: the shared triple-classification table, the
+The kernel-vs-python-reference *estimate* equalities live in
+tests/test_conformance and tests/test_determinism; this module pins
+the kernel building blocks themselves: the shared triple-classification table, the
 canonical floating-point reductions, and the per-edge δ-window memo.
 """
 
@@ -101,12 +101,12 @@ class TestEdgeWindowEnds:
         """Every δ-keyed table evicts the other δs; the triangle table stays."""
         graph = random_graph(9, num_nodes=7, num_edges=60, t_max=40)
         col = graph.columnar()
-        count_motifs(graph, 3.0, backend="columnar")
+        count_motifs(graph, 3.0)
         for delta in range(1, 21):
-            count_motifs(graph, float(delta), algorithm="ews", p=0.5, backend="columnar")
+            count_motifs(graph, float(delta), algorithm="ews", p=0.5)
         kinds = sorted(key[0] for key in col.delta_cache)
         assert kinds == ["ewin", "tri"]
         assert ("ewin", 20.0) in col.delta_cache
-        count_motifs(graph, 7.0, backend="columnar")
+        count_motifs(graph, 7.0)
         assert all(key == ("tri",) or key[1] == 7.0 for key in col.delta_cache)
         assert {"bounds", "star", "tri"} <= {key[0] for key in col.delta_cache}

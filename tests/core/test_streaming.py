@@ -8,11 +8,13 @@ window — timestamp ties, late arrivals and multi-edges included.
 """
 
 import json
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.core import stream_kernels
 from repro.core.api import count_motifs, stream_motifs
 from repro.core.registry import (
     StreamRequest,
@@ -42,19 +44,16 @@ def edge_streams(draw, max_nodes=7, max_edges=26, max_t=18):
 
 
 deltas = st.integers(min_value=0, max_value=12)
-backends = st.sampled_from(["python", "columnar"])
 
 
-def replay_and_compare(edges, delta, backend, window=None, every=5, batch=3):
+def replay_and_compare(edges, delta, window=None, every=5, batch=3):
     """Assert checkpoint counts == batch recount of the live set."""
-    engine = open_stream(
-        StreamRequest(delta=delta, window=window, backend=backend)
-    )
+    engine = open_stream(StreamRequest(delta=delta, window=window))
     checkpoints = 0
     for cp in engine.replay(edges, checkpoint_every=every, batch_edges=batch):
         checkpoints += 1
         live = engine.live_edges()
-        batch_counts = count_motifs(TemporalGraph(live), delta, backend=backend)
+        batch_counts = count_motifs(TemporalGraph(live), delta)
         assert (cp.counts.grid == batch_counts.grid).all(), (
             f"checkpoint {cp.seq}: streaming {cp.counts.total()} != "
             f"batch {batch_counts.total()}"
@@ -64,14 +63,14 @@ def replay_and_compare(edges, delta, backend, window=None, every=5, batch=3):
 
 
 @settings(max_examples=60, deadline=None)
-@given(edges=edge_streams(), delta=deltas, backend=backends)
-def test_shuffled_replay_matches_batch_recount_unbounded(edges, delta, backend):
+@given(edges=edge_streams(), delta=deltas)
+def test_shuffled_replay_matches_batch_recount_unbounded(edges, delta):
     """Append-only: live set == everything seen, fully independent oracle."""
-    engine = open_stream(StreamRequest(delta=delta, backend=backend))
+    engine = open_stream(StreamRequest(delta=delta))
     seen = []
     for cp in engine.replay(edges, checkpoint_every=6, batch_edges=4):
         seen = [tuple(e) for e in edges[: cp.edges_seen]]
-        batch = count_motifs(TemporalGraph(seen), delta, backend=backend)
+        batch = count_motifs(TemporalGraph(seen), delta)
         assert (cp.counts.grid == batch.grid).all()
         assert engine.live_edges() == seen
 
@@ -80,11 +79,10 @@ def test_shuffled_replay_matches_batch_recount_unbounded(edges, delta, backend):
 @given(
     edges=edge_streams(),
     delta=deltas,
-    backend=backends,
     window=st.integers(min_value=1, max_value=20),
 )
-def test_shuffled_replay_matches_batch_recount_windowed(edges, delta, backend, window):
-    replay_and_compare(edges, delta, backend, window=float(window))
+def test_shuffled_replay_matches_batch_recount_windowed(edges, delta, window):
+    replay_and_compare(edges, delta, window=float(window))
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,13 +101,15 @@ def test_in_order_window_live_set_is_time_suffix(edges, delta, window):
 @settings(max_examples=30, deadline=None)
 @given(edges=edge_streams(max_edges=18), delta=deltas)
 def test_python_and_columnar_checkpoints_identical(edges, delta):
-    """The two kernel sets must agree checkpoint by checkpoint."""
+    """The two kernel sets the slice size rule picks between must agree
+    checkpoint by checkpoint: force each for every slice."""
     grids = []
-    for backend in ("python", "columnar"):
-        engine = open_stream(StreamRequest(delta=delta, backend=backend, window=9.0))
-        grids.append(
-            [cp.counts.grid.copy() for cp in engine.replay(edges, checkpoint_every=5)]
-        )
+    for min_edges in (10**9, 0):  # python loops only, then columnar only
+        with mock.patch.object(stream_kernels, "AUTO_COLUMNAR_MIN_EDGES", min_edges):
+            engine = open_stream(StreamRequest(delta=delta, window=9.0))
+            grids.append(
+                [cp.counts.grid.copy() for cp in engine.replay(edges, checkpoint_every=5)]
+            )
     assert len(grids[0]) == len(grids[1])
     for a, b in zip(grids[0], grids[1]):
         assert (a == b).all()
@@ -139,10 +139,11 @@ class TestEngineBasics:
         json.dumps(payload)  # JSON-serialisable
         for key in (
             "checkpoint", "t_latest", "watermark", "edges_seen", "edges_live",
-            "edges_expired", "edges_dropped_late", "total", "backend",
+            "edges_expired", "edges_dropped_late", "total",
             "phase_seconds", "dominant_phase", "counts",
         ):
             assert key in payload
+        assert "backend" not in payload
         assert payload["total"] == sum(payload["counts"].values())
 
     def test_categories_masking(self):
@@ -228,8 +229,9 @@ class TestStreamRequestValidation:
             StreamRequest(delta=1.0, window=0.0)
 
     def test_bad_backend(self):
-        with pytest.raises(ValidationError):
-            StreamRequest(delta=1.0, backend="gpu")
+        """Kernel choice is internal: the request has no backend knob."""
+        with pytest.raises(TypeError):
+            StreamRequest(delta=1.0, backend="columnar")
 
     def test_bad_categories(self):
         with pytest.raises(ValidationError):

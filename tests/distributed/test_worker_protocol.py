@@ -61,7 +61,7 @@ def test_edge_slice_rejects_bad_range_and_payload():
 def test_count_spec_round_trip_excludes_deployment_knobs():
     request = CountRequest(
         graph=make_graph(), delta=20.0, algorithm="ex", categories="star",
-        backend="python", workers=4,
+        workers=4,
     ).resolve(get_algorithm("ex"))
     spec = protocol.encode_count_spec(request)
     assert set(spec) <= protocol.SPEC_FIELDS
@@ -158,6 +158,24 @@ def test_count_edges_matches_local_count(daemon):
     assert np.array_equal(counts.grid.astype(np.int64), local.grid)
     assert daemon.stats["bytes_received"] > 0
     assert daemon.describe_stats()["slices_served"] == 1
+
+
+@pytest.mark.parametrize("backend", ["auto", "python", "columnar", "numba"])
+def test_count_spec_with_legacy_backend_is_accepted(daemon, backend):
+    """Older coordinators send a kernel choice; whatever it names, the
+    field is dropped and the slice counts as without it."""
+    from repro.core.api import count_motifs
+
+    assert "backend" not in protocol.parse_count_spec({"delta": 25.0, "backend": backend})
+    graph = make_graph()
+    payload = protocol.encode_edge_slice(graph, 0, graph.num_edges)
+    result = daemon.handle_message({
+        "op": "count_edges", "edges": payload,
+        "spec": {"delta": 25.0, "backend": backend},
+    })
+    counts = protocol.decode_counts(result["counts"])
+    local = count_motifs(graph, 25.0, algorithm="fast")
+    assert np.array_equal(counts.grid.astype(np.int64), local.grid)
 
 
 def test_hello_reports_identity(daemon):

@@ -121,9 +121,7 @@ class TestGraphPublication:
         handle = publish_graph(paper_graph)
         try:
             attached = attach_graph(handle.manifest)
-            for backend in ("python", "columnar"):
-                result = count_motifs(attached.graph, 10, backend=backend)
-                assert result.same_counts(ref), backend
+            assert count_motifs(attached.graph, 10).same_counts(ref)
             attached.close()
         finally:
             handle.close()
@@ -178,7 +176,7 @@ class TestGraphPublication:
         handle = publish_graph(g)
         try:
             attached = attach_graph(handle.manifest)
-            assert count_motifs(attached.graph, 7, backend="columnar").same_counts(ref)
+            assert count_motifs(attached.graph, 7).same_counts(ref)
             attached.close()
         finally:
             handle.close()

@@ -222,10 +222,10 @@ class TestCacheInvalidation:
         from repro.core.api import count_motifs
 
         g = TemporalGraph([(0, 1, 0), (1, 0, 1), (0, 1, 2)])
-        before = count_motifs(g, 10.0, backend="columnar").total()
+        before = count_motifs(g, 10.0).total()
         assert before == 1
         # Spread the edges far beyond delta: the motif disappears.
         g._t[:] = [0, 1000, 2000]
         g.invalidate_caches()
-        after = count_motifs(g, 10.0, backend="columnar").total()
+        after = count_motifs(g, 10.0).total()
         assert after == 0

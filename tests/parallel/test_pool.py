@@ -19,7 +19,7 @@ from repro.parallel.pool import (
     shared_pool,
 )
 from repro.parallel.scheduler import build_batches
-from tests.conftest import random_graph
+from tests.conftest import python_fast_counts, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -29,22 +29,22 @@ def fork_pool():
 
 
 class TestExactness:
-    @pytest.mark.parametrize("backend", ["python", "columnar"])
-    def test_pool_equals_serial(self, paper_graph, fork_pool, backend):
-        serial = count_motifs(paper_graph, 10)
-        result = count_motifs(
-            paper_graph, 10, workers=2, pool=fork_pool, backend=backend
-        )
+    @pytest.mark.parametrize("reference", ["python", "columnar"])
+    def test_pool_equals_serial(self, paper_graph, fork_pool, reference):
+        """Pool counts equal the python loops and the serial columnar count."""
+        if reference == "python":
+            serial = python_fast_counts(paper_graph, 10)
+        else:
+            serial = count_motifs(paper_graph, 10)
+        result = count_motifs(paper_graph, 10, workers=2, pool=fork_pool)
         assert result.same_counts(serial)
         assert result.meta["runtime"] == "pool"
 
     @pytest.mark.parametrize("seed", [1, 4, 9])
     def test_random_graphs(self, fork_pool, seed):
         g = random_graph(seed, num_nodes=8, num_edges=45)
-        serial = count_motifs(g, 6)
-        for backend in ("python", "columnar"):
-            result = count_motifs(g, 6, workers=2, pool=fork_pool, backend=backend)
-            assert result.same_counts(serial), backend
+        result = count_motifs(g, 6, workers=2, pool=fork_pool)
+        assert result.same_counts(python_fast_counts(g, 6))
 
     def test_categories(self, paper_graph, fork_pool):
         for categories in ("star", "pair", "triangle", "star_pair"):
@@ -167,24 +167,20 @@ class TestReuse:
         """A partial task cover must never be served full-cover counts."""
         with WorkerPool(2, "fork") as pool:
             plan = pool.plan_batches(paper_graph, 2)
-            full, _, _ = pool.run_batches(paper_graph, 11.0, plan, backend="python")
-            subset, _, _ = pool.run_batches(
-                paper_graph, 11.0, plan[:1], backend="python"
-            )
-            honest, _, _ = pool.run_batches(
-                paper_graph, 11.0, plan[:1], backend="python", reuse=False
-            )
+            full, _, _ = pool.run_batches(paper_graph, 11.0, plan)
+            subset, _, _ = pool.run_batches(paper_graph, 11.0, plan[:1])
+            honest, _, _ = pool.run_batches(paper_graph, 11.0, plan[:1], reuse=False)
             assert subset == honest
             assert subset != full
             # ... and the subset result did not poison the full key.
-            again, _, _ = pool.run_batches(paper_graph, 11.0, plan, backend="python")
+            again, _, _ = pool.run_batches(paper_graph, 11.0, plan)
             assert again == full
 
     def test_reuse_false_forces_execution(self, paper_graph):
         with WorkerPool(2, "fork") as pool:
             batches = pool.plan_batches(paper_graph, 2)
-            pool.run_batches(paper_graph, 10, batches, backend="python")
-            pool.run_batches(paper_graph, 10, batches, backend="python", reuse=False)
+            pool.run_batches(paper_graph, 10, batches)
+            pool.run_batches(paper_graph, 10, batches, reuse=False)
             assert pool.stats["cache_hits"] == 0
             assert pool.stats["jobs"] == 2
 
@@ -248,7 +244,7 @@ class TestWorkerDeltaTables:
             pool.publish(graph)
             plan = pool.plan_batches(graph, 2)
             for delta in (4, 9, 30):
-                pool.run_batches(graph, delta, plan, backend="columnar")
+                pool.run_batches(graph, delta, plan)
             assert len(set(live_segments()) - before) == 1
             assert pool.stats["jobs"] == 3
         assert not set(live_segments()) - before
@@ -261,19 +257,19 @@ class TestWorkerDeltaTables:
 
         graph = fresh()
         deltas = (20.0, 90.0, 20.0)
-        bts = dict(algorithm="bts", seed=3, n_samples=1, q=0.6, backend="columnar")
+        bts = dict(algorithm="bts", seed=3, n_samples=1, q=0.6)
         with WorkerPool(1, result_cache=False) as pool:
             plan = pool.plan_batches(graph, 1)
             for delta in deltas:
-                pooled = pool.run_batches(graph, delta, plan, backend="columnar")
-                serial = run_batches(fresh(), delta, plan, backend="columnar")
+                pooled = pool.run_batches(graph, delta, plan)
+                serial = run_batches(fresh(), delta, plan)
                 assert pooled == serial, delta
                 pooled = count_motifs(graph, delta, pool=pool, **bts)
                 serial = count_motifs(fresh(), delta, **bts)
                 assert np.array_equal(pooled.grid, serial.grid), delta
             assert pool.stats["jobs"] == 2 * len(deltas)
         # EWS has no pool route: its columnar memo alternates in process.
-        ews = dict(algorithm="ews", seed=3, p=0.5, q=0.5, backend="columnar")
+        ews = dict(algorithm="ews", seed=3, p=0.5, q=0.5)
         for delta in deltas:
             reused = count_motifs(graph, delta, **ews)
             assert np.array_equal(reused.grid, count_motifs(fresh(), delta, **ews).grid), delta
@@ -341,8 +337,9 @@ class TestLifecycle:
             WorkerPool(0)
 
     def test_invalid_backend(self, paper_graph, fork_pool):
-        with pytest.raises(ValidationError, match="backend"):
-            fork_pool.run_batches(paper_graph, 10, [], backend="gpu")
+        """Batches always run the columnar kernels: no backend knob."""
+        with pytest.raises(TypeError):
+            fork_pool.run_batches(paper_graph, 10, [], backend="python")
 
     def test_invalid_start_method(self):
         with pytest.raises(ValidationError, match="start method"):
@@ -410,9 +407,7 @@ class TestRouting:
 
     def test_run_batches_pool_parameter(self, paper_graph, fork_pool):
         batches = build_batches(paper_graph, 2)
-        star, pair, tri = run_batches(
-            paper_graph, 10, batches, pool=fork_pool, backend="columnar"
-        )
+        star, pair, tri = run_batches(paper_graph, 10, batches, pool=fork_pool)
         star_s, pair_s, tri_s = run_batches(paper_graph, 10, batches)
         assert star == star_s and pair == pair_s and tri == tri_s
 

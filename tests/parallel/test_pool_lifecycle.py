@@ -285,18 +285,15 @@ def test_deadline_already_expired_rejects_before_dispatch():
 
 
 def test_deadline_aborts_job_mid_flight_and_pool_survives():
-    # A graph big enough that the pure-python pass takes well over the
-    # deadline on any machine this runs on.
+    # A graph big enough that the columnar pass takes well over the
+    # deadline on any machine this runs on (~1 s on 2 cores).
     rng = random.Random(17)
-    graph = TemporalGraph(random_edges(rng, 60, 4000, t_max=2000))
+    graph = TemporalGraph(random_edges(rng, 60, 20000, t_max=2000))
     with WorkerPool(2) as pool:
         batches = pool.plan_batches(graph)
         started = time.monotonic()
         with pytest.raises(DeadlineExceededError):
-            pool.run_batches(
-                graph, 500.0, batches,
-                backend="python", deadline=started + 0.05,
-            )
+            pool.run_batches(graph, 500.0, batches, deadline=started + 0.05)
         assert pool.stats["jobs_aborted"] >= 1
 
         # The abort ring lets workers drain the dead job's tasks, so the

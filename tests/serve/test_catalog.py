@@ -146,7 +146,7 @@ def test_service_level_reload_semantics():
     try:
         fields = {
             "graph": "live", "delta": 30.0, "algorithm": "fast",
-            "categories": "all", "backend": "auto", "seed": None,
+            "categories": "all", "seed": None,
             "n_samples": None, "params": {}, "tenant": "default",
             "timeout": 30.0, "id": None,
         }

@@ -21,7 +21,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.serve import MotifService, ServeClient, ServeDaemon, ServiceConfig
-from repro.serve.protocol import PROTOCOL_VERSION, canonical_counts_bytes
+from repro.serve.protocol import PROTOCOL_VERSION, canonical_counts_bytes, decode_counts
 
 from tests.serve.conftest import hold_executions, running_daemon
 
@@ -62,6 +62,26 @@ def test_served_repeat_is_answered_at_admission(served, graph):
     assert stats["executions"] == 1 and stats["answer_hits"] == 1
 
 
+def test_legacy_backend_field_is_answered_from_the_table(served, graph):
+    """An older client's ``"backend"`` field is accepted and ignored: the
+    request is the same computation as one without it."""
+    _, socket_path = served
+    with ServeClient(socket_path) as client:
+        first = client.count("demo", 27.0)
+        before = client.stats()
+        reply = client.request(
+            {"op": "count", "graph": "demo", "delta": 27.0, "backend": "columnar"}
+        )
+        after = client.stats()
+        specs = client.algorithms()
+    assert canonical_counts_bytes(decode_counts(reply["result"])) == (
+        canonical_counts_bytes(first)
+    )
+    assert after["answer_hits"] == before["answer_hits"] + 1
+    assert after["executions"] == before["executions"] == 1
+    assert all("backends" not in spec for spec in specs)
+
+
 def test_served_sampling_counts_reproduce_fixed_seed(served, graph):
     _, socket_path = served
     with ServeClient(socket_path) as client:
@@ -91,7 +111,7 @@ def test_wire_errors_arrive_typed(served):
 def direct_fields(delta: float, tenant: str) -> dict:
     return {
         "graph": "demo", "delta": delta, "algorithm": "fast",
-        "categories": "all", "backend": "auto", "seed": None,
+        "categories": "all", "seed": None,
         "n_samples": None, "params": {}, "tenant": tenant,
         "timeout": 30.0, "id": None,
     }

@@ -145,7 +145,7 @@ def test_parse_count_normalizes_defaults():
     assert fields["delta"] == 5.0
     assert fields["algorithm"] == "fast"
     assert fields["categories"] == "all"
-    assert fields["backend"] == "auto"
+    assert "backend" not in fields
     assert fields["tenant"] == "default"
     assert fields["timeout"] is None and fields["id"] is None
     assert fields["params"] == {}

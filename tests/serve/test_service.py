@@ -29,7 +29,7 @@ from tests.serve.test_catalog import fill_store
 def count_fields(graph="demo", delta=40.0, **overrides):
     fields = {
         "graph": graph, "delta": float(delta), "algorithm": "fast",
-        "categories": "all", "backend": "auto", "seed": None,
+        "categories": "all", "seed": None,
         "n_samples": None, "params": {}, "tenant": "default",
         "timeout": 30.0, "id": None,
     }

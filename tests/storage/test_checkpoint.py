@@ -23,6 +23,7 @@ import random
 import signal
 import subprocess
 import sys
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,46 @@ def test_resume_mid_stream_is_bit_identical(tmp_path):
     assert interrupted[:4] + tail == baseline, (
         "resumed replay diverged from the uninterrupted run"
     )
+
+
+def with_legacy_backend(directory: str, backend: str) -> None:
+    """Rewrite a journal the way older releases wrote it: with a kernel
+    ``backend`` in its config (head length and CRC recomputed)."""
+    path = ckpt.journal_path(directory)
+    with open(path, "rb") as fh:
+        body = fh.read().split(b"\n")[1]
+    payload = json.loads(body)
+    payload["config"]["backend"] = backend
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    head = json.dumps(
+        {"format": ckpt.CHECKPOINT_FORMAT, "length": len(body), "crc": zlib.crc32(body)},
+        sort_keys=True, separators=(",", ":"),
+    ).encode()
+    with open(path, "wb") as fh:
+        fh.write(head + b"\n" + body + b"\n")
+
+
+@pytest.mark.parametrize("backend", ["auto", "python", "columnar"])
+def test_journal_with_legacy_backend_resumes_bit_identically(tmp_path, backend):
+    edges = stream_edges()
+    baseline = replay_lines(open_stream(request()), edges)
+    directory = str(tmp_path / "ckpt")
+    first = open_stream(request())
+    prefix = []
+    for cp in first.replay(edges):
+        prefix.append(canon(cp.as_dict()))
+        if cp.seq == 3:
+            break
+    first.checkpoint_to(directory)
+    assert "backend" not in ckpt.read_checkpoint(directory)["config"]
+    with open(ckpt.journal_path(directory), "rb") as fh:
+        assert b"backend" not in fh.read()
+    with_legacy_backend(directory, backend)
+    for req in (None, request()):
+        resumed = StreamingMotifEngine.resume_from(directory, request=req)
+        rest = edges[resumed.records_consumed():]
+        tail = [canon(cp.as_dict()) for cp in resumed.replay(rest, checkpoint_every=100)]
+        assert prefix + tail == baseline, req
 
 
 def test_resume_rejects_mismatched_request(tmp_path):

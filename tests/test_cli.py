@@ -51,14 +51,15 @@ class TestCount:
 
     @pytest.mark.parametrize("backend", ["auto", "python", "columnar"])
     def test_count_backend(self, edge_file, backend, capsys):
-        assert main(
-            ["count", "--input", edge_file, "--delta", "10",
-             "--backend", backend, "--json"]
-        ) == 0
+        """Kernel choice is internal: every value of the removed flag is
+        refused, and the JSON output carries no backend."""
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--input", edge_file, "--delta", "10", "--backend", backend])
+        assert exc.value.code == 2
+        assert main(["count", "--input", edge_file, "--delta", "10", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == 27
-        expected = "python" if backend == "python" else "columnar"
-        assert payload["backend"] == expected
+        assert "backend" not in payload
 
     def test_count_json_surfaces_phase_seconds(self, edge_file, capsys):
         assert main(["count", "--input", edge_file, "--delta", "10", "--json"]) == 0
@@ -69,8 +70,9 @@ class TestCount:
     def test_count_text_shows_backend_and_phases(self, edge_file, capsys):
         assert main(["count", "--input", edge_file, "--delta", "10"]) == 0
         out = capsys.readouterr().out
-        assert "backend: columnar" in out
+        assert "phases: " in out and "columnar_build=" in out
         assert "dominant:" in out
+        assert "backend" not in out
 
     def test_count_categories(self, edge_file, capsys):
         assert main(
@@ -113,6 +115,21 @@ class TestCount:
         ) == 0
         out = capsys.readouterr().out
         assert "95% CI" in out
+
+    def test_count_text_ci_uses_student_t(self, edge_file, capsys):
+        """Three replicates: the total's interval is ±4.303 stderr, not ±1.96."""
+        args = ["count", "--input", edge_file, "--delta", "10", "--algorithm", "bts",
+                "--n-samples", "3", "--seed", "7"]
+        assert main(args + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        interval = out.split("95% CI on total: [")[1].split("]")[0]
+        lo, hi = (float(x.replace(",", "")) for x in interval.split(", "))
+        half = 4.303 * payload["total_stderr"]
+        assert payload["total_stderr"] > 0
+        assert lo == pytest.approx(payload["total"] - half, abs=0.06)
+        assert hi == pytest.approx(payload["total"] + half, abs=0.06)
 
     def test_count_sampling_flag_on_exact_is_rejected(self, edge_file, capsys):
         assert main(

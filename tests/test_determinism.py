@@ -2,8 +2,9 @@
 
 The estimators must be *reproducible experiments*: for a fixed seed,
 ``bts`` and ``ews`` return bit-identical grids no matter how the work
-is executed — worker count, start method, backend, or replicate count
-must never perturb a single bit.  (The historical failure mode:
+is executed — worker count, start method, or replicate count must
+never perturb a single bit, and the kernels must reproduce the python
+reference loops exactly.  (The historical failure mode:
 farming BTS blocks to a pool and reducing partials in arrival order,
 which re-associates the floating-point sum differently on every run.)
 """
@@ -16,7 +17,7 @@ from repro.baselines.sampling_ews import ews_count
 from repro.core.api import count_motifs
 from repro.graph.generators import powerlaw_temporal_graph
 from repro.parallel.pool import WorkerPool
-from tests.conftest import random_graph
+from tests.conftest import python_bts_estimate, python_ews_estimate, random_graph
 
 SEED = 7
 
@@ -41,13 +42,10 @@ class TestBtsDeterminism:
             assert np.array_equal(grids[0], other)
 
     def test_bit_identical_across_backends(self, graph):
-        py = count_motifs(
-            graph, 50.0, algorithm="bts", seed=SEED, n_samples=2, backend="python"
-        )
-        col = count_motifs(
-            graph, 50.0, algorithm="bts", seed=SEED, n_samples=2, backend="columnar"
-        )
-        assert np.array_equal(py.grid, col.grid)
+        """The kernel's estimate is the python reference's, bit for bit."""
+        py = python_bts_estimate(graph, 50.0, q=0.5, seed=SEED)
+        col = bts_count(graph, 50.0, q=0.5, seed=SEED, exact_when_full=False)
+        assert np.array_equal(py, col.grid)
 
     def test_repeated_runs_identical(self, graph):
         a = bts_count(graph, 50.0, q=0.5, seed=SEED, exact_when_full=False)
@@ -74,10 +72,11 @@ class TestBtsDeterminism:
         assert not np.array_equal(a.grid, b.grid)
 
     def test_columnar_bit_identical_across_worker_counts(self, graph):
+        """Pair-only selections take the kernel's pair-timeline path."""
         grids = [
             count_motifs(
                 graph, 50.0, algorithm="bts", seed=SEED, n_samples=2,
-                workers=workers, q=0.6, backend="columnar",
+                workers=workers, q=0.6, categories="pair",
             ).grid
             for workers in (1, 2, 3)
         ]
@@ -85,20 +84,16 @@ class TestBtsDeterminism:
             assert np.array_equal(grids[0], other)
 
     def test_pool_matches_serial_python_bit_for_bit(self, graph):
-        """Block chunks on the persistent pool — either kernel backend,
-        either start method — never shift the python-serial estimate."""
-        serial = count_motifs(
-            graph, 50.0, algorithm="bts", seed=SEED, n_samples=1, q=0.6,
-            backend="python",
-        )
+        """Block chunks on the persistent pool — either start method —
+        never shift the python reference's serial estimate."""
+        serial = python_bts_estimate(graph, 50.0, q=0.6, seed=SEED)
         for method in ("fork", "spawn"):
             with WorkerPool(2, method, result_cache=False) as pool:
-                for backend in ("python", "columnar"):
-                    pooled = count_motifs(
-                        graph, 50.0, algorithm="bts", seed=SEED, n_samples=1,
-                        q=0.6, workers=2, pool=pool, backend=backend,
-                    )
-                    assert np.array_equal(serial.grid, pooled.grid), (method, backend)
+                pooled = count_motifs(
+                    graph, 50.0, algorithm="bts", seed=SEED, n_samples=1,
+                    q=0.6, workers=2, pool=pool,
+                )
+                assert np.array_equal(serial, pooled.grid), method
 
 
 class TestEwsDeterminism:
@@ -109,21 +104,18 @@ class TestEwsDeterminism:
         assert np.array_equal(a.stderr, b.stderr)
 
     def test_bit_identical_across_backends(self, graph):
-        py = count_motifs(
-            graph, 50.0, algorithm="ews", seed=SEED, n_samples=2, backend="python"
-        )
-        col = count_motifs(
-            graph, 50.0, algorithm="ews", seed=SEED, n_samples=2, backend="columnar"
-        )
-        assert np.array_equal(py.grid, col.grid)
+        """The kernel's estimate is the python reference's, bit for bit."""
+        py = python_ews_estimate(graph, 50.0, p=0.01, q=1.0, seed=SEED)
+        col = count_motifs(graph, 50.0, algorithm="ews", seed=SEED, n_samples=1)
+        assert np.array_equal(py, col.grid)
 
     @pytest.mark.parametrize("p,q", [(0.4, 0.5), (1.0, 0.3), (0.2, 0.9)])
     def test_wedge_subsampling_backend_invariant(self, graph, p, q):
         """q < 1 draws a wedge coin per candidate — the columnar kernel
         must consume the python loop's RNG stream in the same order."""
-        py = ews_count(graph, 50.0, p=p, q=q, seed=SEED, backend="python")
-        col = ews_count(graph, 50.0, p=p, q=q, seed=SEED, backend="columnar")
-        assert np.array_equal(py.grid, col.grid)
+        py = python_ews_estimate(graph, 50.0, p=p, q=q, seed=SEED)
+        col = ews_count(graph, 50.0, p=p, q=q, seed=SEED)
+        assert np.array_equal(py, col.grid)
 
 
 class TestStartMethodInvariance:
