@@ -452,7 +452,6 @@ def ex_count(
     *,
     categories: str = "all",
     workers: int = 1,
-    start_method: "Optional[str]" = None,
     pool: Optional[object] = None,
 ) -> MotifCounts:
     """Count motifs with the EX baseline.
@@ -460,15 +459,15 @@ def ex_count(
     ``workers > 1`` uses the time-slab parallel decomposition
     described in the module docstring: one slab per worker, farmed
     through :meth:`~repro.parallel.pool.WorkerPool.run_map` on ``pool``
-    (or the process-wide shared pool started with ``start_method``)
-    and summed in slab order — identical counts to the serial run.
+    (or the process-wide shared pool) and summed in slab order —
+    identical counts to the serial run.
     """
     check_delta(delta)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     from repro.parallel.executor import runtime_pool
 
-    pool = runtime_pool(pool, workers, start_method) if graph.num_edges else None
+    pool = runtime_pool(pool, workers) if graph.num_edges else None
     if pool is None:
         grid = _ex_partial(graph, delta, categories, _FULL_SLAB)
         return MotifCounts.from_dict(grid, algorithm="ex", delta=delta)

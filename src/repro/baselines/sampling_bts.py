@@ -183,7 +183,6 @@ def bts_count(
     motifs: Optional[Iterable[Motif]] = None,
     exact_when_full: bool = True,
     workers: int = 1,
-    start_method: Optional[str] = None,
     pool: Optional[object] = None,
 ) -> MotifCounts:
     """Estimate motif counts by interval sampling.
@@ -208,12 +207,9 @@ def bts_count(
         :func:`~repro.parallel.pool.shared_pool`.  The estimate is
         bit-identical in every case (per-block grids reduce in
         canonical order).
-    start_method:
-        How the shared pool starts its workers; ``None`` resolves via
-        ``REPRO_START_METHOD``, then the platform default.
     pool:
         A persistent :class:`~repro.parallel.pool.WorkerPool` to farm
-        block chunks to (wins over ``workers``/``start_method``); its
+        block chunks to (wins over ``workers``); its
         workers count against the published zero-copy graph.
     """
     if not 0 < q <= 1:
@@ -239,7 +235,7 @@ def bts_count(
     if pool is None and len(blocks) > 1:
         from repro.parallel.executor import runtime_pool
 
-        pool = runtime_pool(None, workers, start_method)
+        pool = runtime_pool(None, workers)
     if pool is not None and indexed:
         grid += _run_on_pool(pool, graph, delta, args, indexed, workers)
     else:
@@ -268,7 +264,6 @@ def bts_count_pairs(
     seed: int = 0,
     exact_when_full: bool = True,
     workers: int = 1,
-    start_method: Optional[str] = None,
     pool: Optional[object] = None,
 ) -> MotifCounts:
     """BTS-Pair: interval-sampled estimate of the four 2-node motifs."""
@@ -281,6 +276,5 @@ def bts_count_pairs(
         motifs=PAIR_MOTIFS,
         exact_when_full=exact_when_full,
         workers=workers,
-        start_method=start_method,
         pool=pool,
     )

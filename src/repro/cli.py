@@ -105,7 +105,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.workers > 1 and spec.parallel and args.cluster is None:
         from repro.parallel.pool import WorkerPool
 
-        pool = WorkerPool(args.workers, start_method=args.start_method)
+        pool = WorkerPool(args.workers)
     try:
         counts = count_motifs(
             graph,
@@ -113,12 +113,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             categories=args.categories,
             workers=args.workers,
-            thrd=args.thrd,
-            schedule=args.schedule,
             seed=args.seed,
             n_samples=args.n_samples,
             pool=pool,
-            start_method=args.start_method,
             source=args.source,
             shard_budget=args.shard_budget,
             num_shards=args.num_shards,
@@ -219,7 +216,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         categories=args.categories,
         workers=args.workers,
         checkpoint_every=args.checkpoint_every,
-        start_method=args.start_method,
     )
     if args.resume and not args.checkpoint_dir:
         raise ReproError("stream --resume requires --checkpoint-dir DIR")
@@ -363,7 +359,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(
         workers=args.workers,
-        start_method=args.start_method,
         max_pending=args.max_pending,
         tenant_quota=args.tenant_quota,
         default_timeout=args.default_timeout,
@@ -455,7 +450,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         args.host,
         args.port,
         workers=args.workers,
-        start_method=args.start_method,
         sources=args.source or [],
         delay=args.delay,
     )
@@ -495,19 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--delta", type=float, required=True, help="time window δ")
     p_count.add_argument("--algorithm", choices=algorithms, default="fast")
     p_count.add_argument("--categories", choices=CATEGORIES, default="all")
-    p_count.add_argument("--workers", type=int, default=1)
-    p_count.add_argument("--thrd", type=float, default=None,
-                         help="HARE degree threshold (default: paper's top-20 rule)")
-    p_count.add_argument("--schedule", choices=("dynamic", "static"), default="dynamic")
+    p_count.add_argument("--workers", type=int, default=1,
+                         help="worker processes for parallel algorithms (the "
+                              "pool's start method: REPRO_START_METHOD, else "
+                              "the platform default)")
     p_count.add_argument("--seed", type=int, default=None,
                          help="RNG seed for sampling algorithms (default 0)")
     p_count.add_argument("--n-samples", type=int, default=None,
                          help="sampling replicates to average (sampling "
                               "algorithms only; default 3, stderr across them)")
-    p_count.add_argument("--start-method", choices=("fork", "spawn"), default=None,
-                         help="start method for the worker pool of parallel "
-                              "runs (default: REPRO_START_METHOD env var, then "
-                              "the platform default)")
     p_count.add_argument("--shard-budget", type=int, default=None,
                          help="out-of-core mode: maximum own edges per time "
                               "shard; exact algorithms count shard-by-shard "
@@ -571,10 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="HARE workers for large dirty ranges (micro-batch "
                                "parallelism, served by a resident shared-memory "
                                "worker pool)")
-    p_stream.add_argument("--start-method", choices=("fork", "spawn"), default=None,
-                          help="start method for the resident worker pool "
-                               "(default: REPRO_START_METHOD env var, then the "
-                               "platform default)")
     p_stream.add_argument("--per-motif", action="store_true",
                           help="include the full 36-motif count dict per checkpoint")
     p_stream.add_argument("--checkpoint-dir", default=None, metavar="DIR",
@@ -633,7 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port for the HTTP transport (0 = ephemeral)")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="worker processes in the service pool (default 2)")
-    p_serve.add_argument("--start-method", choices=("fork", "spawn"), default=None)
     p_serve.add_argument("--max-pending", type=int, default=64,
                          help="bound on pending requests before "
                               "429-style rejection (default 64)")
@@ -665,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--workers", type=int, default=1,
                           help="resident pool size for parallel algorithms "
                                "(default 1: serial in-process, no pool)")
-    p_worker.add_argument("--start-method", choices=("fork", "spawn"), default=None)
     p_worker.add_argument("--source", action="append", default=[],
                           help="packed graph file to open eagerly (repeatable; "
                                "coordinators probe lazily either way)")

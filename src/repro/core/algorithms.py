@@ -64,9 +64,16 @@ def _fast(request: CountRequest) -> MotifCounts:
     # The runtime_pool rule: an explicit pool always wins, even for a
     # single worker; otherwise workers > 1 runs on the shared pool.
     if request.workers > 1 or request.pool is not None:
-        from repro.parallel.hare import hare_count_request
+        from repro.parallel.hare import hare_count
 
-        return hare_count_request(request)
+        return hare_count(
+            request.graph,
+            request.delta,
+            workers=request.workers,
+            categories=request.categories,
+            pool=request.pool,
+            deadline=request.deadline,
+        )
     from repro.core.columnar_kernels import (
         count_star_pair_columnar,
         count_triangle_columnar,
@@ -107,7 +114,6 @@ def _ex(request: CountRequest) -> MotifCounts:
         request.delta,
         categories=request.categories,
         workers=request.workers,
-        start_method=request.start_method,
         pool=request.pool,
     )
 
@@ -170,7 +176,6 @@ def _bts(request: CountRequest) -> MotifCounts:
         motifs=_category_motifs(request.categories),
         exact_when_full=False,
         workers=request.workers,
-        start_method=request.start_method,
         pool=request.pool,
     )
 

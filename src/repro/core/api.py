@@ -58,12 +58,9 @@ def count_motifs(
     algorithm: str = "fast",
     categories: str = "all",
     workers: int = 1,
-    thrd: Optional[float] = None,
-    schedule: str = "dynamic",
     seed: Optional[int] = None,
     n_samples: Optional[int] = None,
     pool: Optional[object] = None,
-    start_method: Optional[str] = None,
     request_id: Optional[str] = None,
     deadline: Optional[float] = None,
     source: Optional[str] = None,
@@ -100,14 +97,10 @@ def count_motifs(
         Degree of parallelism.  ``1`` runs serially in-process; ``> 1``
         runs the algorithm's parallel mode (HARE for FAST, time slabs
         for EX, block farming for BTS) and is rejected for
-        serial-only algorithms.
-    thrd:
-        HARE's degree threshold for intra-node parallelism.  ``None``
-        uses the paper's default: the minimum degree among the top-20
-        highest-degree nodes.
-    schedule:
-        ``"dynamic"`` (default) or ``"static"`` task scheduling, the
-        OpenMP analogy of §IV-C.
+        serial-only algorithms.  HARE runs with the paper's defaults
+        (top-20 degree threshold, dynamic schedule); the Fig. 12(b)
+        ablation sets both on :func:`repro.parallel.hare.hare_count`
+        directly.
     seed:
         RNG seed for sampling algorithms (default 0).
     n_samples:
@@ -120,12 +113,9 @@ def count_motifs(
         process-wide shared pool; either way repeated calls against
         the same graph reuse the published shared-memory arrays, the
         memoized HARE plan, and (for identical requests) the
-        raw-counter cache.
-    start_method:
-        How the shared pool starts its workers when no ``pool`` is
-        given (``"fork"``/``"spawn"``); default honours the
-        ``REPRO_START_METHOD`` environment variable, then the
-        platform.  Counts are identical across methods.
+        raw-counter cache.  A pool's start method is its
+        constructor's argument, else the ``REPRO_START_METHOD``
+        environment variable, else the platform default.
     request_id:
         Optional caller-assigned trace id, recorded in
         ``result.meta["request_id"]``.  Never affects results.  The
@@ -191,12 +181,9 @@ def count_motifs(
             "algorithm": algorithm != "fast",
             "categories": categories != "all",
             "workers": workers != 1,
-            "thrd": thrd is not None,
-            "schedule": schedule != "dynamic",
             "seed": seed is not None,
             "n_samples": n_samples is not None,
             "pool": pool is not None,
-            "start_method": start_method is not None,
             "request_id": request_id is not None,
             "deadline": deadline is not None,
             "source": source is not None,
@@ -219,12 +206,9 @@ def count_motifs(
         algorithm=algorithm,
         categories=categories,
         workers=workers,
-        thrd=thrd,
-        schedule=schedule,
         seed=seed,
         n_samples=n_samples,
         pool=pool,
-        start_method=start_method,
         request_id=request_id,
         deadline=deadline,
         source=source,
@@ -353,12 +337,9 @@ def count_motifs_sweep(
     *,
     categories: str = "all",
     workers: int = 1,
-    thrd: Optional[float] = None,
-    schedule: str = "dynamic",
     seed: Optional[int] = None,
     n_samples: Optional[int] = None,
     pool: Optional[object] = None,
-    start_method: Optional[str] = None,
     deadline: Optional[float] = None,
     **params: object,
 ) -> SweepResult:
@@ -405,12 +386,9 @@ def count_motifs_sweep(
                 algorithm=spec.name,
                 categories=categories,
                 workers=workers if spec.parallel else 1,
-                thrd=thrd,
-                schedule=schedule,
                 seed=seed if not spec.is_exact else None,
                 n_samples=n_samples if not spec.is_exact else None,
                 pool=pool if spec.parallel else None,
-                start_method=start_method,
                 deadline=deadline,
                 params=accepted,
             )

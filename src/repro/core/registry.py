@@ -60,18 +60,6 @@ STAR_PAIR_CATEGORIES = ("all", "star", "pair", "star_pair")
 #: Category selections that require a triangle pass.
 TRIANGLE_CATEGORIES = ("all", "triangle")
 
-#: Process start methods a request may pin for parallel execution
-#: (``None`` defers to ``REPRO_START_METHOD`` / the platform default).
-START_METHODS = (None, "fork", "spawn", "forkserver")
-
-
-def _check_start_method(start_method: Optional[str]) -> None:
-    if start_method not in START_METHODS:
-        raise ValidationError(
-            f"unknown start_method {start_method!r}; choose from {START_METHODS}"
-        )
-
-
 def _check_capabilities(
     spec: "AlgorithmSpec",
     *,
@@ -114,6 +102,10 @@ class CountRequest:
     Generic knobs (``delta``, ``categories``, ``workers``) are checked
     here; algorithm-specific capability checks happen in
     :meth:`resolve` once the :class:`AlgorithmSpec` is known.
+    HARE's degree threshold and schedule are not request fields (they
+    live on :func:`repro.parallel.hare.hare_count`, the Fig. 12(b)
+    ablation entry), and neither is a start method: a pool picks its own
+    (:class:`repro.parallel.pool.WorkerPool`, else ``REPRO_START_METHOD``).
     """
 
     graph: Optional["TemporalGraph"] = None
@@ -121,8 +113,6 @@ class CountRequest:
     algorithm: str = "fast"
     categories: str = "all"
     workers: int = 1
-    thrd: Optional[float] = None
-    schedule: str = "dynamic"
     seed: Optional[int] = None
     n_samples: Optional[int] = None
     #: Persistent shared-memory worker pool
@@ -134,10 +124,6 @@ class CountRequest:
     #: amortize graph publication, planning, and — for identical
     #: requests — the counting itself.
     pool: Optional[object] = field(default=None, repr=False, compare=False)
-    #: How the shared pool starts its workers when no ``pool`` is
-    #: given (``"fork"``/``"spawn"``; default: ``REPRO_START_METHOD``
-    #: env var, then the platform default).
-    start_method: Optional[str] = None
     #: Caller-assigned identifier, recorded in the result's metadata
     #: (the serving layer sets none).  Purely provenance: never
     #: affects results or cache keys.
@@ -220,10 +206,6 @@ class CountRequest:
             )
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        if self.schedule not in ("dynamic", "static"):
-            raise ValidationError(
-                f"schedule must be 'dynamic' or 'static', got {self.schedule!r}"
-            )
         if self.n_samples is not None and self.n_samples < 1:
             raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.deadline is not None:
@@ -232,7 +214,6 @@ class CountRequest:
             raise ValidationError(
                 f"request_id must be a string, got {type(self.request_id).__name__}"
             )
-        _check_start_method(self.start_method)
 
     def check_deadline(self) -> None:
         """Raise :class:`~repro.errors.DeadlineExceededError` if expired."""
@@ -357,15 +338,10 @@ class StreamRequest:
     #: process-wide shared pool when ``workers > 1``.  The caller owns
     #: it: the engine never closes it.
     pool: Optional[object] = field(default=None, repr=False, compare=False)
-    #: How the shared pool starts its workers when no ``pool`` is
-    #: given (``None``: ``REPRO_START_METHOD`` env var, then platform
-    #: default).
-    start_method: Optional[str] = None
     params: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_delta(self.delta)
-        _check_start_method(self.start_method)
         if self.window is not None and self.window <= 0:
             raise ValidationError(
                 f"window must be positive (or None for unbounded), got {self.window}"

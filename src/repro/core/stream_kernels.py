@@ -91,7 +91,6 @@ def count_slice_raw(
     workers: int = 1,
     parallel_min_edges: int = DEFAULT_PARALLEL_MIN_EDGES,
     pool=None,
-    start_method=None,
 ) -> RawCounts:
     """Raw flat counters of one immutable slice graph.
 
@@ -103,7 +102,7 @@ def count_slice_raw(
     ``parallel_min_edges`` edges — the HARE runtime, so a large dirty
     range is counted as a micro-batch with full intra-node
     parallelism.  Such a slice runs on
-    ``runtime_pool(pool, workers, start_method)`` (the caller's pool,
+    ``runtime_pool(pool, workers)`` (the caller's pool,
     else the process-wide shared pool) as one pool job covering every
     requested pass; slices below the threshold never touch a pool.
     Passes the engine does not need are skipped.
@@ -113,7 +112,7 @@ def count_slice_raw(
     if workers > 1 and graph.num_edges >= parallel_min_edges:
         from repro.parallel.executor import run_batches, runtime_pool
 
-        pool = runtime_pool(pool, workers, start_method)
+        pool = runtime_pool(pool, workers)
         counters = run_batches(
             graph, delta, pool.plan_batches(graph, workers), pool=pool,
             star_pair=star_pair, triangle=triangle,

@@ -164,7 +164,6 @@ class StreamingMotifEngine:
             workers=request.workers,
             parallel_min_edges=request.parallel_min_edges,
             pool=request.pool,
-            start_method=request.start_method,
         )
         self._phase["count"] += time.perf_counter() - tick
         return raw

@@ -81,12 +81,14 @@ WORKER_OPS = (
 MAX_MESSAGE = 128 << 20
 
 #: Fields a count spec may carry — the resolved :class:`CountRequest`
-#: knobs that affect the answer, plus the execution strategy ones the
-#: worker is free to honour.  Sharding/cluster fields are deliberately
-#: absent: a worker counts exactly the slice it was handed.
-SPEC_FIELDS = frozenset({
-    "delta", "algorithm", "categories", "thrd", "schedule", "params",
-})
+#: knobs that affect the answer.  Sharding/cluster fields are
+#: deliberately absent: a worker counts exactly the slice it was handed.
+SPEC_FIELDS = frozenset({"delta", "algorithm", "categories", "params"})
+
+#: Fields older coordinators send that never changed a count (the
+#: kernel ``backend``, HARE's ``thrd``/``schedule``): accepted and
+#: dropped by :func:`parse_count_spec`.
+LEGACY_SPEC_FIELDS = frozenset({"backend", "thrd", "schedule"})
 
 
 def encode_count_spec(request) -> Dict:
@@ -101,8 +103,6 @@ def encode_count_spec(request) -> Dict:
         "delta": float(request.delta),
         "algorithm": request.algorithm,
         "categories": request.categories,
-        "thrd": None if request.thrd is None else float(request.thrd),
-        "schedule": request.schedule,
         "params": {str(k): v for k, v in request.params.items()},
     }
 
@@ -111,9 +111,7 @@ def parse_count_spec(spec: object) -> Dict:
     """Validate a wire count spec's shape; returns the normalized dict."""
     if not isinstance(spec, dict):
         raise ValidationError(f"count spec must be an object, got {spec!r}")
-    # Older coordinators also send a kernel "backend" choice; counts
-    # never depended on it, so it is accepted and dropped.
-    out = {key: value for key, value in spec.items() if key != "backend"}
+    out = {key: value for key, value in spec.items() if key not in LEGACY_SPEC_FIELDS}
     unknown = set(out) - SPEC_FIELDS
     if unknown:
         raise ValidationError(f"unknown count spec field(s) {sorted(unknown)}")
@@ -122,8 +120,6 @@ def parse_count_spec(spec: object) -> Dict:
     out["delta"] = float(out["delta"])
     out.setdefault("algorithm", "fast")
     out.setdefault("categories", "all")
-    out.setdefault("thrd", None)
-    out.setdefault("schedule", "dynamic")
     params = out.setdefault("params", {})
     if not isinstance(params, dict):
         raise ValidationError(f"spec params must be an object, got {params!r}")

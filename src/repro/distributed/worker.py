@@ -102,9 +102,8 @@ class WorkerDaemon:
         Resident pool size for parallel algorithms (``fast``, ``ex``,
         ``bts``).  ``1`` (default) counts serially in-process — no pool,
         no shared-memory segments, nothing to leak even under SIGKILL.
-    start_method:
-        Pool process start method (as in
-        :class:`~repro.parallel.pool.WorkerPool`).
+        The pool's start method is ``REPRO_START_METHOD``, else the
+        platform default.
     sources:
         Packed files to open eagerly at startup (optional; ``open``
         probes open lazily either way).
@@ -120,14 +119,12 @@ class WorkerDaemon:
         port: int = 0,
         *,
         workers: int = 1,
-        start_method: Optional[str] = None,
         sources: Sequence[str] = (),
         delay: float = 0.0,
     ) -> None:
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.start_method = start_method
         self.delay = float(delay)
         self._lock = threading.RLock()
         self._packed: Dict[str, object] = {}
@@ -253,7 +250,7 @@ class WorkerDaemon:
             if self._pool is None and self.workers > 1:
                 from repro.parallel.pool import WorkerPool
 
-                self._pool = WorkerPool(self.workers, start_method=self.start_method)
+                self._pool = WorkerPool(self.workers)
             return self._pool
 
     def _count(self, piece, spec: Dict):
@@ -270,11 +267,8 @@ class WorkerDaemon:
             delta=spec["delta"],
             algorithm=spec["algorithm"],
             categories=spec["categories"],
-            thrd=spec["thrd"],
-            schedule=spec["schedule"],
             workers=workers,
             pool=pool,
-            start_method=self.start_method,
             params=dict(spec["params"]),
         ))
         with self._lock:
@@ -346,7 +340,6 @@ def run_worker(
     port: int = 0,
     *,
     workers: int = 1,
-    start_method: Optional[str] = None,
     sources: Sequence[str] = (),
     delay: float = 0.0,
 ) -> int:
@@ -359,7 +352,7 @@ def run_worker(
     """
     daemon = WorkerDaemon(
         host, port,
-        workers=workers, start_method=start_method, sources=sources, delay=delay,
+        workers=workers, sources=sources, delay=delay,
     )
     print(f"worker listening on {daemon.address} (workers={workers})", flush=True)
     try:

@@ -14,12 +14,12 @@ and pool paths and exact at any magnitude.
 
 Routing is decided once, by :func:`runtime_pool`: an explicit
 ``pool=`` wins; otherwise ``workers > 1`` runs on the process-wide
-:func:`~repro.parallel.pool.shared_pool` for the resolved start method
-(explicit argument, then the ``REPRO_START_METHOD`` environment
-variable, then the platform default), which only decides how that pool
-starts its workers.  :func:`run_batches` then runs on the pool it is
-handed, or serially in-process when it gets none.  Results are
-bit-identical either way.
+:func:`~repro.parallel.pool.shared_pool`.  How a pool starts its
+workers is no per-call choice: :func:`resolve_start_method` takes the
+``WorkerPool`` constructor's argument, then the ``REPRO_START_METHOD``
+environment variable, then the platform default.  :func:`run_batches`
+then runs on the pool it is handed, or serially in-process when it
+gets none.  Results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def reduce_results(
 
 
 def resolve_start_method(start_method: Optional[str] = None) -> str:
-    """Concrete start method: explicit arg, then env, then platform.
+    """Concrete start method: pool argument, then env, then platform.
 
     ``"fork"`` where available (POSIX), ``"spawn"`` otherwise.  An
     explicit/env request for an unsupported method raises
@@ -121,14 +121,12 @@ def resolve_start_method(start_method: Optional[str] = None) -> str:
     return method
 
 
-def runtime_pool(
-    pool: Optional["WorkerPool"], workers: int, start_method: Optional[str] = None
-) -> Optional["WorkerPool"]:
+def runtime_pool(pool: Optional["WorkerPool"], workers: int) -> Optional["WorkerPool"]:
     """The pool a call runs on: ``pool``, else the shared pool, else ``None``.
 
     ``workers > 1`` without an explicit pool gets the process-wide
-    :func:`~repro.parallel.pool.shared_pool` for the resolved start
-    method; a single worker without a pool runs serially (``None``).
+    :func:`~repro.parallel.pool.shared_pool`; a single worker without a
+    pool runs serially (``None``).
     The one routing decision shared by HARE (batch and stream), EX and
     BTS.
     """
@@ -136,7 +134,7 @@ def runtime_pool(
         return pool
     from repro.parallel.pool import shared_pool
 
-    return shared_pool(workers, start_method)
+    return shared_pool(workers)
 
 
 def run_batches(

@@ -11,13 +11,17 @@ runs the plan as one job on that pool (or serially without one), and
 ``hare_count(categories="star_pair")`` is the paper's HARE-Pair
 workload (Fig. 11).
 
+``thrd`` and ``schedule`` — the knobs of the Fig. 12(b) ablation —
+are caller-settable only here: a parallel ``fast`` count through the
+registry calls :func:`hare_count` with the paper's defaults (top-20
+threshold, dynamic schedule), because neither knob changes a count.
+
 A call runs on a persistent :class:`~repro.parallel.pool.WorkerPool`:
 the one passed as ``pool=``, or for ``workers > 1`` the process-wide
-shared pool, started with ``start_method=`` (see
-:func:`repro.parallel.executor.runtime_pool`).  Repeated calls against
-the same graph then reuse the published shared-memory arrays, the
-memoized batch plan, and — for identical requests — the raw-counter
-cache.
+shared pool (see :func:`repro.parallel.executor.runtime_pool`).
+Repeated calls against the same graph then reuse the published
+shared-memory arrays, the memoized batch plan, and — for identical
+requests — the raw-counter cache.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from repro.parallel.executor import run_batches, runtime_pool
 from repro.parallel.scheduler import WorkBatch, build_batches, partition_static
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.registry import CountRequest
     from repro.parallel.pool import WorkerPool
 
 
@@ -41,22 +44,21 @@ def _prepare_batches(
     thrd: Optional[float],
     schedule: str,
     pool: Optional["WorkerPool"],
-    start_method: Optional[str],
 ) -> Tuple[Optional["WorkerPool"], List[WorkBatch]]:
     """The pool a call runs on (``None``: serial) and its batch plan."""
     if schedule not in ("dynamic", "static"):
         raise ValidationError(f"schedule must be 'dynamic' or 'static', got {schedule!r}")
-    pool = runtime_pool(pool, workers, start_method)
+    pool = runtime_pool(pool, workers)
+    # The pool memoizes the decomposition per published graph, so
+    # repeated requests skip the planning pass entirely.
     if pool is not None:
-        # The pool memoizes the decomposition per published graph, so
-        # repeated requests skip the planning pass entirely.
-        batches = pool.plan_batches(graph, workers, thrd=thrd, schedule=schedule)
-        # An empty task cover has nothing to ship: count it serially.
-        return (pool if batches else None), batches
-    batches = build_batches(graph, workers, thrd=thrd)
+        batches = pool.plan_batches(graph, workers, thrd=thrd)
+    else:
+        batches = build_batches(graph, workers, thrd=thrd)
     if schedule == "static":
         batches = partition_static(batches, workers)
-    return None, batches
+    # An empty task cover has nothing to ship: count it serially.
+    return (pool if batches else None), batches
 
 
 def hare_count(
@@ -68,16 +70,19 @@ def hare_count(
     schedule: str = "dynamic",
     categories: str = "all",
     pool: Optional["WorkerPool"] = None,
-    start_method: Optional[str] = None,
     deadline: Optional[float] = None,
 ) -> MotifCounts:
     """Count all motifs with the HARE parallel framework.
 
-    Parameters mirror :func:`repro.core.api.count_motifs`.  Nodes
-    with degree above ``thrd`` are split into consecutive first-edge
-    pieces and the task cover is cut into weight-balanced batches,
-    both a fixed number per worker (see
-    :func:`repro.parallel.scheduler.build_batches`).  Every batch runs
+    Parameters mirror :func:`repro.core.api.count_motifs`, plus the
+    two HARE knobs of §IV-C.  Nodes with degree above ``thrd``
+    (``None``: the paper's default, the minimum degree among the top-20
+    nodes) are split into consecutive first-edge pieces and the task
+    cover is cut into weight-balanced batches, both a fixed number per
+    worker (see :func:`repro.parallel.scheduler.build_batches`).
+    ``schedule="static"`` pre-assigns the batches round-robin, one
+    block per worker (:func:`~repro.parallel.scheduler.partition_static`);
+    ``"dynamic"`` (default) lets workers pull them.  Every batch runs
     the columnar kernels; ``pool`` reuses a persistent shared-memory
     worker pool.  ``meta["runtime"]`` is ``"pool"`` when the batches ran on a pool,
     ``"serial"`` otherwise.  Results are bit-identical to the serial
@@ -86,7 +91,7 @@ def hare_count(
     check_delta(delta)
     star_pair = categories in ("all", "star", "pair", "star_pair")
     triangle = categories in ("all", "triangle")
-    pool, batches = _prepare_batches(graph, workers, thrd, schedule, pool, start_method)
+    pool, batches = _prepare_batches(graph, workers, thrd, schedule, pool)
     star, pair, tri = run_batches(
         graph, delta, batches, pool=pool,
         star_pair=star_pair, triangle=triangle, deadline=deadline,
@@ -101,17 +106,3 @@ def hare_count(
     )
     return result.masked(categories)
 
-
-def hare_count_request(request: "CountRequest") -> MotifCounts:
-    """Registry adapter entry: run HARE from a resolved CountRequest."""
-    return hare_count(
-        request.graph,
-        request.delta,
-        workers=request.workers,
-        thrd=request.thrd,
-        schedule=request.schedule,
-        categories=request.categories,
-        pool=request.pool,
-        start_method=request.start_method,
-        deadline=request.deadline,
-    )

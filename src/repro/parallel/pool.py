@@ -4,7 +4,7 @@ Every parallel count runs here — HARE batches, EX time slabs and BTS
 block chunks.  :class:`WorkerPool` is the Python analogue of the
 paper's long-lived OpenMP thread team reading one shared graph
 (§IV-C); callers either pass one explicitly or get the process-wide
-:func:`shared_pool` for their worker count and start method:
+:func:`shared_pool` for their worker count:
 
 * **Workers are long-lived processes** (fork- and spawn-safe), started
   once and fed chunks of one job kind, a registered map function
@@ -26,15 +26,15 @@ paper's long-lived OpenMP thread team reading one shared graph
   as the serial path does.  A HARE job has only a few batches per
   worker, so one message per batch costs little.
 * **Plans and results are cached**: the HARE batch decomposition is
-  memoized per (graph, workers, thrd, schedule), and — because counts
+  memoized per (graph, workers, thrd), and — because counts
   are a pure function of the immutable, version-stamped graph —
   identical repeated requests are answered from a small LRU of raw
   counters without touching the workers at all.  Both caches are keyed
   through :attr:`TemporalGraph.version
   <repro.graph.temporal_graph.TemporalGraph.version>`, so sanctioned
   in-place mutation republishes instead of serving stale counts.
-  Pass ``result_cache=False`` (or ``reuse=False`` per call) to force
-  kernel execution, e.g. when benchmarking or conformance-testing the
+  Construct the pool with ``result_cache=False`` to force kernel
+  execution, e.g. when benchmarking or conformance-testing the
   execution paths themselves.
 
 Lifecycle: create → (:meth:`WorkerPool.publish` |
@@ -43,7 +43,11 @@ is also a context manager, and a garbage-collected pool shuts its
 workers down and unlinks every segment it published — but explicit
 ``close()`` is kinder to ``/dev/shm``.  :func:`shared_pool` hands out
 process-wide pools keyed by (start method, worker count) so repeated
-API calls amortize startup without coordinating pool objects.
+API calls amortize startup without coordinating pool objects.  The
+start method is chosen when a pool is built — the constructor
+argument, else ``REPRO_START_METHOD``, else the platform default
+(:func:`repro.parallel.executor.resolve_start_method`) — never per
+call.
 """
 
 from __future__ import annotations
@@ -194,7 +198,7 @@ class _GraphState:
     gid: Optional[int] = None
     handle: Optional[SharedGraph] = None
     manifest_blob: Optional[bytes] = None
-    #: (workers, thrd, schedule) -> List[WorkBatch]
+    #: (workers, thrd) -> List[WorkBatch]
     plans: Dict[Tuple, List[WorkBatch]] = field(default_factory=dict)
 
     def release_segments(self) -> None:
@@ -272,8 +276,7 @@ class WorkerPool:
         default).  Results are bit-identical across methods.
     result_cache:
         Answer identical repeated requests from the raw-counter LRU
-        (see the module docstring).  ``reuse=`` on
-        :meth:`run_batches` overrides per call.
+        (see the module docstring); ``False`` makes every call run.
     idle_timeout:
         Seconds of inactivity after which the worker processes are
         *suspended* (joined, freeing their memory and mappings) while
@@ -545,7 +548,6 @@ class WorkerPool:
         graph: TemporalGraph,
         workers: Optional[int] = None,
         thrd: Optional[float] = None,
-        schedule: str = "dynamic",
     ) -> List[WorkBatch]:
         """The HARE work decomposition, memoized per graph.
 
@@ -554,17 +556,15 @@ class WorkerPool:
         pass.  Invalidated with the graph's version like everything
         else; needs no shared memory, so planning never publishes.
         """
-        from repro.parallel.scheduler import build_batches, partition_static
+        from repro.parallel.scheduler import build_batches
 
         workers = self.workers if workers is None else workers
         with self._lock:
             state = self._state(graph)
-            key = (workers, thrd, schedule)
+            key = (workers, thrd)
             plan = state.plans.get(key)
             if plan is None:
                 plan = build_batches(graph, workers, thrd=thrd)
-                if schedule == "static":
-                    plan = partition_static(plan, workers)
                 state.plans[key] = plan
             return plan
 
@@ -577,7 +577,6 @@ class WorkerPool:
         *,
         star_pair: bool = True,
         triangle: bool = True,
-        reuse: Optional[bool] = None,
         deadline: Optional[float] = None,
     ) -> Tuple[Optional[StarCounter], Optional[PairCounter], Optional[TriangleCounter]]:
         """Execute batches on the resident workers; reduce the counters.
@@ -588,8 +587,7 @@ class WorkerPool:
         batches run as one ``"hare_tasks"`` :meth:`run_map` job and
         their cell lists reduce through
         :func:`~repro.parallel.executor.reduce_results`, as on the
-        serial path.  ``reuse`` overrides the pool-level result cache
-        for this call.  ``deadline`` (a :func:`time.monotonic` instant)
+        serial path.  ``deadline`` (a :func:`time.monotonic` instant)
         cancels the job when it expires, as in :meth:`run_map`.  Cache
         hits ignore the deadline (they are instantaneous and deadline
         never keys a cache).
@@ -599,9 +597,8 @@ class WorkerPool:
         check_delta(delta)
         if self.closed:
             raise ParallelExecutionError("worker pool is closed")
-        use_cache = self._result_cache_enabled if reuse is None else reuse
         with self._lock:
-            if use_cache:
+            if self._result_cache_enabled:
                 state = self._ensure_published(graph)
                 cache_key = (
                     state.gid, float(delta), star_pair, triangle,
@@ -617,7 +614,7 @@ class WorkerPool:
                 (star_pair, triangle),
                 delta=delta, deadline=deadline,
             )
-            if use_cache:
+            if self._result_cache_enabled:
                 self._results[cache_key] = results
                 while len(self._results) > RESULT_CACHE:
                     self._results.popitem(last=False)
@@ -768,9 +765,12 @@ _SHARED_POOLS: Dict[Tuple[str, int], WorkerPool] = {}
 _SHARED_LOCK = threading.Lock()
 
 
-def shared_pool(workers: int, start_method: Optional[str] = None) -> WorkerPool:
+def shared_pool(workers: int) -> WorkerPool:
     """A process-wide :class:`WorkerPool` keyed by (method, workers).
 
+    The method is :func:`~repro.parallel.executor.resolve_start_method`'s
+    answer at call time (``REPRO_START_METHOD``, then the platform
+    default), so changing the environment variable switches pools.
     Created on first use and kept for the life of the process (workers
     are daemons; a finalizer reaps them at exit), so repeated
     CLI/service-style calls amortize pool startup automatically.  A
@@ -779,7 +779,7 @@ def shared_pool(workers: int, start_method: Optional[str] = None) -> WorkerPool:
     """
     from repro.parallel.executor import resolve_start_method
 
-    method = resolve_start_method(start_method)
+    method = resolve_start_method()
     key = (method, workers)
     with _SHARED_LOCK:
         pool = _SHARED_POOLS.get(key)

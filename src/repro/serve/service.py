@@ -69,8 +69,6 @@ class ServiceConfig:
 
     #: Worker processes in the service-owned pool.
     workers: int = 2
-    #: Process start method for the pool (None: platform default).
-    start_method: Optional[str] = None
     #: Bound on queued-or-running requests (coalesced duplicates count
     #: once); admission beyond it raises
     #: :class:`~repro.errors.BackpressureError` (HTTP 429).
@@ -177,7 +175,6 @@ class MotifService:
         self._owns_pool = pool is None
         self.pool = pool if pool is not None else WorkerPool(
             self.config.workers,
-            start_method=self.config.start_method,
             idle_timeout=self.config.idle_timeout,
         )
         self.catalog = GraphCatalog(self.pool)

@@ -17,6 +17,7 @@ from repro.core.bruteforce import brute_force_counts
 from repro.core.motifs import MotifCategory
 from repro.errors import ValidationError
 from repro.graph.temporal_graph import TemporalGraph
+from repro.parallel.executor import START_METHOD_ENV
 from tests.conftest import race_in_two_threads
 from tests.core.test_properties import deltas, temporal_graphs
 from tests.parallel.test_hare import hub_graph
@@ -105,13 +106,12 @@ class TestParallel:
         serial = ex_count(paper_graph, 10)
         assert ex_count(paper_graph, 10, workers=3) == serial
 
-    def test_concurrent_fork_calls_on_different_graphs(self):
+    def test_concurrent_fork_calls_on_different_graphs(self, monkeypatch):
         """Each forked EX run counts its own graph, not a neighbour's."""
+        monkeypatch.setenv(START_METHOD_ENV, "fork")
         graphs = [hub_graph(seed=11), hub_graph(seed=12)]
         serial = [ex_count(g, 40) for g in graphs]
-        results = race_in_two_threads(
-            lambda i: ex_count(graphs[i], 40, workers=2, start_method="fork")
-        )
+        results = race_in_two_threads(lambda i: ex_count(graphs[i], 40, workers=2))
         for i in range(2):
             assert all(result == serial[i] for result in results[i])
 

@@ -10,6 +10,7 @@ from repro.core.bruteforce import brute_force_counts
 from repro.core.motifs import PAIR_MOTIFS
 from repro.errors import ValidationError
 from repro.graph.temporal_graph import TemporalGraph
+from repro.parallel.executor import START_METHOD_ENV
 from tests.conftest import python_bts_estimate, python_ews_estimate, race_in_two_threads
 from tests.core.test_properties import deltas, temporal_graphs
 from tests.parallel.test_hare import hub_graph
@@ -124,13 +125,14 @@ class TestBTS:
         parallel = bts_count_pairs(g, 10, q=0.8, seed=3, exact_when_full=False, workers=2)
         assert np.allclose(serial.grid, parallel.grid)
 
-    def test_concurrent_fork_calls_on_different_graphs(self):
+    def test_concurrent_fork_calls_on_different_graphs(self, monkeypatch):
         """Each forked BTS run samples its own graph, not a neighbour's."""
+        monkeypatch.setenv(START_METHOD_ENV, "fork")
         graphs = [hub_graph(seed=11), hub_graph(seed=12)]
         kwargs = dict(q=0.6, seed=3, exact_when_full=False)
         serial = [bts_count(g, 40, **kwargs) for g in graphs]
         results = race_in_two_threads(
-            lambda i: bts_count(graphs[i], 40, workers=2, start_method="fork", **kwargs)
+            lambda i: bts_count(graphs[i], 40, workers=2, **kwargs)
         )
         for i in range(2):
             assert all(np.array_equal(r.grid, serial[i].grid) for r in results[i])

@@ -5,8 +5,10 @@ import pytest
 from repro.core.api import count_motifs
 from repro.core.fast_star import count_star_pair
 from repro.core.motifs import MotifCategory
+from repro.core.registry import CountRequest
 from repro.errors import ValidationError
 from repro.graph.temporal_graph import TemporalGraph
+from repro.parallel.hare import hare_count
 
 
 class TestOptions:
@@ -114,11 +116,21 @@ class TestParallelRouting:
         assert parallel == serial
 
     def test_static_schedule(self, paper_graph):
-        assert count_motifs(paper_graph, 10, workers=2, schedule="static") == \
+        """The schedule is a ``hare_count`` knob only; a request has none."""
+        with pytest.raises(ValidationError, match="schedule"):
+            count_motifs(paper_graph, 10, workers=2, schedule="static")
+        with pytest.raises(TypeError):
+            CountRequest(graph=paper_graph, delta=10, schedule="static")
+        assert hare_count(paper_graph, 10, workers=2, schedule="static") == \
             count_motifs(paper_graph, 10)
 
     def test_explicit_thrd(self, paper_graph):
-        assert count_motifs(paper_graph, 10, workers=2, thrd=3) == \
+        """The degree threshold is a ``hare_count`` knob only."""
+        with pytest.raises(ValidationError, match="thrd"):
+            count_motifs(paper_graph, 10, workers=2, thrd=3)
+        with pytest.raises(TypeError):
+            CountRequest(graph=paper_graph, delta=10, thrd=3)
+        assert hare_count(paper_graph, 10, workers=2, thrd=3) == \
             count_motifs(paper_graph, 10)
 
 

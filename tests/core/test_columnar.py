@@ -31,6 +31,7 @@ from repro.graph.generators import (
     uniform_temporal_graph,
 )
 from repro.graph.temporal_graph import TemporalGraph
+from repro.parallel.hare import hare_count
 from repro.parallel.scheduler import build_batches
 from tests.conftest import python_fast_counts, random_graph
 
@@ -362,7 +363,7 @@ class TestHareColumnar:
     def test_parallel_columnar_matches_serial(self, schedule):
         g = powerlaw_temporal_graph(80, 900, seed=4)
         serial = python_fast_counts(g, 4000)
-        parallel = count_motifs(g, 4000, workers=2, schedule=schedule)
+        parallel = hare_count(g, 4000, workers=2, schedule=schedule)
         assert serial.same_counts(parallel)
         assert parallel.meta["runtime"] == "pool"
 

@@ -144,11 +144,17 @@ class TestCompatShim:
         assert count_motifs(paper_graph, 10).total() == 27
 
     def test_old_keywords(self, paper_graph):
+        """Old keywords still work, except the execution knobs that left
+        the request (``thrd``/``schedule`` live on ``hare_count``, the
+        start method on the pool)."""
         counts = count_motifs(
-            paper_graph, 10, algorithm="ex", categories="all",
-            workers=1, thrd=None, schedule="dynamic",
+            paper_graph, 10, algorithm="ex", categories="all", workers=1,
         )
         assert counts.total() == 27
+        for name, value in (("thrd", None), ("schedule", "dynamic"),
+                            ("start_method", "fork")):
+            with pytest.raises(ValidationError, match=name):
+                count_motifs(paper_graph, 10, algorithm="ex", **{name: value})
 
     def test_request_object(self, paper_graph):
         request = CountRequest(graph=paper_graph, delta=10, algorithm="fast")

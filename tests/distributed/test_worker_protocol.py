@@ -178,6 +178,28 @@ def test_count_spec_with_legacy_backend_is_accepted(daemon, backend):
     assert np.array_equal(counts.grid.astype(np.int64), local.grid)
 
 
+def test_count_spec_with_legacy_hare_fields_is_accepted(daemon):
+    """Older coordinators send HARE's ``thrd``/``schedule``; neither
+    ever changed a count, so both are dropped and the slice counts as
+    without them.  New specs no longer carry them."""
+    from repro.core.api import count_motifs
+
+    legacy = {"delta": 25.0, "thrd": 3.0, "schedule": "static"}
+    parsed = protocol.parse_count_spec(legacy)
+    assert "thrd" not in parsed and "schedule" not in parsed
+    assert parsed == protocol.parse_count_spec({"delta": 25.0})
+    graph = make_graph()
+    spec = protocol.encode_count_spec(
+        CountRequest(graph=graph, delta=25.0).resolve(get_algorithm("fast"))
+    )
+    assert set(spec) == protocol.SPEC_FIELDS
+    payload = protocol.encode_edge_slice(graph, 0, graph.num_edges)
+    result = daemon.handle_message({"op": "count_edges", "edges": payload, "spec": legacy})
+    counts = protocol.decode_counts(result["counts"])
+    local = count_motifs(graph, 25.0, algorithm="fast")
+    assert np.array_equal(counts.grid.astype(np.int64), local.grid)
+
+
 def test_hello_reports_identity(daemon):
     hello = daemon.handle_message({"op": "hello"})
     assert hello["workers"] == 1

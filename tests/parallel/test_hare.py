@@ -109,6 +109,24 @@ class TestConfigurations:
     def test_categories_all(self, paper_graph, category_pool):
         self.check_category(paper_graph, category_pool, "all")
 
+    def test_fig12b_configurations_equal_serial(self, category_pool):
+        """Every Fig. 12(b) configuration equals serial, on a pool and
+        without one; a static run reuses the memoized (workers, thrd)
+        plan and partitions it on top."""
+        g = hub_graph(seed=7)
+        serial = count_motifs(g, 40)
+        inf = float("inf")
+        for thrd, schedule in ((None, "dynamic"), (10, "dynamic"), (inf, "dynamic"),
+                               (inf, "static")):
+            assert hare_count(g, 40, workers=2, thrd=thrd, schedule=schedule) == serial
+            on_pool = hare_count(
+                g, 40, workers=2, thrd=thrd, schedule=schedule, pool=category_pool
+            )
+            assert on_pool == serial, (thrd, schedule)
+            assert on_pool.meta["schedule"] == schedule
+        plans = category_pool._states[id(g)].plans
+        assert set(plans) == {(2, None), (2, 10), (2, inf)}
+
     def test_metadata(self, paper_graph):
         result = hare_count(paper_graph, 10, workers=2, schedule="static")
         assert result.algorithm == "hare[2]"

@@ -163,13 +163,14 @@ class TestReuse:
             assert pool.stats["jobs"] == 1
             assert again.same_counts(first)
 
-    def test_cache_distinguishes_different_batch_covers(self, paper_graph):
+    def test_cache_distinguishes_different_batch_covers(self, paper_graph, fork_pool):
         """A partial task cover must never be served full-cover counts."""
         with WorkerPool(2, "fork") as pool:
             plan = pool.plan_batches(paper_graph, 2)
             full, _, _ = pool.run_batches(paper_graph, 11.0, plan)
             subset, _, _ = pool.run_batches(paper_graph, 11.0, plan[:1])
-            honest, _, _ = pool.run_batches(paper_graph, 11.0, plan[:1], reuse=False)
+            # ``fork_pool`` has no result cache: it always executes.
+            honest, _, _ = fork_pool.run_batches(paper_graph, 11.0, plan[:1])
             assert subset == honest
             assert subset != full
             # ... and the subset result did not poison the full key.
@@ -177,10 +178,14 @@ class TestReuse:
             assert again == full
 
     def test_reuse_false_forces_execution(self, paper_graph):
-        with WorkerPool(2, "fork") as pool:
+        """Forcing execution is a pool property (``result_cache=False``),
+        not a per-call ``reuse=`` argument."""
+        with WorkerPool(2, "fork", result_cache=False) as pool:
             batches = pool.plan_batches(paper_graph, 2)
+            with pytest.raises(TypeError):
+                pool.run_batches(paper_graph, 10, batches, reuse=False)
             pool.run_batches(paper_graph, 10, batches)
-            pool.run_batches(paper_graph, 10, batches, reuse=False)
+            pool.run_batches(paper_graph, 10, batches)
             assert pool.stats["cache_hits"] == 0
             assert pool.stats["jobs"] == 2
 
@@ -345,13 +350,14 @@ class TestLifecycle:
         with pytest.raises(ValidationError, match="start method"):
             WorkerPool(1, "osthread")
 
-    def test_shared_pool_is_cached_and_replaced_after_close(self):
+    def test_shared_pool_is_cached_and_replaced_after_close(self, monkeypatch):
+        monkeypatch.setenv(START_METHOD_ENV, "fork")
         try:
-            a = shared_pool(2, "fork")
-            b = shared_pool(2, "fork")
+            a = shared_pool(2)
+            b = shared_pool(2)
             assert a is b
             a.close()
-            c = shared_pool(2, "fork")
+            c = shared_pool(2)
             assert c is not a
             assert not c.closed
         finally:
@@ -368,18 +374,17 @@ class TestRouting:
             # Provenance reflects the actual routing, not the absence
             # of an explicit pool argument.
             assert result.meta["runtime"] == "pool"
-            pool = shared_pool(2, "spawn")
+            pool = shared_pool(2)
+            assert pool.start_method == "spawn"
             assert pool.stats["jobs"] >= 1
         finally:
             close_shared_pools()
 
-    def test_runtime_label_matches_routing(self, paper_graph, fork_pool):
+    def test_runtime_label_matches_routing(self, paper_graph, fork_pool, monkeypatch):
         assert count_motifs(paper_graph, 10).meta.get("runtime") is None  # serial fast
+        monkeypatch.setenv(START_METHOD_ENV, "fork")
         try:
-            assert (
-                count_motifs(paper_graph, 10, workers=2, start_method="fork").meta["runtime"]
-                == "pool"
-            )
+            assert count_motifs(paper_graph, 10, workers=2).meta["runtime"] == "pool"
         finally:
             close_shared_pools()
         assert (
@@ -388,12 +393,17 @@ class TestRouting:
         )
 
     def test_explicit_start_method_argument(self, paper_graph):
-        try:
-            serial = count_motifs(paper_graph, 10)
-            result = count_motifs(paper_graph, 10, workers=2, start_method="spawn")
+        """The only explicit start method is the pool constructor's:
+        ``count_motifs`` refuses one, a ``WorkerPool("spawn")`` wins
+        over the environment."""
+        with pytest.raises(ValidationError, match="start_method"):
+            count_motifs(paper_graph, 10, workers=2, start_method="spawn")
+        serial = count_motifs(paper_graph, 10)
+        with WorkerPool(2, "spawn", result_cache=False) as pool:
+            assert pool.start_method == "spawn"
+            result = count_motifs(paper_graph, 10, workers=2, pool=pool)
             assert result.same_counts(serial)
-        finally:
-            close_shared_pools()
+            assert pool.stats["jobs"] == 1
 
     def test_resolve_start_method_precedence(self, monkeypatch):
         assert resolve_start_method("fork") == "fork"
@@ -433,23 +443,44 @@ class TestRouting:
         assert fork_pool.stats["jobs"] > jobs
         assert np.array_equal(pooled.grid, serial.grid)
 
-    def test_ex_and_bts_honor_non_fork_start_method(self):
-        """EX and BTS run on the shared pool of the requested start
+    def test_ex_and_bts_honor_non_fork_start_method(self, monkeypatch):
+        """EX and BTS run on the shared pool of the ``REPRO_START_METHOD``
         method, and their counts equal the serial run bit for bit."""
+        monkeypatch.setenv(START_METHOD_ENV, "spawn")
         graph = random_graph(4, num_nodes=8, num_edges=200, t_max=400)
         try:
             for algorithm in ("ex", "bts"):
                 kwargs = {} if algorithm == "ex" else {"seed": 5, "n_samples": 1}
                 serial = count_motifs(graph, 10, algorithm=algorithm, **kwargs)
-                jobs = shared_pool(2, "spawn").stats["jobs"]
-                spawned = count_motifs(
-                    graph, 10, algorithm=algorithm, workers=2,
-                    start_method="spawn", **kwargs,
-                )
+                pool = shared_pool(2)
+                assert pool.start_method == "spawn"
+                jobs = pool.stats["jobs"]
+                spawned = count_motifs(graph, 10, algorithm=algorithm, workers=2, **kwargs)
                 assert np.array_equal(serial.grid, spawned.grid), algorithm
-                assert shared_pool(2, "spawn").stats["jobs"] > jobs, algorithm
+                assert shared_pool(2).stats["jobs"] > jobs, algorithm
         finally:
             close_shared_pools()
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_env_start_method_reaches_every_owned_pool(self, monkeypatch, method):
+        """``REPRO_START_METHOD`` is the one start-method input of the
+        pools callers do not build: the shared pool, the serve
+        service's and a worker daemon's."""
+        from repro.distributed.worker import WorkerDaemon
+        from repro.serve import MotifService, ServiceConfig
+
+        monkeypatch.setenv(START_METHOD_ENV, method)
+        try:
+            assert shared_pool(2).start_method == method
+        finally:
+            close_shared_pools()
+        service = MotifService(ServiceConfig())
+        try:
+            assert service.pool.start_method == method
+        finally:
+            service.close()
+        with WorkerDaemon(workers=2) as daemon:
+            assert daemon._ensure_pool().start_method == method
 
 
 class TestStreamingIntegration:

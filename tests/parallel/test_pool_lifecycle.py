@@ -102,7 +102,7 @@ from tests.conftest import random_edges
 install_signal_handlers()
 rng = random.Random(5)
 graph = TemporalGraph(random_edges(rng, 30, 400, t_max=200))
-pool = WorkerPool(2)
+pool = WorkerPool(2, result_cache=False)
 batches = pool.plan_batches(graph)
 star, _, tri = pool.run_batches(graph, 20.0, batches)
 before = (star.total(), tri.total())
@@ -118,7 +118,7 @@ with ctx.Pool(processes=2) as helper:
     helper.map(abs, [1, 2, 3])
 time.sleep(1.0)  # let any poisoned sentinel reach the workers
 
-star2, _, tri2 = pool.run_batches(graph, 20.0, batches, reuse=False)
+star2, _, tri2 = pool.run_batches(graph, 20.0, batches)
 assert not pool.closed, "pool closed by a forked child's signal handler"
 assert (star2.total(), tri2.total()) == before
 pool.close()
@@ -196,7 +196,7 @@ def test_forked_child_gets_previous_signal_disposition():
 
 def test_idle_pool_suspends_workers_and_revives_on_demand():
     graph = make_graph()
-    with WorkerPool(2, idle_timeout=0.2) as pool:
+    with WorkerPool(2, idle_timeout=0.2, result_cache=False) as pool:
         batches = pool.plan_batches(graph)
         star, _, tri = pool.run_batches(graph, 20.0, batches)
         baseline = (star.total(), tri.total())
@@ -208,9 +208,9 @@ def test_idle_pool_suspends_workers_and_revives_on_demand():
         assert not pool.closed  # suspended != closed
 
         # The next job transparently revives the workers; answers are
-        # bit-identical (the plan/graph caches survive suspension, the
-        # result cache will answer this repeat without workers at all).
-        star2, _, tri2 = pool.run_batches(graph, 20.0, batches, reuse=False)
+        # bit-identical (the plan/graph caches survive suspension; with
+        # no result cache this repeat needs the workers back).
+        star2, _, tri2 = pool.run_batches(graph, 20.0, batches)
         assert (star2.total(), tri2.total()) == baseline
         assert not pool.suspended
         assert pool.stats["worker_restarts"] >= 1

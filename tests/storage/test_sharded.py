@@ -17,6 +17,7 @@ from repro.core.api import count_motifs
 from repro.core.registry import CountRequest, execute
 from repro.errors import ValidationError
 from repro.graph.temporal_graph import TemporalGraph
+from repro.parallel.executor import START_METHOD_ENV
 from repro.storage import ShardedGraph, Unit, open_packed, pack_graph
 from tests.conftest import python_fast_counts, random_graph
 from tests.core.test_properties import deltas, temporal_graphs
@@ -82,12 +83,11 @@ class TestHaloUnionEquivalence:
             assert np.array_equal(whole.grid, pieces.grid), categories
             assert pieces.same_counts(reference.masked(categories)), categories
 
-    def test_parallel_slices_match(self):
+    def test_parallel_slices_match(self, monkeypatch):
+        monkeypatch.setenv(START_METHOD_ENV, "fork")
         graph = random_graph(seed=6, num_nodes=10, num_edges=90, t_max=40)
         whole = count_motifs(graph, 12)
-        pieces = count_motifs(
-            graph, 12, workers=2, start_method="fork", shard_budget=25
-        )
+        pieces = count_motifs(graph, 12, workers=2, shard_budget=25)
         assert np.array_equal(whole.grid, pieces.grid)
 
 

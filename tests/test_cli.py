@@ -61,6 +61,23 @@ class TestCount:
         assert payload["total"] == 27
         assert "backend" not in payload
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--delta", "10", "--thrd", "3"],
+        ["count", "--delta", "10", "--schedule", "static"],
+        ["count", "--delta", "10", "--start-method", "fork"],
+        ["stream", "--delta", "10", "--start-method", "fork"],
+        ["serve", "--start-method", "fork"],
+        ["worker", "--start-method", "fork"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_execution_knob_flags_are_refused(self, edge_file, argv):
+        """HARE's threshold/schedule and the pool start method are no
+        CLI flags: the pool takes ``REPRO_START_METHOD``."""
+        if argv[0] in ("count", "stream"):
+            argv = argv[:1] + ["--input", edge_file] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_count_json_surfaces_phase_seconds(self, edge_file, capsys):
         assert main(["count", "--input", edge_file, "--delta", "10", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -5,8 +5,9 @@ PR (serial-vs-HARE here, packed-vs-memory there) with one systematic
 matrix over
 
 * all seven registered algorithms,
-* serial / shared-pool / persistent fork and spawn pools / static
-  schedule execution,
+* serial / shared-pool (started by ``REPRO_START_METHOD``) /
+  persistent fork and spawn pools / HARE's static schedule
+  (``hare_count(schedule="static")``),
 * several δ values,
 
 on a corpus of generated graphs (plus hypothesis-generated ones for
@@ -51,6 +52,7 @@ from repro.graph.generators import (
     uniform_temporal_graph,
 )
 from repro.graph.temporal_graph import TemporalGraph
+from repro.parallel.hare import hare_count
 from repro.parallel.pool import WorkerPool
 from repro.parallel.scheduler import build_batches
 from repro.storage import open_packed, pack_graph
@@ -100,7 +102,7 @@ def _variants(spec, pools):
     """Execution routes an algorithm supports: (label, extra kwargs)."""
     variants = [("serial", {})]
     if spec.parallel:
-        variants.append(("shared-pool", {"workers": 2, "start_method": "fork"}))
+        variants.append(("shared-pool", {"workers": 2}))
         # Persistent-pool execution: HARE batches for fast, time slabs
         # for ex, block chunks for bts — all must stay exact under
         # either start method.
@@ -109,6 +111,13 @@ def _variants(spec, pools):
     if spec.name == "fast":
         variants.append(("static", {"workers": 2, "schedule": "static"}))
     return variants
+
+
+def _count(graph, delta, algorithm, kwargs, **extra):
+    """One matrix cell: ``count_motifs``, or HARE for the static schedule."""
+    if "schedule" in kwargs:
+        return hare_count(graph, delta, **kwargs, **extra)
+    return count_motifs(graph, delta, algorithm=algorithm, **kwargs, **extra)
 
 
 def test_matrix_covers_all_registered_algorithms():
@@ -127,7 +136,7 @@ class TestExactConformance:
         reference = references[(graph_name, delta)]
         spec = get_algorithm(algorithm)
         for label, kwargs in _variants(spec, pools):
-            result = count_motifs(graph, delta, algorithm=algorithm, **kwargs)
+            result = _count(graph, delta, algorithm, kwargs)
             assert result.same_counts(reference), (algorithm, label)
             assert result.is_exact
 
@@ -141,7 +150,7 @@ class TestExactConformance:
         baseline = count_motifs(graph, delta, algorithm="twoscent")
         assert baseline["M26"] == reference["M26"]
         for label, kwargs in _variants(spec, pools):
-            result = count_motifs(graph, delta, algorithm="twoscent", **kwargs)
+            result = _count(graph, delta, "twoscent", kwargs)
             assert result.same_counts(baseline), label
 
     @pytest.mark.parametrize("categories", ["star", "pair", "triangle", "star_pair"])
@@ -149,7 +158,7 @@ class TestExactConformance:
         graphs, references = corpus
         baseline = references[("ties", 4)].masked(categories)
         for label, kwargs in _variants(get_algorithm("fast"), pools):
-            result = count_motifs(graphs["ties"], 4, categories=categories, **kwargs)
+            result = _count(graphs["ties"], 4, "fast", kwargs, categories=categories)
             assert result.same_counts(baseline), (categories, label)
 
 
@@ -166,9 +175,7 @@ class TestSamplingConformance:
         baseline = count_motifs(graph, delta, algorithm=algorithm, **SAMPLING_KWARGS)
         assert not baseline.is_exact
         for label, kwargs in _variants(spec, pools):
-            result = count_motifs(
-                graph, delta, algorithm=algorithm, **SAMPLING_KWARGS, **kwargs
-            )
+            result = _count(graph, delta, algorithm, kwargs, **SAMPLING_KWARGS)
             assert np.array_equal(result.grid, baseline.grid), (algorithm, label)
             assert np.array_equal(result.stderr, baseline.stderr), (algorithm, label)
 
