@@ -79,18 +79,6 @@ def _load_graph(args: argparse.Namespace) -> TemporalGraph:
     return load_dataset(args.dataset, args.scale)
 
 
-def _parse_boundaries(text: Optional[str]) -> Optional[tuple]:
-    """``"100,2000,35000"`` → interior cut-point tuple (None passthrough)."""
-    if text is None:
-        return None
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ReproError(
-            f"--boundaries expects comma-separated edge ids, got {text!r}"
-        ) from None
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     from repro.core.registry import get_algorithm
 
@@ -118,8 +106,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
             pool=pool,
             source=args.source,
             shard_budget=args.shard_budget,
-            num_shards=args.num_shards,
-            shard_boundaries=_parse_boundaries(args.boundaries),
             cluster=args.cluster,
         )
         runtime_stats = {} if pool is None else {"pool": dict(pool.stats)}
@@ -503,13 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "shard; exact algorithms count shard-by-shard "
                               "with δ-overlap halos (identical counts, peak "
                               "memory proportional to the budget)")
-    p_count.add_argument("--num-shards", type=int, default=None,
-                         help="alternative cut mode: split the edge sequence "
-                              "into this many near-equal shards (at most one "
-                              "of --shard-budget / --num-shards / --boundaries)")
-    p_count.add_argument("--boundaries", default=None, metavar="C1,C2,...",
-                         help="explicit interior canonical-edge-id cut points "
-                              "for the shard-halo union (strictly increasing)")
     p_count.add_argument("--cluster", default=None, metavar="HOST:PORT,...",
                          help="distribute the shard plan across these "
                               "`repro worker` daemons (exact algorithms; "

@@ -65,8 +65,6 @@ def count_motifs(
     deadline: Optional[float] = None,
     source: Optional[str] = None,
     shard_budget: Optional[int] = None,
-    num_shards: Optional[int] = None,
-    shard_boundaries: Optional[Sequence[int]] = None,
     cluster: Optional[str] = None,
     **params: object,
 ) -> MotifCounts:
@@ -134,22 +132,14 @@ def count_motifs(
         the out-of-core shard-halo union of
         :mod:`repro.storage.sharded` with peak memory proportional to
         this budget.  Results are bit-identical to the in-memory path.
-    num_shards:
-        Alternative cut mode: split the canonical edge sequence into
-        that many near-equal shards instead of budgeting edges.  At
-        most one of ``shard_budget`` / ``num_shards`` /
-        ``shard_boundaries`` may be given.
-    shard_boundaries:
-        Explicit interior canonical-edge-id cut points (strictly
-        increasing) — full control over where the shard-halo union
-        cuts; the equivalence property tests randomize over these.
+        The only cut knob: counts never depend on where the plan cuts.
     cluster:
         Comma-separated ``host:port`` addresses of ``repro worker``
         daemons: exact algorithms run the shard plan *distributed*
         across them (:mod:`repro.distributed`), with locality-aware
         placement, retried dispatch under exactly-once accounting,
         and results bit-identical to the serial shard-halo union.
-        Combine with any one cut mode above (default: four
+        ``shard_budget`` sets the cut here too (default: four
         shards per worker).  Sampling estimators run whole-graph
         locally, as with sharding.
     params:
@@ -188,8 +178,6 @@ def count_motifs(
             "deadline": deadline is not None,
             "source": source is not None,
             "shard_budget": shard_budget is not None,
-            "num_shards": num_shards is not None,
-            "shard_boundaries": shard_boundaries is not None,
             "cluster": cluster is not None,
             "params": bool(params),
         }
@@ -213,8 +201,6 @@ def count_motifs(
         deadline=deadline,
         source=source,
         shard_budget=shard_budget,
-        num_shards=num_shards,
-        shard_boundaries=None if shard_boundaries is None else tuple(shard_boundaries),
         cluster=cluster,
         params=dict(params),
     )

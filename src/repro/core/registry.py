@@ -146,17 +146,10 @@ class CountRequest:
     #: :mod:`repro.storage.sharded` — peak memory tracks this budget,
     #: results stay bit-identical.  Sampling algorithms ignore it
     #: (recorded in ``meta["sharding"]``) because their global RNG
-    #: stream does not decompose.  At most one of ``shard_budget`` /
-    #: ``num_shards`` / ``shard_boundaries`` may be given.
+    #: stream does not decompose.  The one cut knob: where else the
+    #: plan cuts is decided inside :mod:`repro.storage.sharded` and
+    #: the cluster executor, never by a request.
     shard_budget: Optional[int] = None
-    #: Alternative cut mode: split the canonical edge sequence into
-    #: this many near-equal shards (``ShardedGraph(num_shards=)``).
-    num_shards: Optional[int] = None
-    #: Alternative cut mode: explicit interior canonical-edge-id cut
-    #: points, strictly increasing in ``(0, num_edges)``
-    #: (``ShardedGraph(boundaries=)``) — what equivalence tests
-    #: randomize over.  Normalized to a tuple of ints.
-    shard_boundaries: Optional[Tuple[int, ...]] = None
     #: Distributed execution: comma-separated ``host:port`` addresses
     #: of running ``repro worker`` daemons.  Exact algorithms farm the
     #: shard plan across them through
@@ -177,23 +170,6 @@ class CountRequest:
         if self.shard_budget is not None and self.shard_budget < 1:
             raise ValidationError(
                 f"shard_budget must be >= 1, got {self.shard_budget}"
-            )
-        if self.num_shards is not None and self.num_shards < 1:
-            raise ValidationError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.shard_boundaries is not None:
-            try:
-                self.shard_boundaries = tuple(int(b) for b in self.shard_boundaries)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"shard_boundaries must be a sequence of edge ids, "
-                    f"got {self.shard_boundaries!r}"
-                ) from None
-            if not self.shard_boundaries:
-                raise ValidationError("shard_boundaries must be non-empty when given")
-        cut_modes = (self.shard_budget, self.num_shards, self.shard_boundaries)
-        if sum(x is not None for x in cut_modes) > 1:
-            raise ValidationError(
-                "give at most one of shard_budget / num_shards / shard_boundaries"
             )
         if self.cluster is not None:
             from repro.distributed.protocol import parse_cluster
@@ -224,32 +200,6 @@ class CountRequest:
             raise DeadlineExceededError(
                 f"request{label} missed its deadline before completion"
             )
-
-    # -- sharding helpers -----------------------------------------------
-    @property
-    def wants_sharding(self) -> bool:
-        """Whether any shard cut mode was requested."""
-        return (
-            self.shard_budget is not None
-            or self.num_shards is not None
-            or self.shard_boundaries is not None
-        )
-
-    @property
-    def shard_spec(self) -> Dict[str, object]:
-        """The request's cut mode as ``ShardedGraph`` keyword arguments.
-
-        Empty when no cut mode was given (callers pick their own
-        default — the registry uses ``shard_budget``'s default, the
-        cluster executor sizes shards to the worker count).
-        """
-        if self.shard_budget is not None:
-            return {"max_shard_edges": self.shard_budget}
-        if self.num_shards is not None:
-            return {"num_shards": self.num_shards}
-        if self.shard_boundaries is not None:
-            return {"boundaries": self.shard_boundaries}
-        return {}
 
     # -- category helpers used by adapters -----------------------------
     @property
@@ -319,11 +269,11 @@ class StreamRequest:
         Edges per checkpoint when replaying with
         ``StreamingMotifEngine.replay``; explicit ``checkpoint()``
         calls are always allowed.
-    parallel_min_edges:
-        Minimum dirty-slice size before ``workers > 1`` counts a
-        slice as one HARE job on the worker pool (``pool``, else the
-        process-wide shared pool; see
-        :mod:`repro.core.stream_kernels`).
+    workers:
+        Degree of parallelism: with ``workers > 1`` a dirty slice of
+        at least :data:`repro.core.stream_kernels.DEFAULT_PARALLEL_MIN_EDGES`
+        edges runs as one HARE job on the worker pool (``pool``, else
+        the process-wide shared pool); smaller slices stay in process.
     """
 
     delta: float
@@ -332,7 +282,6 @@ class StreamRequest:
     categories: str = "all"
     workers: int = 1
     checkpoint_every: int = 10_000
-    parallel_min_edges: int = 200_000
     #: Persistent worker pool for large micro-batches
     #: (:class:`repro.parallel.pool.WorkerPool`); ``None`` uses the
     #: process-wide shared pool when ``workers > 1``.  The caller owns
@@ -355,10 +304,6 @@ class StreamRequest:
         if self.checkpoint_every < 1:
             raise ValidationError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.parallel_min_edges < 0:
-            raise ValidationError(
-                f"parallel_min_edges must be >= 0, got {self.parallel_min_edges}"
             )
 
     # -- category helpers (same contract as CountRequest) ---------------
@@ -583,7 +528,7 @@ def execute(request: CountRequest) -> "MotifCounts":
             from repro.distributed.cluster import cluster_count
 
             result = cluster_count(req, spec)
-        elif req.wants_sharding and spec.is_exact:
+        elif req.shard_budget is not None and spec.is_exact:
             from repro.storage.sharded import sharded_count
 
             result = sharded_count(req, spec)
@@ -639,7 +584,7 @@ def execute(request: CountRequest) -> "MotifCounts":
     result.meta.setdefault("requested_algorithm", req.algorithm)
     if req.source is not None:
         result.meta.setdefault("source", req.source)
-    if req.wants_sharding and not spec.is_exact:
+    if req.shard_budget is not None and not spec.is_exact:
         result.meta.setdefault(
             "sharding",
             "whole-graph (sampling estimators draw one global RNG stream)",

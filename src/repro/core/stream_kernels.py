@@ -59,7 +59,7 @@ RawCounts = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: 2x by 512, 2.7x by 2048, including the slice-graph build).
 AUTO_COLUMNAR_MIN_EDGES = 256
 
-#: Default minimum slice size before ``workers > 1`` runs a slice as
+#: Minimum slice size before ``workers > 1`` runs a slice as
 #: one HARE job on the worker pool (micro-batch execution); below it
 #: publishing the slice and dispatching its batches cost more than
 #: they save.
@@ -89,7 +89,6 @@ def count_slice_raw(
     star_pair: bool = True,
     triangle: bool = True,
     workers: int = 1,
-    parallel_min_edges: int = DEFAULT_PARALLEL_MIN_EDGES,
     pool=None,
 ) -> RawCounts:
     """Raw flat counters of one immutable slice graph.
@@ -99,9 +98,9 @@ def count_slice_raw(
     :data:`AUTO_COLUMNAR_MIN_EDGES` edges (streaming slices are often a
     micro-batch plus a δ tail, too small to amortize the O(k log k)
     columnar build), and — when ``workers > 1`` and the slice has at least
-    ``parallel_min_edges`` edges — the HARE runtime, so a large dirty
-    range is counted as a micro-batch with full intra-node
-    parallelism.  Such a slice runs on
+    :data:`DEFAULT_PARALLEL_MIN_EDGES` edges (read at call time) — the
+    HARE runtime, so a large dirty range is counted as a micro-batch
+    with full intra-node parallelism.  Such a slice runs on
     ``runtime_pool(pool, workers)`` (the caller's pool,
     else the process-wide shared pool) as one pool job covering every
     requested pass; slices below the threshold never touch a pool.
@@ -109,7 +108,7 @@ def count_slice_raw(
     """
     if graph.num_edges == 0 or not (star_pair or triangle):
         return zero_raw()
-    if workers > 1 and graph.num_edges >= parallel_min_edges:
+    if workers > 1 and graph.num_edges >= DEFAULT_PARALLEL_MIN_EDGES:
         from repro.parallel.executor import run_batches, runtime_pool
 
         pool = runtime_pool(pool, workers)

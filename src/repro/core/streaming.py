@@ -162,7 +162,6 @@ class StreamingMotifEngine:
             star_pair=request.wants_star_pair,
             triangle=request.wants_triangle,
             workers=request.workers,
-            parallel_min_edges=request.parallel_min_edges,
             pool=request.pool,
         )
         self._phase["count"] += time.perf_counter() - tick

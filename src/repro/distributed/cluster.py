@@ -48,21 +48,20 @@ import json
 import socket
 import threading
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.distributed import health as _health
 from repro.distributed import protocol
-from repro.distributed.health import HealthMonitor, RetryPolicy
+from repro.distributed.health import HealthMonitor
 from repro.errors import ReproError, WorkerUnavailableError
 from repro.storage.sharded import ShardedGraph, Unit
 
 #: Dispatch attempts allowed per unit before the run is declared failed.
 MAX_ATTEMPTS = 5
 
-#: Shards planned per worker when the request carries no cut mode:
+#: Shards planned per worker when the request carries no ``shard_budget``:
 #: enough units that dynamic self-scheduling can balance uneven shards.
 UNITS_PER_WORKER = 4
 
@@ -146,25 +145,11 @@ class WorkerLink:
 class ClusterExecutor:
     """See the module docstring.  One executor per distributed count."""
 
-    def __init__(
-        self,
-        cluster,
-        *,
-        retry_policy: Optional[RetryPolicy] = None,
-        connect_timeout: Optional[float] = None,
-        job_timeout: Optional[float] = None,
-    ) -> None:
+    def __init__(self, cluster) -> None:
         self.addresses = protocol.parse_cluster(cluster)
         # Resolve the module default at construction time so deployment
         # code (and tests) can swap ``health.DEFAULT_RETRY_POLICY``.
-        policy = retry_policy or _health.DEFAULT_RETRY_POLICY
-        if connect_timeout is not None:
-            policy = replace(policy, connect_timeout=connect_timeout)
-        if job_timeout is not None:
-            policy = replace(policy, op_timeout=job_timeout)
-        self.retry_policy = policy
-        self.connect_timeout = policy.connect_timeout
-        self.job_timeout = policy.op_timeout
+        self.retry_policy = _health.DEFAULT_RETRY_POLICY
         self.health = HealthMonitor(self.addresses)
 
     # -- introspection --------------------------------------------------
@@ -180,8 +165,8 @@ class ClusterExecutor:
             try:
                 with WorkerLink(
                     address,
-                    connect_timeout=self.connect_timeout,
-                    timeout=self.job_timeout,
+                    connect_timeout=self.retry_policy.connect_timeout,
+                    timeout=self.retry_policy.op_timeout,
                 ) as link:
                     tick = time.perf_counter()
                     link.request({"op": "ping"})
@@ -200,14 +185,22 @@ class ClusterExecutor:
         return out
 
     # -- counting -------------------------------------------------------
-    def count(self, request, spec):
-        """Run one *resolved* exact request across the cluster."""
+    def count(self, request, spec, sharded: Optional[ShardedGraph] = None):
+        """Run one *resolved* exact request across the cluster.
+
+        The plan cuts by the request's ``shard_budget``, else into
+        :data:`UNITS_PER_WORKER` shards per worker; ``sharded`` is a
+        prebuilt plan of the same graph (the random-cut tests).
+        """
         graph = request.graph
-        shard_kwargs = request.shard_spec or {
-            "num_shards": max(1, UNITS_PER_WORKER * len(self.addresses))
-        }
         tick = time.perf_counter()
-        sharded = ShardedGraph(graph, **shard_kwargs)
+        if sharded is None:
+            if request.shard_budget is not None:
+                sharded = ShardedGraph(graph, max_shard_edges=request.shard_budget)
+            else:
+                sharded = ShardedGraph(
+                    graph, num_shards=UNITS_PER_WORKER * len(self.addresses)
+                )
         units = sharded.units(request.delta)
         plan_seconds = time.perf_counter() - tick
 
@@ -504,14 +497,6 @@ def cluster_count(request, spec):
     return executor.count(request, spec)
 
 
-def cluster_runtime_stats(
-    cluster,
-    *,
-    connect_timeout: Optional[float] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-) -> Dict[str, Dict]:
+def cluster_runtime_stats(cluster) -> Dict[str, Dict]:
     """Runtime counters of every worker in ``cluster`` (CLI helper)."""
-    executor = ClusterExecutor(
-        cluster, connect_timeout=connect_timeout, retry_policy=retry_policy
-    )
-    return executor.stats()
+    return ClusterExecutor(cluster).stats()

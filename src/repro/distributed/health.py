@@ -120,9 +120,9 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * unit)
 
 
-#: Policy used when a coordinator is built without an explicit one.
-#: Deployment code (and tests) may swap it module-wide; per-run
-#: overrides go through ``ClusterExecutor(retry_policy=...)``.
+#: The retry, connect and per-op timeout policy of every coordinator
+#: (read when a :class:`~repro.distributed.cluster.ClusterExecutor` is
+#: built).  Deployment code (and tests) may swap it module-wide.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 

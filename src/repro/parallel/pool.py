@@ -244,8 +244,29 @@ def _idle_reaper(pool_ref, idle_timeout: float) -> None:
         del pool
 
 
-def _shutdown(procs, task_q, states: Dict[int, _GraphState]) -> None:
-    """Finalizer body: stop workers, then unlink every published segment."""
+def _release_semaphores(locks) -> None:
+    """Unlink the named semaphores behind ``locks`` now.
+
+    Under spawn/forkserver each multiprocessing lock is a named POSIX
+    semaphore whose finalizer unlinks it at garbage collection or normal
+    interpreter exit.  A signal death skips both, and the resource
+    tracker then reports "leaked semaphore objects".  Running those
+    finalizers once the workers are stopped is safe: handles already
+    open keep working, the name just cannot be opened again.  (Fork
+    semaphores are unlinked at creation and have no finalizer.)
+    """
+    from multiprocessing import util
+
+    targets = {id(lock) for lock in locks if lock is not None}
+    for finalizer in list(getattr(util, "_finalizer_registry", {}).values()):
+        ref = getattr(finalizer, "_weakref", None)
+        if ref is not None and id(ref()) in targets:
+            finalizer()
+
+
+def _shutdown(procs, task_q, states: Dict[int, _GraphState], locks) -> None:
+    """Finalizer body: stop workers, then unlink every published
+    segment and the queues' and abort ring's semaphores."""
     for _ in procs:
         try:
             task_q.put(("stop",))
@@ -260,6 +281,7 @@ def _shutdown(procs, task_q, states: Dict[int, _GraphState]) -> None:
     for state in list(states.values()):
         state.release_segments()
     states.clear()
+    _release_semaphores(locks)
 
 
 class WorkerPool:
@@ -357,8 +379,13 @@ class WorkerPool:
         self._suspended = False
         self.idle_timeout = idle_timeout
         self._last_active = time.monotonic()
+        locks = [
+            lock
+            for q in (self._task_q, self._result_q)
+            for lock in (q._rlock, q._wlock, q._sem)
+        ] + [self._aborted.get_lock()]
         self._finalizer = weakref.finalize(
-            self, _shutdown, self._procs, self._task_q, self._states
+            self, _shutdown, self._procs, self._task_q, self._states, locks
         )
         self._start_workers()
         _LIVE_POOLS.add(self)

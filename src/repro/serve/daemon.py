@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 from typing import Dict, Optional, Tuple
 
 from repro.core.counters import MotifCounts
@@ -270,6 +272,9 @@ class ServeDaemon:
         for server in self._servers:
             server.close()
             await server.wait_closed()
+        if self._servers and self.socket_path is not None:
+            # asyncio (3.11) leaves the socket file behind on close.
+            _unlink_socket(self.socket_path)
         self._servers = []
 
     async def serve_forever(self) -> None:
@@ -281,6 +286,34 @@ class ServeDaemon:
             pass
         finally:
             await self.stop()
+
+
+def _unlink_socket(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def _unlink_socket_on_signal(path: str) -> None:
+    """Chain an unlink of ``path`` in front of the SIGTERM/SIGINT handlers.
+
+    The pool handlers re-raise a default-disposition signal, so the
+    process dies without reaching :meth:`ServeDaemon.stop`; like them,
+    the unlink only happens in the installing process (never in a
+    forked worker).
+    """
+    owner = os.getpid()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        previous = signal.getsignal(signum)
+
+        def handler(num, frame, _previous=previous):
+            if os.getpid() == owner:
+                _unlink_socket(path)
+            if callable(_previous):
+                _previous(num, frame)
+
+        signal.signal(signum, handler)
 
 
 def run_daemon(
@@ -295,11 +328,14 @@ def run_daemon(
     Installs the pool signal handlers
     (:func:`repro.parallel.pool.install_signal_handlers`) so SIGTERM /
     Ctrl-C shuts the workers down and unlinks every shm segment before
-    the process dies, then runs the event loop until interrupted.
+    the process dies — and, in front of them, removes the unix socket
+    file — then runs the event loop until interrupted.
     """
     from repro.parallel.pool import install_signal_handlers
 
     install_signal_handlers()
+    if socket_path is not None:
+        _unlink_socket_on_signal(socket_path)
     daemon = ServeDaemon(
         service,
         socket_path=socket_path,

@@ -430,15 +430,18 @@ class MotifService:
 
         When fallback is enabled and the graph's data is held locally —
         its packed ``.rgz`` on disk, or the in-memory catalog graph —
-        the request is answered by local sharded counting (same exact
-        counts: the repo-wide invariant).  Otherwise the typed
+        the request is answered by local sharded counting over
+        ``max(2, workers)`` near-equal shards (same exact counts: the
+        repo-wide invariant).  Otherwise the typed
         :class:`~repro.errors.ClusterDegradedError` tells clients how
         long until the breaker half-opens.
         """
         import os
 
-        from repro.core.api import count_motifs
+        from repro.core.registry import CountRequest, get_algorithm
         from repro.errors import ClusterDegradedError
+        from repro.storage import ShardedGraph, open_packed
+        from repro.storage.sharded import sharded_count
 
         fields = pending.fields
         name = pending.lease.name
@@ -449,15 +452,25 @@ class MotifService:
         if can_fall_back:
             with self._lock:
                 self.stats["cluster_fallbacks"] += 1
-            counts = count_motifs(
-                pending.lease.graph if source_path is None else source_path,
-                float(fields["delta"]),
+            tick = time.perf_counter()
+            graph = (
+                pending.lease.graph if source_path is None
+                else open_packed(source_path).graph
+            )
+            spec = get_algorithm(fields["algorithm"])
+            request = CountRequest(
+                graph=graph,
+                delta=float(fields["delta"]),
                 algorithm=fields["algorithm"],
                 categories=fields["categories"],
-                num_shards=max(2, self.config.workers),
                 deadline=deadline,
-                **fields["params"],
+                params=dict(fields["params"]),
+            ).resolve(spec)
+            counts = sharded_count(
+                request, spec,
+                ShardedGraph(graph, num_shards=max(2, self.config.workers)),
             )
+            counts.elapsed_seconds = time.perf_counter() - tick
             counts.meta.setdefault("cluster", {}).update(
                 {"breaker_state": state, "degraded": True}
             )

@@ -39,7 +39,9 @@ ones) and records the passthrough in ``meta["sharding"]``.
 :meth:`ShardedGraph.reduce` the one reduction; :func:`sharded_count`
 runs the units in process and
 :class:`~repro.distributed.cluster.ClusterExecutor` farms them to
-worker daemons.
+worker daemons.  Where a plan cuts never changes a count, so a
+request sets only ``shard_budget`` (it bounds memory); every other cut
+is chosen by the code that builds the :class:`ShardedGraph`.
 """
 
 from __future__ import annotations
@@ -120,14 +122,16 @@ class ShardedGraph:
     ``source`` is a :class:`TemporalGraph` or an open
     :class:`~repro.storage.format.PackedGraph` (the out-of-core case:
     slices then view disjoint ranges of the mmap, so peak RSS tracks
-    the shard budget, not the file size).  Exactly one sharding spec
-    may be given:
+    the shard budget, not the file size).  At most one cut mode may be
+    given:
 
     ``max_shard_edges``
         Budget of *own* edges per shard (default
         :data:`DEFAULT_SHARD_EDGES`); cut points every that many edges.
+        A request's ``shard_budget`` sets it.
     ``num_shards``
-        Split the edge sequence into that many near-equal shards.
+        Split the edge sequence into that many near-equal shards — the
+        cluster's default plan and the serving layer's local fallback.
     ``boundaries``
         Explicit interior canonical-edge-id cut points, strictly
         increasing inside ``(0, num_edges)`` — what the equivalence
@@ -254,21 +258,23 @@ class ShardedGraph:
         )
 
 
-def sharded_count(request, spec):
+def sharded_count(request, spec, sharded: Optional[ShardedGraph] = None):
     """Run a *resolved* exact :class:`CountRequest` via the halo union.
 
-    The registry's sharding routing target: builds the
-    :class:`ShardedGraph` from whichever cut mode the request carries
-    (``shard_budget`` / ``num_shards`` / ``shard_boundaries``), runs
-    one registry execution per unit and reduces them with
-    :meth:`ShardedGraph.reduce`.  Unit requests inherit every execution
-    knob except ``pool`` (a persistent pool would accumulate one
-    shared-memory publication per transient slice) and the sampling
-    fields (meaningless for exact algorithms once resolved).
+    The registry's sharding routing target: plans the request's graph
+    by its ``shard_budget`` — or counts over ``sharded``, a prebuilt
+    plan of the same graph (the serving layer's fallback and the
+    random-cut tests) — runs one registry execution per unit and
+    reduces them with :meth:`ShardedGraph.reduce`.  Unit requests
+    inherit every execution knob except ``pool`` (a persistent pool
+    would accumulate one shared-memory publication per transient
+    slice) and the sampling fields (meaningless for exact algorithms
+    once resolved).
     """
     from repro.core.registry import execute
 
-    sharded = ShardedGraph(request.graph, **request.shard_spec)
+    if sharded is None:
+        sharded = ShardedGraph(request.graph, max_shard_edges=request.shard_budget)
     units = sharded.units(request.delta)
     phases = {"pack_slices": 0.0}
     grids = []
@@ -283,8 +289,6 @@ def sharded_count(request, spec):
                 graph=piece,
                 source=None,
                 shard_budget=None,
-                num_shards=None,
-                shard_boundaries=None,
                 cluster=None,
                 seed=None,
                 n_samples=None,

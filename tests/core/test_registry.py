@@ -146,13 +146,15 @@ class TestCompatShim:
     def test_old_keywords(self, paper_graph):
         """Old keywords still work, except the execution knobs that left
         the request (``thrd``/``schedule`` live on ``hare_count``, the
-        start method on the pool)."""
+        start method on the pool, and ``shard_budget`` is the one cut
+        knob)."""
         counts = count_motifs(
             paper_graph, 10, algorithm="ex", categories="all", workers=1,
         )
         assert counts.total() == 27
         for name, value in (("thrd", None), ("schedule", "dynamic"),
-                            ("start_method", "fork")):
+                            ("start_method", "fork"), ("num_shards", 4),
+                            ("shard_boundaries", (5,))):
             with pytest.raises(ValidationError, match=name):
                 count_motifs(paper_graph, 10, algorithm="ex", **{name: value})
 

@@ -173,12 +173,12 @@ class TestEngineBasics:
         batch = count_motifs(TemporalGraph(engine.live_edges()), 2.0)
         assert (cp.counts.grid == batch.grid).all()
 
-    def test_workers_microbatch_matches_serial(self):
+    def test_workers_microbatch_matches_serial(self, monkeypatch):
+        # Every dirty slice takes the pool route.
+        monkeypatch.setattr(stream_kernels, "DEFAULT_PARALLEL_MIN_EDGES", 1)
         edges = [((i * 3) % 11, (i * 7 + 1) % 11, i % 40) for i in range(300)]
         serial = open_stream(StreamRequest(delta=8.0, window=25.0))
-        forked = open_stream(
-            StreamRequest(delta=8.0, window=25.0, workers=2, parallel_min_edges=1)
-        )
+        forked = open_stream(StreamRequest(delta=8.0, window=25.0, workers=2))
         for engine in (serial, forked):
             engine.ingest(edges)
         assert (serial.checkpoint().counts.grid == forked.checkpoint().counts.grid).all()
@@ -232,6 +232,12 @@ class TestStreamRequestValidation:
         """Kernel choice is internal: the request has no backend knob."""
         with pytest.raises(TypeError):
             StreamRequest(delta=1.0, backend="columnar")
+
+    def test_no_parallel_threshold_knob(self):
+        """The pool-route slice threshold is a module constant
+        (``stream_kernels.DEFAULT_PARALLEL_MIN_EDGES``), not a field."""
+        with pytest.raises(TypeError):
+            StreamRequest(delta=1.0, workers=2, parallel_min_edges=1)
 
     def test_bad_categories(self):
         with pytest.raises(ValidationError):

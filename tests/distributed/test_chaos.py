@@ -93,7 +93,7 @@ def test_chaos_cluster_counts_stay_bit_identical(packed, fast_policy):
                         seed=7) as delay_proxy:
             cluster = ",".join([reset_proxy.address, delay_proxy.address, addrs[2]])
             counts = count_motifs(path, 50.0, algorithm="fast",
-                                  cluster=cluster, num_shards=6)
+                                  cluster=cluster, shard_budget=100)
         assert np.array_equal(counts.grid, serial.grid), (
             "chaos-proxied cluster counts diverged from serial"
         )
@@ -143,7 +143,7 @@ def test_blackholed_worker_times_out_and_unit_is_redispatched(packed, fast_polic
                         seed=3) as proxy:
             cluster = ",".join([proxy.address, carrier_addr])
             counts = count_motifs(path, 50.0, algorithm="fast",
-                                  cluster=cluster, num_shards=4)
+                                  cluster=cluster, shard_budget=150)
         assert np.array_equal(counts.grid, serial.grid)
         meta = counts.meta["cluster"]
         assert meta["worker_failures"] >= 1
@@ -170,6 +170,6 @@ def test_all_workers_dead_fails_typed_with_budget_message(packed, monkeypatch):
 
     with pytest.raises(WorkerUnavailableError) as info:
         count_motifs(path, 50.0, algorithm="fast",
-                     cluster=",".join(dead), num_shards=2)
+                     cluster=",".join(dead), shard_budget=300)
     message = str(info.value)
     assert "retry budget" in message or "exhausted" in message

@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 from repro.core.api import count_motifs
+from repro.core.registry import CountRequest, get_algorithm
 from repro.distributed import ClusterExecutor, WorkerDaemon
 from repro.errors import ValidationError, WorkerUnavailableError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.serve.protocol import canonical_counts_bytes
-from repro.storage import pack_graph
+from repro.storage import ShardedGraph, open_packed, pack_graph
+from repro.storage.sharded import sharded_count
 
 from tests.conftest import python_fast_counts, random_edges
 
@@ -51,6 +53,25 @@ def random_boundaries(rng: random.Random, num_edges: int, k: int) -> tuple:
     return tuple(sorted(rng.sample(range(1, num_edges), k)))
 
 
+def count_over_cuts(source, delta, algorithm, boundaries, cluster=None):
+    """The halo union over explicit cut points, serially or on ``cluster``.
+
+    Cut points are no request field: the plan goes straight to the
+    executor.  A packed ``source`` path travels with the request, so
+    workers holding the file count by reference.
+    """
+    path = source if isinstance(source, str) else None
+    graph = source if path is None else open_packed(path).graph
+    spec = get_algorithm(algorithm)
+    request = CountRequest(
+        graph=graph, source=path, delta=delta, algorithm=algorithm
+    ).resolve(spec)
+    sharded = ShardedGraph(graph, boundaries=boundaries)
+    if cluster is None:
+        return sharded_count(request, spec, sharded)
+    return ClusterExecutor(cluster).count(request, spec, sharded)
+
+
 @pytest.mark.parametrize("algorithm", EXACT_ALGORITHMS)
 def test_all_exact_algorithms_bit_identical_over_random_cuts(
     cluster, packed, algorithm
@@ -59,13 +80,8 @@ def test_all_exact_algorithms_bit_identical_over_random_cuts(
     rng = random.Random(hash(algorithm) & 0xFFFF)
     for trial in range(2):
         boundaries = random_boundaries(rng, graph.num_edges, rng.randint(1, 6))
-        serial = count_motifs(
-            graph, 40.0, algorithm=algorithm, shard_boundaries=boundaries
-        )
-        dist = count_motifs(
-            path, 40.0, algorithm=algorithm,
-            cluster=cluster, shard_boundaries=boundaries,
-        )
+        serial = count_over_cuts(graph, 40.0, algorithm, boundaries)
+        dist = count_over_cuts(path, 40.0, algorithm, boundaries, cluster)
         assert np.array_equal(serial.grid, dist.grid), (
             f"{algorithm} diverged at boundaries {boundaries}"
         )
@@ -82,14 +98,14 @@ def test_backends_identical_through_the_cluster(cluster, packed, reference):
         whole = python_fast_counts(graph, 60.0)
     else:
         whole = count_motifs(graph, 60.0, algorithm="fast")
-    dist = count_motifs(path, 60.0, algorithm="fast", cluster=cluster, num_shards=5)
+    dist = count_motifs(path, 60.0, algorithm="fast", cluster=cluster, shard_budget=100)
     assert np.array_equal(whole.grid, dist.grid)
 
 
 def test_in_memory_graph_ships_edges(cluster):
     graph = make_graph(seed=23, num_edges=400)
     serial = count_motifs(graph, 30.0, algorithm="fast")
-    dist = count_motifs(graph, 30.0, algorithm="fast", cluster=cluster, num_shards=4)
+    dist = count_motifs(graph, 30.0, algorithm="fast", cluster=cluster, shard_budget=100)
     assert np.array_equal(serial.grid, dist.grid)
     meta = dist.meta["cluster"]
     assert meta["local_workers"] == []  # nothing on disk to hold
@@ -108,7 +124,7 @@ def test_default_plan_is_four_shards_per_worker(cluster, packed):
 def test_exactly_once_accounting_sums_each_unit_once(cluster, packed):
     """One recorded result per unit, retries visible, counts exact."""
     graph, path = packed
-    dist = count_motifs(path, 40.0, algorithm="fast", cluster=cluster, num_shards=6)
+    dist = count_motifs(path, 40.0, algorithm="fast", cluster=cluster, shard_budget=84)
     meta = dist.meta["cluster"]
     jobs = sum(meta["jobs"].values())
     units = dist.meta["slice_runs"]
@@ -127,10 +143,8 @@ def test_serial_and_cluster_report_the_same_shard_meta(cluster, packed):
     """Both executors share one plan and one reducer: same six meta keys."""
     graph, path = packed
     boundaries = (60, 170, 333, 410)
-    serial = count_motifs(graph, 40.0, algorithm="fast", shard_boundaries=boundaries)
-    dist = count_motifs(
-        path, 40.0, algorithm="fast", cluster=cluster, shard_boundaries=boundaries
-    )
+    serial = count_over_cuts(graph, 40.0, "fast", boundaries)
+    dist = count_over_cuts(path, 40.0, "fast", boundaries, cluster)
     keys = ("sharding", "shards", "slice_runs", "halo_edges",
             "max_slice_edges", "shard_budget")
     assert {k: serial.meta[k] for k in keys} == {k: dist.meta[k] for k in keys}
@@ -151,14 +165,17 @@ def test_unreachable_cluster_raises_worker_unavailable(packed):
     graph, path = packed
     with pytest.raises(WorkerUnavailableError):
         count_motifs(path, 20.0, algorithm="fast",
-                     cluster="127.0.0.1:1", num_shards=2)
+                     cluster="127.0.0.1:1", shard_budget=250)
 
 
 def test_cluster_rejects_sharding_conflicts(cluster, packed):
+    """``shard_budget`` is the one cut knob: other cut modes are refused
+    as unknown parameters, before any worker is contacted."""
     _, path = packed
-    with pytest.raises(ValidationError):
-        count_motifs(path, 20.0, algorithm="fast", cluster=cluster,
-                     num_shards=3, shard_budget=100)
+    for knob, value in (("num_shards", 3), ("shard_boundaries", (100,))):
+        with pytest.raises(ValidationError, match=knob):
+            count_motifs(path, 20.0, algorithm="fast", cluster=cluster,
+                         shard_budget=100, **{knob: value})
 
 
 def test_executor_stats_reports_each_worker(cluster):

@@ -82,7 +82,7 @@ def test_sigkill_mid_shard_redispatches_and_counts_stay_exact(packed):
         try:
             result.append(count_motifs(
                 path, 50.0, algorithm="fast",
-                cluster=f"{addr_victim},{addr_survivor}", num_shards=3,
+                cluster=f"{addr_victim},{addr_survivor}", shard_budget=200,
             ))
         except BaseException as exc:  # pragma: no cover - failure reporting
             error.append(exc)
@@ -125,7 +125,7 @@ def test_killing_the_only_worker_fails_loudly(packed):
         def run() -> None:
             try:
                 count_motifs(path, 50.0, algorithm="fast",
-                             cluster=addr, num_shards=2)
+                             cluster=addr, shard_budget=300)
             except BaseException as exc:
                 error.append(exc)
 
@@ -151,7 +151,7 @@ def test_coordinator_closes_its_sockets(packed):
         gc.collect()
         fds_before = len(os.listdir("/proc/self/fd"))
         counts = count_motifs(path, 50.0, algorithm="fast",
-                              cluster=addr, num_shards=3)
+                              cluster=addr, shard_budget=200)
         assert np.array_equal(counts.grid,
                               count_motifs(graph, 50.0, algorithm="fast").grid)
         gc.collect()

@@ -86,6 +86,19 @@ def test_policy_validates_knobs(kwargs):
         RetryPolicy(**kwargs)
 
 
+def test_executor_reads_the_module_policy_and_takes_no_overrides(monkeypatch):
+    """Timeouts and retries come from ``health.DEFAULT_RETRY_POLICY``
+    alone: the executor has no per-run override arguments."""
+    from repro.distributed import ClusterExecutor, health
+
+    address = dead_address()
+    with pytest.raises(TypeError):
+        ClusterExecutor(address, job_timeout=1)
+    policy = RetryPolicy(connect_timeout=0.25, op_timeout=2.0)
+    monkeypatch.setattr(health, "DEFAULT_RETRY_POLICY", policy)
+    assert ClusterExecutor(address).retry_policy is policy
+
+
 def test_negative_attempt_rejected():
     with pytest.raises(ValidationError):
         RetryPolicy().delay(-1)

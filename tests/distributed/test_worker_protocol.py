@@ -12,6 +12,7 @@ from repro.distributed import WorkerDaemon, parse_cluster
 from repro.distributed import protocol
 from repro.errors import StorageFormatError, ValidationError
 from repro.graph.temporal_graph import TemporalGraph
+from repro.storage import ShardedGraph
 
 from tests.conftest import random_edges
 
@@ -207,29 +208,24 @@ def test_hello_reports_identity(daemon):
 
 
 # ---------------------------------------------------------------------------
-# CountRequest field validation (the API surface of the new cut modes)
+# CountRequest field validation (shard_budget is the one cut knob)
 # ---------------------------------------------------------------------------
 
 def test_request_rejects_multiple_cut_modes():
-    with pytest.raises(ValidationError):
+    """Only ``shard_budget`` cuts; the other cut modes are no fields."""
+    with pytest.raises(TypeError):
         CountRequest(graph=make_graph(), delta=5.0, shard_budget=100, num_shards=4)
-    with pytest.raises(ValidationError):
-        CountRequest(graph=make_graph(), delta=5.0, num_shards=4,
-                     shard_boundaries=(10, 20))
+    with pytest.raises(TypeError):
+        CountRequest(graph=make_graph(), delta=5.0, shard_boundaries=(10, 20))
 
 
 def test_request_normalizes_boundaries_and_cluster():
-    request = CountRequest(
-        graph=make_graph(), delta=5.0,
-        shard_boundaries=[10.0, 20],
-    )
-    assert request.shard_boundaries == (10, 20)
-    assert request.shard_spec == {"boundaries": (10, 20)}
+    """Cut points live on the plan, which normalizes them to edge ids."""
+    plan = ShardedGraph(make_graph(), boundaries=[10.0, 20]).plan(5.0)
+    assert [(s.own_lo, s.own_hi) for s in plan] == [(0, 10), (10, 20), (20, 300)]
+    with pytest.raises(ValidationError):
+        CountRequest(graph=make_graph(), delta=5.0, shard_budget=0)
     request = CountRequest(graph=make_graph(), delta=5.0, cluster=" a:1 ,b:2")
     assert request.cluster == "a:1,b:2"
-    with pytest.raises(ValidationError):
-        CountRequest(graph=make_graph(), delta=5.0, num_shards=0)
-    with pytest.raises(ValidationError):
-        CountRequest(graph=make_graph(), delta=5.0, shard_boundaries=())
     with pytest.raises(ValidationError):
         CountRequest(graph=make_graph(), delta=5.0, cluster="nonsense")

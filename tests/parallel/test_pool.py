@@ -484,12 +484,14 @@ class TestRouting:
 
 
 class TestStreamingIntegration:
-    def test_parallel_slice_runs_as_one_shared_pool_job(self):
+    def test_parallel_slice_runs_as_one_shared_pool_job(self, monkeypatch):
         """A ``workers=2`` engine counts each parallel dirty slice as
         exactly one job on ``shared_pool(2)``, and its checkpoints equal
         a serial engine's."""
+        from repro.core import stream_kernels
         from repro.core.registry import StreamRequest, open_stream
 
+        monkeypatch.setattr(stream_kernels, "DEFAULT_PARALLEL_MIN_EDGES", 100)
         g = powerlaw_temporal_graph(60, 900, seed=3)
         edges = list(g.internal_edges())
         settings = dict(delta=2000.0, window=float(g.time_span) / 2)
@@ -497,7 +499,7 @@ class TestStreamingIntegration:
         close_shared_pools()
         try:
             pool = shared_pool(2)
-            request = StreamRequest(workers=2, parallel_min_edges=100, **settings)
+            request = StreamRequest(workers=2, **settings)
             with open_stream(request) as engine:
                 sizes = []
                 slice_graph = engine.store.slice_graph

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import signal
 import socket
+import subprocess
+import sys
+import tempfile
 import threading
 import time
 import urllib.error
@@ -20,6 +26,7 @@ from repro.errors import (
     UnknownGraphError,
     ValidationError,
 )
+from repro.graph.edgelist import save_edgelist
 from repro.serve import MotifService, ServeClient, ServeDaemon, ServiceConfig
 from repro.serve.protocol import PROTOCOL_VERSION, canonical_counts_bytes, decode_counts
 
@@ -306,3 +313,70 @@ def test_daemon_requires_at_least_one_transport(graph):
             ServeDaemon(service)
     finally:
         service.close()
+
+
+# ---------------------------------------------------------------------------
+# `repro serve` process: SIGTERM cleanup
+# ---------------------------------------------------------------------------
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def _start_serve(graph_path, socket_path, method):
+    """Start ``repro serve`` and return it once it answers ``ping``."""
+    env = dict(os.environ, REPRO_START_METHOD=method,
+               PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--graph", f"demo={graph_path}",
+         "--socket", socket_path, "--workers", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    deadline = time.monotonic() + 60
+    while True:
+        try:
+            with ServeClient(socket_path, timeout=10) as client:
+                client.ping()
+            return proc
+        except ReproError:
+            if proc.poll() is not None or time.monotonic() > deadline:
+                proc.kill()
+                raise AssertionError(f"daemon never answered ping: {proc.communicate()[1]}")
+            time.sleep(0.1)
+
+
+def _sigterm(proc) -> str:
+    """SIGTERM ``proc``; return its stderr once every holder of the pipe
+    (the resource tracker included) has exited."""
+    proc.send_signal(signal.SIGTERM)
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGTERM
+    return stderr
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_sigterm_removes_the_socket_and_releases_semaphores(graph, method):
+    """A SIGTERMed daemon leaves no socket file and no semaphore behind,
+    and a daemon restarted on the same path answers."""
+    tmpdir = tempfile.mkdtemp(prefix="reproserve", dir="/tmp")
+    graph_path = os.path.join(tmpdir, "g.txt")
+    socket_path = os.path.join(tmpdir, "serve.sock")
+    save_edgelist(graph, graph_path)
+    procs = []
+    try:
+        procs.append(_start_serve(graph_path, socket_path, method))
+        with ServeClient(socket_path) as client:
+            served = client.count("demo", 25.0)
+        assert served.same_counts(count_motifs(graph, 25.0))
+        stderr = _sigterm(procs[-1])
+        assert not os.path.exists(socket_path), "socket file left behind"
+        assert "leaked semaphore" not in stderr, stderr
+
+        procs.append(_start_serve(graph_path, socket_path, method))
+        _sigterm(procs[-1])
+        assert not os.path.exists(socket_path)
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+        shutil.rmtree(tmpdir, ignore_errors=True)

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.api import count_motifs
-from repro.core.registry import CountRequest, execute
+from repro.core.registry import CountRequest, execute, get_algorithm
 from repro.errors import ValidationError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.executor import START_METHOD_ENV
 from repro.storage import ShardedGraph, Unit, open_packed, pack_graph
+from repro.storage.sharded import sharded_count
 from tests.conftest import python_fast_counts, random_graph
 from tests.core.test_properties import deltas, temporal_graphs
 
@@ -26,41 +27,50 @@ EXACT = ("fast", "ex", "bruteforce", "bt", "twoscent")
 SAMPLING = ("bts", "ews")
 
 
-def _draw_cuts(data, m):
-    """A random cut mode for a graph with ``m`` edges, as ``count_motifs``
-    keywords: interior cut points, or one shard when there are none."""
-    if m < 2:
-        return {"num_shards": 1}
-    k = data.draw(st.integers(min_value=0, max_value=min(4, m - 1)))
-    cuts = sorted(
-        data.draw(
-            st.sets(st.integers(1, m - 1), min_size=k, max_size=k)
-        )
-    )
-    return {"shard_boundaries": cuts} if cuts else {"num_shards": 1}
+def _draw_cuts(data, graph):
+    """A plan of ``graph`` over random interior cut points (one shard
+    when none are drawn).  Cut points are no request field, so the plan
+    goes to :func:`sharded_count` directly."""
+    m = graph.num_edges
+    k = data.draw(st.integers(min_value=0, max_value=min(4, m - 1))) if m > 1 else 0
+    cuts = data.draw(st.sets(st.integers(1, m - 1), min_size=k, max_size=k)) if k else ()
+    return ShardedGraph(graph, boundaries=sorted(cuts))
+
+
+def _halo_union(sharded, delta, algorithm):
+    spec = get_algorithm(algorithm)
+    request = CountRequest(
+        graph=sharded.graph, delta=delta, algorithm=algorithm
+    ).resolve(spec)
+    return sharded_count(request, spec, sharded)
 
 
 class TestHaloUnionEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(graph=temporal_graphs(max_edges=22), delta=deltas, data=st.data())
     def test_random_boundaries_all_exact_algorithms(self, graph, delta, data):
-        cuts = _draw_cuts(data, graph.num_edges)
+        sharded = _draw_cuts(data, graph)
         for algorithm in EXACT:
             whole = count_motifs(graph, delta, algorithm=algorithm)
-            pieces = count_motifs(graph, delta, algorithm=algorithm, **cuts)
-            assert np.array_equal(whole.grid, pieces.grid), (algorithm, cuts)
+            pieces = _halo_union(sharded, delta, algorithm)
+            assert np.array_equal(whole.grid, pieces.grid), (
+                algorithm, sharded.plan(delta),
+            )
             assert pieces.is_exact
 
     @settings(max_examples=12, deadline=None)
-    @given(graph=temporal_graphs(max_edges=22), delta=deltas, data=st.data())
-    def test_random_boundaries_fixed_seed_sampling(self, graph, delta, data):
-        cuts = _draw_cuts(data, graph.num_edges)
+    @given(graph=temporal_graphs(max_edges=22), delta=deltas,
+           budget=st.integers(min_value=1, max_value=22))
+    def test_random_boundaries_fixed_seed_sampling(self, graph, delta, budget):
+        """Sampling estimators ignore any cut (one global RNG stream):
+        a random budget changes nothing."""
         for algorithm in SAMPLING:
             whole = count_motifs(
                 graph, delta, algorithm=algorithm, seed=11, n_samples=2
             )
             pieces = count_motifs(
-                graph, delta, algorithm=algorithm, seed=11, n_samples=2, **cuts
+                graph, delta, algorithm=algorithm, seed=11, n_samples=2,
+                shard_budget=budget,
             )
             assert np.array_equal(whole.grid, pieces.grid), algorithm
             assert "sharding" in pieces.meta
@@ -146,7 +156,7 @@ class TestPlanning:
     def test_empty_and_tiny_graphs(self):
         assert count_motifs(TemporalGraph([]), 3, shard_budget=5).total() == 0
         tiny = TemporalGraph([(0, 1, 0), (1, 2, 1)])
-        assert count_motifs(tiny, 3, num_shards=5).total() == 0
+        assert count_motifs(tiny, 3, shard_budget=1).total() == 0
 
 
 class TestUnitsAndReducer:

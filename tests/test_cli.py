@@ -65,13 +65,16 @@ class TestCount:
         ["count", "--delta", "10", "--thrd", "3"],
         ["count", "--delta", "10", "--schedule", "static"],
         ["count", "--delta", "10", "--start-method", "fork"],
+        ["count", "--delta", "10", "--num-shards", "4"],
+        ["count", "--delta", "10", "--boundaries", "5"],
         ["stream", "--delta", "10", "--start-method", "fork"],
         ["serve", "--start-method", "fork"],
         ["worker", "--start-method", "fork"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_execution_knob_flags_are_refused(self, edge_file, argv):
-        """HARE's threshold/schedule and the pool start method are no
-        CLI flags: the pool takes ``REPRO_START_METHOD``."""
+        """HARE's threshold/schedule, the pool start method and the
+        cut modes beside ``--shard-budget`` are no CLI flags: the pool
+        takes ``REPRO_START_METHOD``."""
         if argv[0] in ("count", "stream"):
             argv = argv[:1] + ["--input", edge_file] + argv[1:]
         with pytest.raises(SystemExit) as exc:
