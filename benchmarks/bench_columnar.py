@@ -23,6 +23,9 @@ Modes
     catches kernel regressions without depending on absolute CI box
     speed.
 
+Both sides count serially; every result still records the core count
+of the machine it ran on (``cores``, from ``os.cpu_count()``).
+
 Run from the repository root with ``PYTHONPATH=src``.
 """
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import time
@@ -63,6 +67,7 @@ def bench_one(num_edges: int, num_nodes: int, delta: float) -> Dict[str, object]
         "edges": graph.num_edges,
         "nodes": graph.num_nodes,
         "delta": delta,
+        "cores": os.cpu_count(),
     }
 
     tick = time.perf_counter()

@@ -17,8 +17,11 @@ How the Python loops vectorize
 the timestamp column, and "entries of center *u*'s CSR row below that
 id" is one probe of the row-composite key
 (:attr:`~repro.graph.columnar.ColumnarGraph.inc_row_key`).  Every
-δ-window bound used below is precomputed this way for *all* incidence
-positions at once — six vectorized ``searchsorted`` passes total,
+δ-window bound used below is precomputed this way for *all* edges and
+incidence positions at once — six vectorized ``searchsorted`` passes
+total (two per-edge probes of the timestamp column, two row-composite
+and two group-composite probes), each issued in sorted query order so
+the binary searches walk their keys front to back.  The tables are
 memoized per δ on the columnar store, so every batch at one δ (in a
 serial count or on one pool worker) pays the setup once.  The memo
 holds one δ at a time: building a table for a new δ evicts every
@@ -35,10 +38,14 @@ differences in the group-sorted ordering
 Summing those differences over the anchor pair's second element — a
 contiguous slot range — telescopes into differences of *prefix sums of
 prefix sums*, so the kernel never materialises edge pairs at all: it
-builds ~16 direction-split prefix arrays over the 2m incidence entries
-(also memoized per δ) and then evaluates every counter cell with O(1)
-arithmetic per anchor edge.  Total work is O(m log m), *below* the
-paper's O(d^δ · m) bound for FAST-Star.
+builds five direction-split prefix pairs (ten arrays) over the 2m
+group slots (also memoized per δ; a slot range's per-direction size is
+a ``grp_cum_in`` difference and needs no table) and then evaluates
+every counter cell with O(1) arithmetic per anchor edge.  Anchors are
+visited in ascending slot order, one anchor direction at a time, so
+every table gather ascends and each cell is one plain int64 sum per
+block.  Total work is O(m log m), *below* the paper's O(d^δ · m) bound
+for FAST-Star.
 
 **FAST-Tri classifies by edge id.**  The canonical tie-break rule
 makes "``e_k`` before ``e_i``" ⟺ ``eid_k < eid_i`` and "after ``e_j``"
@@ -61,9 +68,10 @@ whichever candidate set is smaller — both sizes are O(1) lookups:
   closed (or dropped) by a binary search over ``pair_keys``;
 * the *triangle path*: one row per static triangle ``{u, v, w}``
   through its pair (the per-triangle view of Paranjape et al.), whose
-  wedge partners are the ``E(u, w)`` entries with edge id in
-  ``(eid_p, hi_eid[p])`` — two rank probes — and whose closing pair
-  ``{v, w}`` comes from the table, with no pair search.
+  wedge partners are the ``E(u, w)`` entries with edge id inside
+  ``p``'s forward δ-window (:func:`edge_window_ends`) — two rank
+  probes — and whose closing pair ``{v, w}`` comes from the table,
+  with no pair search.
 
 Both paths feed one classifier and own a wedge by its first edge at
 its center, so either choice gives the same per-task counts.  The
@@ -135,6 +143,30 @@ def _task_positions(
     hi = np.where(hi < 0, limit, np.minimum(hi, limit))
     task, offsets = _ragged(np.maximum(hi - lo, 0))
     return row_lo[task] + lo[task] + offsets
+
+
+def _anchor_slots(
+    col: ColumnarGraph, tasks: Optional[Iterable[Task]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The star kernel's anchors as ascending group slots, split by direction.
+
+    Returns ``(out_slots, in_slots)``: the slots (see
+    :attr:`~repro.graph.columnar.ColumnarGraph.grp_inv`) of the
+    positions :func:`_task_positions` selects, one array per anchor
+    direction.  The complete cover (``tasks=None``) is every slot
+    whose position is not the last of its row, read off without a sort.
+    """
+    if tasks is None:
+        indptr = col.inc_indptr
+        eligible = np.ones(2 * col.num_edges, dtype=bool)
+        eligible[indptr[1:][np.diff(indptr) > 0] - 1] = False
+        eligible = eligible[col.grp_order]
+        is_in = np.diff(col.grp_cum_in) == 1
+        return np.flatnonzero(eligible & ~is_in), np.flatnonzero(eligible & is_in)
+    anchors = _task_positions(col, tasks)
+    slots = col.grp_inv[anchors]
+    is_in = col.inc_dir[anchors] == 1
+    return np.sort(slots[~is_in]), np.sort(slots[is_in])
 
 
 def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -209,28 +241,25 @@ def _delta_memo(kind: str):
 @_delta_memo("bounds")
 def _window_bounds(
     col: ColumnarGraph, delta: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-position δ-window bounds, all four flavours, fully vectorized.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-position δ-window bounds inside each position's own CSR row.
 
-    Returns ``(lo_eid, hi_eid, ws, we)`` where for every incidence
-    position ``p``:
-
-    * ``lo_eid[p]`` / ``hi_eid[p]`` — global edge-id ranks of the
-      window ``[t_p - δ, t_p + δ]`` (first id with ``t >= t_p - δ``,
-      first id with ``t > t_p + δ``);
-    * ``ws[p]`` / ``we[p]`` — the same bounds as absolute positions
-      inside ``p``'s own CSR row (row-composite probes).
+    Returns ``(ws, we)``: for every incidence position ``p`` of edge
+    ``e``, the absolute positions in ``p``'s row of the first entry with
+    edge id ``>= _edge_window_starts(col, δ)[e]`` (``t >= t_p - δ``) and
+    of the first with id ``>= edge_window_ends(col, δ)[e]``
+    (``t > t_p + δ``).  The edge-id bounds come from the per-edge memos,
+    whose probes run in sorted order; within a row they ascend with
+    ``p``, so both row-composite probes are in sorted order too.
 
     Memoized per δ on ``col.delta_cache`` (see :func:`_delta_memo`).
     """
-    t = col.t
-    time_col = col.inc_time
-    lo_eid = np.searchsorted(t, time_col - delta, side="left")
-    hi_eid = np.searchsorted(t, time_col + delta, side="right")
+    lo_eid = _edge_window_starts(col, delta)[col.inc_eid]
+    hi_eid = edge_window_ends(col, delta)[col.inc_eid]
     row_base = col.inc_row * np.int64(col.num_edges + 1)
     ws = np.searchsorted(col.inc_row_key, row_base + lo_eid)
     we = np.searchsorted(col.inc_row_key, row_base + hi_eid)
-    return lo_eid, hi_eid, ws, we
+    return ws, we
 
 
 class TriangleTable(NamedTuple):
@@ -343,63 +372,73 @@ def triangle_table(col: ColumnarGraph) -> TriangleTable:
     return table
 
 
-def _dir_prefixes(values: np.ndarray, is_in: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Direction-split exclusive prefix sums of a per-slot array."""
-    zero = np.int64(0)
-    out = np.concatenate(([zero], np.cumsum(np.where(is_in, 0, values))))
-    into = np.concatenate(([zero], np.cumsum(np.where(is_in, values, 0))))
-    return out, into
+def _dir_prefixes(values: np.ndarray, is_in: np.ndarray) -> np.ndarray:
+    """Direction-split exclusive prefix sums of a per-slot array.
+
+    Row ``d`` of the ``(2, L + 1)`` result sums the slots of direction
+    ``d`` (OUT = 0, IN = 1).
+    """
+    prefixes = np.zeros((2, len(values) + 1), dtype=np.int64)
+    into = values * is_in
+    np.cumsum(into, out=prefixes[1, 1:])
+    np.cumsum(values - into, out=prefixes[0, 1:])
+    return prefixes
 
 
 @_delta_memo("star")
 def _star_precompute(col: ColumnarGraph, delta: float):
     """δ-dependent, task-independent tables of the star closed form.
 
-    Returns ``(gws, gwe, prefixes)`` where ``prefixes`` maps base-term
-    name → its direction-split prefix pair.  Memoized alongside the
-    window bounds so HARE batches (and repeated serial calls at one δ)
-    pay the O(m log m) setup once.
+    Returns ``(gwe, prefixes)``, both indexed by group slot: ``gwe[s]``
+    is the first slot of ``s``'s group past the δ-window end of the
+    position slot ``s`` holds, and ``prefixes`` maps base-term name →
+    its direction-split prefix pair.  Memoized alongside the window
+    bounds so HARE batches (and repeated serial calls at one δ) pay the
+    O(m log m) setup once.
     """
-    _, _, ws, we = _window_bounds(col, delta)
+    ws, we = _window_bounds(col, delta)
     L = 2 * col.num_edges
     slot_ids = np.arange(L, dtype=np.int64)
-    gkey_base = col.grp_id * np.int64(L + 1)
-    gws = np.searchsorted(col.grp_rank_key, gkey_base + ws)
-    gwe = np.searchsorted(col.grp_rank_key, gkey_base + we)
+    # In slot order groups ascend, positions ascend inside a group and
+    # so do their row bounds: both group probes are in sorted order.
+    pos_s = col.grp_order
+    gkey_base = col.grp_rank_key - pos_s  # dense group id * (L + 1)
+    ws_s = ws[pos_s]
+    gws = np.searchsorted(col.grp_rank_key, gkey_base + ws_s)
+    gwe = np.searchsorted(col.grp_rank_key, gkey_base + we[pos_s])
 
     # Per-slot base terms (slot s holds position p_s = order[s]):
-    # "outside-group" rank excesses — global minus in-group quantities.
-    pos_s = col.grp_order
+    # "outside-group" rank excesses — global minus in-group quantities,
+    # so their differences count entries on other neighbours.  In-group
+    # direction counts need no table: a slot range's IN count is a
+    # grp_cum_in difference, and the k-th slot of one direction in a
+    # range has k - 1 same-direction slots before it.
     cum_in = col.inc_cum_in
     gcum_in = col.grp_cum_in
     is_in = col.inc_dir[pos_s] == 1
-    cin = cum_in[pos_s] - gcum_in[slot_ids]          # IN before p_s, other nbrs
-    gin = cum_in[pos_s + 1] - gcum_in[slot_ids + 1]  # ... up to and incl. p_s
-    win = cum_in[ws[pos_s]] - gcum_in[gws[pos_s]]    # ... before p_s's window
+    cin = cum_in[pos_s] - gcum_in[:-1]   # IN entries before p_s
+    win = cum_in[ws_s] - gcum_in[gws]    # IN entries before p_s's window
     prefixes = {
-        "one": _dir_prefixes(np.ones(L, dtype=np.int64), is_in),
         "slot": _dir_prefixes(slot_ids, is_in),
         "cin": _dir_prefixes(cin, is_in),
-        "gin": _dir_prefixes(gin, is_in),
+        "cout": _dir_prefixes(pos_s - slot_ids - cin, is_in),
         "win": _dir_prefixes(win, is_in),
-        "osub": _dir_prefixes(pos_s - slot_ids, is_in),
-        "wsub": _dir_prefixes(ws[pos_s] - gws[pos_s], is_in),
-        "ggin": _dir_prefixes(gcum_in[slot_ids], is_in),
+        "wout": _dir_prefixes(ws_s - gws - win, is_in),
     }
-    return gws, gwe, prefixes
+    return gwe, prefixes
 
 
 @_delta_memo("ewin")
 def edge_window_ends(col: ColumnarGraph, delta: float) -> np.ndarray:
     """Per-*edge* forward δ-window end ranks: first id with ``t > t_e + δ``.
 
-    The edge-indexed sibling of :func:`_window_bounds` (which is
-    incidence-position-indexed): an edge's forward δ-window is exactly
-    the id range ``(e, edge_window_ends(col, δ)[e])``.  This is the
-    candidate-cap primitive of the sampling kernels
-    (:mod:`repro.core.sampling_kernels`), which only ever look
-    *forward* from an anchor — so no backward-bound array is computed.
-    Memoized per δ alongside the other kernel tables (see :func:`_delta_memo`).
+    An edge's forward δ-window is exactly the id range
+    ``(e, edge_window_ends(col, δ)[e])``.  The FAST kernels reach it
+    through :func:`_window_bounds` and the triangle path's partner
+    probes; the sampling kernels (:mod:`repro.core.sampling_kernels`)
+    use it as their candidate cap.  One probe per edge, in sorted
+    order.  Memoized per δ alongside the other kernel tables (see
+    :func:`_delta_memo`).
     """
     return np.searchsorted(col.t, col.t + delta, side="right")
 
@@ -408,8 +447,9 @@ def edge_window_ends(col: ColumnarGraph, delta: float) -> np.ndarray:
 def _edge_window_starts(col: ColumnarGraph, delta: float) -> np.ndarray:
     """Per-*edge* backward δ-window start ranks: first id with ``t >= t_e - δ``.
 
-    The triangle path reaches wedge partners through the pair CSR, so
-    it needs this bound by edge id rather than by incidence position.
+    The backward sibling of :func:`edge_window_ends`: the source of
+    :func:`_window_bounds`' window starts and the triangle kernel's
+    Triangle-I bound.
     """
     return np.searchsorted(col.t, col.t - delta)
 
@@ -418,7 +458,6 @@ def count_star_pair_columnar(
     graph: TemporalGraph,
     delta: float,
     tasks: Optional[Iterable[Task]] = None,
-    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized FAST-Star (Algorithm 1): star + pair flat counters.
 
@@ -427,88 +466,72 @@ def count_star_pair_columnar(
     :func:`~repro.core.counters.pair_index`).  The merged result over
     any complete task cover is identical to
     :func:`repro.core.fast_star.count_star_pair` (``tasks=None`` *is*
-    the complete cover).  ``chunk_pairs`` is accepted for interface
-    symmetry with the triangle kernel; this kernel materialises no
-    pairs.
+    the complete cover).  The closed form materialises no pairs.
     """
-    del chunk_pairs  # closed form: nothing to chunk
     col = graph.columnar()
     star_acc = np.zeros(24, dtype=np.int64)
     pair_acc = np.zeros(8, dtype=np.int64)
 
-    anchors = _task_positions(col, tasks)
-    if len(anchors) == 0:
+    by_dir = _anchor_slots(col, tasks)
+    if not any(len(s1) for s1 in by_dir):
         return star_acc, pair_acc
 
-    _, gwe, P = _star_precompute(col, delta)
-    _, _, _, we = _window_bounds(col, delta)
+    gwe, P = _star_precompute(col, delta)
+    we = _window_bounds(col, delta)[1]
     cum_in = col.inc_cum_in
     gcum_in = col.grp_cum_in
 
+    def add(acc: np.ndarray, cell: int, weight: np.ndarray) -> None:
+        # Exact int64 cell: every weight is a per-anchor int64 value,
+        # summed once per (d1, d2) block before leaving NumPy.
+        acc[cell] += int(weight.sum())
+
     # -- per-anchor closed form ----------------------------------------
     # The anchor edge (position A, slot s1) pairs with every later
-    # same-group edge in its δ-window: slots s2 in (s1, gwe[A]).  All
+    # same-group edge in its δ-window: slots s2 in (s1, gwe[s1]).  All
     # four motif roles sum a per-s2 affine term over that slot range,
     # evaluated below as prefix-sum differences, split by d2 = dir(s2).
-    A = anchors
-    s1 = col.grp_inv[A]
-    d1 = col.inc_dir[A]
-    lo = s1 + 1
-    hi = gwe[A]
-    cin1 = cum_in[A] - gcum_in[s1]
-    osub1 = A - s1
-    ggin1 = gcum_in[s1] + d1
-    we_A = we[A]
-    const3_in = cum_in[we_A] - gcum_in[hi]     # Star-III: IN lasts in window
-    const3_any = we_A - hi                     # ... any-direction counterpart
+    # Anchors are visited in slot order, one direction d1 at a time, so
+    # every table gather ascends and every cell is one plain sum.
+    for d1, s1 in enumerate(by_dir):
+        A = col.grp_order[s1]
+        lo = s1 + 1
+        hi = gwe[s1]
+        cin1 = cum_in[A] - gcum_in[s1]
+        cout1 = (A - s1) - cin1
+        we_A = we[A]
+        c3_in = cum_in[we_A] - gcum_in[hi]     # Star-III: IN lasts in window
+        c3_out = (we_A - hi) - c3_in           # ... and OUT lasts
+        n_in = gcum_in[hi] - gcum_in[lo]
 
-    d1_masks = (d1 == 0, d1 == 1)
+        for d2 in (0, 1):
+            N = n_in if d2 else (hi - lo) - n_in
+            S = {name: prefix[d2][hi] - prefix[d2][lo] for name, prefix in P.items()}
 
-    def scatter(acc: np.ndarray, cell_d1: Tuple[int, int], weight: np.ndarray) -> None:
-        # Exact int64 scatter-add: the cell is determined by the
-        # anchor's direction, so two masked integer sums per term.
-        acc[cell_d1[0]] += int(weight[d1_masks[0]].sum())
-        acc[cell_d1[1]] += int(weight[d1_masks[1]].sum())
+            # Pair motifs: anchor = (1st, 3rd) edge, middles in-group.
+            # The k-th d2 slot of the range has k - 1 same-direction
+            # middles; the other slots before it are the cross ones.
+            same = N * (N - 1) // 2
+            add(pair_acc, d1 * 4 + d2 * 2 + d2, same)  # d1*4 + dmid*2 + d2
+            add(pair_acc, d1 * 4 + (1 - d2) * 2 + d2, S["slot"] - N * lo - same)
 
-    for d2 in (0, 1):
-        def span(name: str) -> np.ndarray:
-            prefix = P[name][d2]
-            return prefix[hi] - prefix[lo]
-
-        N = span("one")
-        S_slot = span("slot")
-        S_cin = span("cin")
-        S_gin = span("gin")
-        S_win = span("win")
-        S_osub = span("osub")
-        S_wsub = span("wsub")
-        S_ggin = span("ggin")
-
-        # Pair motifs: anchor = (1st, 3rd) edge, middles in-group.
-        w_in = S_ggin - N * ggin1
-        w_out = (S_slot - N * (s1 + 1)) - w_in
-        scatter(pair_acc, (2 + d2, 6 + d2), w_in)       # d1*4 + IN*2 + d2
-        scatter(pair_acc, (d2, 4 + d2), w_out)
-
-        # Star-II: anchor = (1st, 3rd) edge, middles on other nbrs.
-        w_in = S_cin - N * cin1
-        w_out = (S_osub - S_cin) - N * (osub1 - cin1)
-        scatter(star_acc, (10 + d2, 14 + d2), w_in)     # 8 + d1*4 + 2 + d2
-        scatter(star_acc, (8 + d2, 12 + d2), w_out)
-
-        # Star-I: anchor = (2nd, 3rd) edge, firsts on other nbrs in
-        # [window start of the 3rd edge, anchor).
-        w_in = N * cin1 - S_win
-        w_out = N * (osub1 - cin1) - (S_wsub - S_win)
-        scatter(star_acc, (4 + d2, 6 + d2), w_in)       # dI*4 + d1*2 + d2
-        scatter(star_acc, (d2, 2 + d2), w_out)
-
-        # Star-III: anchor = (1st, 2nd) edge, lasts on other nbrs in
-        # (2nd edge, window end of the anchor].
-        w_in = N * const3_in - S_gin
-        w_out = N * (const3_any - const3_in) - (S_osub - S_gin)
-        scatter(star_acc, (17 + d2 * 2, 21 + d2 * 2), w_in)  # 16+d1*4+d2*2+1
-        scatter(star_acc, (16 + d2 * 2, 20 + d2 * 2), w_out)
+            # Star motifs: the third edge, of direction dk, is on
+            # another neighbour.
+            for dk, (S_c, S_w, c1, c3) in enumerate((
+                (S["cout"], S["wout"], cout1, c3_out),
+                (S["cin"], S["win"], cin1, c3_in),
+            )):
+                n_c1 = N * c1
+                # Star-II: anchor = (1st, 3rd) edge, middle between.
+                add(star_acc, 8 + d1 * 4 + dk * 2 + d2, S_c - n_c1)
+                # Star-I: anchor = (2nd, 3rd) edge, first in [window
+                # start of the 3rd edge, anchor).
+                add(star_acc, dk * 4 + d1 * 2 + d2, n_c1 - S_w)
+                # Star-III: anchor = (1st, 2nd) edge, last in (2nd
+                # edge, window end of the anchor].  Its excess up to and
+                # including s2 is S_c: slot s2 and position p_s2 add the
+                # same direction bit.
+                add(star_acc, 16 + d1 * 4 + d2 * 2 + dk, N * c3 - S_c)
 
     return star_acc, pair_acc
 
@@ -534,7 +557,7 @@ def count_triangle_columnar(
     if len(anchors) == 0 or len(col.pair_keys) == 0:
         return tri_acc
 
-    lo_eid, hi_eid, _, we = _window_bounds(col, delta)
+    we = _window_bounds(col, delta)[1]
     window = np.maximum(we[anchors] - (anchors + 1), 0)
     table = triangle_table(col)
     slot_p = table.edge_slot[col.inc_eid[anchors]]
@@ -547,15 +570,17 @@ def count_triangle_columnar(
         anchors[live], cost[live], on_tri[live], tri_lo[live]
     )
 
+    elo = _edge_window_starts(col, delta)
+    ehi = edge_window_ends(col, delta)
     for a, b in _chunks(cost, chunk_pairs):
         sel = on_tri[a:b]
         win = ~sel
         _window_wedges(
-            col, tri_acc, lo_eid, hi_eid, anchors[a:b][win], cost[a:b][win]
+            col, tri_acc, elo, ehi, anchors[a:b][win], cost[a:b][win]
         )
         if sel.any():
             _triangle_wedges(
-                col, tri_acc, delta, hi_eid, table, anchors[a:b][sel],
+                col, tri_acc, elo, ehi, table, anchors[a:b][sel],
                 cost[a:b][sel], tri_lo[a:b][sel], chunk_pairs,
             )
     return tri_acc
@@ -564,15 +589,16 @@ def count_triangle_columnar(
 def _window_wedges(
     col: ColumnarGraph,
     tri_acc: np.ndarray,
-    lo_eid: np.ndarray,
-    hi_eid: np.ndarray,
+    elo: np.ndarray,
+    ehi: np.ndarray,
     anchors: np.ndarray,
     counts: np.ndarray,
 ) -> None:
     """Window path: every δ-window successor of each anchor is a wedge.
 
     Wedges whose far pair does not exist are dropped by one binary
-    search over ``pair_keys``.
+    search over ``pair_keys``.  ``elo``/``ehi`` are the per-edge window
+    bounds (:func:`_edge_window_starts`, :func:`edge_window_ends`).
     """
     pos_i, pos_j = _expand_pairs(anchors, counts, gap=1)
     vi = col.inc_nbr[pos_i]
@@ -588,19 +614,20 @@ def _window_wedges(
     pos_i, pos_j = pos_i[wedge], pos_j[wedge]
     slot, flip = slot[closed], vi[closed] > vj[closed]
     del wedge, vi, vj, closed
-    eid, dirs = col.inc_eid, col.inc_dir
+    eid_i, eid_j = col.inc_eid[pos_i], col.inc_eid[pos_j]
+    dirs = col.inc_dir
     _classify(
         col, tri_acc, slot, flip,
-        dirs[pos_i], eid[pos_i], hi_eid[pos_i],
-        dirs[pos_j], eid[pos_j], lo_eid[pos_j],
+        dirs[pos_i], eid_i, ehi[eid_i],
+        dirs[pos_j], eid_j, elo[eid_j],
     )
 
 
 def _triangle_wedges(
     col: ColumnarGraph,
     tri_acc: np.ndarray,
-    delta: float,
-    hi_eid: np.ndarray,
+    elo: np.ndarray,
+    ehi: np.ndarray,
     table: TriangleTable,
     anchors: np.ndarray,
     rows: np.ndarray,
@@ -611,7 +638,7 @@ def _triangle_wedges(
 
     Anchor ``p`` (center ``u``, neighbour ``vi``) gets one row per
     static triangle ``{u, vi, w}``; its wedge partners are the ``E(u, w)``
-    entries with edge id in ``(eid_p, hi_eid[p])`` — two rank probes —
+    entries with edge id in ``(eid_p, ehi[eid_p])`` — two rank probes —
     and the closing pair ``{vi, w}`` comes straight from the table.
     """
     A, r = _ragged(rows)
@@ -621,12 +648,14 @@ def _triangle_wedges(
     u_lo = col.inc_row[p] < col.inc_nbr[p]
     base = np.where(u_lo, table.lo_slot[r], table.hi_slot[r])
     base *= np.int64(col.num_edges + 1)
-    # Partners: E(u, w) entries with edge id in (eid_p, hi_eid[p]).
-    k_lo = np.searchsorted(col.pair_rank_key, base + col.inc_eid[p] + 1)
-    partners = np.searchsorted(col.pair_rank_key, base + hi_eid[p]) - k_lo
+    # Partners: E(u, w) entries with edge id in (eid_p, ehi[eid_p]).
+    eid_p = col.inc_eid[p]
+    k_lo = np.searchsorted(col.pair_rank_key, base + eid_p + 1)
+    partners = np.searchsorted(col.pair_rank_key, base + ehi[eid_p]) - k_lo
     del base
     row = np.flatnonzero(partners)
     r, p, u_lo, k_lo, partners = r[row], p[row], u_lo[row], k_lo[row], partners[row]
+    eid_p = eid_p[row]
     del row
     w = table.third[r]
     slot_vw = np.where(u_lo, table.hi_slot[r], table.lo_slot[r])
@@ -637,10 +666,8 @@ def _triangle_wedges(
     flip = col.inc_nbr[p] > w
     del w
     dir_i = col.inc_dir[p]
-    eid_p = col.inc_eid[p]
-    hi_i = hi_eid[p]
+    hi_i = ehi[eid_p]
     del p
-    elo = _edge_window_starts(col, delta)
     for a, b in _chunks(partners, chunk_pairs):
         R, k = _ragged(partners[a:b])
         R += a

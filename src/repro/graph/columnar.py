@@ -167,8 +167,9 @@ class ColumnarGraph:
             ([0], np.cumsum(self.inc_dir[self.grp_order], dtype=np.int64))
         )
         #: δ-keyed memo for kernel precomputations (window bounds, star
-        #: prefix arrays); single-entry per kind, exported once by the
-        #: worker pool's owner and attached by its workers.
+        #: prefix arrays); single-entry per kind, and local to the
+        #: process: each one, pool workers included, builds the tables
+        #: it needs on first use (see :meth:`_attach`).
         self.delta_cache: dict = {}
 
         # -- pair CSR -----------------------------------------------------

@@ -121,6 +121,53 @@ class TestKernelEquivalence:
         assert list(tri_big) == list(tri_small)
 
 
+def hub_graph(step: float) -> TemporalGraph:
+    """A hub-heavy multi-edge graph whose timestamps sit on a ``step`` grid.
+
+    Hub 0 meets five peers over repeated multi-edges in both
+    directions, peers also talk to each other, and every timestamp is
+    a multiple of ``step`` (plus a fixed offset), so with δ a multiple
+    of ``step`` many edge pairs lie exactly ``± δ`` apart, and many
+    share a timestamp.
+    """
+    rng = random.Random(13)
+    edges = []
+    for _ in range(90):
+        peer = rng.randrange(1, 6)
+        t = 0.5 + step * rng.randrange(12)
+        edges.append((0, peer, t) if rng.random() < 0.5 else (peer, 0, t))
+    for _ in range(20):
+        a, b = rng.sample(range(1, 6), 2)
+        edges.append((a, b, 0.5 + step * rng.randrange(12)))
+    return TemporalGraph(edges)
+
+
+class TestAnchorOrder:
+    """The star kernel re-sorts its anchors; the task order must not matter."""
+
+    @pytest.mark.parametrize(
+        "delta, step", [(0, 1), (3, 1), (2.5, 1.25)], ids=["delta0", "int", "float"]
+    )
+    def test_shuffled_task_splits(self, delta, step):
+        g = hub_graph(step)
+        tasks = [t for b in build_batches(g, workers=3, thrd=4) for t in b.tasks]
+        degrees = g.degrees().tolist()
+        hub = degrees.index(max(degrees))
+        assert sum(1 for node, _, _ in tasks if node == hub) > 1  # hub split
+        random.Random(21).shuffle(tasks)
+        star_col = [0] * 24
+        pair_col = [0] * 8
+        for part in (tasks[:2], tasks[2:5], tasks[5:9], tasks[9:]):
+            star, pair = count_star_pair_columnar(g, delta, part)
+            star_col = [a + int(b) for a, b in zip(star_col, star)]
+            pair_col = [a + int(b) for a, b in zip(pair_col, pair)]
+        star_tasks, pair_tasks = count_star_pair_tasks(g, delta, tasks)
+        star_py, pair_py = count_star_pair(g, delta)
+        assert star_col == star_tasks.data == star_py.data
+        assert pair_col == pair_tasks.data == pair_py.data
+        assert sum(star_py.data) > 0 and sum(pair_py.data) > 0
+
+
 TWO_PATH_DELTA = 10
 
 
@@ -157,7 +204,7 @@ def anchor_paths(g: TemporalGraph, delta: float):
     """Per-anchor path choice of the triangle kernel: (triangle, window)."""
     col = g.columnar()
     anchors = columnar_kernels._task_positions(col, None)
-    we = columnar_kernels._window_bounds(col, delta)[3]
+    we = columnar_kernels._window_bounds(col, delta)[1]
     window = we[anchors] - anchors - 1
     table = columnar_kernels.triangle_table(col)
     slot = table.edge_slot[col.inc_eid[anchors]]
@@ -204,6 +251,25 @@ class TestTaskPositions:
     def test_empty_task_list(self, paper_graph):
         got = columnar_kernels._task_positions(paper_graph.columnar(), [])
         assert got.tolist() == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_anchor_slots_match_positions(self, seed):
+        """The star kernel's slot-ordered anchors are the task positions."""
+        g = random_graph(seed, num_nodes=6 + seed % 4, num_edges=15 + 5 * seed)
+        g = TemporalGraph.from_canonical_arrays(
+            g.sources, g.destinations, g.timestamps, num_nodes=g.num_nodes + 2
+        )
+        col = g.columnar()
+        tasks = [t for b in build_batches(g, workers=3, thrd=3) for t in b.tasks]
+        for cover in (None, tasks, tasks[1::2], []):
+            positions = columnar_kernels._task_positions(col, cover)
+            by_dir = columnar_kernels._anchor_slots(col, cover)
+            for d, slots in enumerate(by_dir):
+                expected = [
+                    slot for slot, p in sorted(zip(col.grp_inv[positions], positions))
+                    if col.inc_dir[p] == d
+                ]
+                assert slots.tolist() == expected
 
 
 class TestTrianglePaths:

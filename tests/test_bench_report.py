@@ -34,9 +34,21 @@ GOOD = {
 def test_good_file_produces_rows(tmp_path):
     _write(tmp_path, "BENCH_demo.json", GOOD)
     rows = bench_report.collect(tmp_path)
-    assert ("demo", "demo", 100, "overall", 3.5) in rows
-    assert ("demo", "demo", 200, "per.bts", 2.0) in rows
+    assert ("demo", "demo", 100, None, "overall", 3.5) in rows
+    assert ("demo", "demo", 200, None, "per.bts", 2.0) in rows
     assert "3.50x" in bench_report.render(rows)
+
+
+def test_core_count_is_printed_when_recorded(tmp_path):
+    _write(
+        tmp_path,
+        "BENCH_cores.json",
+        {"results": [{"edges": 100, "cores": 2, "speedup": 3.5}]},
+    )
+    rows = bench_report.collect(tmp_path)
+    assert rows == [("cores", "", 100, 2, "overall", 3.5)]
+    line = bench_report.render(rows).splitlines()[-1]
+    assert line.split() == ["cores", "100", "2", "overall", "3.50x"]
 
 
 def test_missing_directory_is_a_note(tmp_path, capsys):
@@ -81,7 +93,7 @@ def test_non_numeric_fields_degrade(tmp_path):
         },
     )
     rows = bench_report.collect(tmp_path)
-    assert rows == [("odd", "", 0, "overall", 1.5)]
+    assert rows == [("odd", "", 0, None, "overall", 1.5)]
 
 
 def test_main_exits_zero_on_garbage(tmp_path, capsys):

@@ -11,7 +11,9 @@ baselines is visible at a glance in CI logs and PR reviews.
 The walker is schema-tolerant: any ``speedup`` / ``speedup_*`` value
 in a result entry (top level or one nesting level down, e.g. the
 per-estimator blocks of ``BENCH_sampling.json``) becomes a row, so new
-benchmarks join the table by just writing their JSON.
+benchmarks join the table by just writing their JSON.  The recording
+machine's core count is printed beside each row when the file has it:
+an entry's ``cores``, else the file's top-level ``cpu_count``.
 
 Usage::
 
@@ -49,9 +51,13 @@ def iter_speedups(entry: dict, prefix: str = "") -> Iterator[Tuple[str, float]]:
             yield label, speedup
 
 
-def collect(bench_dir: pathlib.Path) -> List[Tuple[str, str, int, str, float]]:
-    """(benchmark, description, edges, metric, speedup) rows, sorted."""
-    rows: List[Tuple[str, str, int, str, float]] = []
+#: (benchmark, description, edges, cores or None, metric, speedup).
+Row = Tuple[str, str, int, Optional[int], str, float]
+
+
+def collect(bench_dir: pathlib.Path) -> List[Row]:
+    """(benchmark, description, edges, cores, metric, speedup) rows, sorted."""
+    rows: List[Row] = []
     if not bench_dir.is_dir():
         print(f"warning: no benchmark directory at {bench_dir}", file=sys.stderr)
         return rows
@@ -84,24 +90,32 @@ def collect(bench_dir: pathlib.Path) -> List[Tuple[str, str, int, str, float]]:
                 edges = int(entry.get("edges", 0))
             except (TypeError, ValueError):
                 edges = 0
+            cores = entry.get("cores", payload.get("cpu_count"))
+            if not isinstance(cores, int):
+                cores = None
             for metric, value in iter_speedups(entry):
-                rows.append((name, description, edges, metric, value))
+                rows.append((name, description, edges, cores, metric, value))
     return rows
 
 
-def render(rows: List[Tuple[str, str, int, str, float]]) -> str:
+def render(rows: List[Row]) -> str:
     lines = ["benchmark speedup trajectory (committed baselines)", ""]
-    header = f"{'benchmark':<12} {'edges':>12} {'metric':<18} {'speedup':>9}"
+    header = (
+        f"{'benchmark':<12} {'edges':>12} {'cores':>5} {'metric':<18} {'speedup':>9}"
+    )
     lines.append(header)
     lines.append("-" * len(header))
     last_name = None
-    for name, description, edges, metric, value in rows:
+    for name, description, edges, cores, metric, value in rows:
         if name != last_name:
             if last_name is not None:
                 lines.append("")
             lines.append(f"[{name}] {description}")
             last_name = name
-        lines.append(f"{name:<12} {edges:>12,} {metric:<18} {value:>8.2f}x")
+        cores_text = "-" if cores is None else str(cores)
+        lines.append(
+            f"{name:<12} {edges:>12,} {cores_text:>5} {metric:<18} {value:>8.2f}x"
+        )
     if last_name is None:
         lines.append("(no BENCH_*.json baselines found)")
     return "\n".join(lines)
