@@ -362,8 +362,12 @@ class MotifCounts:
 
     @classmethod
     def from_dict(cls, per_motif: Dict[str, int], **kwargs) -> "MotifCounts":
-        """Build a grid from ``{"M11": count, ...}`` names (Fig. 10 ids)."""
-        grid = np.zeros((6, 6), dtype=np.int64)
+        """Build a grid from ``{"M11": count, ...}`` names (Fig. 10 ids).
+
+        The grid is int64 unless a value is a float (an estimate).
+        """
+        exact = all(isinstance(v, (int, np.integer)) for v in per_motif.values())
+        grid = np.zeros((6, 6), dtype=np.int64 if exact else np.float64)
         for name, value in per_motif.items():
             motif = MOTIFS_BY_NAME[name]
             grid[motif.row - 1, motif.col - 1] = value

@@ -21,19 +21,21 @@ PathLike = Union[str, os.PathLike]
 
 
 def counts_to_json(counts: MotifCounts) -> str:
-    """Serialise counts + metadata to a JSON string."""
-    return json.dumps(
-        {
-            "format": "repro.motif_counts/1",
-            "algorithm": counts.algorithm,
-            "delta": counts.delta,
-            "elapsed_seconds": counts.elapsed_seconds,
-            "exact": counts.is_exact,
-            "counts": counts.per_motif(),
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    """Serialise counts + metadata to a JSON string.
+
+    A sampled result also carries its per-motif ``stderr``.
+    """
+    payload = {
+        "format": "repro.motif_counts/1",
+        "algorithm": counts.algorithm,
+        "delta": counts.delta,
+        "elapsed_seconds": counts.elapsed_seconds,
+        "exact": counts.is_exact,
+        "counts": counts.per_motif(),
+    }
+    if counts.stderr is not None:
+        payload["stderr"] = {name: counts.stderr_of(name) for name in MOTIFS_BY_NAME}
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def counts_from_json(text: str) -> MotifCounts:
@@ -45,10 +47,25 @@ def counts_from_json(text: str) -> MotifCounts:
     if payload.get("format") != "repro.motif_counts/1":
         raise ValidationError(f"unknown format {payload.get('format')!r}")
     per_motif = payload["counts"]
-    unknown = set(per_motif) - set(MOTIFS_BY_NAME)
+    stderr = payload.get("stderr")
+    unknown = (set(per_motif) | set(stderr or ())) - set(MOTIFS_BY_NAME)
     if unknown:
         raise ValidationError(f"unknown motif names: {sorted(unknown)}")
-    result = MotifCounts.from_dict(per_motif, algorithm=payload.get("algorithm", "?"))
+    # Files written before sampled results round-tripped lack "stderr";
+    # exact files keep their int64 grid, estimates stay float64.
+    exact = bool(payload.get("exact", True))
+    if not exact:
+        per_motif = {name: float(value) for name, value in per_motif.items()}
+    if stderr is not None:
+        stderr = MotifCounts.from_dict(
+            {name: float(value) for name, value in stderr.items()}
+        ).grid
+    result = MotifCounts.from_dict(
+        per_motif,
+        algorithm=payload.get("algorithm", "?"),
+        is_exact=exact,
+        stderr=stderr,
+    )
     result.delta = payload.get("delta", 0.0)
     result.elapsed_seconds = payload.get("elapsed_seconds", 0.0)
     return result

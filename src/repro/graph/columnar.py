@@ -52,6 +52,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.temporal_graph import TemporalGraph
 
 
+#: The edge columns, shared with the graph they come from.
+EDGE_ARRAYS: Tuple[str, ...] = ("src", "dst", "t")
+
+#: Every array a :class:`ColumnarGraph` derives from its edge columns,
+#: in the order a full-layout ``.rgz`` image stores them: with
+#: :data:`EDGE_ARRAYS` they are all :meth:`ColumnarGraph._attach` needs.
+DERIVED_ARRAYS: Tuple[str, ...] = (
+    "inc_indptr",
+    "inc_time",
+    "inc_nbr",
+    "inc_dir",
+    "inc_eid",
+    "inc_cum_in",
+    "inc_row",
+    "inc_row_key",
+    "grp_order",
+    "grp_inv",
+    "grp_rank_key",
+    "grp_cum_in",
+    "pair_keys",
+    "pair_indptr",
+    "pair_time",
+    "pair_dir",
+    "pair_eid",
+    "pair_cum_in",
+    "pair_rank_key",
+)
+
+
 class ColumnarGraph:
     """Read-only columnar companion of one :class:`TemporalGraph`.
 
@@ -62,34 +91,7 @@ class ColumnarGraph:
     :meth:`TemporalGraph.columnar`, which caches the instance.
     """
 
-    __slots__ = (
-        "num_nodes",
-        "num_edges",
-        "src",
-        "dst",
-        "t",
-        "inc_indptr",
-        "inc_time",
-        "inc_nbr",
-        "inc_dir",
-        "inc_eid",
-        "inc_cum_in",
-        "inc_row",
-        "inc_row_key",
-        "grp_id",
-        "grp_order",
-        "grp_inv",
-        "grp_rank_key",
-        "grp_cum_in",
-        "delta_cache",
-        "pair_keys",
-        "pair_indptr",
-        "pair_time",
-        "pair_dir",
-        "pair_eid",
-        "pair_cum_in",
-        "pair_rank_key",
-    )
+    __slots__ = ("num_nodes", "num_edges", "delta_cache") + EDGE_ARRAYS + DERIVED_ARRAYS
 
     def __init__(self, graph: "TemporalGraph") -> None:
         n = graph.num_nodes
@@ -160,8 +162,6 @@ class ColumnarGraph:
             dense_sorted = np.cumsum(new_group, dtype=np.int64) - 1
         else:
             dense_sorted = np.zeros(0, dtype=np.int64)
-        self.grp_id = np.empty(total, dtype=np.int64)
-        self.grp_id[self.grp_order] = dense_sorted
         self.grp_rank_key = dense_sorted * np.int64(total + 1) + self.grp_order
         self.grp_cum_in = np.concatenate(
             ([0], np.cumsum(self.inc_dir[self.grp_order], dtype=np.int64))
@@ -211,35 +211,27 @@ class ColumnarGraph:
         )
         self.pair_rank_key = slot_of_entry * np.int64(m + 1) + self.pair_eid
 
-        for name in self.__slots__:
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        for name in EDGE_ARRAYS + DERIVED_ARRAYS:
+            getattr(self, name).flags.writeable = False
 
     @classmethod
-    def _attach(
-        cls,
-        arrays: "Mapping[str, np.ndarray]",
-        scalars: "Mapping[str, object]",
-    ) -> "ColumnarGraph":
+    def _attach(cls, arrays: "Mapping[str, np.ndarray]") -> "ColumnarGraph":
         """Reassemble a store from pre-built arrays, without recomputing.
 
-        The constructor behind :func:`repro.graph.shared.attach_graph`:
-        ``arrays`` holds every ndarray slot (typically zero-copy views
-        into a shared-memory segment) and ``scalars`` the remaining
-        plain-value slots, exactly as another process's
-        ``ColumnarGraph`` produced them.  ``delta_cache`` always starts
-        empty: each process builds its per-δ kernel tables locally on
-        first use.
+        The constructor behind :func:`repro.storage.format.open_packed`
+        and :func:`repro.graph.shared.attach_graph`: ``arrays`` holds
+        every :data:`EDGE_ARRAYS` and :data:`DERIVED_ARRAYS` entry
+        (zero-copy views into a file mapping or a shared-memory
+        segment), exactly as another ``ColumnarGraph`` produced them.
+        ``delta_cache`` always starts empty: each process builds its
+        per-δ kernel tables locally on first use.
         """
         col = object.__new__(cls)
-        for name in cls.__slots__:
-            if name == "delta_cache":
-                col.delta_cache = {}
-            elif name in arrays:
-                setattr(col, name, arrays[name])
-            else:
-                setattr(col, name, scalars[name])
+        for name in EDGE_ARRAYS + DERIVED_ARRAYS:
+            setattr(col, name, arrays[name])
+        col.num_nodes = len(col.inc_indptr) - 1
+        col.num_edges = len(col.t)
+        col.delta_cache = {}
         return col
 
     # ------------------------------------------------------------------

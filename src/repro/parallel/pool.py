@@ -74,9 +74,10 @@ from repro.errors import (
     ValidationError,
     check_delta,
 )
-from repro.graph.shared import AttachedGraph, SharedGraph, attach_graph, publish_graph
+from repro.graph.shared import SharedGraph, attach_graph, publish_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.scheduler import WorkBatch
+from repro.storage.format import PackedGraph
 
 #: Worker-side cap on concurrently attached graphs (LRU evicted).
 WORKER_GRAPH_CACHE = 4
@@ -131,23 +132,23 @@ def _job_aborted(aborted, job_id: int) -> bool:
 def _worker_main(
     task_q, result_q, aborted=None, graph_cache_limit: int = WORKER_GRAPH_CACHE
 ) -> None:
-    """Worker loop: attach graphs by manifest, run map chunks.
+    """Worker loop: attach graphs by segment name, run map chunks.
 
     Top-level (spawn-picklable).  Protocol: ``("map", job_id, gid,
-    graph_blob, delta, fn, args_blob, index, chunk)`` messages (the
-    graph manifest ships pre-pickled, decoded only on a cache miss)
+    segment, delta, fn, args_blob, index, chunk)`` messages (the
+    graph's shared-memory segment name, attached only on a cache miss)
     plus ``("stop",)`` sentinels on ``task_q``; ``("ok", job_id,
     index, payload)`` and ``("err", job_id, text)`` on ``result_q``,
     one reply per chunk.  ``aborted`` is the shared cancelled-job ring:
     queued chunks of an aborted job are skipped, not executed (the
     owner stopped listening).
     """
-    graphs: "OrderedDict[int, AttachedGraph]" = OrderedDict()
+    graphs: "OrderedDict[int, PackedGraph]" = OrderedDict()
 
-    def lookup(gid: int, graph_blob: bytes) -> TemporalGraph:
+    def lookup(gid: int, segment: str) -> TemporalGraph:
         entry = graphs.get(gid)
         if entry is None:
-            entry = attach_graph(pickle.loads(graph_blob))
+            entry = attach_graph(segment)
             graphs[gid] = entry
             while len(graphs) > graph_cache_limit:
                 graphs.popitem(last=False)[1].close()
@@ -159,12 +160,12 @@ def _worker_main(
         message = task_q.get()
         if message[0] == "stop":
             break
-        (_, job_id, gid, graph_blob, delta, fn, args_blob, index, chunk) = message
+        (_, job_id, gid, segment, delta, fn, args_blob, index, chunk) = message
         if _job_aborted(aborted, job_id):
             continue
         try:
             payload = _resolve_map_fn(fn)(
-                lookup(gid, graph_blob), delta, pickle.loads(args_blob), chunk
+                lookup(gid, segment), delta, pickle.loads(args_blob), chunk
             )
         except BaseException:
             result_q.put(("err", job_id, traceback.format_exc()))
@@ -197,7 +198,6 @@ class _GraphState:
     pinned: bool = False
     gid: Optional[int] = None
     handle: Optional[SharedGraph] = None
-    manifest_blob: Optional[bytes] = None
     #: (workers, thrd) -> List[WorkBatch]
     plans: Dict[Tuple, List[WorkBatch]] = field(default_factory=dict)
 
@@ -205,7 +205,6 @@ class _GraphState:
         if self.handle is not None:
             self.handle.close()
         self.handle = None
-        self.manifest_blob = None
         self.gid = None
 
 
@@ -304,7 +303,7 @@ class WorkerPool:
         *suspended* (joined, freeing their memory and mappings) while
         published segments, plans, and the result cache stay resident.
         The next run transparently restarts workers — they are
-        stateless caches; every message carries its graph manifest.  For
+        stateless caches; every message names its graph's segment.  For
         long-running daemons that see bursty traffic.  ``None``
         (default) keeps workers forever.
 
@@ -553,10 +552,8 @@ class WorkerPool:
     def _ensure_published(self, graph: TemporalGraph) -> _GraphState:
         state = self._state(graph)
         if state.handle is None:
-            handle = publish_graph(graph)
+            state.handle = publish_graph(graph)
             state.gid = next(self._gid_counter)
-            state.handle = handle
-            state.manifest_blob = pickle.dumps(handle.manifest)
             self.stats["graphs_published"] += 1
         key = id(graph)
         if not state.pinned:
@@ -713,7 +710,7 @@ class WorkerPool:
             self.stats["batches"] += len(chunks)
             for index, chunk in enumerate(chunks):
                 self._task_q.put((
-                    "map", job_id, state.gid, state.manifest_blob,
+                    "map", job_id, state.gid, state.handle.name,
                     delta, fn, args_blob, index, chunk,
                 ))
             try:

@@ -1,7 +1,7 @@
 """Versioned binary columnar edge-store format (``repro pack`` / ``.rgz``).
 
-The out-of-core substrate of ROADMAP item 2: a temporal graph is
-*packed* once into a single file of timestamp-sorted edge columns plus
+The one columnar layout of the repository: a temporal graph is
+*packed* once into a single image of timestamp-sorted edge columns plus
 (optionally) every derived :class:`~repro.graph.columnar.ColumnarGraph`
 array — the incidence CSR, the pair CSR and the composite rank keys
 — and reopened in O(validation) through one
@@ -9,7 +9,10 @@ array — the incidence CSR, the pair CSR and the composite rank keys
 not per run; at open time every array is a zero-copy view into the
 mapping, so the kernel pages columns in on demand and a counting run
 whose shard budget is far below the file size never needs the whole
-graph resident.
+graph resident.  The same image, written by the same
+:func:`write_image` and read by the same :func:`map_image`, is what
+:func:`repro.graph.shared.publish_graph` puts into shared memory for
+the worker pool.
 
 File layout (all integers little-endian)::
 
@@ -21,7 +24,7 @@ File layout (all integers little-endian)::
                hlen      u32  header JSON length in bytes
                hcrc      u32  zlib.crc32 of the header JSON bytes
     offset 24  header: UTF-8 JSON -- num_nodes, num_edges, layout
-               ("edges" | "full"), scalars, and a section table of
+               ("edges" | "full") and a section table of
                {name, dtype, shape, offset, nbytes} entries
     data       sections, each 64-byte aligned; section offsets are
                relative to ``data_start = align64(24 + hlen)`` so the
@@ -30,7 +33,9 @@ File layout (all integers little-endian)::
 Every open validates before any counting can happen: magic, endian
 sentinel, version, header CRC, section bounds against the real file
 size, timestamp finiteness/sortedness, node-id ranges, and (for the
-``full`` layout) the structural invariants of the derived arrays.
+``full`` layout) the structural invariants of the derived arrays.  A
+shared-memory attach skips the O(m) range and structure checks: that
+image was written by the program itself.
 Corruption therefore surfaces as a typed
 :class:`~repro.errors.StorageFormatError` /
 :class:`~repro.errors.StorageVersionError` — never as garbage counts.
@@ -43,12 +48,17 @@ import mmap
 import os
 import struct
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import StorageFormatError, StorageVersionError, ValidationError
 from repro.graph.columnar import ColumnarGraph
+# Edge-column sections (every layout), then the derived ColumnarGraph
+# arrays ``layout="full"`` adds, in file order: both lists are defined
+# once, by the columnar store itself.
+from repro.graph.columnar import DERIVED_ARRAYS as DERIVED_SECTIONS
+from repro.graph.columnar import EDGE_ARRAYS as EDGE_SECTIONS
 from repro.graph.temporal_graph import TemporalGraph
 
 #: First bytes of every packed file.  Modeled on the PNG signature: a
@@ -56,9 +66,15 @@ from repro.graph.temporal_graph import TemporalGraph
 #: transfer corruption is caught by the magic check itself.
 MAGIC = b"\x89RGZ\r\n\x1a\n"
 
-#: On-disk format version this build reads and writes.
-#: Version 2 dropped the pair Bloom-filter section of version 1.
-FORMAT_VERSION = 2
+#: Format version this build writes.  Version 2 dropped the pair
+#: Bloom-filter section of version 1; version 3 dropped the unread
+#: ``grp_id`` section (16 B/edge) and the always-empty ``scalars``
+#: header field.
+FORMAT_VERSION = 3
+
+#: Versions this build reads: a version-2 file's ``grp_id`` section and
+#: ``scalars`` field are ignored.
+READABLE_VERSIONS = (2, FORMAT_VERSION)
 
 #: Endianness sentinel stored as a little-endian u16; any other value
 #: means the preamble was produced (or mangled) byte-swapped.
@@ -72,37 +88,12 @@ ALIGNMENT = 64
 #: length, header CRC32, 4 pad bytes.
 _PREAMBLE = struct.Struct("<8sHHII4x")
 
-#: dtypes a section may declare (everything the columnar store uses).
-_SECTION_DTYPES = ("<i8", "<f8")
-
-#: Derived ColumnarGraph array slots persisted by ``layout="full"``, in
-#: file order.  Together with the edge columns and the scalars below
-#: they are exactly the inputs of :meth:`ColumnarGraph._attach`.
-DERIVED_SECTIONS: Tuple[str, ...] = (
-    "inc_indptr",
-    "inc_time",
-    "inc_nbr",
-    "inc_dir",
-    "inc_eid",
-    "inc_cum_in",
-    "inc_row",
-    "inc_row_key",
-    "grp_id",
-    "grp_order",
-    "grp_inv",
-    "grp_rank_key",
-    "grp_cum_in",
-    "pair_keys",
-    "pair_indptr",
-    "pair_time",
-    "pair_dir",
-    "pair_eid",
-    "pair_cum_in",
-    "pair_rank_key",
-)
-
-#: Edge-column sections present in every layout.
-EDGE_SECTIONS: Tuple[str, ...] = ("src", "dst", "t")
+#: dtypes a section may declare: int64 for ids, CSR offsets and integer
+#: timestamps, and every IEEE float a ``TemporalGraph`` can hold as
+#: timestamps (stored as they are: widening would change δ
+#: comparisons).  ``longdouble`` is refused: its bytes differ between
+#: platforms.
+_SECTION_DTYPES = ("<i8", "<f2", "<f4", "<f8")
 
 LAYOUTS = ("full", "edges")
 
@@ -116,18 +107,97 @@ def _little_endian(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
 
 
-def _dtype_tag(arr: np.ndarray) -> str:
-    tag = _little_endian(arr).dtype.str
-    if tag not in _SECTION_DTYPES:
+# ----------------------------------------------------------------------
+# write
+# ----------------------------------------------------------------------
+class Image(NamedTuple):
+    """A packed graph laid out in memory, ready to be written.
+
+    ``chunks`` are ``(absolute offset, bytes-like)`` pairs; the bytes
+    between them (section alignment padding) are zero.
+    """
+
+    header: Dict[str, object]
+    chunks: List[Tuple[int, object]]
+    nbytes: int
+
+
+def build_image(graph: TemporalGraph, layout: str = "full") -> Image:
+    """Lay ``graph`` out as a packed image (see the module docstring).
+
+    ``layout="full"`` also stores every derived :class:`ColumnarGraph`
+    array (building the store first if needed); ``layout="edges"``
+    only the three edge columns.  Nothing is copied: the section
+    chunks are the graph's own (little-endian) arrays.
+    """
+    if not isinstance(graph, TemporalGraph):
         raise ValidationError(
-            f"cannot pack array of dtype {arr.dtype}; packable: {_SECTION_DTYPES}"
+            f"cannot pack a {type(graph).__name__}; need a TemporalGraph"
         )
-    return tag
+    if layout not in LAYOUTS:
+        raise ValidationError(f"unknown layout {layout!r}; choose from {LAYOUTS}")
+    arrays = [graph.sources, graph.destinations, graph.timestamps]
+    names = EDGE_SECTIONS
+    if layout == "full":
+        col = graph.columnar()
+        arrays += [getattr(col, name) for name in DERIVED_SECTIONS]
+        names += DERIVED_SECTIONS
+    sections = []
+    payload = []
+    offset = 0
+    for name, arr in zip(names, arrays):
+        arr = _little_endian(arr)
+        if arr.dtype.str not in _SECTION_DTYPES:
+            raise ValidationError(
+                f"cannot pack array of dtype {arr.dtype}; packable: {_SECTION_DTYPES}"
+            )
+        offset = _align(offset)
+        sections.append({
+            "name": name,
+            "dtype": arr.dtype.str,
+            "shape": list(arr.shape),
+            "offset": offset,
+            "nbytes": int(arr.nbytes),
+        })
+        payload.append(arr)
+        offset += arr.nbytes
+    header = {
+        "num_nodes": int(graph.num_nodes),
+        "num_edges": int(graph.num_edges),
+        "layout": layout,
+        "sections": sections,
+    }
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    preamble = _PREAMBLE.pack(
+        MAGIC, ENDIAN_SENTINEL, FORMAT_VERSION, len(header_bytes),
+        zlib.crc32(header_bytes),
+    )
+    data_start = _align(_PREAMBLE.size + len(header_bytes))
+    chunks: List[Tuple[int, object]] = [(0, preamble + header_bytes)]
+    chunks += [
+        (data_start + section["offset"], arr.reshape(-1).view(np.uint8))
+        for section, arr in zip(sections, payload)
+    ]
+    return Image(header, chunks, data_start + offset)
 
 
-# ----------------------------------------------------------------------
-# pack
-# ----------------------------------------------------------------------
+def write_image(fd: int, image: Image) -> None:
+    """Write ``image`` through descriptor ``fd`` (a file or a shm segment).
+
+    Sizes the target first (a shm segment is created sized, and some
+    platforms refuse to resize one), so padding and empty trailing
+    sections read as zeros, then ``os.pwrite``-s each chunk in place:
+    no page of the target is ever mapped into the writer's address
+    space.
+    """
+    if os.fstat(fd).st_size != image.nbytes:
+        os.ftruncate(fd, image.nbytes)
+    for offset, data in image.chunks:
+        written = 0
+        while written < len(data):
+            written += os.pwrite(fd, data[written:], offset + written)
+
+
 def pack_graph(graph: TemporalGraph, path, *, layout: str = "full") -> Dict[str, object]:
     """Write ``graph`` to ``path`` in the packed binary format.
 
@@ -136,81 +206,26 @@ def pack_graph(graph: TemporalGraph, path, *, layout: str = "full") -> Dict[str,
     ``layout="edges"`` stores only the three edge columns (smallest
     file, columnar arrays rebuilt lazily on first kernel use).  The
     write is atomic: bytes go to a same-directory temp file that is
-    ``os.replace``-d over ``path`` only after a successful flush, so a
+    ``os.replace``-d over ``path`` only after an ``fsync``, so a
     crashed pack never leaves a half-written file under the real name.
 
     Returns the header dict actually written (section table included).
     """
-    if not isinstance(graph, TemporalGraph):
-        raise ValidationError(
-            f"pack_graph needs a TemporalGraph, got {type(graph).__name__}"
-        )
-    if layout not in LAYOUTS:
-        raise ValidationError(f"unknown layout {layout!r}; choose from {LAYOUTS}")
+    image = build_image(graph, layout)
     path = os.fspath(path)
-
-    arrays: List[Tuple[str, np.ndarray]] = [
-        ("src", graph.sources),
-        ("dst", graph.destinations),
-        ("t", graph.timestamps),
-    ]
-    if layout == "full":
-        col = graph.columnar()
-        arrays += [(name, getattr(col, name)) for name in DERIVED_SECTIONS]
-
-    sections = []
-    offset = 0
-    payload: List[np.ndarray] = []
-    for name, arr in arrays:
-        arr = _little_endian(arr)
-        offset = _align(offset)
-        sections.append(
-            {
-                "name": name,
-                "dtype": _dtype_tag(arr),
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": int(arr.nbytes),
-            }
-        )
-        payload.append(arr)
-        offset += arr.nbytes
-
-    header = {
-        "num_nodes": int(graph.num_nodes),
-        "num_edges": int(graph.num_edges),
-        "layout": layout,
-        "scalars": {},
-        "sections": sections,
-    }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    preamble = _PREAMBLE.pack(
-        MAGIC,
-        ENDIAN_SENTINEL,
-        FORMAT_VERSION,
-        len(header_bytes),
-        zlib.crc32(header_bytes),
-    )
-    data_start = _align(_PREAMBLE.size + len(header_bytes))
-
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(preamble)
-            fh.write(header_bytes)
-            pos = _PREAMBLE.size + len(header_bytes)
-            for section, arr in zip(sections, payload):
-                target = data_start + int(section["offset"])
-                fh.write(b"\x00" * (target - pos))
-                arr.tofile(fh)
-                pos = target + arr.nbytes
-            fh.flush()
-            os.fsync(fh.fileno())
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            write_image(fd, image)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # pragma: no cover - crash-path hygiene
             os.unlink(tmp)
-    return header
+    return image.header
 
 
 # ----------------------------------------------------------------------
@@ -233,58 +248,73 @@ def read_header(path) -> Dict[str, object]:
     Raises :class:`StorageFormatError` / :class:`StorageVersionError`
     exactly like a full open would.
     """
-    path = os.fspath(path)
-    size = os.path.getsize(path)
+    return _file_header(os.fspath(path))[0]
+
+
+def _file_header(path: str) -> Tuple[Dict[str, object], int]:
     with open(path, "rb") as fh:
-        blob = fh.read(_PREAMBLE.size)
-        if len(blob) < _PREAMBLE.size:
-            raise StorageFormatError(
-                f"{path}: truncated preamble ({len(blob)} of {_PREAMBLE.size} bytes)"
-            )
-        magic, endian, version, hlen, hcrc = _PREAMBLE.unpack(blob)
-        if magic != MAGIC:
-            raise StorageFormatError(
-                f"{path}: not a packed graph (bad magic {magic!r})"
-            )
-        if endian != ENDIAN_SENTINEL:
-            raise StorageFormatError(
-                f"{path}: endianness sentinel mismatch "
-                f"(0x{endian:04x} != 0x{ENDIAN_SENTINEL:04x}); file was written "
-                f"byte-swapped or corrupted"
-            )
-        if version != FORMAT_VERSION:
-            raise StorageVersionError(
-                f"{path}: format version {version} is not readable by this build "
-                f"(expects {FORMAT_VERSION}); re-pack with `repro pack`"
-            )
-        if _PREAMBLE.size + hlen > size:
-            raise StorageFormatError(
-                f"{path}: truncated header (declares {hlen} bytes, file has "
-                f"{size - _PREAMBLE.size} past the preamble)"
-            )
-        header_bytes = fh.read(hlen)
+        fd = fh.fileno()
+        return _parse_header(
+            path, lambda off, n: os.pread(fd, n, off), os.fstat(fd).st_size
+        )
+
+
+def _parse_header(origin: str, read: Callable[[int, int], bytes],
+                  size: int) -> Tuple[Dict[str, object], int]:
+    """Check preamble and header of an image of ``size`` bytes.
+
+    ``read(offset, n)`` returns up to ``n`` bytes at ``offset``.
+    Returns the header and the absolute offset its sections count from.
+    """
+    blob = read(0, _PREAMBLE.size)
+    if len(blob) < _PREAMBLE.size:
+        raise StorageFormatError(
+            f"{origin}: truncated preamble ({len(blob)} of {_PREAMBLE.size} bytes)"
+        )
+    magic, endian, version, hlen, hcrc = _PREAMBLE.unpack(blob)
+    if magic != MAGIC:
+        raise StorageFormatError(
+            f"{origin}: not a packed graph (bad magic {magic!r})"
+        )
+    if endian != ENDIAN_SENTINEL:
+        raise StorageFormatError(
+            f"{origin}: endianness sentinel mismatch "
+            f"(0x{endian:04x} != 0x{ENDIAN_SENTINEL:04x}); file was written "
+            f"byte-swapped or corrupted"
+        )
+    if version not in READABLE_VERSIONS:
+        raise StorageVersionError(
+            f"{origin}: format version {version} is not readable by this build "
+            f"(reads {READABLE_VERSIONS}); re-pack with `repro pack`"
+        )
+    if _PREAMBLE.size + hlen > size:
+        raise StorageFormatError(
+            f"{origin}: truncated header (declares {hlen} bytes, file has "
+            f"{size - _PREAMBLE.size} past the preamble)"
+        )
+    header_bytes = read(_PREAMBLE.size, hlen)
     if len(header_bytes) != hlen or zlib.crc32(header_bytes) != hcrc:
-        raise StorageFormatError(f"{path}: header CRC mismatch (corrupted header)")
+        raise StorageFormatError(f"{origin}: header CRC mismatch (corrupted header)")
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StorageFormatError(f"{path}: header is not valid JSON: {exc}") from exc
-    _check_header(path, header, size, hlen)
-    return header
+        raise StorageFormatError(f"{origin}: header is not valid JSON: {exc}") from exc
+    data_start = _align(_PREAMBLE.size + hlen)
+    _check_header(origin, header, size, data_start)
+    return header, data_start
 
 
-def _check_header(path: str, header, size: int, hlen: int) -> None:
+def _check_header(path: str, header, size: int, data_start: int) -> None:
     if not isinstance(header, dict):
         raise StorageFormatError(f"{path}: header must be a JSON object")
     for key, kind in (("num_nodes", int), ("num_edges", int), ("layout", str),
-                      ("scalars", dict), ("sections", list)):
+                      ("sections", list)):
         if not isinstance(header.get(key), kind):
             raise StorageFormatError(f"{path}: header field {key!r} missing or mistyped")
     if header["layout"] not in LAYOUTS:
         raise StorageFormatError(f"{path}: unknown layout {header['layout']!r}")
     if header["num_nodes"] < 0 or header["num_edges"] < 0:
         raise StorageFormatError(f"{path}: negative graph dimensions in header")
-    data_start = _align(_PREAMBLE.size + hlen)
     names = set()
     for section in header["sections"]:
         if not isinstance(section, dict):
@@ -338,36 +368,34 @@ def section_span(path, name: str) -> Tuple[int, int]:
     the file (corruption tests poke exactly these ranges).
     """
     path = os.fspath(path)
-    header = read_header(path)
-    with open(path, "rb") as fh:
-        _, _, _, hlen, _ = _PREAMBLE.unpack(fh.read(_PREAMBLE.size))
-    data_start = _align(_PREAMBLE.size + hlen)
-    for section in header["sections"]:  # type: ignore[index]
+    header, data_start = _file_header(path)
+    for section in header["sections"]:  # type: ignore[union-attr]
         if section["name"] == name:
             return data_start + int(section["offset"]), int(section["nbytes"])
     raise StorageFormatError(f"{path}: no section named {name!r}")
 
 
 class PackedGraph:
-    """An open packed-graph file: zero-copy views plus the graph object.
+    """An open packed image: zero-copy views plus the graph object.
 
     ``graph`` is a :class:`TemporalGraph` whose edge columns are views
     straight into the mapping (with the columnar store pre-attached for
     the ``full`` layout), so it drops into every existing counting
-    path unchanged.  The mapping stays alive as long as any array view
-    references it — numpy's buffer chain pins the ``mmap`` object — so
+    path unchanged.  The mapping — a file's ``mmap`` or an attached
+    shared-memory segment, named by ``path`` — stays alive as long as
+    any array view references it (numpy's buffer chain pins it), so
     letting a :class:`PackedGraph` go out of scope mid-count is safe.
     """
 
     def __init__(self, path: str, header: Dict[str, object],
                  sections: Dict[str, np.ndarray], graph: TemporalGraph,
-                 mapping: mmap.mmap, file_bytes: int) -> None:
+                 mapping, file_bytes: int) -> None:
         self.path = path
         self.header = header
         self.sections = sections
         self.graph = graph
         self.file_bytes = file_bytes
-        self._mapping: Optional[mmap.mmap] = mapping
+        self._mapping = mapping
 
     @property
     def num_nodes(self) -> int:
@@ -420,53 +448,68 @@ def open_packed(path) -> PackedGraph:
     byte-identical on every algorithm.
     """
     path = os.fspath(path)
-    header = read_header(path)
-    size = os.path.getsize(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if not size:
+            raise StorageFormatError(f"{path}: empty file, not a packed graph")
         mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+    def release(off: int, nbytes: int) -> None:
+        # Validation paged this section in; hand the (clean, read-only)
+        # pages back so peak RSS tracks the counting working set, not
+        # the whole file.  They re-fault from the page cache on demand
+        # if a kernel touches them later.
+        if not hasattr(mmap, "MADV_DONTNEED"):  # pragma: no cover
+            return
+        page = mmap.PAGESIZE
+        start = (off + page - 1) // page * page
+        end = (off + nbytes) // page * page
+        if end > start:
+            mapping.madvise(mmap.MADV_DONTNEED, start, end - start)
+
+    return map_image(path, mapping, size, mapping, release=release)
+
+
+def map_image(origin: str, buf, size: int, owner, *, trusted: bool = False,
+              release: Optional[Callable[[int, int], None]] = None) -> PackedGraph:
+    """Build the zero-copy graph over a packed image mapped as ``buf``.
+
+    The one reader behind :func:`open_packed` (a file mapping) and
+    :func:`repro.graph.shared.attach_graph` (a shared-memory segment).
+    ``owner`` is the mapping object the returned handle closes (it is
+    closed here if the image is rejected).  Magic, version, header and
+    section bounds are always checked; ``trusted`` skips the O(m)
+    content checks (node-id ranges, derived CSR structure) that only
+    images from outside the program need.  ``release(offset, nbytes)``
+    is called for each section whose contents validation read.
+    """
     try:
-        buf = memoryview(mapping)
-        # The true header length comes from the preamble, not from a
-        # json round trip (re-serialization is not byte-stable).
-        _, _, _, hlen, _ = _PREAMBLE.unpack(buf[: _PREAMBLE.size])
-        data_start = _align(_PREAMBLE.size + hlen)
+        view = memoryview(buf).toreadonly()
+        header, data_start = _parse_header(
+            origin, lambda off, n: bytes(view[off:off + n]), size
+        )
         sections: Dict[str, np.ndarray] = {}
         spans: Dict[str, Tuple[int, int]] = {}
-        for section in header["sections"]:  # type: ignore[index]
+        for section in header["sections"]:  # type: ignore[union-attr]
             off = data_start + int(section["offset"])
             nbytes = int(section["nbytes"])
-            arr = np.frombuffer(
-                buf[off:off + nbytes], dtype=np.dtype(str(section["dtype"]))
+            sections[str(section["name"])] = np.frombuffer(
+                view[off:off + nbytes], dtype=np.dtype(str(section["dtype"]))
             ).reshape([int(dim) for dim in section["shape"]])
-            sections[str(section["name"])] = arr
             spans[str(section["name"])] = (off, nbytes)
-
-        def release(name: str) -> None:
-            # Validation paged this section in; hand the (clean,
-            # read-only) pages back so peak RSS tracks the counting
-            # working set, not the whole file.  They re-fault from the
-            # page cache on demand if a kernel touches them later.
-            if not hasattr(mmap, "MADV_DONTNEED"):  # pragma: no cover
-                return
-            off, nbytes = spans[name]
-            page = mmap.PAGESIZE
-            start = (off + page - 1) // page * page
-            end = (off + nbytes) // page * page
-            if end > start:
-                mapping.madvise(mmap.MADV_DONTNEED, start, end - start)
-
-        graph = _assemble(path, header, sections, release)
+        graph = _assemble(origin, header, sections, trusted, None if release is None
+                          else lambda name: release(*spans[name]))
     except BaseException:
         try:
-            mapping.close()
+            owner.close()
         except BufferError:  # pragma: no cover - views escaped mid-failure
             pass
         raise
-    return PackedGraph(path, header, sections, graph, mapping, size)
+    return PackedGraph(origin, header, sections, graph, owner, size)
 
 
 def _assemble(path: str, header, sections: Dict[str, np.ndarray],
-              release=None) -> TemporalGraph:
+              trusted: bool, release=None) -> TemporalGraph:
     """Validate column contents and build the zero-copy graph object."""
     n = int(header["num_nodes"])
     m = int(header["num_edges"])
@@ -479,30 +522,21 @@ def _assemble(path: str, header, sections: Dict[str, np.ndarray],
             )
     if src.dtype != np.int64 or dst.dtype != np.int64:
         raise StorageFormatError(f"{path}: src/dst sections must be int64")
-    if np.issubdtype(t.dtype, np.floating) and not np.isfinite(t).all():
-        raise StorageFormatError(
-            f"{path}: non-finite timestamps in binary edge columns"
-        )
-    if m and np.any(t[1:] < t[:-1]):
-        raise StorageFormatError(f"{path}: timestamps are not sorted")
-    if m:
-        if int(src.min()) < 0 or int(dst.min()) < 0 or \
-                int(src.max()) >= n or int(dst.max()) >= n:
-            raise StorageFormatError(
-                f"{path}: node ids out of range for num_nodes={n}"
-            )
-        if bool(np.any(src == dst)):
-            raise StorageFormatError(f"{path}: self-loop in packed edge columns")
+    # Finite, sorted, self-loop-free: from_canonical_arrays checks
+    # those on every path; ranges are only checked for outside images.
+    if not trusted and m and (
+        int(src.min()) < 0 or int(dst.min()) < 0
+        or int(src.max()) >= n or int(dst.max()) >= n
+    ):
+        raise StorageFormatError(f"{path}: node ids out of range for num_nodes={n}")
     try:
         graph = TemporalGraph.from_canonical_arrays(src, dst, t, num_nodes=n)
-    except ValidationError as exc:  # pragma: no cover - pre-checked above
+    except ValidationError as exc:
         raise StorageFormatError(f"{path}: {exc}") from exc
     if header["layout"] == "full":
-        _check_derived(path, sections, n, m, release)
-        scalars = {"num_nodes": n, "num_edges": m}
-        arrays = {name: sections[name] for name in EDGE_SECTIONS + DERIVED_SECTIONS}
-        col = ColumnarGraph._attach(arrays, scalars)
-        graph._columnar = col
+        if not trusted:
+            _check_derived(path, sections, n, m, release)
+        graph._columnar = ColumnarGraph._attach(sections)
         graph._columnar_version = graph._version
     return graph
 
@@ -556,7 +590,6 @@ def _check_derived(path: str, sections: Dict[str, np.ndarray],
     _shape("inc_cum_in", total + 1)
     _bounded("inc_row", total, max(n, 1))
     _shape("inc_row_key", total)
-    _shape("grp_id", total)
     _bounded("grp_order", total, max(total, 1))
     _bounded("grp_inv", total, max(total, 1))
     _shape("grp_rank_key", total)

@@ -1,5 +1,8 @@
 """Tests for MotifCounts serialisation."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.core.api import count_motifs
@@ -11,6 +14,7 @@ from repro.core.serialize import (
     save_counts,
 )
 from repro.errors import ValidationError
+from tests.conftest import random_graph
 
 
 class TestJson:
@@ -26,6 +30,32 @@ class TestJson:
         path = tmp_path / "counts.json"
         save_counts(counts, path)
         assert load_counts(path) == counts
+
+    def test_sampled_file_roundtrip(self, tmp_path):
+        # A fixed-seed BTS estimate: fractional cells, is_exact=False
+        # and a stderr grid all survive save/load bit for bit.
+        graph = random_graph(seed=4, num_nodes=10, num_edges=120, t_max=40)
+        counts = count_motifs(graph, 8, algorithm="bts", seed=11, n_samples=4)
+        assert not counts.is_exact and counts.stderr is not None
+        assert np.any(counts.grid != np.round(counts.grid))
+        path = tmp_path / "bts.json"
+        save_counts(counts, path)
+        restored = load_counts(path)
+        assert restored.grid.dtype == np.float64
+        assert np.array_equal(restored.grid, counts.grid)
+        assert restored.is_exact is False
+        assert np.array_equal(restored.stderr, counts.stderr)
+        assert restored.algorithm == counts.algorithm
+
+    def test_exact_file_without_stderr_loads_unchanged(self, paper_graph):
+        # An exact file as every release wrote it: no "stderr" key.
+        counts = count_motifs(paper_graph, 10)
+        text = counts_to_json(counts)
+        assert "stderr" not in json.loads(text)
+        restored = counts_from_json(text)
+        assert restored.grid.dtype == np.int64
+        assert restored.is_exact is True and restored.stderr is None
+        assert restored == counts
 
     def test_invalid_json(self):
         with pytest.raises(ValidationError, match="invalid JSON"):

@@ -1,60 +1,54 @@
 """Shared-memory graph publication: publish/attach round trips."""
 
 import os
+import pickle
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.core.api import count_motifs
-from repro.errors import ValidationError
-from repro.graph.shared import (
-    ArrayBundleManifest,
-    ArraySpec,
-    AttachedArrays,
-    SharedArrays,
-    _publish_into_segment,
-    attach_graph,
-    publish_graph,
-)
+from repro.errors import StorageFormatError, ValidationError
+from repro.graph.shared import attach_graph, publish_graph
 from repro.graph.temporal_graph import TemporalGraph
+from repro.storage.format import DERIVED_SECTIONS, EDGE_SECTIONS, pack_graph
 from tests.conftest import random_graph
 
 
+def _with_timestamp_dtype(graph: TemporalGraph, dtype) -> TemporalGraph:
+    return TemporalGraph.from_canonical_arrays(
+        graph.sources, graph.destinations, graph.timestamps.astype(dtype),
+        num_nodes=graph.num_nodes,
+    )
+
+
 class TestArrayBundles:
-    """Segment lifecycle of one published graph bundle."""
+    """Segment lifecycle of one published graph."""
 
     def test_round_trip_values_and_meta(self, paper_graph):
         col = paper_graph.columnar()
         handle = publish_graph(paper_graph)
         try:
-            attached = attach_graph(handle.manifest)
-            arrays = attached._attached.arrays
-            expected = {
-                "edge.src": paper_graph.sources,
-                "edge.t": paper_graph.timestamps,
-                "col.inc_dir": col.inc_dir,
-                "col.pair_keys": col.pair_keys,
-            }
-            for name, arr in expected.items():
-                got = arrays[name]
-                assert got.dtype == arr.dtype, name
-                assert np.array_equal(got, arr), name
-                assert not got.flags.writeable, name
-            meta = handle.manifest.metadata()
-            assert meta["num_nodes"] == paper_graph.num_nodes
-            assert meta["num_edges"] == paper_graph.num_edges
-            assert meta["version"] == paper_graph.version
+            attached = attach_graph(handle.name)
+            got = attached.graph.columnar()
+            for name in EDGE_SECTIONS + DERIVED_SECTIONS:
+                arr = getattr(col, name)
+                view = getattr(got, name)
+                assert view.dtype == arr.dtype, name
+                assert np.array_equal(view, arr), name
+                assert not view.flags.writeable, name
+            assert attached.num_nodes == paper_graph.num_nodes
+            assert attached.num_edges == paper_graph.num_edges
+            assert attached.graph.version == 0
             attached.close()
         finally:
             handle.close()
 
     def test_manifest_is_picklable(self, paper_graph):
-        import pickle
-
+        # The segment name is the whole manifest a worker receives.
         handle = publish_graph(paper_graph)
         try:
-            manifest = pickle.loads(pickle.dumps(handle.manifest))
-            attached = attach_graph(manifest)
+            attached = attach_graph(pickle.loads(pickle.dumps(handle.name)))
             assert np.array_equal(attached.graph.timestamps, paper_graph.timestamps)
             attached.close()
         finally:
@@ -62,15 +56,15 @@ class TestArrayBundles:
 
     def test_close_unlinks_segment(self, paper_graph):
         handle = publish_graph(paper_graph)
-        manifest = handle.manifest
         handle.close()
         with pytest.raises(FileNotFoundError):
-            attach_graph(manifest)
+            attach_graph(handle.name)
 
     def test_close_is_idempotent(self, paper_graph):
         handle = publish_graph(paper_graph)
         handle.close()
         handle.close()
+        assert handle.closed
 
 
 def _owner_maps(segment: str) -> bool:
@@ -83,36 +77,52 @@ def _owner_maps(segment: str) -> bool:
     not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
 )
 class TestOwnerUnmapsAfterPublish:
-    @pytest.mark.parametrize("kind", ["arrays", "graph"])
-    def test_segment_unmapped_but_attachable_and_unlinkable(self, paper_graph, kind):
-        # "arrays": a bare edge-column bundle; "graph": a whole graph,
-        # columnar store included.
-        expected = {
-            "edge.src": paper_graph.sources,
-            "edge.dst": paper_graph.destinations,
-            "edge.t": paper_graph.timestamps,
-        }
-        if kind == "graph":
-            expected["col.pair_keys"] = paper_graph.columnar().pair_keys
-            handle = publish_graph(paper_graph)
-        else:
-            handle = SharedArrays(*_publish_into_segment(expected, meta=None))
+    def test_segment_unmapped_but_attachable_and_unlinkable(self, paper_graph):
+        col = paper_graph.columnar()
+        handle = publish_graph(paper_graph)
         try:
             assert os.path.exists(f"/dev/shm/{handle.name}")
             assert not _owner_maps(handle.name)
             for _ in range(2):
-                if kind == "graph":
-                    attached = attach_graph(handle.manifest)
-                    arrays = attached._attached.arrays
-                else:
-                    attached = AttachedArrays(handle.manifest)
-                    arrays = attached.arrays
-                for name, arr in expected.items():
-                    assert np.array_equal(arrays[name], arr), name
+                attached = attach_graph(handle.name)
+                got = attached.graph.columnar()
+                for name in ("src", "dst", "t", "pair_keys"):
+                    assert np.array_equal(getattr(got, name), getattr(col, name)), name
                 attached.close()
         finally:
             handle.close()
         assert not os.path.exists(f"/dev/shm/{handle.name}")
+
+    def test_attach_leaves_no_descriptor_behind(self, paper_graph):
+        # A view may outlive its handle's close(); once it dies, the
+        # attach must hold no file descriptor.
+        handle = publish_graph(paper_graph)
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            attached = attach_graph(handle.name)
+            view = attached.graph.timestamps
+            attached.close()
+            del attached, view
+            assert len(os.listdir("/proc/self/fd")) == before
+        finally:
+            handle.close()
+
+    @pytest.mark.parametrize("kind", ["paper", "empty", "float"])
+    def test_segment_holds_the_packed_full_image(self, paper_graph, tmp_path, kind):
+        graph = {
+            "paper": paper_graph,
+            "empty": TemporalGraph([]),
+            "float": TemporalGraph([(0, 1, 0.5), (1, 2, 1.25), (0, 2, 2.75)]),
+        }[kind]
+        path = tmp_path / "g.rgz"
+        pack_graph(graph, path, layout="full")
+        packed = path.read_bytes()
+        handle = publish_graph(graph)
+        try:
+            with open(f"/dev/shm/{handle.name}", "rb") as fh:
+                assert fh.read(len(packed)) == packed
+        finally:
+            handle.close()
 
 
 class TestGraphPublication:
@@ -120,7 +130,7 @@ class TestGraphPublication:
         ref = count_motifs(paper_graph, 10)
         handle = publish_graph(paper_graph)
         try:
-            attached = attach_graph(handle.manifest)
+            attached = attach_graph(handle.name)
             assert count_motifs(attached.graph, 10).same_counts(ref)
             attached.close()
         finally:
@@ -130,7 +140,7 @@ class TestGraphPublication:
         col = paper_graph.columnar()
         handle = publish_graph(paper_graph)
         try:
-            attached = attach_graph(handle.manifest)
+            attached = attach_graph(handle.name)
             # The columnar store arrives ready-made (no O(m log m)
             # rebuild) and stamped valid against the fresh graph.
             assert attached.graph._columnar is not None
@@ -139,6 +149,7 @@ class TestGraphPublication:
             assert np.array_equal(att_col.inc_indptr, col.inc_indptr)
             assert np.array_equal(att_col.pair_keys, col.pair_keys)
             assert not att_col.src.flags.writeable
+            assert not att_col.src.flags.owndata
             attached.close()
         finally:
             handle.close()
@@ -146,28 +157,38 @@ class TestGraphPublication:
     def test_empty_graph_round_trip(self):
         handle = publish_graph(TemporalGraph([]))
         try:
-            attached = attach_graph(handle.manifest)
+            attached = attach_graph(handle.name)
             assert attached.graph.num_edges == 0
             assert count_motifs(attached.graph, 5).total() == 0
             attached.close()
         finally:
             handle.close()
 
-    def test_float_timestamps_round_trip(self):
-        g = TemporalGraph([(0, 1, 0.5), (1, 0, 1.25), (0, 1, 2.75)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_float_timestamps_round_trip(self, dtype):
+        g = _with_timestamp_dtype(
+            TemporalGraph([(0, 1, 0.5), (1, 0, 1.25), (0, 1, 2.75)]), dtype
+        )
         handle = publish_graph(g)
         try:
-            attached = attach_graph(handle.manifest)
-            assert attached.graph.timestamps.dtype == np.float64
+            attached = attach_graph(handle.name)
+            assert attached.graph.timestamps.dtype == dtype
+            assert np.array_equal(attached.graph.timestamps, g.timestamps)
             assert count_motifs(attached.graph, 3.0).same_counts(count_motifs(g, 3.0))
             attached.close()
         finally:
             handle.close()
 
     def test_non_graph_manifest_rejected(self):
-        manifest = ArrayBundleManifest("unused", (ArraySpec("x", "<i8", (4,), 0),))
-        with pytest.raises(ValidationError, match="graph bundle"):
-            attach_graph(manifest)
+        # A segment that does not start with the .rgz magic is no graph.
+        shm = shared_memory.SharedMemory(create=True, size=64)
+        try:
+            shm.buf[:8] = b"NOTAPACK"
+            with pytest.raises(StorageFormatError, match="magic"):
+                attach_graph(shm.name)
+        finally:
+            shm.close()
+            shm.unlink()
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_random_graphs_round_trip(self, seed):
@@ -175,7 +196,7 @@ class TestGraphPublication:
         ref = count_motifs(g, 7)
         handle = publish_graph(g)
         try:
-            attached = attach_graph(handle.manifest)
+            attached = attach_graph(handle.name)
             assert count_motifs(attached.graph, 7).same_counts(ref)
             attached.close()
         finally:

@@ -20,6 +20,7 @@ import glob
 import json
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -104,6 +105,28 @@ def test_resume_mid_stream_is_bit_identical(tmp_path):
     assert interrupted[:4] + tail == baseline, (
         "resumed replay diverged from the uninterrupted run"
     )
+
+
+def test_version_2_checkpoint_resumes_bit_identically(tmp_path):
+    # fixtures/v2_checkpoint was committed by the previous release after
+    # the seq-3 checkpoint of this very stream, exactly as ``fresh`` is
+    # written below; its snapshot is a version-2 edges-layout .rgz.
+    edges = stream_edges()
+    baseline = replay_lines(open_stream(request()), edges)
+    fresh = str(tmp_path / "fresh")
+    first = open_stream(request())
+    for cp in first.replay(edges):
+        if cp.seq == 3:
+            break
+    first.checkpoint_to(fresh)
+    old = str(tmp_path / "v2")
+    shutil.copytree(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 "fixtures", "v2_checkpoint"), old)
+    tails = []
+    for directory in (old, fresh):
+        resumed = StreamingMotifEngine.resume_from(directory, request=request())
+        tails.append(replay_lines(resumed, edges[resumed.records_consumed():]))
+    assert tails[0] and tails[0] == tails[1] == baseline[-len(tails[0]):]
 
 
 def with_legacy_backend(directory: str, backend: str) -> None:

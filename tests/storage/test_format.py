@@ -27,6 +27,7 @@ from repro.errors import (
     StorageVersionError,
     ValidationError,
 )
+from repro.graph.shared import publish_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.storage.format import (
     DERIVED_SECTIONS,
@@ -41,6 +42,8 @@ from repro.storage.format import (
 )
 from tests.conftest import random_graph
 from tests.core.test_properties import temporal_graphs
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def _sample_graph():
@@ -102,14 +105,37 @@ class TestRoundTrip:
         for name in DERIVED_SECTIONS:
             assert np.array_equal(getattr(reopened, name), getattr(reference, name))
 
-    def test_float_timestamps_round_trip(self, tmp_path):
-        graph = _float_graph()
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_float_timestamps_round_trip(self, tmp_path, dtype):
+        # Timestamps are stored in their own dtype: widening float32
+        # to float64 could move an edge across a δ boundary.
+        base = _float_graph()
+        graph = TemporalGraph.from_canonical_arrays(
+            base.sources, base.destinations, base.timestamps.astype(dtype),
+            num_nodes=base.num_nodes,
+        )
         path = str(tmp_path / "float.rgz")
         pack_graph(graph, path)
         packed = open_packed(path)
-        assert packed.graph.timestamps.dtype == np.float64
+        assert packed.graph.timestamps.dtype == dtype
+        assert packed.graph.columnar().inc_time.dtype == dtype
         assert np.array_equal(packed.graph.timestamps, graph.timestamps)
         assert count_motifs(packed.graph, 2.5).same_counts(count_motifs(graph, 2.5))
+
+    def test_longdouble_timestamps_refused(self, tmp_path):
+        base = _float_graph()
+        graph = TemporalGraph.from_canonical_arrays(
+            base.sources, base.destinations, base.timestamps.astype(np.longdouble),
+            num_nodes=base.num_nodes,
+        )
+        if graph.timestamps.dtype.itemsize == 8:  # pragma: no cover - longdouble is double
+            pytest.skip("longdouble is float64 on this platform")
+        with pytest.raises(ValidationError, match="cannot pack"):
+            pack_graph(graph, str(tmp_path / "ld.rgz"))
+        assert not os.listdir(tmp_path)
+        # Shared-memory publication writes the same image.
+        with pytest.raises(ValidationError, match="cannot pack"):
+            publish_graph(graph)
 
     def test_empty_graph_round_trip(self, tmp_path):
         path = str(tmp_path / "empty.rgz")
@@ -185,6 +211,7 @@ class TestCorruption:
     def test_version_skew(self, packed_path):
         # Version 1 carried a pair Bloom-filter section this build no
         # longer reads; a future version is equally unreadable.
+        assert FORMAT_VERSION == 3
         for version in (1, FORMAT_VERSION + 9):
             _corrupt(packed_path, len(MAGIC) + 2, struct.pack("<H", version))
             with pytest.raises(StorageVersionError, match="re-pack"):
@@ -261,3 +288,47 @@ class TestCorruption:
             fh.write("0 1 2\n1 2 3\n")
         with pytest.raises(StorageFormatError):
             open_packed(text)
+
+
+# ----------------------------------------------------------------------
+# version 2 files (written by the previous release's pack_graph)
+# ----------------------------------------------------------------------
+class TestVersion2:
+    """``fixtures/v2_*.rgz`` were packed by the version-2 writer, whose
+    full layout also stored a ``grp_id`` section; this build reads
+    them and ignores that section."""
+
+    @pytest.mark.parametrize("name, graph", [
+        ("v2_full.rgz", random_graph(seed=3, num_nodes=8, num_edges=30, t_max=20)),
+        ("v2_float_full.rgz", _float_graph()),
+    ])
+    def test_opens_with_identical_counts(self, name, graph):
+        path = os.path.join(FIXTURES, name)
+        with open(path, "rb") as fh:
+            assert struct.unpack_from("<H", fh.read(), len(MAGIC) + 2) == (2,)
+        packed = open_packed(path)
+        assert packed.layout == "full"
+        assert "grp_id" in {s["name"] for s in packed.header["sections"]}
+        reference = graph.columnar()
+        reopened = packed.graph.columnar()
+        for section in EDGE_SECTIONS + DERIVED_SECTIONS:
+            ref, got = getattr(reference, section), getattr(reopened, section)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), section
+        for delta in (0, 2.5, 7):
+            for algorithm in ("fast", "ex", "bruteforce"):
+                a = count_motifs(graph, delta, algorithm=algorithm)
+                b = count_motifs(packed.graph, delta, algorithm=algorithm)
+                assert a.same_counts(b), (delta, algorithm)
+        a = count_motifs(graph, 7, algorithm="bts", seed=3, n_samples=2)
+        b = count_motifs(packed.graph, 7, algorithm="bts", seed=3, n_samples=2)
+        assert np.array_equal(a.grid, b.grid)
+
+    def test_new_files_drop_grp_id(self, tmp_path):
+        path = str(tmp_path / "g.rgz")
+        header = pack_graph(_sample_graph(), path)
+        names = [s["name"] for s in header["sections"]]
+        assert names == list(EDGE_SECTIONS + DERIVED_SECTIONS)
+        assert "grp_id" not in names and "scalars" not in header
+        small = str(tmp_path / "small.rgz")
+        pack_graph(random_graph(seed=3, num_nodes=8, num_edges=30, t_max=20), small)
+        assert os.path.getsize(small) < os.path.getsize(os.path.join(FIXTURES, "v2_full.rgz"))
