@@ -16,16 +16,18 @@ How the Python loops vectorize
 ``{e : t_e <= x}`` is an edge-id prefix found by one binary search on
 the timestamp column, and "entries of center *u*'s CSR row below that
 id" is one probe of the row-composite key
-(:attr:`~repro.graph.columnar.ColumnarGraph.inc_row_key`).  Every
-δ-window bound used below is precomputed this way for *all* edges and
+(:attr:`~repro.graph.columnar.ColumnarGraph.inc_row_key`).  The star
+kernel's δ-window bounds are precomputed this way for *all* edges and
 incidence positions at once — six vectorized ``searchsorted`` passes
 total (two per-edge probes of the timestamp column, two row-composite
 and two group-composite probes), each issued in sorted query order so
-the binary searches walk their keys front to back.  The tables are
-memoized per δ on the columnar store, so every batch at one δ (in a
-serial count or on one pool worker) pays the setup once.  The memo
-holds one δ at a time: building a table for a new δ evicts every
-table of the old one, and only the δ-free static-triangle table stays.
+the binary searches walk their keys front to back.  The triangle
+kernel shares the two per-edge probes and probes window ends only for
+the anchors its wedge paths still need.  The tables are memoized per
+δ on the columnar store, so every batch at one δ (in a serial count or
+on one pool worker) pays the setup once.  The memo holds one δ at a
+time: building a table for a new δ evicts every table of the old one,
+and only the δ-free static-triangle table stays.
 
 **FAST-Star has a closed form per anchor.**  Every star/pair motif
 triple contains at least two edges on the *same* (center, neighbour)
@@ -47,7 +49,32 @@ every table gather ascends and each cell is one plain int64 sum per
 block.  Total work is O(m log m), *below* the paper's O(d^δ · m) bound
 for FAST-Star.
 
-**FAST-Tri classifies by edge id.**  The canonical tie-break rule
+**FAST-Tri has three paths.**  Each static triangle ``{a, b, c}`` of
+the pair graph (:func:`triangle_table`, a degree-ordered vectorized
+enumeration, δ-independent and memoized in the columnar store's
+``delta_cache``) is counted by exactly one of them.
+
+* The *merged path* (the per-triangle formulation of Paranjape et al.)
+  takes a triangle whose three pair timelines together span at most δ
+  (:func:`_merge_rule`): each of its ``m1 m2 m3`` edge triples is then
+  an instance.  Its timelines are merged in edge-id order, per-class
+  prefix counts over the six (pair, direction) classes give every
+  event's before/after counts, and one static table maps the
+  per-class-triple sums to cells (:func:`_merged_timelines`) — no
+  per-wedge probe at all.
+* Every other triangle is counted wedge by wedge (Algorithm 2).
+  Each anchor incidence ``p`` (center ``u``, neighbour ``v``) on a
+  side of such a triangle expands whichever candidate set is smaller
+  — both sizes are O(1) lookups: the *window path*, its
+  ``we[p] - p - 1`` δ-window successors, each closed (or dropped) by a
+  binary search over ``pair_keys``; or the *triangle path*, one row
+  per static triangle ``{u, v, w}`` through its pair, whose wedge
+  partners are the ``E(u, w)`` entries with edge id inside ``p``'s
+  forward δ-window (:func:`edge_window_ends`) — two rank probes — and
+  whose closing pair ``{v, w}`` comes from the table.  Wedges and rows
+  of merged triangles are dropped before classification.
+
+The wedge paths classify by edge id.  The canonical tie-break rule
 makes "``e_k`` before ``e_i``" ⟺ ``eid_k < eid_i`` and "after ``e_j``"
 ⟺ ``eid_k > eid_j``, so the Triangle I/II/III split of the pair
 timeline ``E(v, w)`` is three contiguous id ranges, located by rank
@@ -58,26 +85,21 @@ and each probe set is sorted within its group before probing:
 cache-local, where random-order probes into the m-sized rank key miss
 on nearly every step.
 
-**FAST-Tri expands only where wedges can close.**  Algorithm 2 takes
-every in-window edge pair at a center as a candidate, yet on session
-graphs well under 1% of them have a far pair that exists.  Each anchor
-incidence ``p`` (center ``u``, neighbour ``v``) therefore expands
-whichever candidate set is smaller — both sizes are O(1) lookups:
-
-* the *window path*: its ``we[p] - p - 1`` δ-window successors, each
-  closed (or dropped) by a binary search over ``pair_keys``;
-* the *triangle path*: one row per static triangle ``{u, v, w}``
-  through its pair (the per-triangle view of Paranjape et al.), whose
-  wedge partners are the ``E(u, w)`` entries with edge id inside
-  ``p``'s forward δ-window (:func:`edge_window_ends`) — two rank
-  probes — and whose closing pair ``{v, w}`` comes from the table,
-  with no pair search.
-
-Both paths feed one classifier and own a wedge by its first edge at
-its center, so either choice gives the same per-task counts.  The
-static-triangle table (:func:`triangle_table`, a degree-ordered
-vectorized enumeration) is δ-independent and memoized in the
-columnar store's ``delta_cache``.
+The routing rule is the span test alone, measured on two inputs.  On
+session graphs almost every triangle is light: at 4·10⁴ edges and
+δ = 43 200 s, 2 708 of 2 732 triangles (22 367 events standing for
+74 366 wedges) merge, and the triangle phase fell about 4×.  A
+prototype that merged *every* triangle, with a window probe per
+event, made the 10⁵-edge power-law graph 13× slower (0.21 → 2.7 s,
+3.77M events for 39 487 triangles): its hub pairs sit in up to 615
+triangles each and span far more than δ, so merging re-walks a long
+timeline per triangle for a handful of in-window wedges.  Hub pairs
+are where merging loses, not where it wins.  The span test keeps them
+on the wedge paths (498 of 39 487 merge at δ = 43 200).  A cost test
+against the wedge count would never reject: a triangle with pair
+sizes ``m1, m2, m3 >= 1`` has ``m1 m2 + m1 m3 + m2 m3 >= m1 + m2 + m3``
+wedges, and an event cost 150–260 ns against 500–540 ns per
+classified wedge (2 cores).
 
 **Exact accumulation.**  Counter cells are accumulated with pure int64
 sums (never float64 ``bincount`` weights), so counts stay exact
@@ -87,24 +109,31 @@ Work decomposition
 ------------------
 
 Both kernels accept the scheduler's ``(node, i_lo, i_hi)`` tasks.
-Ownership of a triple is defined by its *anchor edge* — the earlier
-edge of the anchor pair for stars, the wedge's first edge for
-triangles — which every complete task cover visits exactly once, so
-merged task results equal the serial count exactly.  (The per-task
-*split* may differ from the Python kernels, whose ownership is always
-the triple's first edge; only the union is contracted — see
-:func:`repro.core.fast_star.count_star_pair_tasks`.)
+Ownership of a triple is defined by an *anchor* incidence position
+that every complete task cover visits exactly once: the earlier edge
+of the anchor pair for stars, the wedge's first edge at its center
+for wedge-path triangles, and for a merged triangle one canonical
+position — at its smallest vertex, the earlier of the first edges on
+its two pairs there.  Merged task results therefore equal the serial
+count exactly over any complete cover; the per-task *split* is not
+contracted and differs from the Python kernels, whose ownership is
+always the triple's first edge (see
+:func:`repro.core.fast_star.count_star_pair_tasks`).
 
 Peak memory is O(m) for the star kernel.  The triangle kernel adds
 the O(m + T) static-triangle table (T triangles) and, independent of
 δ, at most ``chunk_pairs`` (default 2**21 ≈ 2M) expanded candidates
 at once: window wedges plus triangle rows per anchor slice, and again
-at most ``chunk_pairs`` wedge partners per slice of rows.
+at most ``chunk_pairs`` wedge partners per slice of rows.  The merged
+path runs at most ``min(chunk_pairs, MERGED_CHUNK_EVENTS)`` events at
+a time (a single larger triangle forms its own chunk), with its
+prefixes restarted per chunk.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -114,6 +143,10 @@ from repro.graph.temporal_graph import TemporalGraph
 
 #: Default cap on expanded wedge pairs processed at once (FAST-Tri).
 DEFAULT_CHUNK_PAIRS = 1 << 21
+
+#: Events per chunk of FAST-Tri's merged path: its six prefix rows stay
+#: in cache (2**14-event chunks ran at 150 ns/event, 2**21 at 390).
+MERGED_CHUNK_EVENTS = 1 << 14
 
 #: A work task, as produced by the HARE scheduler.
 Task = Tuple[int, int, Optional[int]]
@@ -269,7 +302,9 @@ class TriangleTable(NamedTuple):
     entries ``indptr[s]:indptr[s+1]``, ascending by third vertex; entry
     ``r`` names the third vertex ``third[r]`` and the slots of its
     pairs with ``a`` (``lo_slot[r]``) and with ``b`` (``hi_slot[r]``).
-    ``edge_slot`` maps every edge id to its own pair slot.
+    ``edge_slot`` maps every edge id to its own pair slot.  Entry ``r``
+    belongs to triangle ``tri[r]``; triangle ``i``, ``a < b < c``, has
+    the slots ``sides[i]`` of its ``(a,b), (a,c), (b,c)`` pairs.
     """
 
     indptr: np.ndarray
@@ -277,6 +312,8 @@ class TriangleTable(NamedTuple):
     lo_slot: np.ndarray
     hi_slot: np.ndarray
     edge_slot: np.ndarray
+    tri: np.ndarray
+    sides: np.ndarray
 
 
 def enumerate_static_triangles(
@@ -303,7 +340,7 @@ def enumerate_static_triangles(
     lo_first = deg[lo_end] <= deg[hi_end]  # ties: smaller id first
     x = np.where(lo_first, lo_end, hi_end)
     y = np.where(lo_first, hi_end, lo_end)
-    order = np.lexsort((y, x))  # out-rows by x, ids ascending inside
+    order = np.argsort(x * nn + y)  # out-rows by x, ids ascending inside
     x = x[order]
     y = y[order]
     row_end = np.searchsorted(x, x, side="right")
@@ -335,7 +372,8 @@ def enumerate_static_triangles(
         np.where(first, s2, np.where(last, s1, s12)),
         np.where(first, s12, s2),
     ), axis=1)
-    tri_order = np.lexsort((nodes[:, 2], nodes[:, 1], nodes[:, 0]))
+    # Slot order of (a, b) is its key order: sort by (a, b), then c.
+    tri_order = np.argsort(slots[:, 0] * nn + nodes[:, 2])
     return nodes[tri_order], slots[tri_order]
 
 
@@ -357,7 +395,7 @@ def triangle_table(col: ColumnarGraph) -> TriangleTable:
     third = nodes[:, ::-1].ravel()
     lo_slot = slots[:, [1, 0, 0]].ravel()
     hi_slot = slots[:, [2, 2, 1]].ravel()
-    order = np.lexsort((third, owner))
+    order = np.argsort(owner * np.int64(max(col.num_nodes, 1)) + third)
     indptr = np.concatenate(
         ([0], np.cumsum(np.bincount(owner, minlength=P), dtype=np.int64))
     )
@@ -366,10 +404,189 @@ def triangle_table(col: ColumnarGraph) -> TriangleTable:
         np.arange(P, dtype=np.int64), np.diff(col.pair_indptr)
     )
     table = TriangleTable(
-        indptr, third[order], lo_slot[order], hi_slot[order], edge_slot
+        indptr, third[order], lo_slot[order], hi_slot[order], edge_slot,
+        order // 3, slots,
     )
     col.delta_cache[_TRI_KEY] = table
     return table
+
+
+def _merge_rule(
+    col: ColumnarGraph, delta: float, s1: np.ndarray, s2: np.ndarray, s3: np.ndarray
+) -> np.ndarray:
+    """Whether the static triangle on pair slots ``s1, s2, s3`` is merged.
+
+    A triangle is counted on its merged pair timelines when its three
+    timelines together span at most δ: every edge triple on it is then
+    an instance, and every wedge is in-window.  Both bounds are
+    evaluated in the arithmetic of the window probes
+    (:func:`edge_window_ends`, :func:`_edge_window_starts`), so the rule
+    admits a triangle only when the wedge paths would count all its
+    triples too, for any timestamp dtype.  Symmetric in the three
+    slots, and it reads only their first and last timestamps, so every
+    path takes the same decision for one triangle.
+    """
+    indptr = col.pair_indptr
+    t = col.pair_time
+    first = np.minimum(np.minimum(t[indptr[s1]], t[indptr[s2]]), t[indptr[s3]])
+    last = np.maximum(
+        np.maximum(t[indptr[s1 + 1] - 1], t[indptr[s2 + 1] - 1]), t[indptr[s3 + 1] - 1]
+    )
+    return (last <= first + delta) & (first >= last - delta)
+
+
+class MergedTriangles(NamedTuple):
+    """The static triangles FAST-Tri counts on merged timelines at one δ.
+
+    ``tri`` lists them (indices into :attr:`TriangleTable.sides`,
+    ascending) and ``is_merged`` flags them among all triangles;
+    ``anchor[i]`` is the incidence position that owns triangle
+    ``tri[i]`` in a task cover: at its smallest vertex, the earlier of
+    the first edges on its two pairs there.  Per pair slot, ``side``
+    flags a side of a merged triangle (the window path tests the rule
+    only where it can hold) and ``open`` a side of a triangle left to
+    the wedge paths (no other pair can anchor a wedge that closes).
+    """
+
+    tri: np.ndarray
+    is_merged: np.ndarray
+    anchor: np.ndarray
+    side: np.ndarray
+    open: np.ndarray
+
+
+@_delta_memo("merged")
+def _merged_triangles(col: ColumnarGraph, delta: float) -> MergedTriangles:
+    """Route static triangles by :func:`_merge_rule`; memoized per δ."""
+    table = triangle_table(col)
+    is_merged = _merge_rule(col, delta, *table.sides.T)
+    tri = np.flatnonzero(is_merged)
+    sides = table.sides[tri]
+    apex = col.pair_keys[sides[:, 0]] // np.int64(max(col.num_nodes, 1))
+    first = col.pair_eid[col.pair_indptr[sides[:, :2]]].min(axis=1)
+    anchor = np.searchsorted(
+        col.inc_row_key, apex * np.int64(col.num_edges + 1) + first
+    )
+    side = np.zeros(len(col.pair_keys), dtype=bool)
+    side[sides.ravel()] = True
+    open_ = np.zeros(len(col.pair_keys), dtype=bool)
+    open_[table.sides[~is_merged].ravel()] = True
+    return MergedTriangles(tri, is_merged, anchor, side, open_)
+
+
+def _merged_wedge_rows(
+    col: ColumnarGraph,
+    delta: float,
+    merged: MergedTriangles,
+    edge_slot: np.ndarray,
+    slot: np.ndarray,
+    eid_i: np.ndarray,
+    eid_j: np.ndarray,
+) -> np.ndarray:
+    """Indices of the closed wedges whose static triangle is merged.
+
+    A wedge's triangle has its closing pair ``slot`` and the pairs
+    (``edge_slot``) of its edges ``eid_i``, ``eid_j``; the rule is
+    evaluated only where all three are sides of some merged triangle.
+    """
+    side = merged.side
+    maybe = np.flatnonzero(side[slot])
+    s_i = edge_slot[eid_i[maybe]]
+    s_j = edge_slot[eid_j[maybe]]
+    both = side[s_i] & side[s_j]
+    maybe, s_i, s_j = maybe[both], s_i[both], s_j[both]
+    return maybe[_merge_rule(col, delta, s_i, s_j, slot[maybe])]
+
+
+def _merged_cell_table() -> Tuple[np.ndarray, np.ndarray]:
+    """Static map from ordered event classes to multiplicity-3 triangle cells.
+
+    An event class is ``side * 2 + dir``: side 0, 1, 2 is pair
+    ``(a,b), (a,c), (b,c)`` of a triangle ``a < b < c``, and ``dir`` is
+    the pair-CSR direction (0 from the smaller endpoint).  Edges
+    ``x < y < z`` (edge-id order) on three different sides are one
+    instance, found once per corner as Algorithm 2 finds it: at the
+    corner of ``x, y`` as Triangle-III (closing edge ``z``), of ``x, z``
+    as Triangle-II (``y``) and of ``y, z`` as Triangle-I (``x``).
+    Returns ``(combos, cells)``: flat ``(cx * 6 + cy) * 6 + cz`` indices
+    of the 48 valid class triples and their ``(48, 3)`` cells.
+    """
+    ends = ((0, 1), (0, 2), (1, 2))
+
+    def edge(cls: int) -> Tuple[int, int]:
+        lo, hi = ends[cls >> 1]
+        return (hi, lo) if cls & 1 else (lo, hi)
+
+    def cell(kind: int, ei, ej, ek) -> int:
+        (center,) = set(ei) & set(ej)
+        vi = ei[0] if ei[1] == center else ei[1]
+        di = int(ei[0] != center)
+        dj = int(ej[0] != center)
+        dk = int(ek[0] != vi)
+        return kind * 8 + di * 4 + dj * 2 + dk
+
+    combos, cells = [], []
+    for cx, cy, cz in itertools.product(range(6), repeat=3):
+        if len({cx >> 1, cy >> 1, cz >> 1}) < 3:
+            continue
+        x, y, z = edge(cx), edge(cy), edge(cz)
+        combos.append((cx * 6 + cy) * 6 + cz)
+        cells.append((cell(2, x, y, z), cell(1, x, z, y), cell(0, y, z, x)))
+    return np.array(combos, dtype=np.int64), np.array(cells, dtype=np.int64)
+
+
+_MERGED_COMBOS, _MERGED_CELLS = _merged_cell_table()
+
+
+def _merged_timelines(
+    col: ColumnarGraph, tri_acc: np.ndarray, sides: np.ndarray, chunk_pairs: int
+) -> None:
+    """Merged path: count static triangles on their merged pair timelines.
+
+    Every triangle in ``sides`` (rows of pair slots) passes
+    :func:`_merge_rule`, so each of its ``m1 m2 m3`` edge triples is an
+    instance.  Its three timelines are merged in edge-id order; for
+    each event ``y`` the six per-class counts of events before and
+    after it in its triangle make the per-class-triple instance totals
+    ``sum_y before[cx](y) * after[cz](y)``, and one static table
+    (:func:`_merged_cell_table`) turns those into cells.  Triangles run
+    in chunks of at most ``min(chunk_pairs, MERGED_CHUNK_EVENTS)``
+    events with every prefix restarted per chunk, so a chunk's
+    per-event products stay below 2**28 and its int64 cell sums below
+    2**42; only a single larger triangle, its own chunk, goes past that,
+    bounded by its own instance count.
+    """
+    indptr = col.pair_indptr
+    lo = indptr[sides]
+    sizes = indptr[sides + 1] - lo
+    events = sizes.sum(axis=1)
+    for a, b in _chunks(events, min(chunk_pairs, MERGED_CHUNK_EVENTS)):
+        group, k = _ragged(sizes[a:b].ravel())  # group = 3 * triangle + side
+        k += lo[a:b].ravel()[group]
+        tri = group // 3
+        # Keys are unique; the stable sort (timsort) merges the three
+        # ascending runs each triangle contributes.
+        merge = np.argsort(
+            tri * np.int64(col.num_edges + 1) + col.pair_eid[k], kind="stable"
+        )
+        cls = (group % 3 * 2 + col.pair_dir[k])[merge]
+        del group, k, merge
+        # tri ascends and the merge permutes only within a triangle.
+        ends = np.cumsum(events[a:b])
+        starts = ends - events[a:b]
+        prefix = np.zeros((6, len(cls) + 1), dtype=np.int64)
+        members = []
+        for c in range(6):
+            is_c = cls == c
+            np.cumsum(is_c, out=prefix[c, 1:])
+            members.append(np.flatnonzero(is_c))
+        totals = np.zeros((6, 6, 6), dtype=np.int64)  # [cx, cy, cz]
+        for cy, y in enumerate(members):
+            t_y = tri[y]
+            before = prefix[:, y] - prefix[:, starts[t_y]]
+            after = prefix[:, ends[t_y]] - prefix[:, y + 1]
+            totals[:, cy, :] = before @ after.T
+        np.add.at(tri_acc, _MERGED_CELLS, totals.ravel()[_MERGED_COMBOS, None])
 
 
 def _dir_prefixes(values: np.ndarray, is_in: np.ndarray) -> np.ndarray:
@@ -433,10 +650,10 @@ def edge_window_ends(col: ColumnarGraph, delta: float) -> np.ndarray:
     """Per-*edge* forward δ-window end ranks: first id with ``t > t_e + δ``.
 
     An edge's forward δ-window is exactly the id range
-    ``(e, edge_window_ends(col, δ)[e])``.  The FAST kernels reach it
-    through :func:`_window_bounds` and the triangle path's partner
-    probes; the sampling kernels (:mod:`repro.core.sampling_kernels`)
-    use it as their candidate cap.  One probe per edge, in sorted
+    ``(e, edge_window_ends(col, δ)[e])``.  The star kernel reaches it
+    through :func:`_window_bounds`, the triangle kernel through its
+    anchors' window-end and partner probes; the sampling kernels
+    (:mod:`repro.core.sampling_kernels`) use it as their candidate cap.  One probe per edge, in sorted
     order.  Memoized per δ alongside the other kernel tables (see
     :func:`_delta_memo`).
     """
@@ -557,10 +774,26 @@ def count_triangle_columnar(
     if len(anchors) == 0 or len(col.pair_keys) == 0:
         return tri_acc
 
-    we = _window_bounds(col, delta)[1]
-    window = np.maximum(we[anchors] - (anchors + 1), 0)
     table = triangle_table(col)
+    merged = _merged_triangles(col, delta)
+    owned = merged.tri
+    if tasks is not None and len(owned):
+        is_anchor = np.zeros(len(col.inc_eid), dtype=bool)
+        is_anchor[anchors] = True
+        owned = owned[is_anchor[merged.anchor]]
+    if len(owned):
+        _merged_timelines(col, tri_acc, table.sides[owned], chunk_pairs)
+
+    # Wedge paths: only anchors on a side of a triangle left to them.
     slot_p = table.edge_slot[col.inc_eid[anchors]]
+    live = merged.open[slot_p]
+    anchors, slot_p = anchors[live], slot_p[live]
+    ehi = edge_window_ends(col, delta)
+    we = np.searchsorted(
+        col.inc_row_key,
+        col.inc_row[anchors] * np.int64(col.num_edges + 1) + ehi[col.inc_eid[anchors]],
+    )
+    window = we - (anchors + 1)
     tri_lo = table.indptr[slot_p]
     rows = table.indptr[slot_p + 1] - tri_lo
     on_tri = rows < window
@@ -571,16 +804,16 @@ def count_triangle_columnar(
     )
 
     elo = _edge_window_starts(col, delta)
-    ehi = edge_window_ends(col, delta)
     for a, b in _chunks(cost, chunk_pairs):
         sel = on_tri[a:b]
         win = ~sel
         _window_wedges(
-            col, tri_acc, elo, ehi, anchors[a:b][win], cost[a:b][win]
+            col, tri_acc, delta, merged, elo, ehi, table,
+            anchors[a:b][win], cost[a:b][win],
         )
         if sel.any():
             _triangle_wedges(
-                col, tri_acc, elo, ehi, table, anchors[a:b][sel],
+                col, tri_acc, merged, elo, ehi, table, anchors[a:b][sel],
                 cost[a:b][sel], tri_lo[a:b][sel], chunk_pairs,
             )
     return tri_acc
@@ -589,15 +822,19 @@ def count_triangle_columnar(
 def _window_wedges(
     col: ColumnarGraph,
     tri_acc: np.ndarray,
+    delta: float,
+    merged: MergedTriangles,
     elo: np.ndarray,
     ehi: np.ndarray,
+    table: TriangleTable,
     anchors: np.ndarray,
     counts: np.ndarray,
 ) -> None:
     """Window path: every δ-window successor of each anchor is a wedge.
 
     Wedges whose far pair does not exist are dropped by one binary
-    search over ``pair_keys``.  ``elo``/``ehi`` are the per-edge window
+    search over ``pair_keys``, and wedges of merged triangles
+    (:func:`_merged_wedge_rows`) after it.  ``elo``/``ehi`` are the per-edge window
     bounds (:func:`_edge_window_starts`, :func:`edge_window_ends`).
     """
     pos_i, pos_j = _expand_pairs(anchors, counts, gap=1)
@@ -615,6 +852,15 @@ def _window_wedges(
     slot, flip = slot[closed], vi[closed] > vj[closed]
     del wedge, vi, vj, closed
     eid_i, eid_j = col.inc_eid[pos_i], col.inc_eid[pos_j]
+    if len(merged.tri):
+        drop = _merged_wedge_rows(
+            col, delta, merged, table.edge_slot, slot, eid_i, eid_j
+        )
+        if len(drop):
+            keep = np.ones(len(slot), dtype=bool)
+            keep[drop] = False
+            pos_i, pos_j, eid_i, eid_j = pos_i[keep], pos_j[keep], eid_i[keep], eid_j[keep]
+            slot, flip = slot[keep], flip[keep]
     dirs = col.inc_dir
     _classify(
         col, tri_acc, slot, flip,
@@ -626,6 +872,7 @@ def _window_wedges(
 def _triangle_wedges(
     col: ColumnarGraph,
     tri_acc: np.ndarray,
+    merged: MergedTriangles,
     elo: np.ndarray,
     ehi: np.ndarray,
     table: TriangleTable,
@@ -640,11 +887,15 @@ def _triangle_wedges(
     static triangle ``{u, vi, w}``; its wedge partners are the ``E(u, w)``
     entries with edge id in ``(eid_p, ehi[eid_p])`` — two rank probes —
     and the closing pair ``{vi, w}`` comes straight from the table.
+    Rows of merged triangles are dropped before any probe.
     """
     A, r = _ragged(rows)
     r += tri_lo[A]
     p = anchors[A]
     del A
+    if len(merged.tri):
+        keep = np.flatnonzero(~merged.is_merged[table.tri[r]])
+        r, p = r[keep], p[keep]
     u_lo = col.inc_row[p] < col.inc_nbr[p]
     base = np.where(u_lo, table.lo_slot[r], table.hi_slot[r])
     base *= np.int64(col.num_edges + 1)

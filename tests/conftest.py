@@ -34,6 +34,49 @@ def random_graph(seed: int, num_nodes: int = 6, num_edges: int = 25, t_max: int 
     return TemporalGraph(random_edges(rng, num_nodes, num_edges, t_max))
 
 
+#: δs of :func:`mixed_rule_graph`: below every span but the tied
+#: triangle's, below the light spans, between the light spans and the
+#: hub span (both FAST-Tri routes run), and above every span.
+MIXED_RULE_DELTAS = (0, 3, 12, 400)
+
+
+def mixed_rule_graph() -> TemporalGraph:
+    """One hub triangle with a long-span pair beside light session triangles.
+
+    Hub pair ``{0, 1}`` carries an edge every 25 s over 300 s, so its
+    triangle ``{0, 1, 2}`` spans far more than any light triangle.
+    Six light triangles each span 8 s, with tied timestamps, both
+    directions and a multi-edge; three of them share hub vertex 0, so
+    its CSR row mixes merged and wedge-path triangles.  One more
+    triangle has all its edges at one timestamp (span 0).
+    """
+    edges = [(0, 1, t) if t % 50 else (1, 0, t) for t in range(0, 301, 25)]
+    edges += [(0, 2, 100), (2, 0, 103), (1, 2, 101), (2, 1, 101)]
+    for k in range(6):
+        p, q, t = 3 + 3 * k, 4 + 3 * k, 20 + 40 * k
+        a = 0 if k % 2 else 5 + 3 * k
+        edges += [(a, p, t), (p, a, t + 2), (q, a, t + 2), (p, q, t + 5), (q, p, t + 8)]
+        if k % 3 == 0:
+            edges.append((p, q, t + 5))
+    edges += [(30, 31, 7), (31, 32, 7), (32, 30, 7), (30, 32, 7)]
+    return TemporalGraph(edges)
+
+
+def triangle_burst_edges(k: int) -> List[Tuple[int, int, int]]:
+    """``k`` same-direction edges on each pair of one triangle, in blocks.
+
+    All of ``0 -> 1``, then all of ``0 -> 2``, then all of ``1 -> 2``,
+    one second apart: with δ >= 3k - 1 every choice of one edge per
+    pair is one instance of the same triangle motif, so an exact count
+    holds ``k**3`` in one triangle cell and zero in the others.
+    """
+    return [
+        (u, v, block * k + i)
+        for block, (u, v) in enumerate(((0, 1), (0, 2), (1, 2)))
+        for i in range(k)
+    ]
+
+
 @pytest.fixture
 def paper_graph() -> TemporalGraph:
     """The temporal graph of the paper's Fig. 1 (5 nodes, 12 edges)."""

@@ -33,7 +33,7 @@ from repro.graph.generators import (
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.hare import hare_count
 from repro.parallel.scheduler import build_batches
-from tests.conftest import python_fast_counts, random_graph
+from tests.conftest import mixed_rule_graph, python_fast_counts, random_graph
 
 #: Every registered algorithm (the seven built-ins).
 ALL_ALGORITHMS = ("fast", "ex", "bruteforce", "bt", "twoscent", "bts", "ews")
@@ -115,10 +115,13 @@ class TestKernelEquivalence:
         assert list(count_triangle_columnar(g, 4, tasks, chunk_pairs=5)) == tri_py.data
 
     def test_tiny_chunks_change_nothing(self):
-        g = random_graph(9, num_nodes=7, num_edges=35)
-        tri_big = count_triangle_columnar(g, 6)
-        tri_small = count_triangle_columnar(g, 6, chunk_pairs=3)
-        assert list(tri_big) == list(tri_small)
+        mixed = mixed_rule_graph()  # both FAST-Tri routes run at δ = 12
+        assert len(columnar_kernels._merged_triangles(mixed.columnar(), 12).tri) > 1
+        for g, delta in ((random_graph(9, num_nodes=7, num_edges=35), 6), (mixed, 12)):
+            tri_big = count_triangle_columnar(g, delta)
+            for chunk_pairs in (1, 3):
+                tri_small = count_triangle_columnar(g, delta, chunk_pairs=chunk_pairs)
+                assert list(tri_big) == list(tri_small)
 
 
 def hub_graph(step: float) -> TemporalGraph:
@@ -201,7 +204,7 @@ def two_path_graph() -> TemporalGraph:
 
 
 def anchor_paths(g: TemporalGraph, delta: float):
-    """Per-anchor path choice of the triangle kernel: (triangle, window)."""
+    """Per-anchor wedge-path choice of the triangle kernel: (triangle, window)."""
     col = g.columnar()
     anchors = columnar_kernels._task_positions(col, None)
     we = columnar_kernels._window_bounds(col, delta)[1]
@@ -209,8 +212,9 @@ def anchor_paths(g: TemporalGraph, delta: float):
     table = columnar_kernels.triangle_table(col)
     slot = table.edge_slot[col.inc_eid[anchors]]
     rows = table.indptr[slot + 1] - table.indptr[slot]
+    wedge_paths = columnar_kernels._merged_triangles(col, delta).open[slot]
     on_tri = rows < window
-    return on_tri & (rows > 0), ~on_tri & (window > 0)
+    return wedge_paths & on_tri & (rows > 0), wedge_paths & ~on_tri & (window > 0)
 
 
 def looped_task_positions(col, tasks, tail: int = 1) -> list:

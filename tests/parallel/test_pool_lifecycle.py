@@ -291,6 +291,10 @@ def test_deadline_aborts_job_mid_flight_and_pool_survives():
     graph = TemporalGraph(random_edges(rng, 60, 20000, t_max=2000))
     with WorkerPool(2) as pool:
         batches = pool.plan_batches(graph)
+        # Warm up first: start the workers and publish the graph, which
+        # under spawn can take the whole deadline, so it covers only the
+        # job.  The δ = 500 job rebuilds the workers' per-δ tables.
+        pool.run_batches(graph, 0.0, batches)
         started = time.monotonic()
         with pytest.raises(DeadlineExceededError):
             pool.run_batches(graph, 500.0, batches, deadline=started + 0.05)

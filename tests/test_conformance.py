@@ -33,19 +33,23 @@ Parallel cells run with the result cache disabled, so the matrix
 exercises real kernel execution on every runtime, not cache hits.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.baselines.sampling_bts import _block_grid, _sample_blocks
 from repro.baselines.sampling_ews import _ews_python_counts
+from repro.core import columnar_kernels
 from repro.core.api import count_motifs
 from repro.core.columnar_kernels import count_star_pair_columnar, count_triangle_columnar
 from repro.core.fast_star import count_star_pair, count_star_pair_tasks
 from repro.core.fast_tri import count_triangle, count_triangle_tasks
-from repro.core.motifs import ALL_MOTIFS, PAIR_MOTIFS, motif_cell
+from repro.core.motifs import ALL_MOTIFS, PAIR_MOTIFS, TRIANGLE_MOTIFS, motif_cell
 from repro.core.registry import available_algorithms, get_algorithm
 from repro.core.sampling_kernels import bts_columnar_block_grids, ews_columnar_counts
+from repro.distributed import WorkerDaemon
 from repro.graph.generators import (
     powerlaw_temporal_graph,
     triangle_rich_graph,
@@ -56,7 +60,13 @@ from repro.parallel.hare import hare_count
 from repro.parallel.pool import WorkerPool
 from repro.parallel.scheduler import build_batches
 from repro.storage import open_packed, pack_graph
-from tests.conftest import python_fast_counts, random_graph
+from tests.conftest import (
+    MIXED_RULE_DELTAS,
+    mixed_rule_graph,
+    python_fast_counts,
+    random_graph,
+    triangle_burst_edges,
+)
 from tests.core.test_properties import deltas, temporal_graphs
 
 #: The graph corpus: name -> builder (fresh instance per use).
@@ -273,6 +283,102 @@ class TestHypothesisConformance:
         """The python sampling loops and the kernels agree bit for bit."""
         assert_bts_blocks_match(graph, delta, seed=11)
         assert_ews_tallies_match(graph, delta, seed=11)
+
+
+# ----------------------------------------------------------------------
+# FAST-Tri routing: merged and wedge-path triangles in one count
+# ----------------------------------------------------------------------
+
+def wedge_paths_only():
+    """Route every static triangle to FAST-Tri's wedge paths.
+
+    The routing is memoized per δ on a graph's columnar store, so use
+    it on a graph that has not counted triangles yet.
+    """
+    return mock.patch.object(
+        columnar_kernels, "_merge_rule",
+        lambda col, delta, s1, s2, s3: np.zeros(len(s1), dtype=bool),
+    )
+
+
+def fresh_copy(graph: TemporalGraph) -> TemporalGraph:
+    return TemporalGraph.from_canonical_arrays(
+        graph.sources, graph.destinations, graph.timestamps, num_nodes=graph.num_nodes
+    )
+
+
+def triangle_cover_sum(graph: TemporalGraph, delta: float) -> np.ndarray:
+    """The triangle counter summed over a two-worker HARE task cover."""
+    total = np.zeros(24, dtype=np.int64)
+    for batch in build_batches(graph, workers=2, thrd=3):
+        total += count_triangle_columnar(graph, delta, batch.tasks)
+    return total
+
+
+class TestTriangleRouting:
+    """Merged triangles beside wedge-path triangles: the routing is exact."""
+
+    def test_mixed_graph_runs_both_routes(self):
+        col = mixed_rule_graph().columnar()
+        triangles = len(columnar_kernels.triangle_table(col).sides)
+        merged = [
+            len(columnar_kernels._merged_triangles(col, delta).tri)
+            for delta in MIXED_RULE_DELTAS
+        ]
+        assert merged[0] == merged[1] == 1  # the tied triangle only
+        assert 1 < merged[2] < triangles  # light triangles, not the hub's
+        assert merged[3] == triangles
+
+    @pytest.mark.parametrize("delta", MIXED_RULE_DELTAS)
+    def test_mixed_graph_matches_python_loops(self, delta):
+        graph = mixed_rule_graph()
+        assert count_triangle_columnar(graph, delta).tolist() == count_triangle(graph, delta).data
+        assert_fast_kernels_match(graph, delta)
+
+    @pytest.mark.parametrize("delta", MIXED_RULE_DELTAS)
+    def test_mixed_graph_on_every_route(self, pools, delta):
+        graph = mixed_rule_graph()
+        reference = python_fast_counts(graph, delta)
+        for label, kwargs in _variants(get_algorithm("fast"), pools):
+            assert _count(graph, delta, "fast", kwargs).same_counts(reference), label
+        assert count_motifs(graph, delta, shard_budget=9).same_counts(reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=temporal_graphs(max_edges=24), delta=deltas)
+    def test_merging_never_changes_a_count(self, graph, delta):
+        """Whole graph and task-cover sums equal the wedge paths alone."""
+        whole = count_triangle_columnar(graph, delta)
+        cover = triangle_cover_sum(graph, delta)
+        with wedge_paths_only():
+            wedges = fresh_copy(graph)
+            assert whole.tolist() == count_triangle_columnar(wedges, delta).tolist()
+            assert cover.tolist() == triangle_cover_sum(wedges, delta).tolist()
+        assert whole.tolist() == cover.tolist()
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    """Two in-process worker daemons."""
+    with WorkerDaemon() as first, WorkerDaemon() as second:
+        yield f"{first.start()},{second.start()}"
+
+
+class TestClosedFormTriangle:
+    """``k`` edges per pair of one triangle: exactly ``k**3`` in one cell."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("route", ["serial", "pool", "shards", "cluster"])
+    def test_k_cubed_in_one_cell(self, cluster, route, k):
+        graph = TemporalGraph(triangle_burst_edges(k))
+        kwargs = {
+            "serial": {},
+            "pool": {"workers": 2},
+            "shards": {"shard_budget": k},
+            "cluster": {"cluster": cluster, "shard_budget": k},
+        }[route]
+        counts = count_motifs(graph, 3.0 * k, **kwargs).per_motif()
+        cells = sorted(counts[motif.name] for motif in TRIANGLE_MOTIFS)
+        assert cells == [0] * (len(cells) - 1) + [k**3]
 
 
 @pytest.fixture(scope="module")
