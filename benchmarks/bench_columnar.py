@@ -23,8 +23,15 @@ Modes
     catches kernel regressions without depending on absolute CI box
     speed.
 
-Both sides count serially; every result still records the core count
-of the machine it ran on (``cores``, from ``os.cpu_count()``).
+Both sides count serially.  Beside them, each size also times one
+``workers=2`` count on a persistent pool (``pool_seconds``: publish,
+plan and every HARE batch, pool start excluded) and fails unless its
+counts equal the serial ones.  The power-law graph is the one input
+whose hubs are split into piece batches, so the ``--smoke --check``
+gate is also the check that piece batches stay bit-identical, under
+whichever start method ``REPRO_START_METHOD`` picks.  Every result
+records the core count of the machine it ran on (``cores``, from
+``os.cpu_count()``).
 
 Run from the repository root with ``PYTHONPATH=src``.
 """
@@ -44,6 +51,8 @@ from repro.core.counters import MotifCounts
 from repro.core.fast_star import count_star_pair
 from repro.core.fast_tri import count_triangle
 from repro.graph.generators import powerlaw_temporal_graph
+from repro.graph.temporal_graph import TemporalGraph
+from repro.parallel.pool import WorkerPool
 
 DEFAULT_OUT = pathlib.Path(__file__).parent / "BENCH_columnar.json"
 
@@ -59,9 +68,14 @@ PYTHON_CAP = 1_000_000
 DELTA = 43_200.0
 SEED = 11
 
+#: Worker count of the pool-route timing.
+POOL_WORKERS = 2
 
-def bench_one(num_edges: int, num_nodes: int, delta: float) -> Dict[str, object]:
-    """Time kernels and loops on one synthetic graph; verify identical counts."""
+
+def bench_one(
+    num_edges: int, num_nodes: int, delta: float, pool: WorkerPool
+) -> Dict[str, object]:
+    """Time kernels, the pool route and loops on one graph; verify identical counts."""
     graph = powerlaw_temporal_graph(num_nodes, num_edges, seed=SEED)
     entry: Dict[str, object] = {
         "edges": graph.num_edges,
@@ -75,6 +89,22 @@ def bench_one(num_edges: int, num_nodes: int, delta: float) -> Dict[str, object]
     entry["columnar_seconds"] = time.perf_counter() - tick
     entry["columnar_phases"] = dict(columnar.phase_seconds)
     entry["total_motifs"] = columnar.total()
+
+    # A fresh graph object, so the pool publishes, plans and attaches
+    # it inside the timing, as any first count of a graph does.
+    fresh = TemporalGraph.from_canonical_arrays(
+        graph.sources, graph.destinations, graph.timestamps, num_nodes=graph.num_nodes
+    )
+    tick = time.perf_counter()
+    pooled = count_motifs(fresh, delta, workers=POOL_WORKERS, pool=pool)
+    entry["pool_seconds"] = time.perf_counter() - tick
+    entry["pool_workers"] = POOL_WORKERS
+    entry["speedup_pool"] = entry["columnar_seconds"] / max(entry["pool_seconds"], 1e-9)
+    if not pooled.same_counts(columnar):
+        raise AssertionError(
+            f"pool mismatch at {num_edges} edges: workers={POOL_WORKERS} total "
+            f"{pooled.total()} vs serial {columnar.total()}"
+        )
 
     if num_edges <= PYTHON_CAP:
         tick = time.perf_counter()
@@ -110,6 +140,7 @@ def print_entry(entry: Dict[str, object]) -> None:
     print(
         f"  {entry['edges']:>10,} edges | python {py_text} | "
         f"columnar {entry['columnar_seconds']:8.2f}s | {speed_text} | "
+        f"workers={entry['pool_workers']} {entry['pool_seconds']:8.2f}s | "
         f"{entry['total_motifs']:,} motifs"
     )
 
@@ -117,9 +148,12 @@ def print_entry(entry: Dict[str, object]) -> None:
 def run(sizes, delta: float, out: Optional[pathlib.Path]) -> List[Dict[str, object]]:
     print(f"columnar FAST kernels vs python loops (delta={delta:g}, seed={SEED})")
     results = []
-    for num_edges, num_nodes in sizes:
-        results.append(bench_one(num_edges, num_nodes, delta))
-        print_entry(results[-1])
+    with WorkerPool(POOL_WORKERS, result_cache=False) as pool:
+        # Start the workers outside every timing.
+        count_motifs(powerlaw_temporal_graph(50, 200, seed=SEED), delta, pool=pool)
+        for num_edges, num_nodes in sizes:
+            results.append(bench_one(num_edges, num_nodes, delta, pool))
+            print_entry(results[-1])
     if out is not None:
         payload = {
             "description": "fast algorithm: python loops vs columnar kernels",

@@ -17,17 +17,20 @@ How the Python loops vectorize
 the timestamp column, and "entries of center *u*'s CSR row below that
 id" is one probe of the row-composite key
 (:attr:`~repro.graph.columnar.ColumnarGraph.inc_row_key`).  The star
-kernel's δ-window bounds are precomputed this way for *all* edges and
-incidence positions at once — six vectorized ``searchsorted`` passes
-total (two per-edge probes of the timestamp column, two row-composite
-and two group-composite probes), each issued in sorted query order so
-the binary searches walk their keys front to back.  The triangle
-kernel shares the two per-edge probes and probes window ends only for
-the anchors its wedge paths still need.  The tables are memoized per
-δ on the columnar store, so every batch at one δ (in a serial count or
-on one pool worker) pays the setup once.  The memo holds one δ at a
-time: building a table for a new δ evicts every table of the old one,
-and only the δ-free static-triangle table stays.
+kernel precomputes its δ-window bounds this way for every incidence
+position of the CSR rows its anchors lie in — six vectorized
+``searchsorted`` passes in all (two per-edge probes of the timestamp
+column, two row-composite and two group-composite probes), each
+issued in sorted query order so the binary searches walk their keys
+front to back, and the composite probes search only those rows' slice
+of the key.  The triangle kernel shares the two per-edge probes and
+probes window ends only for the anchors its wedge paths still need.
+Only the per-edge tables (and FAST-Tri's triangle routing) are
+memoized per δ on the columnar store; the memo holds one δ at a time:
+building a table for a new δ evicts every table of the old one, and
+only the δ-free static-triangle table stays.  The star tables are
+built per call over the call's own rows, so a HARE batch pays only
+for its rows and a full cover builds them once.
 
 **FAST-Star has a closed form per anchor.**  Every star/pair motif
 triple contains at least two edges on the *same* (center, neighbour)
@@ -40,9 +43,9 @@ differences in the group-sorted ordering
 Summing those differences over the anchor pair's second element — a
 contiguous slot range — telescopes into differences of *prefix sums of
 prefix sums*, so the kernel never materialises edge pairs at all: it
-builds five direction-split prefix pairs (ten arrays) over the 2m
-group slots (also memoized per δ; a slot range's per-direction size is
-a ``grp_cum_in`` difference and needs no table) and then evaluates
+fills one table of five direction-split prefix pairs over the group
+slots of its rows (a slot range's per-direction size is a
+``grp_cum_in`` difference and needs no table) and then evaluates
 every counter cell with O(1) arithmetic per anchor edge.  Anchors are
 visited in ascending slot order, one anchor direction at a time, so
 every table gather ascends and each cell is one plain int64 sum per
@@ -103,12 +106,18 @@ classified wedge (2 cores).
 
 **Exact accumulation.**  Counter cells are accumulated with pure int64
 sums (never float64 ``bincount`` weights), so counts stay exact
-arbitrarily far beyond 2**53.
+arbitrarily far beyond 2**53.  A star per-anchor weight counts triples
+on its anchor pair, so it stays below 4m² (an int64 while
+m < 1.5·10⁹); a block of them is summed in int64 only while
+``len * max`` is below 2**63 (:data:`EXACT_SUM_BOUND`), and as Python
+ints otherwise.
 
 Work decomposition
 ------------------
 
-Both kernels accept the scheduler's ``(node, i_lo, i_hi)`` tasks.
+Both kernels accept the scheduler's ``(node, i_lo, i_hi)`` tasks,
+as its ``(k, 3)`` int64 task array (``i_hi = -1``: the row end) or as
+tuples.
 Ownership of a triple is defined by an *anchor* incidence position
 that every complete task cover visits exactly once: the earlier edge
 of the anchor pair for stars, the wedge's first edge at its center
@@ -120,7 +129,9 @@ contracted and differs from the Python kernels, whose ownership is
 always the triple's first edge (see
 :func:`repro.core.fast_star.count_star_pair_tasks`).
 
-Peak memory is O(m) for the star kernel.  The triangle kernel adds
+Peak memory is O(m) for the star kernel: about 100 B per incidence
+entry of its rows (the ``(5, 2, L + 1)`` prefix table and two window
+tables), freed when the call returns.  The triangle kernel adds
 the O(m + T) static-triangle table (T triangles) and, independent of
 δ, at most ``chunk_pairs`` (default 2**21 ≈ 2M) expanded candidates
 at once: window wedges plus triangle rows per anchor slice, and again
@@ -134,7 +145,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -148,29 +159,36 @@ DEFAULT_CHUNK_PAIRS = 1 << 21
 #: in cache (2**14-event chunks ran at 150 ns/event, 2**21 at 390).
 MERGED_CHUNK_EVENTS = 1 << 14
 
-#: A work task, as produced by the HARE scheduler.
+#: A work task ``(node, i_lo, i_hi)``; ``i_hi`` of ``None`` or ``-1``
+#: is the row end.
 Task = Tuple[int, int, Optional[int]]
+
+#: Work tasks: the HARE scheduler's ``(k, 3)`` int64 task array, or
+#: any iterable of :data:`Task` tuples.
+Tasks = Union[np.ndarray, Iterable[Task]]
+
+#: A block sum of non-negative int64 weights stays in NumPy while
+#: ``len(w) * max(w)`` is below this bound, else it runs on Python ints.
+EXACT_SUM_BOUND = 1 << 63
 
 
 def _task_positions(
-    col: ColumnarGraph, tasks: Optional[Iterable[Task]], tail: int = 1
+    col: ColumnarGraph, tasks: Optional[Tasks], tail: int = 1
 ) -> np.ndarray:
     """Flatten tasks into absolute incidence positions of anchor edges.
 
     ``tail`` is how many trailing positions of a CSR row cannot anchor
     anything (at least one later edge must exist).  ``tasks=None``
     selects every eligible position of every center — the full serial
-    count.
+    count.  A task array is used as is; tuples are converted.
     """
     indptr = col.inc_indptr
     if tasks is None:
         rows, offsets = _ragged(np.maximum(np.diff(indptr) - tail, 0))
         return indptr[rows] + offsets
-    table = np.array(
-        [(node, i_lo, -1 if i_hi is None else i_hi) for node, i_lo, i_hi in tasks],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    node, lo, hi = table.T
+    if not isinstance(tasks, np.ndarray):
+        tasks = [(node, i_lo, -1 if i_hi is None else i_hi) for node, i_lo, i_hi in tasks]
+    node, lo, hi = np.asarray(tasks, dtype=np.int64).reshape(-1, 3).T
     row_lo = indptr[node]
     limit = indptr[node + 1] - row_lo - tail
     hi = np.where(hi < 0, limit, np.minimum(hi, limit))
@@ -179,7 +197,7 @@ def _task_positions(
 
 
 def _anchor_slots(
-    col: ColumnarGraph, tasks: Optional[Iterable[Task]]
+    col: ColumnarGraph, tasks: Optional[Tasks]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The star kernel's anchors as ascending group slots, split by direction.
 
@@ -247,12 +265,15 @@ _TRI_KEY = ("tri",)
 def _delta_memo(kind: str):
     """Memoize a ``(col, δ)`` table builder under ``col.delta_cache[(kind, δ)]``.
 
-    One rule for every δ-keyed table: memoizing a new δ evicts the
-    tables of every other δ (before building, so the store never holds
-    two δs at once), and a long-lived store (a pool worker, a serve daemon's
-    graph) holds one δ's tables however many δs it visits.  HARE
-    batches revisit one δ often; sweeps revisit a δ rarely.  Only the
-    δ-free static-triangle table survives.
+    Three kinds use it, all O(m) or smaller: the per-edge window ranks
+    ``"elo"`` and ``"ewin"`` and FAST-Tri's triangle routing
+    ``"merged"``.  One rule for every δ-keyed table: memoizing a new δ
+    evicts the tables of every other δ (before building, so the store
+    never holds two δs at once), and a long-lived store (a pool worker,
+    a serve daemon's graph) holds one δ's tables however many δs it
+    visits.  Only the δ-free static-triangle table survives.  The star
+    kernel's per-position tables are not memoized: each call builds them
+    over its own CSR rows (:func:`_star_tables`).
     """
     def decorate(build):
         @functools.wraps(build)
@@ -271,27 +292,26 @@ def _delta_memo(kind: str):
     return decorate
 
 
-@_delta_memo("bounds")
 def _window_bounds(
-    col: ColumnarGraph, delta: float
+    col: ColumnarGraph, delta: float, lo: int, hi: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-position δ-window bounds inside each position's own CSR row.
+    """δ-window bounds of incidence positions ``[lo, hi)`` inside their own rows.
 
-    Returns ``(ws, we)``: for every incidence position ``p`` of edge
-    ``e``, the absolute positions in ``p``'s row of the first entry with
-    edge id ``>= _edge_window_starts(col, δ)[e]`` (``t >= t_p - δ``) and
-    of the first with id ``>= edge_window_ends(col, δ)[e]``
-    (``t > t_p + δ``).  The edge-id bounds come from the per-edge memos,
-    whose probes run in sorted order; within a row they ascend with
-    ``p``, so both row-composite probes are in sorted order too.
-
-    Memoized per δ on ``col.delta_cache`` (see :func:`_delta_memo`).
+    ``lo`` and ``hi`` are CSR row boundaries.  Returns ``(ws, we)``,
+    both relative to ``lo``: for every position ``p`` of edge ``e`` in
+    the range, the positions in ``p``'s row of the first entry with
+    edge id ``>= _edge_window_starts(col, δ)[e]`` (``t >= t_p - δ``)
+    and of the first with id ``>= edge_window_ends(col, δ)[e]``
+    (``t > t_p + δ``).  The edge-id bounds come from the per-edge
+    memos, whose probes run in sorted order; within a row they ascend
+    with ``p``, so both row-composite probes are in sorted order too,
+    and they search only the range's own slice of the key.
     """
-    lo_eid = _edge_window_starts(col, delta)[col.inc_eid]
-    hi_eid = edge_window_ends(col, delta)[col.inc_eid]
-    row_base = col.inc_row * np.int64(col.num_edges + 1)
-    ws = np.searchsorted(col.inc_row_key, row_base + lo_eid)
-    we = np.searchsorted(col.inc_row_key, row_base + hi_eid)
+    eid = col.inc_eid[lo:hi]
+    row_key = col.inc_row_key[lo:hi]
+    row_base = row_key - eid  # center * (m + 1)
+    ws = np.searchsorted(row_key, row_base + _edge_window_starts(col, delta)[eid])
+    we = np.searchsorted(row_key, row_base + edge_window_ends(col, delta)[eid])
     return ws, we
 
 
@@ -589,40 +609,54 @@ def _merged_timelines(
         np.add.at(tri_acc, _MERGED_CELLS, totals.ravel()[_MERGED_COMBOS, None])
 
 
-def _dir_prefixes(values: np.ndarray, is_in: np.ndarray) -> np.ndarray:
-    """Direction-split exclusive prefix sums of a per-slot array.
+#: The star closed form's per-slot base terms, in prefix-table order.
+_STAR_TERMS = ("slot", "cin", "cout", "win", "wout")
 
-    Row ``d`` of the ``(2, L + 1)`` result sums the slots of direction
-    ``d`` (OUT = 0, IN = 1).
+
+def _dir_prefixes(out: np.ndarray, values: np.ndarray, is_in: np.ndarray) -> None:
+    """Fill ``out`` with the direction-split exclusive prefix sums of ``values``.
+
+    Row ``d`` of the ``(2, L + 1)`` table ``out`` sums the slots of
+    direction ``d`` (OUT = 0, IN = 1).
     """
-    prefixes = np.zeros((2, len(values) + 1), dtype=np.int64)
     into = values * is_in
-    np.cumsum(into, out=prefixes[1, 1:])
-    np.cumsum(values - into, out=prefixes[0, 1:])
-    return prefixes
+    out[:, 0] = 0
+    np.cumsum(into, out=out[1, 1:])
+    np.subtract(values, into, out=into)
+    np.cumsum(into, out=out[0, 1:])
 
 
-@_delta_memo("star")
-def _star_precompute(col: ColumnarGraph, delta: float):
-    """δ-dependent, task-independent tables of the star closed form.
+def _star_tables(col: ColumnarGraph, delta: float, lo: int, hi: int):
+    """δ-dependent tables of the star closed form over CSR rows ``[lo, hi)``.
 
-    Returns ``(gwe, prefixes)``, both indexed by group slot: ``gwe[s]``
-    is the first slot of ``s``'s group past the δ-window end of the
-    position slot ``s`` holds, and ``prefixes`` maps base-term name →
-    its direction-split prefix pair.  Memoized alongside the window
-    bounds so HARE batches (and repeated serial calls at one δ) pay the
-    O(m log m) setup once.
+    ``lo`` and ``hi`` are row boundaries, so the range holds the same
+    indices in position order and in slot order (the group view sorts
+    by center first).  Returns ``(we, gwe, prefixes)``, all relative to
+    ``lo``: ``we`` maps a position to its row's δ-window end
+    (:func:`_window_bounds`); ``gwe[s]`` is the first slot of ``s``'s
+    group past the δ-window end of the position slot ``s`` holds; and
+    ``prefixes[k]`` is the direction-split prefix pair of base term
+    ``_STAR_TERMS[k]``, filled row by row into one ``(5, 2, L + 1)``
+    table.  A full cover builds them over every row once; a HARE batch
+    only over its own rows.
+
+    Every term below is a difference of two prefix counts taken at
+    range-relative indices, so the counts of the rows before ``lo``
+    cancel: the shared-array slices need no rebasing.
     """
-    ws, we = _window_bounds(col, delta)
-    L = 2 * col.num_edges
+    ws, we = _window_bounds(col, delta, lo, hi)
+    L = hi - lo
     slot_ids = np.arange(L, dtype=np.int64)
     # In slot order groups ascend, positions ascend inside a group and
     # so do their row bounds: both group probes are in sorted order.
-    pos_s = col.grp_order
-    gkey_base = col.grp_rank_key - pos_s  # dense group id * (L + 1)
+    pos_s = col.grp_order[lo:hi] - lo
+    rank_key = col.grp_rank_key[lo:hi]
+    gkey_base = rank_key - pos_s  # dense group id * (2m + 1) + lo
     ws_s = ws[pos_s]
-    gws = np.searchsorted(col.grp_rank_key, gkey_base + ws_s)
-    gwe = np.searchsorted(col.grp_rank_key, gkey_base + we[pos_s])
+    del ws
+    gws = np.searchsorted(rank_key, gkey_base + ws_s)
+    gwe = np.searchsorted(rank_key, gkey_base + we[pos_s])
+    del gkey_base
 
     # Per-slot base terms (slot s holds position p_s = order[s]):
     # "outside-group" rank excesses — global minus in-group quantities,
@@ -630,19 +664,23 @@ def _star_precompute(col: ColumnarGraph, delta: float):
     # direction counts need no table: a slot range's IN count is a
     # grp_cum_in difference, and the k-th slot of one direction in a
     # range has k - 1 same-direction slots before it.
-    cum_in = col.inc_cum_in
-    gcum_in = col.grp_cum_in
-    is_in = col.inc_dir[pos_s] == 1
+    cum_in = col.inc_cum_in[lo:hi + 1]
+    gcum_in = col.grp_cum_in[lo:hi + 1]
+    is_in = np.diff(gcum_in) == 1
+    prefixes = np.empty((len(_STAR_TERMS), 2, L + 1), dtype=np.int64)
+    _dir_prefixes(prefixes[0], slot_ids, is_in)
     cin = cum_in[pos_s] - gcum_in[:-1]   # IN entries before p_s
-    win = cum_in[ws_s] - gcum_in[gws]    # IN entries before p_s's window
-    prefixes = {
-        "slot": _dir_prefixes(slot_ids, is_in),
-        "cin": _dir_prefixes(cin, is_in),
-        "cout": _dir_prefixes(pos_s - slot_ids - cin, is_in),
-        "win": _dir_prefixes(win, is_in),
-        "wout": _dir_prefixes(ws_s - gws - win, is_in),
-    }
-    return gwe, prefixes
+    _dir_prefixes(prefixes[1], cin, is_in)
+    pos_s -= slot_ids
+    pos_s -= cin                          # OUT entries before p_s
+    _dir_prefixes(prefixes[2], pos_s, is_in)
+    del cin, pos_s, slot_ids
+    win = cum_in[ws_s] - gcum_in[gws]     # IN entries before p_s's window
+    _dir_prefixes(prefixes[3], win, is_in)
+    ws_s -= gws
+    ws_s -= win                           # OUT entries before the window
+    _dir_prefixes(prefixes[4], ws_s, is_in)
+    return we, gwe, prefixes
 
 
 @_delta_memo("ewin")
@@ -674,34 +712,50 @@ def _edge_window_starts(col: ColumnarGraph, delta: float) -> np.ndarray:
 def count_star_pair_columnar(
     graph: TemporalGraph,
     delta: float,
-    tasks: Optional[Iterable[Task]] = None,
+    tasks: Optional[Tasks] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized FAST-Star (Algorithm 1): star + pair flat counters.
 
-    Returns the 24-cell star and 8-cell pair counter arrays (int64,
-    layout of :func:`repro.core.counters.star_index` /
+    Returns the 24-cell star and 8-cell pair counter arrays (int64, or
+    Python ints past the int64 range — see :func:`_cell_array`; layout
+    of :func:`repro.core.counters.star_index` /
     :func:`~repro.core.counters.pair_index`).  The merged result over
     any complete task cover is identical to
     :func:`repro.core.fast_star.count_star_pair` (``tasks=None`` *is*
-    the complete cover).  The closed form materialises no pairs.
+    the complete cover).  The closed form materialises no pairs, and
+    its tables span only the CSR rows from the first anchor's to the
+    last one's (:func:`_star_tables`).
     """
     col = graph.columnar()
-    star_acc = np.zeros(24, dtype=np.int64)
-    pair_acc = np.zeros(8, dtype=np.int64)
+    star_acc = [0] * 24
+    pair_acc = [0] * 8
 
     by_dir = _anchor_slots(col, tasks)
     if not any(len(s1) for s1 in by_dir):
-        return star_acc, pair_acc
+        return _cell_array(star_acc), _cell_array(pair_acc)
 
-    gwe, P = _star_precompute(col, delta)
-    we = _window_bounds(col, delta)[1]
-    cum_in = col.inc_cum_in
-    gcum_in = col.grp_cum_in
+    # The CSR rows from the first anchor's to the last one's: the same
+    # index range [base, end) in slot and in position order.
+    ends = [int(s) for s1 in by_dir if len(s1) for s in (s1[0], s1[-1])]
+    rows = col.inc_row[col.grp_order[[min(ends), max(ends)]]]
+    base, end = int(col.inc_indptr[rows[0]]), int(col.inc_indptr[rows[1] + 1])
+    we, gwe, prefixes = _star_tables(col, delta, base, end)
+    cum_in = col.inc_cum_in[base:end + 1]
+    gcum_in = col.grp_cum_in[base:end + 1]
+    order = col.grp_order[base:end]
 
-    def add(acc: np.ndarray, cell: int, weight: np.ndarray) -> None:
-        # Exact int64 cell: every weight is a per-anchor int64 value,
-        # summed once per (d1, d2) block before leaving NumPy.
-        acc[cell] += int(weight.sum())
+    def add(acc: List[int], cell: int, weight: np.ndarray) -> None:
+        # Exact cell, accumulated as a Python int: every weight is a
+        # non-negative per-anchor count of motif triples on its anchor
+        # pair's 2m incidence entries, so below 4m² — an int64 while
+        # m < 1.5·10⁹.  One block sum stays in int64 while
+        # len * max < 2**63, else it runs on Python ints.
+        if len(weight) == 0:
+            return
+        if len(weight) * int(weight.max()) < EXACT_SUM_BOUND:
+            acc[cell] += int(weight.sum())
+        else:
+            acc[cell] += sum(weight.tolist())
 
     # -- per-anchor closed form ----------------------------------------
     # The anchor edge (position A, slot s1) pairs with every later
@@ -711,7 +765,8 @@ def count_star_pair_columnar(
     # Anchors are visited in slot order, one direction d1 at a time, so
     # every table gather ascends and every cell is one plain sum.
     for d1, s1 in enumerate(by_dir):
-        A = col.grp_order[s1]
+        s1 = s1 - base
+        A = order[s1] - base
         lo = s1 + 1
         hi = gwe[s1]
         cin1 = cum_in[A] - gcum_in[s1]
@@ -723,7 +778,10 @@ def count_star_pair_columnar(
 
         for d2 in (0, 1):
             N = n_in if d2 else (hi - lo) - n_in
-            S = {name: prefix[d2][hi] - prefix[d2][lo] for name, prefix in P.items()}
+            S = {
+                name: prefix[d2][hi] - prefix[d2][lo]
+                for name, prefix in zip(_STAR_TERMS, prefixes)
+            }
 
             # Pair motifs: anchor = (1st, 3rd) edge, middles in-group.
             # The k-th d2 slot of the range has k - 1 same-direction
@@ -750,13 +808,25 @@ def count_star_pair_columnar(
                 # same direction bit.
                 add(star_acc, 16 + d1 * 4 + d2 * 2 + dk, N * c3 - S_c)
 
-    return star_acc, pair_acc
+    return _cell_array(star_acc), _cell_array(pair_acc)
+
+
+def _cell_array(cells: List[int]) -> np.ndarray:
+    """Counter cells as an int64 array, or as Python ints past its range.
+
+    Every caller reads the cells through ``tolist()`` or element-wise,
+    so an object array keeps a cell above 2**63 - 1 exact.
+    """
+    limit = np.iinfo(np.int64)
+    if all(limit.min <= cell <= limit.max for cell in cells):
+        return np.array(cells, dtype=np.int64)
+    return np.array(cells, dtype=object)
 
 
 def count_triangle_columnar(
     graph: TemporalGraph,
     delta: float,
-    tasks: Optional[Iterable[Task]] = None,
+    tasks: Optional[Tasks] = None,
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> np.ndarray:
     """Vectorized FAST-Tri (Algorithm 2): the 24-cell triangle counter.

@@ -56,7 +56,7 @@ def scan_center(
     dirs = seq.dirs
     s = len(times)
     limit = s - 2
-    if i_hi is None or i_hi > limit:
+    if i_hi is None or i_hi < 0 or i_hi > limit:
         i_hi = limit
     star = star_data
     pair = pair_data
@@ -117,6 +117,9 @@ def count_star_pair_tasks(
     tasks: Iterable[StarTask],
 ) -> Tuple[StarCounter, PairCounter]:
     """Count star/pair motifs over explicit (node, i_lo, i_hi) tasks.
+
+    ``tasks`` may be tuples or the scheduler's ``(k, 3)`` task array;
+    ``i_hi`` of ``None`` or ``-1`` is the row end.
 
     This is the worker entry point HARE uses; the de-duplication
     argument only holds when, across all tasks executed by all

@@ -62,7 +62,7 @@ def scan_center(
     eids = seq.eids
     s = len(times)
     limit = s - 1
-    if i_hi is None or i_hi > limit:
+    if i_hi is None or i_hi < 0 or i_hi > limit:
         i_hi = limit
     tri = tri_data
     pair_timeline = graph.pair_timeline
@@ -118,6 +118,9 @@ def count_triangle_tasks(
     tasks: Iterable[TriTask],
 ) -> TriangleCounter:
     """Count triangles over explicit (node, i_lo, i_hi) tasks.
+
+    ``tasks`` may be tuples or the scheduler's ``(k, 3)`` task array;
+    ``i_hi`` of ``None`` or ``-1`` is the row end.
 
     HARE's worker entry point; exactness requires every (center,
     ``ei``-index) pair to be covered exactly once across all tasks.

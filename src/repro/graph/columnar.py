@@ -33,7 +33,8 @@ Three array families, all derived once and cached on the graph:
     order, with directions normalised to the smaller internal id
     (matching :meth:`TemporalGraph.pair_timeline`).  Groups are keyed
     by ``min*n + max`` and located by binary search over the sorted
-    unique keys.
+    unique keys.  They are the group-view bundles seen from the smaller
+    endpoint, so the build reads them off that view.
 
 The kernels additionally need rank queries ("how many incident edges
 of center *u* lie before position *p* with neighbour *v* and direction
@@ -84,9 +85,11 @@ DERIVED_ARRAYS: Tuple[str, ...] = (
 class ColumnarGraph:
     """Read-only columnar companion of one :class:`TemporalGraph`.
 
-    Construction is O(m log m) (a few sorts); every array is stored
-    exactly once, and the worker pool publishes it into shared memory
-    for its workers to attach zero-copy.
+    Construction is O(m log m): two sorts, one of the row-composite key
+    (the incidence CSR) and one of the group key (the group view); the
+    pair CSR is read off the group view without a sort of its own.
+    Every array is stored exactly once, and the worker pool publishes
+    it into shared memory for its workers to attach zero-copy.
     Do not instantiate directly — use
     :meth:`TemporalGraph.columnar`, which caches the instance.
     """
@@ -108,22 +111,27 @@ class ColumnarGraph:
         # -- incidence CSR ------------------------------------------------
         # Each edge contributes two incidence entries: (center=src, OUT)
         # and (center=dst, IN).  Group by center, keep canonical (eid)
-        # order inside each group.
-        eids = np.arange(m, dtype=np.int64)
-        center = np.concatenate((src, dst))
-        nbr = np.concatenate((dst, src))
+        # order inside each group: one sort of the row-composite key
+        # `center * (m+1) + eid`, unique because no edge is a self-loop
+        # (every constructor drops or rejects them).  Entry k < m of the
+        # unsorted halves is edge k's OUT entry, k >= m its IN entry, so
+        # direction and edge id are read off the permutation.  The
+        # sorted key stays: "number of entries of row u with eid < e" is
+        # one searchsorted probe — the δ-window-end primitive.
+        row_key = np.concatenate((src, dst)) * np.int64(m + 1)
+        row_key[:m] += np.arange(m, dtype=np.int64)
+        row_key[m:] += np.arange(m, dtype=np.int64)
+        order = np.argsort(row_key)
+        self.inc_row_key = row_key[order]
+        del row_key
+        self.inc_nbr = np.concatenate((dst, src))[order]
         # OUT == 0, IN == 1 (repro.graph.temporal_graph.OUT/IN).
-        direction = np.concatenate(
-            (np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64))
-        )
-        eid2 = np.concatenate((eids, eids))
-        order = np.lexsort((eid2, center))
-        center = center[order]
-        self.inc_nbr = nbr[order]
-        self.inc_dir = direction[order]
-        self.inc_eid = eid2[order]
+        self.inc_dir = (order >= m).astype(np.int64)
+        self.inc_eid = order - m * self.inc_dir
+        del order
+        self.inc_row = self.inc_row_key // np.int64(m + 1)
         self.inc_time = t[self.inc_eid]
-        counts = np.bincount(center, minlength=n) if m else np.zeros(n, dtype=np.int64)
+        counts = np.bincount(self.inc_row, minlength=n) if m else np.zeros(n, dtype=np.int64)
         self.inc_indptr = np.concatenate(
             ([0], np.cumsum(counts, dtype=np.int64))
         )
@@ -131,13 +139,7 @@ class ColumnarGraph:
         self.inc_cum_in = np.concatenate(
             ([0], np.cumsum(self.inc_dir, dtype=np.int64))
         )
-        # Center id per incidence position, and the row-composite key
-        # `center * (m+1) + eid`.  Positions are grouped by center with
-        # eids ascending inside each row, so the composite is globally
-        # sorted as built: "number of entries of row u with eid < e" is
-        # one searchsorted probe — the δ-window-end primitive.
-        self.inc_row = center
-        self.inc_row_key = center * np.int64(m + 1) + self.inc_eid
+        center = self.inc_row
         # Group view: incidence entries re-sorted by (center, neighbour)
         # with positions ascending inside each group — the multi-edge
         # bundles E(u, v) seen from u.  The star kernel anchors its
@@ -155,45 +157,37 @@ class ColumnarGraph:
         self.grp_inv = np.empty(total, dtype=np.int64)
         self.grp_inv[self.grp_order] = np.arange(total, dtype=np.int64)
         sorted_gkey = gkey[self.grp_order]
-        if total:
-            new_group = np.concatenate(
-                ([True], sorted_gkey[1:] != sorted_gkey[:-1])
-            )
-            dense_sorted = np.cumsum(new_group, dtype=np.int64) - 1
-        else:
-            dense_sorted = np.zeros(0, dtype=np.int64)
+        del gkey
+        new_group = np.ones(total, dtype=bool)
+        np.not_equal(sorted_gkey[1:], sorted_gkey[:-1], out=new_group[1:])
+        dense_sorted = np.cumsum(new_group, dtype=np.int64) - 1
         self.grp_rank_key = dense_sorted * np.int64(total + 1) + self.grp_order
-        self.grp_cum_in = np.concatenate(
-            ([0], np.cumsum(self.inc_dir[self.grp_order], dtype=np.int64))
-        )
-        #: δ-keyed memo for kernel precomputations (window bounds, star
-        #: prefix arrays); single-entry per kind, and local to the
-        #: process: each one, pool workers included, builds the tables
-        #: it needs on first use (see :meth:`_attach`).
+        del dense_sorted
+        grp_dir = self.inc_dir[self.grp_order]
+        self.grp_cum_in = np.concatenate(([0], np.cumsum(grp_dir, dtype=np.int64)))
+        #: Memo for kernel tables: per-edge window ranks and triangle
+        #: routing for one δ at a time, plus the δ-free static-triangle
+        #: table.  Local to the process: each one, pool workers
+        #: included, builds the tables it needs on first use (see
+        #: :meth:`_attach`).
         self.delta_cache: dict = {}
 
         # -- pair CSR -----------------------------------------------------
-        lo_end = np.minimum(src, dst)
-        hi_end = np.maximum(src, dst)
-        key = lo_end * np.int64(max(n, 1)) + hi_end
-        porder = np.argsort(key, kind="stable")  # stable keeps canonical order
-        key_sorted = key[porder]
-        self.pair_eid = eids[porder]
+        # Read off the group view: the groups whose center is the
+        # smaller endpoint are exactly the pair timelines, already in
+        # key order (center * n + nbr = min * n + max) with edge ids
+        # ascending inside each, and their entries' directions are
+        # relative to the smaller id: OUT iff the edge goes min -> max,
+        # matching TemporalGraph.pair_timeline.
+        lo_side = (center < self.inc_nbr)[self.grp_order]
+        self.pair_eid = self.inc_eid[self.grp_order[lo_side]]
         self.pair_time = t[self.pair_eid]
-        # Direction relative to the smaller internal id: OUT iff the
-        # edge goes min -> max, matching TemporalGraph.pair_timeline.
-        self.pair_dir = np.where(src < dst, 0, 1).astype(np.int64)[porder]
-        if m:
-            boundaries = np.flatnonzero(
-                np.concatenate(([True], key_sorted[1:] != key_sorted[:-1]))
-            )
-            self.pair_keys = key_sorted[boundaries]
-            self.pair_indptr = np.concatenate(
-                (boundaries, [m])
-            ).astype(np.int64)
-        else:
-            self.pair_keys = np.zeros(0, dtype=np.int64)
-            self.pair_indptr = np.zeros(1, dtype=np.int64)
+        self.pair_dir = grp_dir[lo_side]
+        del grp_dir
+        boundaries = np.flatnonzero(new_group[lo_side])
+        self.pair_keys = sorted_gkey[lo_side][boundaries]
+        self.pair_indptr = np.concatenate((boundaries, [m])).astype(np.int64)
+        del sorted_gkey, new_group, lo_side
         self.pair_cum_in = np.concatenate(
             ([0], np.cumsum(self.pair_dir, dtype=np.int64))
         )

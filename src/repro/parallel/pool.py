@@ -17,9 +17,12 @@ paper's long-lived OpenMP thread team reading one shared graph
   (:func:`repro.graph.shared.publish_graph`) and attached zero-copy by
   every worker; repeated requests against the same graph pay no
   per-request pickling, forking, or columnar rebuild.  Only the graph
-  travels: each worker builds the per-δ kernel tables it needs lazily
-  in its attached graph's ``delta_cache``, exactly as a serial count
-  does, and keeps them while the δ stays the same.
+  travels: each worker builds the per-edge δ tables and FAST-Tri's
+  triangle tables it needs lazily in its attached graph's
+  ``delta_cache``, exactly as a serial count does, and keeps them
+  while the δ stays the same.  The per-position star tables are not
+  kept: each HARE batch builds them over its own CSR rows only, and a
+  batch ships its tasks as one ``(k, 3)`` int64 array.
 * **Reduction is owner-side and canonical**: every chunk ships its
   payload back and the owner reduces them in chunk order
   (:func:`repro.parallel.executor.reduce_results` for HARE), exactly
@@ -66,6 +69,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import multiprocessing as mp
+
+import numpy as np
 
 from repro.core.counters import PairCounter, StarCounter, TriangleCounter
 from repro.errors import (
@@ -652,13 +657,16 @@ class WorkerPool:
         graph and δ with a different (e.g. partial) task cover is a
         different computation.  A collision-resistant digest (not
         Python's modular ``hash``) keeps "wrong cached counts" out of
-        the failure space entirely; pickling + hashing the task
-        tuples costs a few ms even at 10⁶-edge plan sizes, and also
-        protects against callers mutating a plan list in place.
+        the failure space entirely; hashing each batch's task-array
+        bytes (its row count first, so batch boundaries count too)
+        also protects against callers mutating a plan in place.
         """
-        return hashlib.sha256(
-            pickle.dumps([batch.tasks for batch in batches], protocol=4)
-        ).digest()
+        digest = hashlib.sha256()
+        for batch in batches:
+            tasks = np.ascontiguousarray(batch.tasks, dtype=np.int64)
+            digest.update(len(tasks).to_bytes(8, "little"))
+            digest.update(tasks.tobytes())
+        return digest.digest()
 
     # -- generic map jobs -------------------------------------------------
     def run_map(
@@ -678,8 +686,8 @@ class WorkerPool:
         an entry of :data:`MAP_FUNCTIONS`; each worker resolves it by
         import and calls ``fn(graph, delta, args, chunk)`` against its
         attached zero-copy graph, which always carries its columnar
-        store; each worker memoizes its own per-δ tables, exactly as a
-        serial count does.
+        store; each worker memoizes its own per-edge δ tables, exactly
+        as a serial count does.
 
         Returns the per-chunk payloads **in chunk order** — reductions
         are algorithm-specific and must stay canonical, so no merging

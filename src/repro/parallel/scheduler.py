@@ -1,9 +1,11 @@
 """Task construction and scheduling for HARE.
 
 The unit of work is a *task* ``(node, i_lo, i_hi)``: run the FAST scan
-for one center with first-edge indices in ``[i_lo, i_hi)`` (``None``
+for one center with first-edge indices in ``[i_lo, i_hi)`` (``-1``
 means "to the end").  Tasks are grouped into *batches*, the unit of
-dispatch to worker processes.
+dispatch to worker processes; a batch carries its tasks as one
+``(k, 3)`` int64 array, which the kernels take as is and the pool
+ships as one buffer.
 
 The paper's HARE splits every node above ``thrd`` into intra-node
 subtasks so no single thread inherits the head of the degree
@@ -30,16 +32,13 @@ Scheduling modes mirror OpenMP's:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.graph.statistics import default_degree_threshold
 from repro.graph.temporal_graph import TemporalGraph
-
-#: (node, first-edge range lo, hi) — ``hi=None`` means the sequence end.
-Task = Tuple[int, int, Optional[int]]
 
 #: A node above ``thrd`` is split into ``workers * PIECES_PER_WORKER``
 #: consecutive first-edge ranges: the granularity at which one hub can
@@ -55,12 +54,15 @@ BATCHES_PER_WORKER = 4
 class WorkBatch:
     """A group of tasks dispatched to one worker call."""
 
-    tasks: List[Task] = field(default_factory=list)
+    #: ``(k, 3)`` int64 rows ``(node, i_lo, i_hi)``; ``i_hi = -1`` is
+    #: the row end
+    tasks: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=np.int64))
     #: rough cost estimate used for heaviest-first ordering
     weight: int = 0
 
-    def add(self, task: Task, weight: int) -> None:
-        self.tasks.append(task)
+    def add(self, tasks: np.ndarray, weight: int) -> None:
+        """Append a block of task rows and its weight."""
+        self.tasks = np.concatenate((self.tasks, tasks))
         self.weight += weight
 
 
@@ -128,13 +130,10 @@ def build_batches(
     cuts = np.flatnonzero(np.diff(group)) + 1
     bounds = [0] + cuts.tolist() + [len(owner)]
 
-    node_of = nodes[owner].tolist()
-    lo_of = lo.tolist()
-    # hi == degree means "to the end of the row".
-    hi_of = np.where(hi < degree[owner], hi, -1).tolist()
-    tasks: List[Task] = [
-        (n, a, None if b < 0 else b) for n, a, b in zip(node_of, lo_of, hi_of)
-    ]
+    # hi == degree means "to the end of the row" (-1).
+    tasks = np.stack(
+        (nodes[owner], lo, np.where(hi < degree[owner], hi, -1)), axis=1
+    ).astype(np.int64)
     batch_weight = np.add.reduceat(weight, bounds[:-1]).tolist()
     batches = [
         WorkBatch(tasks[a:b], w)
@@ -157,8 +156,5 @@ def partition_static(batches: List[WorkBatch], workers: int) -> List[WorkBatch]:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     merged = [WorkBatch() for _ in range(workers)]
     for idx, batch in enumerate(batches):
-        target = merged[idx % workers]
-        for task in batch.tasks:
-            target.add(task, 0)
-        target.weight += batch.weight
-    return [b for b in merged if b.tasks]
+        merged[idx % workers].add(batch.tasks, batch.weight)
+    return [b for b in merged if len(b.tasks)]

@@ -10,7 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core import columnar_kernels
 from repro.core.api import count_motifs
@@ -32,8 +35,9 @@ from repro.graph.generators import (
 )
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.hare import hare_count
-from repro.parallel.scheduler import build_batches
+from repro.parallel.scheduler import build_batches, partition_static
 from tests.conftest import mixed_rule_graph, python_fast_counts, random_graph
+from tests.core.test_properties import temporal_graphs
 
 #: Every registered algorithm (the seven built-ins).
 ALL_ALGORITHMS = ("fast", "ex", "bruteforce", "bt", "twoscent", "bts", "ews")
@@ -171,6 +175,164 @@ class TestAnchorOrder:
         assert sum(star_py.data) > 0 and sum(pair_py.data) > 0
 
 
+def star_cover_sum(graph: TemporalGraph, delta: float, parts) -> tuple:
+    """Star and pair cells summed over the kernel calls of ``parts``."""
+    star = np.zeros(24, dtype=np.int64)
+    pair = np.zeros(8, dtype=np.int64)
+    for part in parts:
+        s, p = count_star_pair_columnar(graph, delta, part)
+        star += s
+        pair += p
+    return star.tolist(), pair.tolist()
+
+
+def whole_rows(graph: TemporalGraph) -> np.ndarray:
+    """One row-end task per node of degree >= 2, in node order."""
+    nodes = np.flatnonzero(graph.degrees() >= 2)
+    return np.stack(
+        (nodes, np.zeros_like(nodes), np.full_like(nodes, -1)), axis=1
+    ).astype(np.int64)
+
+
+ROW_RANGE_DELTAS = pytest.mark.parametrize(
+    "delta, step", [(0, 1), (3, 1), (2.5, 1.25)], ids=["delta0", "int", "float"]
+)
+
+
+class TestRowRangeStarTables:
+    """Each star-kernel call builds its tables over its own CSR rows only.
+
+    Every split below is a complete cover, so its summed cells must
+    equal the serial Python loop whatever rows each call's tables span.
+    """
+
+    def reference(self, g, delta):
+        star, pair = count_star_pair(g, delta)
+        assert sum(star.data) > 0 and sum(pair.data) > 0
+        return star.data, pair.data
+
+    @ROW_RANGE_DELTAS
+    def test_first_and_last_row_alone(self, delta, step):
+        g = hub_graph(step)
+        rows = whole_rows(g)
+        indptr = g.columnar().inc_indptr
+        assert rows[0, 0] == 0 and rows[-1, 0] == g.num_nodes - 1
+        assert indptr[-1] == 2 * g.num_edges  # the last row ends the CSR
+        expected = self.reference(g, delta)
+        assert star_cover_sum(g, delta, [rows[:1], rows[1:]]) == expected
+        assert star_cover_sum(g, delta, [rows[:-1], rows[-1:]]) == expected
+        assert star_cover_sum(g, delta, [row[None] for row in rows]) == expected
+
+    @ROW_RANGE_DELTAS
+    def test_lone_hub_piece(self, delta, step):
+        g = hub_graph(step)
+        degrees = g.degrees()
+        hub = int(np.argmax(degrees))
+        rows = whole_rows(g)
+        others = rows[rows[:, 0] != hub]
+        cuts = [0, 7, 30, 31, 60, -1]
+        pieces = [
+            np.array([[hub, lo, hi]], dtype=np.int64) for lo, hi in zip(cuts, cuts[1:])
+        ]
+        assert degrees[hub] > 60
+        expected = self.reference(g, delta)
+        assert star_cover_sum(g, delta, pieces + [others]) == expected
+        # A piece holding only the last anchor of the hub row.
+        tail = int(degrees[hub]) - 2
+        split = [
+            np.array([[hub, 0, tail]]), np.array([[hub, tail, -1]]), others,
+        ]
+        assert star_cover_sum(g, delta, split) == expected
+
+    @ROW_RANGE_DELTAS
+    def test_non_contiguous_rows(self, delta, step):
+        g = hub_graph(step)
+        batches = partition_static(build_batches(g, workers=3, thrd=4), 2)
+        nodes = [sorted(set(b.tasks[:, 0].tolist())) for b in batches]
+        assert any(np.diff(n).max() > 1 for n in nodes if len(n) > 1)
+        rows = whole_rows(g)
+        gapped = [rows[0::2], rows[1::2]]
+        expected = self.reference(g, delta)
+        assert star_cover_sum(g, delta, [b.tasks for b in batches]) == expected
+        assert star_cover_sum(g, delta, gapped) == expected
+
+    @ROW_RANGE_DELTAS
+    def test_no_eligible_anchor(self, delta, step):
+        g = hub_graph(step)
+        degrees = g.degrees()
+        hub = int(np.argmax(degrees))
+        empty = [np.zeros((0, 3), dtype=np.int64), [(hub, int(degrees[hub]) - 1, None)]]
+        for tasks in empty:
+            star, pair = count_star_pair_columnar(g, delta, tasks)
+            assert not star.any() and not pair.any()
+
+    @ROW_RANGE_DELTAS
+    def test_tuple_tasks_equal_task_arrays(self, delta, step):
+        g = hub_graph(step)
+        batches = build_batches(g, workers=2, thrd=4)
+        for batch in batches:
+            tuples = [
+                (n, lo, None if hi < 0 else hi) for n, lo, hi in batch.tasks.tolist()
+            ]
+            got = count_star_pair_columnar(g, delta, batch.tasks)
+            assert [a.tolist() for a in got] == [
+                a.tolist() for a in count_star_pair_columnar(g, delta, tuples)
+            ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=temporal_graphs(max_edges=30),
+        delta=st.sampled_from([0, 2, 5, 3.5]),
+        data=st.data(),
+    )
+    def test_random_task_splits(self, graph, delta, data):
+        """Any split of any cover into calls sums to the serial count."""
+        cover = []
+        for node, degree in enumerate(graph.degrees().tolist()):
+            cuts = sorted(set(data.draw(
+                st.lists(st.integers(1, max(degree - 1, 1)), max_size=3)
+            )))
+            bounds = [0] + cuts + [-1]
+            cover += [(node, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        owner = data.draw(st.lists(
+            st.integers(0, 3), min_size=len(cover), max_size=len(cover)
+        ))
+        parts = [
+            np.array([t for t, o in zip(cover, owner) if o == k], dtype=np.int64)
+            for k in range(4)
+        ]
+        star, pair = count_star_pair(graph, delta)
+        assert star_cover_sum(graph, delta, parts) == (star.data, pair.data)
+
+
+class TestExactStarSums:
+    """Block sums past the int64 bound fall back to Python ints exactly."""
+
+    @pytest.mark.parametrize("bound", [1, 50])
+    def test_python_int_path_changes_nothing(self, monkeypatch, bound):
+        # Bound 1 sends every block with a non-zero cell to Python ints;
+        # bound 50 splits the blocks between both paths.
+        g = hub_graph(1)
+        for delta in (0, 3, 2.5):
+            expected = count_star_pair_columnar(g, delta)
+            monkeypatch.setattr(columnar_kernels, "EXACT_SUM_BOUND", bound)
+            got = count_star_pair_columnar(g, delta)
+            tasks = build_batches(g, workers=2, thrd=4)
+            split = star_cover_sum(g, delta, [b.tasks for b in tasks])
+            monkeypatch.undo()
+            assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+            assert split == tuple(a.tolist() for a in expected)
+
+    def test_cells_past_int64_stay_exact(self):
+        big = (1 << 63) + 5
+        cells = columnar_kernels._cell_array([0, big, 3])
+        assert cells.tolist() == [0, big, 3]
+        assert type(cells.tolist()[1]) is int
+        small = columnar_kernels._cell_array([0, (1 << 63) - 1])
+        assert small.dtype == np.int64
+
+
+
 TWO_PATH_DELTA = 10
 
 
@@ -207,7 +369,7 @@ def anchor_paths(g: TemporalGraph, delta: float):
     """Per-anchor wedge-path choice of the triangle kernel: (triangle, window)."""
     col = g.columnar()
     anchors = columnar_kernels._task_positions(col, None)
-    we = columnar_kernels._window_bounds(col, delta)[1]
+    we = columnar_kernels._window_bounds(col, delta, 0, len(col.inc_eid))[1]
     window = we[anchors] - anchors - 1
     table = columnar_kernels.triangle_table(col)
     slot = table.edge_slot[col.inc_eid[anchors]]

@@ -109,4 +109,7 @@ class TestEdgeWindowEnds:
         assert ("ewin", 20.0) in col.delta_cache
         count_motifs(graph, 7.0)
         assert all(key == ("tri",) or key[1] == 7.0 for key in col.delta_cache)
-        assert {"bounds", "star", "tri"} <= {key[0] for key in col.delta_cache}
+        kinds = {key[0] for key in col.delta_cache}
+        assert {"elo", "ewin", "merged", "tri"} == kinds
+        # Star tables span each call's own CSR rows: never memoized.
+        assert not {"bounds", "star"} & kinds

@@ -1,5 +1,6 @@
 """Tests for HARE's task construction and scheduling."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -13,8 +14,8 @@ def coverage(batches, graph):
     """Map node -> set of first-edge indices covered by the tasks."""
     covered = {}
     for batch in batches:
-        for node, lo, hi in batch.tasks:
-            top = graph.degree(node) if hi is None else min(hi, graph.degree(node))
+        for node, lo, hi in batch.tasks.tolist():
+            top = graph.degree(node) if hi < 0 else min(hi, graph.degree(node))
             for i in range(lo, top):
                 covered.setdefault(node, set()).add(i)
     return covered
@@ -25,8 +26,9 @@ class TestCoverage:
         batches = build_batches(paper_graph, workers=3, thrd=2)
         seen = {}
         for batch in batches:
-            for node, lo, hi in batch.tasks:
-                top = paper_graph.degree(node) if hi is None else min(hi, paper_graph.degree(node))
+            assert batch.tasks.dtype == np.int64 and batch.tasks.shape[1] == 3
+            for node, lo, hi in batch.tasks.tolist():
+                top = paper_graph.degree(node) if hi < 0 else min(hi, paper_graph.degree(node))
                 for i in range(lo, top):
                     key = (node, i)
                     assert key not in seen, f"duplicate coverage of {key}"
@@ -63,8 +65,8 @@ class TestHeavySplitting:
         g = star_burst_graph(20, 5, seed=1)
         hub = g.index(0)
         batches = build_batches(g, workers=2, thrd=float("inf"))
-        hub_tasks = [t for b in batches for t in b.tasks if t[0] == hub]
-        assert hub_tasks == [(hub, 0, None)]
+        hub_tasks = [t for b in batches for t in b.tasks.tolist() if t[0] == hub]
+        assert hub_tasks == [[hub, 0, -1]]
 
     def test_default_thrd_uses_top20_rule(self):
         g = star_burst_graph(30, 4, seed=2)
@@ -78,21 +80,23 @@ class TestHeavySplitting:
         batches = build_batches(g, workers=2, thrd=0)
         # every node with degree >= 2 appears in range tasks
         for batch in batches:
-            for node, lo, hi in batch.tasks:
-                assert hi is None or hi - lo >= 1
+            for node, lo, hi in batch.tasks.tolist():
+                assert hi == -1 or hi - lo >= 1
 
     def test_heavy_pieces_are_consecutive(self):
         g = star_burst_graph(20, 5, seed=1)  # hub degree 100
         hub = g.index(0)
         batches = build_batches(g, workers=2, thrd=10)
-        pieces = sorted((lo, hi) for b in batches for n, lo, hi in b.tasks if n == hub)
+        pieces = sorted(
+            (lo, hi) for b in batches for n, lo, hi in b.tasks.tolist() if n == hub
+        )
         assert len(pieces) == 2 * scheduler.PIECES_PER_WORKER
-        assert pieces[0][0] == 0 and pieces[-1][1] is None
+        assert pieces[0][0] == 0 and pieces[-1][1] == -1
         for (_, hi), (lo, _) in zip(pieces, pieces[1:]):
             assert hi == lo
         for batch in batches:
             # A batch holds a contiguous run of the node-ordered cover.
-            mine = [(lo, hi) for n, lo, hi in batch.tasks if n == hub]
+            mine = [(lo, hi) for n, lo, hi in batch.tasks.tolist() if n == hub]
             for (_, hi), (lo, _) in zip(mine, mine[1:]):
                 assert hi == lo
 
@@ -152,6 +156,9 @@ class TestValidation:
 
     def test_workbatch_add(self):
         batch = WorkBatch()
-        batch.add((0, 0, None), 5)
-        assert batch.weight == 5
-        assert batch.tasks == [(0, 0, None)]
+        assert batch.tasks.shape == (0, 3)
+        batch.add(np.array([[0, 0, -1]], dtype=np.int64), 5)
+        batch.add(np.array([[1, 0, 4], [1, 4, -1]], dtype=np.int64), 2)
+        assert batch.weight == 7
+        assert batch.tasks.dtype == np.int64
+        assert batch.tasks.tolist() == [[0, 0, -1], [1, 0, 4], [1, 4, -1]]

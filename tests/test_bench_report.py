@@ -103,6 +103,15 @@ def test_main_exits_zero_on_garbage(tmp_path, capsys):
     assert "no BENCH_*.json baselines found" in out
 
 
+def test_worker_count_names_the_row(tmp_path):
+    _write(tmp_path, "BENCH_demo.json", {"results": [
+        {"edges": 100, "speedup": 3.0, "speedup_pool": 1.5, "pool_workers": 2},
+    ]})
+    rows = bench_report.collect(tmp_path)
+    assert ("demo", "", 100, None, "pool[2]", 1.5) in rows
+    assert ("demo", "", 100, None, "overall", 3.0) in rows
+
+
 def test_main_renders_committed_baselines(capsys):
     bench_dir = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
     assert bench_report.main(["--dir", str(bench_dir)]) == 0

@@ -11,7 +11,10 @@ baselines is visible at a glance in CI logs and PR reviews.
 The walker is schema-tolerant: any ``speedup`` / ``speedup_*`` value
 in a result entry (top level or one nesting level down, e.g. the
 per-estimator blocks of ``BENCH_sampling.json``) becomes a row, so new
-benchmarks join the table by just writing their JSON.  The recording
+benchmarks join the table by just writing their JSON.  A
+``speedup_<name>`` row whose entry also records ``<name>_workers``
+names its worker count, e.g. ``pool[2]`` for the ``workers=2`` pool
+route of ``BENCH_columnar.json``.  The recording
 machine's core count is printed beside each row when the file has it:
 an entry's ``cores``, else the file's top-level ``cpu_count``.
 
@@ -48,6 +51,9 @@ def iter_speedups(entry: dict, prefix: str = "") -> Iterator[Tuple[str, float]]:
                 label = "overall"
             else:
                 label = label.replace("speedup_", "")
+                workers = entry.get(key[len("speedup_"):] + "_workers")
+                if isinstance(workers, int):
+                    label += f"[{workers}]"
             yield label, speedup
 
 
