@@ -9,6 +9,7 @@ checkpoint is **bit-identical** to a batch recount of the live edge
 set — without the engine ever recounting the window from scratch.
 
 Run:  python examples/stream_replay.py
+(exits 1 if the final streaming counts differ from the recount)
 """
 
 import json
@@ -17,7 +18,7 @@ from repro import StreamRequest, TemporalGraph, count_motifs, open_stream
 from repro.graph.generators import powerlaw_temporal_graph
 
 
-def main() -> None:
+def main() -> int:
     # A synthetic power-law session graph, replayed in time order —
     # exactly what a message bus delivering one day of traffic looks
     # like from the counter's perspective.
@@ -47,7 +48,8 @@ def main() -> None:
           f"({final.edges_expired:,} expired along the way)")
     print(f"streaming == batch recount: {bool(identical)}")
     print(f"total motifs in window: {final.counts.total():,}")
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -35,6 +35,7 @@ stays cheap.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
@@ -291,9 +292,10 @@ class StreamRequest:
 
     def __post_init__(self) -> None:
         check_delta(self.delta)
-        if self.window is not None and self.window <= 0:
-            raise ValidationError(
-                f"window must be positive (or None for unbounded), got {self.window}"
+        window = self.window
+        if window is not None and not (isinstance(window, numbers.Real) and window > 0):
+            raise ValidationError(  # NaN fails ``> 0`` too
+                f"window must be positive (or None for unbounded), got {window!r}"
             )
         if self.categories not in CATEGORIES:
             raise ValidationError(

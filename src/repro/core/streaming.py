@@ -178,35 +178,22 @@ class StreamingMotifEngine:
         ``[min_batch_t - delta, +inf)`` is recounted on arrival, and
         only ``(-inf, cutoff + delta)`` on window expiry.  Late edges
         (below the watermark) and self-loops are dropped by the store
-        and never touch the counters.
+        and never touch the counters.  The store validates the whole
+        batch before anything changes: a bad record raises
+        :class:`~repro.errors.ValidationError` and leaves the engine
+        and its store as they were.
         """
-        batch: List[Edge] = list(edges)
-        if not batch:
-            return 0
-        watermark = self.store.watermark
-        timely = []
-        for record in batch:
-            try:
-                t = record[2]
-            except (TypeError, IndexError) as exc:
-                raise ValidationError(
-                    f"edge records must be (u, v, t) triples, got {record!r}"
-                ) from exc
-            if watermark is None or t >= watermark:
-                timely.append(t)
-        if not timely:
-            # Nothing countable: still route through the store so late
-            # arrivals are tallied (and malformed records rejected).
-            tick = time.perf_counter()
-            accepted = self.store.extend(batch)
-            self._phase["ingest"] += time.perf_counter() - tick
-            return accepted
+        tick = time.perf_counter()
+        batch = self.store.stage(edges)  # validates everything, mutates nothing
+        self._phase["ingest"] += time.perf_counter() - tick
+        if batch.t_min is None:
+            # Nothing countable: the commit only tallies the drops.
+            return self.store.commit(batch)
 
-        delta = self.request.delta
-        dirty_lo = min(timely) - delta
+        dirty_lo = batch.t_min - self.request.delta
         before = self._count_range(dirty_lo, None)
         tick = time.perf_counter()
-        accepted = self.store.extend(batch)
+        accepted = self.store.commit(batch)
         self._phase["ingest"] += time.perf_counter() - tick
         after = self._count_range(dirty_lo, None)
         apply_diff(self._totals, after, before)
@@ -335,23 +322,15 @@ class StreamingMotifEngine:
         CRC'd journal of engine state (see
         :mod:`repro.storage.checkpoint` for the format and the
         crash-ordering guarantees); returns the journal path.  Cheap
-        relative to counting: one sort of the live window plus two
-        sequential file writes, no recount.
+        relative to counting: the store's run is already in canonical
+        order, so this is two sequential file writes, no sort and no
+        recount.
         """
         from repro.storage import checkpoint as ckpt
 
         store = self.store
-        src, dst, t = store.slice_arrays(None, None)  # arrival order
-        # Canonical (t, arrival) order: a stable sort on t keeps equal
-        # timestamps in arrival order, so the snapshot fixes exactly
-        # the tie-break a resume must reproduce.
-        order = np.argsort(t, kind="stable")
-        graph = TemporalGraph.from_canonical_arrays(
-            np.ascontiguousarray(src[order]),
-            np.ascontiguousarray(dst[order]),
-            np.ascontiguousarray(t[order]),
-            num_nodes=store.num_nodes,
-        )
+        src, dst, t = store.canonical_arrays()
+        graph = TemporalGraph.from_canonical_arrays(src, dst, t, num_nodes=store.num_nodes)
         request = self.request
         state = {
             "config": {

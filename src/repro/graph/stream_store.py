@@ -12,15 +12,19 @@ functions over immutable slice graphs.
 
 Layout
 ------
-Live edges are held as **sorted runs** — LSM-style ring-buffer
-segments.  Appends go to an unsorted tail buffer; flushing sorts the
-tail by ``(t, arrival seq)`` into a new run, and when the run count
-exceeds ``max_runs`` all runs are merged into one (lazy merging: the
-cost is amortised, and slicing only ever binary-searches a handful of
-runs).  Eviction advances a per-run head pointer — a ring-buffer
-consume, with the storage compacted once more than half a run is dead
-— so a sliding window is O(log r) bookkeeping per run, not an O(m)
-rebuild.
+Live edges are **one sorted run**: four parallel arrays (``src``,
+``dst``, ``t``, arrival ``seq``) ordered by ``(t, seq)``.  A motif
+window is a contiguous range of that order, so every time slice is one
+index range found by binary search.  A batch is merged in with one
+stable sort of the batch, one ``searchsorted(side="right")`` (an
+equal-timestamp arrival lands after the live edges it ties with) and
+one insert; eviction is one ``searchsorted`` and a slice of the run's
+live suffix.
+
+Ingest is all or nothing: :meth:`StreamingEdgeStore.stage` parses and
+validates a whole batch without touching the store, and
+:meth:`StreamingEdgeStore.commit` applies it.  A batch with one bad
+record raises :class:`~repro.errors.ValidationError` and changes nothing.
 
 Canonical order
 ---------------
@@ -40,8 +44,8 @@ API boundary.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,54 +54,57 @@ from repro.graph.temporal_graph import TemporalGraph
 
 _SELF_LOOP_POLICIES = ("drop", "error")
 
-#: Compact a run's storage once its dead prefix passes this fraction.
-_COMPACT_FRACTION = 0.5
+#: Python and NumPy scalar types a timestamp or cutoff may have.
+_NUMERIC = (int, float, np.integer, np.floating)
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-class _Run:
-    """One immutable sorted segment: parallel arrays ordered by (t, seq).
+def _empty() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
 
-    ``head`` is the index of the first *live* entry — eviction advances
-    it instead of copying, and :meth:`compact` reclaims storage once
-    the dead prefix dominates.
+
+def _timestamp_array(ts: List) -> np.ndarray:
+    """``ts`` as one int64 or floating array; non-numbers are refused."""
+    for kind in set(map(type, ts)):
+        if not issubclass(kind, _NUMERIC):
+            bad = next(t for t in ts if type(t) is kind)
+            raise ValidationError(f"timestamp must be numeric, got {bad!r}")
+    t = np.array(ts)
+    if t.dtype.kind == "f":
+        finite = np.isfinite(t)
+        if not finite.all():
+            # NaN compares false against the watermark and infinities
+            # break window arithmetic; neither can be a live edge.
+            bad = ts[int(np.argmin(finite))]
+            raise ValidationError(f"timestamp must be finite, got {bad!r}")
+        return t
+    if t.dtype.kind == "O" or (t.dtype.kind == "u" and t.max() > _INT64_MAX):
+        raise ValidationError("integer timestamps must fit in int64")
+    return t.astype(np.int64, copy=False)
+
+
+class StagedBatch(NamedTuple):
+    """A validated batch, decided against the store it was staged on.
+
+    ``src``/``dst``/``t`` are the accepted edges in input order
+    (internal ids; ``new_labels`` numbers the labels the store has not
+    seen yet).  :meth:`StreamingEdgeStore.commit` applies it.
     """
 
-    __slots__ = ("src", "dst", "t", "seq", "head")
+    src: np.ndarray
+    dst: np.ndarray
+    t: np.ndarray
+    t_latest: Optional[float]
+    new_labels: Dict[Hashable, int]
+    num_late: int
+    num_self_loops: int
+    stamp: Tuple
 
-    def __init__(self, src: np.ndarray, dst: np.ndarray, t: np.ndarray, seq: np.ndarray) -> None:
-        self.src = src
-        self.dst = dst
-        self.t = t
-        self.seq = seq
-        self.head = 0
-
-    def __len__(self) -> int:
-        return len(self.t) - self.head
-
-    def evict_before(self, cutoff: float) -> int:
-        """Advance ``head`` past entries with ``t < cutoff``; return count."""
-        new_head = int(np.searchsorted(self.t, cutoff, side="left"))
-        evicted = max(new_head - self.head, 0)
-        self.head = max(self.head, new_head)
-        return evicted
-
-    def compact(self) -> None:
-        if self.head and self.head >= _COMPACT_FRACTION * len(self.t):
-            self.src = self.src[self.head:].copy()
-            self.dst = self.dst[self.head:].copy()
-            self.t = self.t[self.head:].copy()
-            self.seq = self.seq[self.head:].copy()
-            self.head = 0
-
-    def slice_bounds(self, t_lo: Optional[float], t_hi: Optional[float]) -> Tuple[int, int]:
-        """Index range of live entries with ``t_lo <= t < t_hi``."""
-        lo = self.head
-        if t_lo is not None:
-            lo = max(lo, int(np.searchsorted(self.t, t_lo, side="left")))
-        hi = len(self.t)
-        if t_hi is not None:
-            hi = min(hi, int(np.searchsorted(self.t, t_hi, side="left")))
-        return lo, max(hi, lo)
+    @property
+    def t_min(self) -> Optional[float]:
+        """Earliest accepted timestamp (``None`` when nothing was accepted)."""
+        return self.t.min() if len(self.t) else None
 
 
 class StreamingEdgeStore:
@@ -105,10 +112,6 @@ class StreamingEdgeStore:
 
     Parameters
     ----------
-    max_runs:
-        Sorted-run count that triggers a full merge on the next flush
-        (the lazy-merge knob; higher defers sort work, lower keeps
-        slicing cheaper).
     on_self_loop:
         ``"drop"`` (default) or ``"error"`` — same policy and default
         as :class:`~repro.graph.temporal_graph.TemporalGraph`, so a
@@ -120,28 +123,24 @@ class StreamingEdgeStore:
       ``t < watermark`` is *late* — outside the window by definition —
       and is dropped (counted in :attr:`num_dropped_late`).
     * ``num_seen == num_live + num_evicted`` at all times.
-    * :attr:`version` bumps on every append/evict, so derived caches
-      can detect staleness (the streaming analogue of
-      :meth:`TemporalGraph.invalidate_caches
+    * :attr:`version` grows by one per accepted edge and per eviction
+      that removed edges, so derived caches can detect staleness (the
+      streaming analogue of :meth:`TemporalGraph.invalidate_caches
       <repro.graph.temporal_graph.TemporalGraph.invalidate_caches>`).
     """
 
-    def __init__(self, *, max_runs: int = 8, on_self_loop: str = "drop") -> None:
-        if max_runs < 1:
-            raise ValidationError(f"max_runs must be >= 1, got {max_runs}")
+    def __init__(self, *, on_self_loop: str = "drop") -> None:
         if on_self_loop not in _SELF_LOOP_POLICIES:
             raise ValidationError(
                 f"on_self_loop must be one of {_SELF_LOOP_POLICIES}, got {on_self_loop!r}"
             )
-        self._max_runs = max_runs
         self._on_self_loop = on_self_loop
         self._labels: List[Hashable] = []
         self._index: Dict[Hashable, int] = {}
-        self._runs: List[_Run] = []
-        self._tail_src: List[int] = []
-        self._tail_dst: List[int] = []
-        self._tail_t: List[float] = []
-        self._tail_seq: List[int] = []
+        self._src = _empty()
+        self._dst = _empty()
+        self._t = _empty()
+        self._seq = _empty()
         self._next_seq = 0
         self._watermark: Optional[float] = None
         self._t_latest: Optional[float] = None
@@ -156,7 +155,7 @@ class StreamingEdgeStore:
     @property
     def num_live(self) -> int:
         """Edges currently in the store (appended, not yet evicted)."""
-        return sum(len(run) for run in self._runs) + len(self._tail_t)
+        return len(self._t)
 
     @property
     def num_seen(self) -> int:
@@ -191,14 +190,10 @@ class StreamingEdgeStore:
     def t_earliest(self) -> Optional[float]:
         """Smallest live timestamp (``None`` when no edges are live).
 
-        O(runs + tail): run heads are sorted, the tail is scanned.
         Lets the engine skip expiry recounts when the window cutoff
         has not yet reached any live edge.
         """
-        candidates = [float(run.t[run.head]) for run in self._runs if len(run)]
-        if self._tail_t:
-            candidates.append(float(min(self._tail_t)))
-        return min(candidates) if candidates else None
+        return float(self._t[0]) if len(self._t) else None
 
     @property
     def num_nodes(self) -> int:
@@ -214,102 +209,120 @@ class StreamingEdgeStore:
         return self.num_live
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"StreamingEdgeStore(live={self.num_live}, runs={len(self._runs)}, "
-            f"tail={len(self._tail_t)}, watermark={self._watermark})"
-        )
+        return f"StreamingEdgeStore(live={self.num_live}, watermark={self._watermark})"
 
     # ------------------------------------------------------------------
     # ingest
     # ------------------------------------------------------------------
-    def _intern(self, label: Hashable) -> int:
-        idx = self._index.get(label)
-        if idx is None:
-            idx = len(self._labels)
-            self._index[label] = idx
-            self._labels.append(label)
-        return idx
+    def stage(self, edges: Iterable[Tuple[Hashable, Hashable, float]]) -> StagedBatch:
+        """Validate a batch of ``(u, v, t)`` edges; change nothing.
 
-    def append(self, u: Hashable, v: Hashable, t: float) -> bool:
-        """Ingest one edge; return whether it was accepted.
-
-        Rejections: self-loops (per policy) and *late* edges whose
-        timestamp is below the watermark — those are outside the live
-        window by definition and accepting them would make the window
-        semantics (and the incremental count diffs) unsound.
+        Every record is checked before any is accepted: the triple
+        shape, a numeric finite timestamp, hashable labels and, under
+        ``on_self_loop="error"``, no self-loop.  A failure raises
+        :class:`ValidationError`.  Rejections that are not errors —
+        self-loops under ``"drop"`` and *late* edges below the
+        watermark, which are outside the live window by definition —
+        are tallied in the staged batch.
         """
-        if not isinstance(t, (int, float, np.integer, np.floating)):
-            raise ValidationError(f"timestamp must be numeric, got {t!r}")
-        if isinstance(t, (float, np.floating)) and not math.isfinite(t):
-            # NaN compares false against the watermark and infinities
-            # break window arithmetic; neither can be a live edge.
-            raise ValidationError(f"timestamp must be finite, got {t!r}")
-        if u == v:
-            if self._on_self_loop == "error":
-                raise ValidationError(f"self-loop edge ({u!r}, {v!r}, {t!r})")
-            self._num_self_loops_dropped += 1
-            return False
-        if self._watermark is not None and t < self._watermark:
-            self._num_dropped_late += 1
-            return False
-        self._tail_src.append(self._intern(u))
-        self._tail_dst.append(self._intern(v))
-        self._tail_t.append(t)
-        self._tail_seq.append(self._next_seq)
-        self._next_seq += 1
-        if self._t_latest is None or t > self._t_latest:
-            self._t_latest = t
-        self._version += 1
-        return True
+        edges = edges if isinstance(edges, list) else list(edges)
+        try:
+            records = [(u, v, t) for u, v, t in edges]
+        except (TypeError, ValueError) as exc:
+            bad = next((r for r in edges if not isinstance(r, (tuple, list)) or len(r) != 3), exc)
+            raise ValidationError(f"edge records must be (u, v, t) triples, got {bad!r}") from exc
+        stamp = (self._version, self._watermark)
+        if not records:
+            return StagedBatch(_empty(), _empty(), _empty(), None, {}, 0, 0, stamp)
+        stream = list(chain.from_iterable(records))
+        ts = stream[2::3]
+        del stream[2::3]  # u then v of every record, in input order
+        t = _timestamp_array(ts)
+        ids, new_labels = self._intern(stream)
+
+        keep = ids[0::2] != ids[1::2]  # equal labels share one id
+        num_loops = len(ts) - int(np.count_nonzero(keep))
+        if num_loops and self._on_self_loop == "error":
+            raise ValidationError(f"self-loop edge {records[int(np.argmin(keep))]!r}")
+        num_late = 0
+        if self._watermark is not None:
+            timely = t >= self._watermark
+            num_late = int(np.count_nonzero(keep & ~timely))
+            keep &= timely
+        if not keep.all():
+            # Dropped records intern nothing, and the dtype follows the
+            # accepted timestamps alone.
+            rows = np.flatnonzero(keep).tolist()
+            ts = [ts[i] for i in rows]
+            stream = [stream[j] for i in rows for j in (2 * i, 2 * i + 1)]
+            t = _timestamp_array(ts) if ts else _empty()
+            ids, new_labels = self._intern(stream)
+        t_latest = ts[int(t.argmax())] if ts else None
+        return StagedBatch(
+            ids[0::2], ids[1::2], t, t_latest, new_labels, num_late, num_loops, stamp
+        )
+
+    def _intern(self, stream: List[Hashable]) -> Tuple[np.ndarray, Dict[Hashable, int]]:
+        """Ids of ``stream``'s labels; unseen ones are numbered, not stored."""
+        index = self._index
+        new_labels: Dict[Hashable, int] = {}
+        base = len(self._labels)
+        try:
+            ids = [
+                index[label] if label in index
+                else new_labels.setdefault(label, base + len(new_labels))
+                for label in stream
+            ]
+        except TypeError as exc:
+            raise ValidationError(f"node labels must be hashable: {exc}") from exc
+        return np.array(ids, dtype=np.int64), new_labels
+
+    def commit(self, batch: StagedBatch) -> int:
+        """Apply a batch staged against the current store; return accepted count.
+
+        The batch is merged into the sorted run: one stable sort of the
+        batch by ``t`` (arrival order breaks its ties) and one
+        ``searchsorted(side="right")`` place every edge after the live
+        edges it ties with.
+        """
+        if batch.stamp != (self._version, self._watermark):
+            raise ValidationError("the store changed after this batch was staged")
+        self._num_self_loops_dropped += batch.num_self_loops
+        self._num_dropped_late += batch.num_late
+        n = len(batch.t)
+        if not n:
+            return 0
+        self._labels.extend(batch.new_labels)
+        self._index.update(batch.new_labels)
+        order = np.argsort(batch.t, kind="stable")
+        t = batch.t[order]
+        # np.insert casts what it inserts to the run's dtype: promote
+        # first, or float arrivals would be truncated into an int run.
+        run_t = self._t.astype(np.result_type(self._t, t), copy=False) if len(self._t) else t[:0]
+        at = np.searchsorted(run_t, t, side="right")
+        if at[0] == at[-1]:
+            at = at[0]  # one gap (an in-order batch): a scalar insert is a plain copy
+        self._t = np.insert(run_t, at, t)
+        self._src = np.insert(self._src, at, batch.src[order])
+        self._dst = np.insert(self._dst, at, batch.dst[order])
+        self._seq = np.insert(self._seq, at, order + self._next_seq)
+        self._next_seq += n
+        if self._t_latest is None or batch.t_latest > self._t_latest:
+            self._t_latest = batch.t_latest
+        self._version += n
+        return n
 
     def extend(self, edges: Iterable[Tuple[Hashable, Hashable, float]]) -> int:
-        """Ingest a batch of ``(u, v, t)`` edges; return accepted count."""
-        accepted = 0
-        for record in edges:
-            try:
-                u, v, t = record
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"edge records must be (u, v, t) triples, got {record!r}"
-                ) from exc
-            if self.append(u, v, t):
-                accepted += 1
-        return accepted
+        """Ingest a batch of ``(u, v, t)`` edges; return accepted count.
 
-    def _flush(self) -> None:
-        """Sort the tail into a run; merge all runs past ``max_runs``."""
-        if self._tail_t:
-            seq = np.array(self._tail_seq, dtype=np.int64)
-            t = np.array(self._tail_t)
-            if not np.issubdtype(t.dtype, np.floating):
-                t = t.astype(np.int64)
-            order = np.lexsort((seq, t))
-            self._runs.append(
-                _Run(
-                    np.array(self._tail_src, dtype=np.int64)[order],
-                    np.array(self._tail_dst, dtype=np.int64)[order],
-                    t[order],
-                    seq[order],
-                )
-            )
-            self._tail_src = []
-            self._tail_dst = []
-            self._tail_t = []
-            self._tail_seq = []
-        if len(self._runs) > self._max_runs:
-            self._merge_runs()
+        All or nothing: a batch with any invalid record raises
+        :class:`ValidationError` and leaves the store unchanged.
+        """
+        return self.commit(self.stage(edges))
 
-    def _merge_runs(self) -> None:
-        live = [run for run in self._runs if len(run)]
-        if not live:
-            self._runs = []
-            return
-        src = np.concatenate([run.src[run.head:] for run in live])
-        dst = np.concatenate([run.dst[run.head:] for run in live])
-        t = np.concatenate([run.t[run.head:] for run in live])
-        seq = np.concatenate([run.seq[run.head:] for run in live])
-        order = np.lexsort((seq, t))
-        self._runs = [_Run(src[order], dst[order], t[order], seq[order])]
+    def append(self, u: Hashable, v: Hashable, t: float) -> bool:
+        """Ingest one edge; return whether it was accepted."""
+        return self.extend([(u, v, t)]) == 1
 
     # ------------------------------------------------------------------
     # eviction
@@ -318,22 +331,21 @@ class StreamingEdgeStore:
         """Remove every live edge with ``t < cutoff``; return count.
 
         Advances the watermark to ``cutoff`` (watermarks never
-        regress; an already-passed cutoff is a no-op) and compacts
-        runs whose dead prefix grew past half their storage.
+        regress; an already-passed cutoff is a no-op).  A non-numeric
+        or NaN cutoff is refused: it would compare false everywhere and
+        leave the window undefined.
         """
+        if not isinstance(cutoff, _NUMERIC) or cutoff != cutoff:
+            raise ValidationError(f"cutoff must be a number, got {cutoff!r}")
         if self._watermark is not None and cutoff <= self._watermark:
             return 0
-        self._flush()
-        evicted = 0
-        kept: List[_Run] = []
-        for run in self._runs:
-            evicted += run.evict_before(cutoff)
-            if len(run):
-                run.compact()
-                kept.append(run)
-        self._runs = kept
+        evicted = int(np.searchsorted(self._t, cutoff, side="left"))
         self._watermark = cutoff
         if evicted:
+            self._src = self._src[evicted:]
+            self._dst = self._dst[evicted:]
+            self._t = self._t[evicted:]
+            self._seq = self._seq[evicted:]
             self._num_evicted += evicted
             self._version += 1
         return evicted
@@ -345,7 +357,7 @@ class StreamingEdgeStore:
         """JSON-ready store bookkeeping for a streaming checkpoint.
 
         The live edges themselves travel separately (a packed canonical
-        snapshot via :meth:`slice_arrays`); this is everything else a
+        snapshot via :meth:`canonical_arrays`); this is everything else a
         :meth:`restore` needs — the label table and the window/drop
         counters.  Arrival sequence numbers are deliberately absent:
         the canonical snapshot preserves equal-timestamp arrival order,
@@ -376,7 +388,6 @@ class StreamingEdgeStore:
         num_dropped_late: int = 0,
         num_self_loops_dropped: int = 0,
         version: int = 0,
-        max_runs: int = 8,
         on_self_loop: str = "drop",
     ) -> "StreamingEdgeStore":
         """Rebuild a store from a canonical snapshot + bookkeeping.
@@ -390,7 +401,7 @@ class StreamingEdgeStore:
         Validation failures raise :class:`ValidationError`; the caller
         (the checkpoint layer) maps them to its typed corruption error.
         """
-        store = cls(max_runs=max_runs, on_self_loop=on_self_loop)
+        store = cls(on_self_loop=on_self_loop)
         store._labels = list(labels)
         store._index = {label: i for i, label in enumerate(store._labels)}
         if len(store._index) != len(store._labels):
@@ -418,7 +429,8 @@ class StreamingEdgeStore:
                 raise ValidationError(
                     "restore: live edge newer than the recorded t_latest"
                 )
-            store._runs = [_Run(src, dst, t, np.arange(m, dtype=np.int64))]
+            store._src, store._dst, store._t = src, dst, t
+            store._seq = np.arange(m, dtype=np.int64)
         store._next_seq = m
         # Keep the journal's numeric types: coercing an int watermark
         # to float would change resumed JSON output (120 vs 120.0) and
@@ -444,21 +456,26 @@ class StreamingEdgeStore:
         ``TemporalGraph`` built from these arrays breaks timestamp
         ties exactly like a batch build over the same arrivals.
         """
-        self._flush()
-        pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for run in self._runs:
-            lo, hi = run.slice_bounds(t_lo, t_hi)
-            if hi > lo:
-                pieces.append((run.src[lo:hi], run.dst[lo:hi], run.t[lo:hi], run.seq[lo:hi]))
-        if not pieces:
-            empty_t = np.zeros(0, dtype=np.int64)
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), empty_t
-        src = np.concatenate([p[0] for p in pieces])
-        dst = np.concatenate([p[1] for p in pieces])
-        t = np.concatenate([p[2] for p in pieces])
-        seq = np.concatenate([p[3] for p in pieces])
-        order = np.argsort(seq, kind="stable")
-        return src[order], dst[order], t[order]
+        t = self._t
+        lo = 0 if t_lo is None else int(np.searchsorted(t, t_lo, side="left"))
+        hi = len(t) if t_hi is None else int(np.searchsorted(t, t_hi, side="left"))
+        if hi <= lo:
+            return _empty(), _empty(), _empty()
+        order = np.argsort(self._seq[lo:hi], kind="stable") + lo
+        return self._src[order], self._dst[order], t[order]
+
+    def canonical_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Live ``(src, dst, t)`` in canonical ``(t, arrival)`` order.
+
+        Read-only views of the run itself (internal ids), the order a
+        checkpoint snapshot stores; an empty store gives int64 columns.
+        """
+        if not len(self._t):
+            return _empty(), _empty(), _empty()
+        views = (self._src.view(), self._dst.view(), self._t.view())
+        for view in views:
+            view.flags.writeable = False
+        return views
 
     def slice_graph(
         self, t_lo: Optional[float] = None, t_hi: Optional[float] = None

@@ -228,6 +228,13 @@ class TestStreamRequestValidation:
         with pytest.raises(ValidationError):
             StreamRequest(delta=1.0, window=0.0)
 
+    @pytest.mark.parametrize("window", [float("nan"), "x"])
+    def test_nan_or_non_numeric_window(self, window):
+        # NaN fails every comparison: the engine would expire every
+        # edge and set a NaN watermark that never drops a late arrival.
+        with pytest.raises(ValidationError, match="window"):
+            StreamRequest(delta=1.0, window=window)
+
     def test_bad_backend(self):
         """Kernel choice is internal: the request has no backend knob."""
         with pytest.raises(TypeError):
@@ -261,6 +268,33 @@ class TestIngestValidation:
         engine = open_stream(StreamRequest(delta=1.0))
         with pytest.raises(ValidationError, match="triples"):
             engine.ingest([(0, 1)])
+
+    def test_non_numeric_timestamp_raises_validation_error(self):
+        engine = open_stream(StreamRequest(delta=1.0))
+        with pytest.raises(ValidationError, match="numeric"):
+            engine.ingest([(5, 6, "x")])
+        assert engine.store.num_live == 0
+
+    @pytest.mark.parametrize("window", [None, 4.0])
+    def test_rejected_batch_changes_nothing(self, window):
+        engine = open_stream(StreamRequest(delta=10.0, window=window))
+        engine.ingest([(0, 1, 1), (1, 2, 2), (2, 0, 3)])
+        store = engine.store
+        before = (store.num_live, store.num_nodes, store.version, store.num_evicted,
+                  store.num_dropped_late, store.num_self_loops_dropped,
+                  store.watermark, engine.counts().total())
+        with pytest.raises(ValidationError, match="finite"):
+            engine.ingest([(0, 1, 4.0), (1, 2, 5.0), (2, 0, 6.0), (3, 4, float("nan"))])
+        assert (store.num_live, store.num_nodes, store.version, store.num_evicted,
+                store.num_dropped_late, store.num_self_loops_dropped,
+                store.watermark, engine.counts().total()) == before
+        recount = count_motifs(TemporalGraph(engine.live_edges()), 10.0)
+        assert (engine.counts().grid == recount.grid).all()
+        # The engine keeps working exactly after the refusal.
+        engine.ingest([(0, 1, 4.0), (1, 2, 5.0), (2, 0, 6.0), (3, 4, 7)])
+        recount = count_motifs(TemporalGraph(engine.live_edges()), 10.0)
+        assert (engine.counts().grid == recount.grid).all()
+        assert engine.counts().total() == recount.total() > 0
 
     def test_stream_motifs_validates_eagerly(self):
         # A plain function, not a generator function: bad requests

@@ -94,20 +94,96 @@ class TestEviction:
 
 
 class TestRunsAndMerging:
-    def test_many_flushes_merge_runs(self):
-        store = StreamingEdgeStore(max_runs=2)
-        for base in range(10):
-            store.extend([(0, 1, base * 10 + k) for k in range(5)])
-            store.slice_arrays()  # force a flush per batch
-        assert len(store._runs) <= 3  # merged below the cap
-        assert store.num_live == 50
-
     def test_interleaved_out_of_order_runs_slice_in_arrival_order(self):
-        store = StreamingEdgeStore(max_runs=1)
+        store = StreamingEdgeStore()
         store.extend([(0, 1, 5), (1, 2, 1)])
         store.slice_arrays()
         store.extend([(2, 3, 3), (3, 4, 1)])
         assert store.live_edges() == [(0, 1, 5), (1, 2, 1), (2, 3, 3), (3, 4, 1)]
+
+
+class TestAtomicBatches:
+    """A batch is validated whole before the store changes at all."""
+
+    @staticmethod
+    def state(store):
+        return (store.num_live, store.num_nodes, store.version, store.num_evicted,
+                store.num_dropped_late, store.num_self_loops_dropped,
+                store.snapshot_state(), store.live_edges())
+
+    @pytest.mark.parametrize("bad", [
+        (4, 5),                      # not a triple
+        (4, 5, "x"),                 # non-numeric timestamp
+        (4, 5, float("nan")),        # non-finite timestamp
+        (4, 5, float("inf")),
+        ([4], 5, 3),                 # unhashable label
+        (4, 5, 2**70),               # integer beyond int64
+    ])
+    def test_bad_record_rejects_the_whole_batch(self, bad):
+        store = store_with([(0, 1, 1), (1, 2, 2)])
+        store.evict_before(1)
+        before = self.state(store)
+        with pytest.raises(ValidationError):
+            store.extend([(1, 2, 3.0), (0, 0, 4), (2, 3, 0), (7, 8, 5), bad])
+        assert self.state(store) == before
+
+    def test_short_record_after_a_good_one_changes_nothing(self):
+        store = StreamingEdgeStore()
+        with pytest.raises(ValidationError):
+            store.extend([(1, 2, 3.0), (4, 5)])
+        assert store.num_live == 0
+        assert store.num_nodes == 0
+
+    def test_self_loop_error_policy_rejects_the_whole_batch(self):
+        store = StreamingEdgeStore(on_self_loop="error")
+        with pytest.raises(ValidationError, match="self-loop"):
+            store.extend(iter([(0, 1, 1), (2, 2, 2)]))
+        assert store.num_live == 0 and store.version == 0
+
+    def test_stage_changes_nothing_and_commit_applies(self):
+        store = store_with([(0, 1, 5)])
+        store.evict_before(2)
+        before = self.state(store)
+        batch = store.stage([("a", "b", 7), (0, 0, 6), (0, 1, 1), ("b", 0, 3)])
+        assert self.state(store) == before
+        assert (len(batch.t), batch.num_late, batch.num_self_loops) == (2, 1, 1)
+        assert batch.t_min == 3
+        assert store.commit(batch) == 2
+        assert store.live_edges() == [(0, 1, 5), ("a", "b", 7), ("b", 0, 3)]
+        assert store.snapshot_state()["labels"] == [0, 1, "a", "b"]
+        assert (store.num_dropped_late, store.num_self_loops_dropped) == (1, 1)
+
+    def test_stale_staged_batch_is_refused(self):
+        store = StreamingEdgeStore()
+        batch = store.stage([(0, 1, 1)])
+        store.evict_before(5)  # moves the watermark only: (0, 1, 1) is now late
+        with pytest.raises(ValidationError, match="staged"):
+            store.commit(batch)
+        assert store.num_live == 0
+
+    @pytest.mark.parametrize("cutoff", [float("nan"), np.float64("nan"), "x", None])
+    def test_bad_cutoff_refused(self, cutoff):
+        store = store_with([(0, 1, t) for t in range(5)])
+        with pytest.raises(ValidationError, match="cutoff"):
+            store.evict_before(cutoff)
+        assert store.num_live == 5 and store.watermark is None
+
+    def test_float_batch_promotes_an_int_run(self):
+        store = store_with([(0, 1, 1), (1, 2, 3)])
+        store.extend([(2, 3, 2.5), (3, 4, 1.25)])
+        src, dst, t = store.slice_arrays()
+        assert t.dtype == np.float64
+        assert t.tolist() == [1.0, 3.0, 2.5, 1.25]
+        assert store.canonical_arrays()[2].tolist() == [1.0, 1.25, 2.5, 3.0]
+
+    def test_canonical_arrays_are_the_sorted_run(self):
+        store = store_with([(0, 1, 5), (1, 2, 1), (2, 3, 5), (3, 4, 1)])
+        src, dst, t = store.canonical_arrays()
+        assert t.tolist() == [1, 1, 5, 5]
+        assert list(zip(src.tolist(), dst.tolist())) == [(1, 2), (3, 4), (0, 1), (2, 3)]
+        assert not t.flags.writeable
+        store.evict_before(10)
+        assert [a.dtype for a in store.canonical_arrays()] == [np.int64] * 3
 
 
 class TestSlicing:
@@ -151,10 +227,6 @@ class TestSlicing:
 
 
 class TestValidation:
-    def test_bad_max_runs(self):
-        with pytest.raises(ValidationError):
-            StreamingEdgeStore(max_runs=0)
-
     def test_bad_self_loop_policy(self):
         with pytest.raises(ValidationError):
             StreamingEdgeStore(on_self_loop="ignore")
@@ -199,12 +271,113 @@ def replay_reference(ops):
     return accepted, live, watermark
 
 
+@st.composite
+def model_ops(draw):
+    """append / extend / evict calls over a tiny label set and time range."""
+    labels = st.sampled_from(["a", "b", 3, 7, 0])
+    times = st.one_of(
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=0, max_value=40).map(lambda x: x / 2),
+    )
+    record = st.tuples(labels, labels, times)
+    op = st.one_of(
+        st.tuples(st.just("append"), record),
+        st.tuples(st.just("extend"), st.lists(record, max_size=8)),
+        st.tuples(st.just("evict"), st.one_of(
+            st.integers(min_value=0, max_value=22),
+            st.integers(min_value=0, max_value=44).map(lambda x: x / 2),
+        )),
+    )
+    return draw(st.lists(op, min_size=1, max_size=25))
+
+
+class ListModel:
+    """What a store must report, kept as a plain list of accepted edges."""
+
+    def __init__(self):
+        self.accepted = []  # (u, v, t) in arrival order, evicted ones too
+        self.labels = []
+        self.watermark = None
+        self.t_latest = None
+        self.float_run = False
+        self.evicted = self.late = self.loops = self.version = 0
+
+    def live(self):
+        wm = self.watermark
+        return [e for e in self.accepted if wm is None or e[2] >= wm]
+
+    def extend(self, records):
+        batch = []
+        for u, v, t in records:
+            if u == v:
+                self.loops += 1
+            elif self.watermark is not None and t < self.watermark:
+                self.late += 1
+            else:
+                batch.append((u, v, t))
+        if batch:
+            has_float = any(isinstance(t, float) for _, _, t in batch)
+            # The run's dtype promotes; it restarts when the run was empty.
+            self.float_run = has_float or (self.float_run and bool(self.live()))
+        for u, v, t in batch:
+            for label in (u, v):
+                if label not in self.labels:
+                    self.labels.append(label)
+            if self.t_latest is None or t > self.t_latest:
+                self.t_latest = t
+        self.accepted.extend(batch)
+        self.version += len(batch)
+        return len(batch)
+
+    def evict(self, cutoff):
+        if self.watermark is not None and cutoff <= self.watermark:
+            return 0
+        count = sum(1 for e in self.live() if e[2] < cutoff)
+        self.watermark = cutoff
+        self.evicted += count
+        self.version += 1 if count else 0
+        return count
+
+    def check(self, store, bounds):
+        live = self.live()
+        assert store.live_edges() == live
+        assert store.num_live == len(live) and len(store) == len(live)
+        assert store.num_seen == len(self.accepted)
+        assert store.num_evicted == self.evicted
+        assert store.num_dropped_late == self.late
+        assert store.num_self_loops_dropped == self.loops
+        assert store.num_nodes == len(self.labels)
+        assert store.version == self.version
+        assert store.watermark == self.watermark
+        assert store.t_earliest == (min(e[2] for e in live) if live else None)
+        src, dst, t = store.canonical_arrays()
+        assert [(self.labels[s], self.labels[d], ts)
+                for s, d, ts in zip(src.tolist(), dst.tolist(), t.tolist())] == sorted(
+            live, key=lambda e: e[2])  # stable: arrival order breaks ties
+        state = store.snapshot_state()
+        assert state["labels"] == self.labels
+        assert state["t_latest"] == self.t_latest
+        assert type(state["t_latest"]) is type(self.t_latest)
+        assert type(state["watermark"]) is type(self.watermark)
+        assert (state["num_evicted"], state["num_dropped_late"],
+                state["num_self_loops_dropped"], state["version"]) == (
+            self.evicted, self.late, self.loops, self.version)
+        for t_lo, t_hi in bounds:
+            want = [e for e in live
+                    if (t_lo is None or e[2] >= t_lo) and (t_hi is None or e[2] < t_hi)]
+            src, dst, t = store.slice_arrays(t_lo, t_hi)
+            assert [(self.labels[s], self.labels[d], ts)
+                    for s, d, ts in zip(src.tolist(), dst.tolist(), t.tolist())] == want
+            assert src.dtype == dst.dtype == np.int64
+            assert t.dtype == (np.float64 if want and self.float_run else np.int64)
+
+
 class TestStoreProperties:
     @settings(max_examples=60, deadline=None)
-    @given(ops=op_sequences(), max_runs=st.integers(min_value=1, max_value=6))
-    def test_eviction_never_drops_in_window_edges(self, ops, max_runs):
+    @given(ops=op_sequences())
+    def test_eviction_never_drops_in_window_edges(self, ops):
         """Exactly the in-window suffix survives — nothing more or less."""
-        store = StreamingEdgeStore(max_runs=max_runs)
+        store = StreamingEdgeStore()
         for op in ops:
             if op[0] == "append":
                 store.append(op[1], op[2], op[3])
@@ -215,28 +388,29 @@ class TestStoreProperties:
         assert store.watermark == watermark
         assert store.num_live == len(live)
 
-    @settings(max_examples=60, deadline=None)
-    @given(ops=op_sequences())
-    def test_lazy_merge_preserves_arrival_order_tie_stamps(self, ops):
-        """Aggressive merging and no merging agree edge-for-edge.
+    @settings(max_examples=150, deadline=None)
+    @given(ops=model_ops(), bounds=st.lists(
+        st.tuples(st.one_of(st.none(), st.integers(0, 22)),
+                  st.one_of(st.none(), st.integers(0, 22))),
+        min_size=1, max_size=3))
+    def test_store_matches_list_model(self, ops, bounds):
+        """The store against a plain list of accepted edges.
 
-        Arrival order is the tie-break stamp: a batch rebuild of the
-        live set must see the same canonical order whichever run
-        layout the store happens to hold, including after merges.
+        Interleaved ``append``/``extend``/``evict_before`` calls with
+        out-of-order arrivals, ties, late records, self-loops and mixed
+        int/float timestamps; after each call every observable agrees.
         """
-        eager = StreamingEdgeStore(max_runs=1)   # merge on every flush
-        lazy = StreamingEdgeStore(max_runs=64)   # effectively never merge
+        store = StreamingEdgeStore()
+        model = ListModel()
         for op in ops:
             if op[0] == "append":
-                eager.append(op[1], op[2], op[3])
-                lazy.append(op[1], op[2], op[3])
+                assert store.append(*op[1]) == (model.extend([op[1]]) == 1)
+            elif op[0] == "extend":
+                assert store.extend(op[1]) == model.extend(op[1])
             else:
-                eager.evict_before(op[1])
-                lazy.evict_before(op[1])
-            # Force different internal layouts at every step.
-            eager.slice_arrays(None, None)
-        assert eager.live_edges() == lazy.live_edges()
-        assert eager.live_graph() == lazy.live_graph()
+                assert store.evict_before(op[1]) == model.evict(op[1])
+            model.check(store, bounds)
+
 
     @settings(max_examples=60, deadline=None)
     @given(ops=op_sequences())
@@ -312,7 +486,7 @@ def mixed_stores(draw):
         st.integers(min_value=0, max_value=20),
         st.integers(min_value=0, max_value=40).map(lambda x: x / 2),
     )
-    store = StreamingEdgeStore(max_runs=draw(st.integers(min_value=1, max_value=4)))
+    store = StreamingEdgeStore()
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
         if draw(st.integers(min_value=0, max_value=4)):
             batch = draw(st.lists(st.tuples(labels, labels, times), max_size=12))

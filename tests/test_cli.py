@@ -266,6 +266,15 @@ class TestStream:
         assert final["edges_seen"] == final["edges_live"] + final["edges_expired"]
         assert final["watermark"] == pytest.approx(final["t_latest"] - 8)
 
+    def test_stream_nan_window_rejected(self, edge_file, capsys):
+        # A NaN window would expire every edge and print a NaN watermark,
+        # which is not JSON.
+        assert main(
+            ["stream", "--input", edge_file, "--delta", "5", "--window", "nan"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "window" in captured.err and captured.out == ""
+
     def test_stream_from_stdin(self, capsys, monkeypatch):
         import io
 
